@@ -15,10 +15,12 @@ import numpy as np
 from .tensor import GradTape, Tensor
 from .data import Example
 from .dynamics import (
+    ArchSpec,
     LeakySigmoid,
     NetState,
     Tanh,
     WeightBundle,
+    conv_layer,
     detect_cycle,
     energy,
     fban,
@@ -87,18 +89,37 @@ def _fd_gradient(f, x, step):
     return g
 
 
+_CONV_PER_LOSS = 2
+
+
+def _pooled_conv_arch():
+    # 2 -> 3 -> 1 channels with pooling into the top layer: the up and down
+    # maps of the two pairs take both branches of the convolution kernels
+    return ArchSpec(layers=(conv_layer(2, 4, 4, visible=True), conv_layer(3, 4, 4),
+                            conv_layer(1, 2, 2, pool_before=True)),
+                    kernel_sizes=(3, 3))
+
+
 def check_gradients(seed=0, per_loss=20, max_sweeps=5, step=1e-5, tol=1e-4):
-    """Unrolled autodiff versus central finite differences, per loss kind."""
+    """Unrolled autodiff versus central finite differences, per loss kind.
+
+    Each loss kind gets per_loss trials on random one-hidden-layer fc nets
+    and _CONV_PER_LOSS trials on a tiny pooled conv net.
+    """
     rng = np.random.default_rng(seed)
     failures = []
     trials = 0
     for loss_kind in ("se", "delta_e", "delta_e_plus"):
-        for trial in range(per_loss):
+        for trial in range(per_loss + _CONV_PER_LOSS):
             trials += 1
-            n_vis = int(rng.integers(2, 5))
-            n_hid = int(rng.integers(2, 4))
-            arch = fban(n_vis, [n_hid])
-            w = init_weights(arch, seed=int(rng.integers(1 << 30)))
+            if trial < per_loss:
+                n_vis = int(rng.integers(2, 5))
+                arch = fban(n_vis, [int(rng.integers(2, 4))])
+                w = init_weights(arch, seed=int(rng.integers(1 << 30)))
+            else:
+                arch = _pooled_conv_arch()
+                n_vis = arch.layers[0].size
+                w = init_weights(arch, seed=int(rng.integers(1 << 30)), conv_std=0.3)
             examples = _random_examples(rng, int(rng.integers(1, 3)), n_vis)
             sweeps = int(rng.integers(1, max_sweeps + 1))
             cfg = TrainConfig(epochs=1, loss=loss_kind, theta=1e-12,

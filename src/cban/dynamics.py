@@ -513,7 +513,10 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True,
     batched = state.batched(arch)
     energies = []
     deltas = []
-    history = [state.snapshot()]
+    # only states that can still lie in the trailing window at max_iters are
+    # kept: t >= max_iters + 1 - cycle_window
+    first_kept = max_iters + 1 - cycle_window
+    history = [state.snapshot()] if first_kept <= 0 else []
     converged = False
     t_star = max_iters
     for t in range(1, max_iters + 1):
@@ -526,9 +529,8 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True,
         deltas.append(d)
         if record_energy:
             energies.append(energy(state, w, arch))
-        history.append(state.snapshot())
-        if len(history) > cycle_window:
-            history.pop(0)
+        if t >= first_kept:
+            history.append(state.snapshot())
         if float(np.max(d)) < theta:
             converged = True
             t_star = t

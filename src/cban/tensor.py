@@ -6,6 +6,14 @@ and its index-reversed counterpart, 2x2 average pooling with its
 nearest-neighbor upsampling partner, and a GradTape that differentiates any
 scalar built from these operations with respect to any tensor that fed it.
 
+Convolution (forward, input gradient, weight gradient) is one matrix
+product per map plus kh*kw shifted copies or adds. The shift is applied to
+whichever side of the map has fewer channels: im2col of the input when the
+map has more output than input channels, otherwise the product first and a
+shift-add of its kh*kw output blocks. For q output and r input channels,
+the expanded buffer (the im2col, or the product's kh*kw blocks) holds
+kh*kw*min(q, r)*N*H*W floats.
+
 Tensors are immutable values; every operation returns a fresh tensor. A
 batch dimension, when present, is leading and optional: feature maps are
 (channels, height, width) or (batch, channels, height, width), flat layers
@@ -16,7 +24,6 @@ numerical blow-up surfaces at the operation that produced it.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DomainError",
@@ -386,17 +393,73 @@ def reverse_kernel(k):
     return ConvKernel(out)
 
 
-def _pad_hw(x, pa, pb):
-    pad = [(0, 0)] * (x.ndim - 2) + [(pa, pa), (pb, pb)]
-    return np.pad(x, pad)
+def _taps(ka, kb, H, W):
+    """Yield (tap, dst, src) for each offset of a half-padded ka x kb kernel.
+
+    Tap t = u * kb + v reads the map at offset (u - (ka-1)/2, v - (kb-1)/2).
+    `dst` indexes the positions whose shifted read lands inside the map and
+    `src` the positions they read; the reads that fall outside are the zero
+    padding, which is never materialized. A tap offset by the map's full
+    extent or more reads only padding and is skipped.
+    """
+    pa, pb = (ka - 1) // 2, (kb - 1) // 2
+    for u in range(ka):
+        di = u - pa
+        if abs(di) >= H:
+            continue
+        dst_i = slice(max(0, -di), H - max(0, di))
+        src_i = slice(max(0, di), H + min(0, di))
+        for v in range(kb):
+            dj = v - pb
+            if abs(dj) >= W:
+                continue
+            dst_j = slice(max(0, -dj), W - max(0, dj))
+            src_j = slice(max(0, dj), W + min(0, dj))
+            yield u * kb + v, (..., dst_i, dst_j), (..., src_i, src_j)
+
+
+def _channels_first(x):
+    """(n, c, H, W) -> contiguous (c, n*H*W)."""
+    n, c, h, w = x.shape
+    return x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+
+
+def _im2col(x, ka, kb):
+    """(n, c, H, W) -> (ka*kb*c, n*H*W): row (tap, channel) holds the shifted map."""
+    n, c, h, w = x.shape
+    cols = np.zeros((ka * kb, c, n, h, w))
+    xt = x.transpose(1, 0, 2, 3)
+    for t, dst, src in _taps(ka, kb, h, w):
+        cols[t][dst] = xt[src]
+    return cols.reshape(ka * kb * c, n * h * w)
 
 
 def _conv_half_np(x, w):
-    # x: (b, r, H, W), w: (q, r, a, b) -> (b, q, H, W), zero padding (k-1)/2
-    ka, kb = w.shape[2], w.shape[3]
-    xp = _pad_hw(x, (ka - 1) // 2, (kb - 1) // 2)
-    win = sliding_window_view(xp, (ka, kb), axis=(2, 3))  # (b, r, H, W, a, b)
-    return np.einsum("qruv,nrhwuv->nqhw", w, win, optimize=True)
+    # x: (n, r, H, W), w: (q, r, ka, kb) -> (n, q, H, W), zero padding (k-1)/2.
+    # One GEMM; the k^2 shifted copies expand whichever side has fewer channels.
+    n, r, h, wd = x.shape
+    q, _, ka, kb = w.shape
+    if q > r:
+        out = w.transpose(0, 2, 3, 1).reshape(q, ka * kb * r) @ _im2col(x, ka, kb)
+        return np.ascontiguousarray(out.reshape(q, n, h, wd).transpose(1, 0, 2, 3))
+    y = w.transpose(2, 3, 0, 1).reshape(ka * kb * q, r) @ _channels_first(x)
+    y = y.reshape(ka * kb, q, n, h, wd).transpose(0, 2, 1, 3, 4)
+    out = np.zeros((n, q, h, wd))
+    for t, dst, src in _taps(ka, kb, h, wd):
+        out[dst] += y[t][src]
+    return out
+
+
+def _conv_weight_grad_np(x, g, ka, kb):
+    # d<g, conv(x, w)>/dw, shape (q, r, ka, kb), by the same rule as the forward.
+    q, r = g.shape[1], x.shape[1]
+    if q > r:
+        m = _channels_first(g) @ _im2col(x, ka, kb).T
+        return m.reshape(q, ka, kb, r).transpose(0, 3, 1, 2)
+    # shifting g by -offset pairs it with x exactly as shifting x by +offset
+    # pairs it with g, so the taps of im2col(g) come out in reverse order
+    m = _im2col(g, ka, kb) @ _channels_first(x).T
+    return m.reshape(ka, kb, q, r)[::-1, ::-1].transpose(2, 3, 0, 1)
 
 
 def conv2d_half(x, k):
@@ -405,6 +468,16 @@ def conv2d_half(x, k):
     out[q, i, j] = sum_{r,a,b} k[q, r, a, b] * x_padded[r, i + a, j + b],
     with zero padding of (extent - 1) / 2 on each side. Accepts an optional
     leading batch dimension.
+
+    Forward, input gradient and weight gradient are each one matrix product
+    plus kh*kw shifted copies or adds, expanding the side of the map with
+    fewer channels: with q output and r input channels, q > r builds the
+    im2col of x, (kh*kw*r, N*H*W), and multiplies the (q, kh*kw*r) weights
+    into it; q <= r multiplies the (kh*kw*q, r) weights into x first and
+    shift-adds the kh*kw output blocks. The expanded buffer therefore holds
+    kh*kw*min(q, r)*N*H*W floats. The input gradient is the convolution of
+    the output gradient with the reversed kernel, so it follows the same
+    rule with the roles of q and r swapped.
     """
     x = _as_tensor(x)
     if x.ndim not in (3, 4):
@@ -417,26 +490,15 @@ def conv2d_half(x, k):
     w = k.weights
     xd = x.data if batched else x.data[None]
     wd = w.data
-    out = np.einsum("qruv,nrhwuv->nqhw",
-                    wd,
-                    _windows(xd, wd.shape[2], wd.shape[3]),
-                    optimize=True)
+    out = _conv_half_np(xd, wd)
 
     def vjp(g):
         gb = g if batched else g[None]
         gx = _conv_half_np(gb, _flip_kernel_np(wd))
-        gw = np.einsum("nqhw,nrhwuv->qruv",
-                       gb,
-                       _windows(xd, wd.shape[2], wd.shape[3]),
-                       optimize=True)
+        gw = _conv_weight_grad_np(xd, gb, wd.shape[2], wd.shape[3])
         return (gx if batched else gx[0]), gw
 
     return _from_op(out if batched else out[0], (x, w), vjp)
-
-
-def _windows(xb, ka, kb):
-    xp = _pad_hw(xb, (ka - 1) // 2, (kb - 1) // 2)
-    return sliding_window_view(xp, (ka, kb), axis=(2, 3))
 
 
 def avg_pool2(x):
@@ -447,9 +509,9 @@ def avg_pool2(x):
     H, W = x.shape[-2], x.shape[-1]
     if H % 2 or W % 2:
         raise ValueError(f"avg_pool2 requires even spatial extents, got {(H, W)}")
-    lead = x.shape[:-2]
-    blocks = x.data.reshape(lead + (H // 2, 2, W // 2, 2))
-    out = blocks.mean(axis=(-3, -1))
+    d = x.data
+    out = 0.25 * ((d[..., 0::2, 0::2] + d[..., 0::2, 1::2])
+                  + (d[..., 1::2, 0::2] + d[..., 1::2, 1::2]))
 
     def vjp(g):
         return (0.25 * np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1),)

@@ -21,6 +21,7 @@ from .dynamics import (
     SettleReport,
     Tanh,
     WeightBundle,
+    _max_delta,
     activation,
     barrier,
     energy,
@@ -220,7 +221,7 @@ def td1_forward(examples, w, arch, cfg):
         total = contrib if total is None else total + contrib
         for l in range(L - 2, -1, -1):
             state = update_layer(state, w, arch, l)
-        delta = _per_item_delta(prev, state.activations)
+        delta = _max_delta(prev, state.activations, batched)
         delta_traces.append(delta)
         energy_traces.append(energy(state, w, arch))
         newly = active & (delta < cfg.theta)
@@ -243,14 +244,6 @@ def td1_forward(examples, w, arch, cfg):
         for i in range(n)
     ]
     return total, reports
-
-
-def _per_item_delta(prev, new):
-    per = None
-    for p, q in zip(prev, new):
-        d = np.abs(q.data - p.data).reshape(q.data.shape[0], -1).max(axis=1)
-        per = d if per is None else np.maximum(per, d)
-    return per
 
 
 @dataclass

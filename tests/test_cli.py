@@ -1,10 +1,16 @@
 """Configuration files, checkpoint serialization, and the CLI commands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cban
+from cban.checks import check_gradients
 from cban.checkpoint import (
     VERSION,
     Checkpoint,
@@ -334,8 +340,30 @@ class TestCmdCheck:
         with pytest.raises(SystemExit):
             main(["check", "--suite", "bogus"])
 
+    def test_gradient_suite_covers_pooled_conv(self):
+        result = check_gradients(seed=3, per_loss=0)
+        assert result.trials == 6 and result.passed, result.failures
+
     def test_convergence_suite_passes(self, capsys):
         assert main(["check", "--suite", "convergence", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "[pass]" in out
         assert "synchronous-two-cycle-bound" in out
+
+
+class TestModuleEntryPoint:
+    def _run(self, *args):
+        src = str(Path(cban.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, "-m", "cban.cli", *args],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    def test_bad_subcommand_exits_2(self):
+        proc = self._run("bogus")
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr
+
+    def test_help_prints_usage(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage:")

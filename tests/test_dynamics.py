@@ -361,6 +361,51 @@ class TestSettle:
         assert not report.converged
         assert report.cycle_length >= 2
 
+    @pytest.mark.parametrize("max_iters", [10, 60])
+    def test_trailing_window_matches_full_history(self, max_iters, monkeypatch):
+        # max_iters below and above cycle_window: detect_cycle sees exactly
+        # the trailing window of the full history and finds the same cycle
+        import cban.dynamics as dyn
+
+        rng = np.random.default_rng(2)
+        arch = fban(10, [10], symmetric=False)
+        w = WeightBundle(
+            forward=[Tensor(rng.normal(scale=1.2, size=(10, 10)))],
+            biases=[Tensor(np.zeros(10)), Tensor(np.zeros(10))],
+            reverse=[Tensor(rng.normal(scale=1.2, size=(10, 10)))],
+        )
+        state = NetState([Tensor(rng.uniform(-0.9, 0.9, size=(10,))),
+                          Tensor(rng.uniform(-0.9, 0.9, size=(10,)))])
+        for _ in range(50):  # start on the limit cycle, so both windows find it
+            state = sweep(state, w, arch)
+        window = 24
+        history = [state.snapshot()]
+        s = state
+        for _ in range(max_iters):
+            s = sweep(s, w, arch)
+            history.append(s.snapshot())
+        expected = detect_cycle(history[-window:], tol=1e-3)
+        seen = []
+        monkeypatch.setattr(dyn, "detect_cycle",
+                            lambda states, tol: seen.append(states) or detect_cycle(states, tol))
+        _, report = settle(state, w, arch, theta=1e-3, max_iters=max_iters,
+                           record_energy=False, cycle_window=window)
+        assert not report.converged
+        assert expected >= 2 and report.cycle_length == expected
+        np.testing.assert_array_equal(np.stack(seen[0]), np.stack(history[-window:]))
+
+    def test_converged_run_takes_no_snapshots(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(NetState, "snapshot",
+                            lambda self: calls.append(1) or np.zeros(1))
+        rng = np.random.default_rng(11)
+        arch = fban(10, [10])
+        w = random_fc_bundle(arch, rng, scale=0.1)
+        _, report = settle(random_state(arch, rng), w, arch, theta=1e-3,
+                           max_iters=100, cycle_window=24)
+        assert report.converged and report.t_star < 77
+        assert calls == []
+
     def test_diverging_state_aborts_with_context(self):
         import warnings
 

@@ -1,7 +1,11 @@
 """Tensor arithmetic, structural maps, and gradient-tape correctness."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cban.tensor import (
     ConvKernel,
@@ -27,6 +31,51 @@ from cban.tensor import (
     where,
 )
 from helpers import finite_difference, relative_error, tape_gradients
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def loop_conv(x, w):
+    """Half-padded convolution straight from its definition, (n, r, H, W) input."""
+    n, r, H, W = x.shape
+    q, _, ka, kb = w.shape
+    pa, pb = (ka - 1) // 2, (kb - 1) // 2
+    out = np.zeros((n, q, H, W))
+    for i in range(H):
+        for j in range(W):
+            for a in range(ka):
+                for b in range(kb):
+                    ii, jj = i + a - pa, j + b - pb
+                    if 0 <= ii < H and 0 <= jj < W:
+                        out[:, :, i, j] += x[:, :, ii, jj] @ w[:, :, a, b].T
+    return out
+
+
+def einsum_conv_maps(x, w, g):
+    """Forward, input gradient and weight gradient by einsum over windows."""
+    ka, kb = w.shape[2], w.shape[3]
+
+    def windows(a):
+        pad = [(0, 0), (0, 0), ((ka - 1) // 2,) * 2, ((kb - 1) // 2,) * 2]
+        return sliding_window_view(np.pad(a, pad), (ka, kb), axis=(2, 3))
+
+    flipped = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    return (np.einsum("qruv,nrhwuv->nqhw", w, windows(x), optimize=True),
+            np.einsum("qruv,nrhwuv->nqhw", flipped, windows(g), optimize=True),
+            np.einsum("nqhw,nrhwuv->qruv", g, windows(x), optimize=True))
+
+
+def config_pair_shapes():
+    """(r, q, H, W, k) of every up and down map of the shipped conv configs."""
+    shapes = set()
+    for name in ("omniglot", "cifar10", "superres"):
+        arch = json.loads((CONFIGS / f"{name}.json").read_text())["arch"]
+        layers = arch["layers"]
+        for lo, hi, k in zip(layers[:-1], layers[1:], arch["kernel_sizes"]):
+            hw = (hi["height"], hi["width"])
+            shapes.add((lo["channels"], hi["channels"]) + hw + (k,))
+            shapes.add((hi["channels"], lo["channels"]) + hw + (k,))
+    return sorted(shapes)
 
 
 class TestTensorBasics:
@@ -86,6 +135,54 @@ class TestConv2dHalf:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             ConvKernel(np.ones((1, 1, 2, 3)))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("extent", [(1, 1), (3, 3), (5, 5), (3, 5)])
+    @pytest.mark.parametrize("q,r", [(2, 3), (3, 3), (4, 2)])
+    def test_matches_direct_loop(self, q, r, extent, batched):
+        rng = np.random.default_rng(q * 10 + r + extent[1])
+        x = rng.normal(size=(3, r, 5, 7))
+        w = rng.normal(size=(q, r) + extent)
+        ref = loop_conv(x, w)
+        if batched:
+            out = conv2d_half(Tensor(x), ConvKernel(w)).data
+        else:
+            out, ref = conv2d_half(Tensor(x[0]), ConvKernel(w)).data, ref[0]
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("q,r", [(2, 3), (3, 2)])
+    def test_kernel_wider_than_map(self, q, r, batched):
+        # a 7x7 kernel on a 2x3 map: the outer taps read only padding
+        rng = np.random.default_rng(40 + q)
+        n = 2 if batched else 1
+        x = rng.normal(size=(n, r, 2, 3))
+        w = rng.normal(size=(q, r, 7, 7))
+        g = rng.normal(size=(n, q, 2, 3))
+        xt, kt = Tensor(x if batched else x[0]), ConvKernel(w)
+        with GradTape() as tape:
+            out = conv2d_half(xt, kt)
+            loss = tensor_sum(out * Tensor(g if batched else g[0]))
+        gx, gw = tape.gradient(loss, [xt, kt])
+        np.testing.assert_allclose(out.data.reshape(n, q, 2, 3), loop_conv(x, w),
+                                   rtol=0, atol=1e-12)
+        _, ref_gx, ref_gw = einsum_conv_maps(x, w, g)
+        np.testing.assert_allclose(gx.reshape(n, r, 2, 3), ref_gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r,q,H,W,k", config_pair_shapes())
+    def test_config_shapes_match_einsum(self, r, q, H, W, k):
+        rng = np.random.default_rng(r * 1000 + q)
+        x = rng.normal(size=(1, r, H, W))
+        w = rng.normal(size=(q, r, k, k))
+        g = rng.normal(size=(1, q, H, W))
+        xt, kt = Tensor(x), ConvKernel(w)
+        with GradTape() as tape:
+            out = conv2d_half(xt, kt)
+            loss = tensor_sum(out * Tensor(g))
+        gx, gw = tape.gradient(loss, [xt, kt])
+        for new, ref in zip((out.data, gx, gw), einsum_conv_maps(x, w, g)):
+            assert relative_error(new, ref) < 1e-12
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(1)
@@ -147,6 +244,11 @@ class TestPooling:
     def test_block_mean(self):
         out = avg_pool2(Tensor([[[1.0, 2.0], [3.0, 4.0]]]))
         np.testing.assert_array_equal(out.data, [[[2.5]]])
+
+    def test_random_block_mean(self):
+        x = np.random.default_rng(5).normal(size=(3, 2, 6, 8))
+        blocks = x.reshape(3, 2, 3, 2, 4, 2).mean(axis=(-3, -1))
+        np.testing.assert_array_equal(avg_pool2(Tensor(x)).data, blocks)
 
     def test_zeros(self):
         out = avg_pool2(Tensor(np.zeros((1, 6, 8))))
@@ -327,6 +429,19 @@ class TestGradientsAgainstFiniteDifferences:
             lambda xt, wt: tensor_sum(conv2d_half(xt, ConvKernel(wt)) * 0.5),
             [x, w],
         )
+
+    @pytest.mark.parametrize("extent", [3, 5])
+    @pytest.mark.parametrize("q,r", [(2, 3), (3, 2)])
+    def test_conv_gradients_both_branches(self, q, r, extent):
+        rng = np.random.default_rng(20 + 3 * q + extent)
+        x = rng.normal(size=(2, r, 4, 5))
+        w = rng.normal(size=(q, r, extent, extent))
+
+        def build(xt, wt):
+            y = conv2d_half(xt, ConvKernel(wt))
+            return tensor_sum(y * y)
+
+        _gradcheck(build, [x, w])
 
     def test_reverse_kernel_composition(self):
         rng = np.random.default_rng(12)
