@@ -25,7 +25,6 @@ from .tensor import (  # noqa: E402
     Tensor,
     avg_pool2,
     conv2d_half,
-    grad,
     nn_upsample2,
     reverse_kernel,
 )
@@ -55,13 +54,10 @@ from .dynamics import (  # noqa: E402
     update_layer,
 )
 from .training import (  # noqa: E402
-    ContrastivePair,
     TrainConfig,
     complete,
     init_weights,
-    loss_delta_e,
-    loss_delta_e_plus,
-    loss_se,
+    loss_per_item,
     optimizer_step,
     td1_forward,
     train,
@@ -99,14 +95,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvKernel", "DomainError", "GradTape", "Tensor", "avg_pool2",
-    "conv2d_half", "grad", "nn_upsample2", "reverse_kernel",
+    "conv2d_half", "nn_upsample2", "reverse_kernel",
     "ArchSpec", "EvidenceConstraint", "LayerSpec", "LeakySigmoid", "NetState",
     "SettleReport", "Tanh", "WeightBundle", "activation", "barrier",
     "conv_layer", "detect_cycle", "energy", "fban", "fc_layer",
     "initial_state", "inverse_activation", "layer_preactivation", "norm_1inf",
     "settle", "sweep", "synchronous_step", "update_layer",
-    "ContrastivePair", "TrainConfig", "complete", "init_weights",
-    "loss_delta_e", "loss_delta_e_plus", "loss_se", "optimizer_step",
+    "TrainConfig", "complete", "init_weights", "loss_per_item", "optimizer_step",
     "td1_forward", "train", "unclamped_visible",
     "BarTask", "BernoulliMask", "Example", "LabelOnly", "LabelPlus",
     "PerlinMask", "SquarePatches", "bar_eval_set", "bernoulli_mask",

@@ -24,68 +24,70 @@ def _fail(msg, code=2):
     return code
 
 
-def _reshape_visible(flat, arch):
-    """Visible vector back to its natural image shape for display/metrics."""
-    shape = arch.visible_shape
-    if len(shape) == 1:
-        n = shape[0]
-        if n == 812:
-            return flat.reshape(29, 28)
-        side = int(round(np.sqrt(n)))
-        if side * side == n:
-            return flat.reshape(side, side)
-        return flat.reshape(1, n)
-    return flat.reshape(shape)
+def _load_images(path):
+    """(c, h, w) images from a folder of PGM/PPM files or an IDX image file."""
+    from .data import load_idx, load_image_folder
+
+    if Path(path).is_dir():
+        return load_image_folder(path)
+    return load_idx(path)[:, None]
 
 
-def _build_dataset(cfg):
+def _library_dataset(arch, images, labels, mask):
+    """The dataset that lays (c, h, w) images out on this visible layer.
+
+    Labels select the supervised layout: the first channel's rows plus one
+    label row, Perlin-masked unless a mask is given. Otherwise a mask is
+    required, and a visible layer with twice the images' channels is the
+    replicated layout: the masked image is clamped into the input copy and
+    the clean image is the output copy's target.
+    """
     from .data import (
         ImageFolderCompletion,
         LabelPlus,
-        LabelOnly,
         PerlinMask,
         ReplicatedCompletion,
         SupervisedDigits,
-        load_idx,
-        load_image_folder,
     )
 
-    if cfg.task == "bar":
-        from .data import BarTask
+    if labels is not None:
+        mask = mask if mask is not None else LabelPlus(PerlinMask())
+        return SupervisedDigits(np.asarray(images)[:, 0], labels, mask)
+    if mask is None:
+        raise ValueError("image completion needs a mask spec")
+    vis = arch.visible_shape
+    if len(vis) == 3 and vis[0] == 2 * images[0].shape[0]:
+        return ReplicatedCompletion(images, mask)
+    return ImageFolderCompletion(images, mask)
 
+
+def _build_dataset(cfg):
+    from .data import BarTask, load_idx
+
+    if cfg.task == "bar":
         return BarTask()
     if cfg.task == "mnist-supervised":
-        images = load_idx(cfg.data["images"])
-        labels = load_idx(cfg.data["labels"])
-        mask = cfg.mask if cfg.mask is not None else LabelPlus(PerlinMask(7, 1 / 3))
-        if not isinstance(mask, (LabelPlus, LabelOnly)):
-            mask = LabelPlus(mask)
-        limit = cfg.data.get("limit")
-        if limit:
-            images, labels = images[: int(limit)], labels[: int(limit)]
-        return SupervisedDigits(images, labels, mask)
-    # generic completion over an image folder
-    if "folder" not in cfg.data:
+        limit = int(cfg.data.get("limit", 0)) or None
+        images = _load_images(cfg.data["images"])[:limit]
+        labels = load_idx(cfg.data["labels"])[:limit]
+    elif "folder" not in cfg.data:
         raise ValueError("completion task needs data.folder")
-    if cfg.mask is None:
-        raise ValueError("completion task needs a mask spec")
-    images = load_image_folder(cfg.data["folder"])
-    vis = cfg.arch.visible_shape
-    if len(vis) == 3 and images and vis[0] == 2 * images[0].shape[0]:
-        # replicated visible state: observation clamped in, completion read out
-        return ReplicatedCompletion(images, cfg.mask)
-    return ImageFolderCompletion(images, cfg.mask)
+    else:
+        images, labels = _load_images(cfg.data["folder"]), None
+    return _library_dataset(cfg.arch, images, labels, cfg.mask)
 
 
-def _bar_accuracy(w, arch, theta, max_iters, n=200, seed=7777):
+def _bar_accuracy(w, arch, train_cfg, n=200, seed=7777):
     from .data import bar_eval_set
     from .metrics import completion_accuracy
     from .training import complete
 
     examples = bar_eval_set(np.random.default_rng(seed), n)
-    outputs, _ = complete(examples, w, arch, theta=theta, max_iters=max_iters)
-    targets = np.stack([e.target.reshape(25) for e in examples])
-    masks = np.stack([e.mask.reshape(25) for e in examples])
+    outputs, _ = complete(examples, w, arch, theta=train_cfg.theta,
+                          max_iters=train_cfg.max_iters,
+                          evidence_mode=train_cfg.evidence_mode)
+    targets = np.stack([e.target.reshape(-1) for e in examples])
+    masks = np.stack([e.mask.reshape(-1) for e in examples])
     return {"accuracy": completion_accuracy(outputs, targets, masks)}
 
 
@@ -101,19 +103,18 @@ def _write_log_csv(path, log):
         writer.writerows(log)
 
 
-def _write_samples(outdir, w, arch, cfg):
+def _write_samples(outdir, w, arch, cfg, dataset):
     from .imageio import sample_grid, write_ppm
     from .training import complete
 
     rng = np.random.default_rng(cfg.seed + 1)
-    dataset = _build_dataset(cfg)
     examples = list(dataset.epoch_examples(rng))[:10]
     outputs, _ = complete(examples, w, arch, theta=cfg.train.theta,
-                          max_iters=cfg.train.max_iters)
-    targets = [_reshape_visible(e.target.reshape(-1), arch) for e in examples]
-    completions = [_reshape_visible(o.reshape(-1), arch) for o in outputs]
-    masks = [_reshape_visible(e.mask.reshape(-1).astype(float), arch) > 0.5
-             for e in examples]
+                          max_iters=cfg.train.max_iters,
+                          evidence_mode=cfg.train.evidence_mode)
+    targets = [e.target for e in examples]
+    completions = [o.reshape(e.target.shape) for o, e in zip(outputs, examples)]
+    masks = [e.mask for e in examples]
     write_ppm(outdir / "samples.ppm", sample_grid(targets, completions, masks))
 
 
@@ -144,8 +145,7 @@ def cmd_train(args):
 
     evaluate = None
     if cfg.task == "bar":
-        evaluate = lambda w: _bar_accuracy(w, arch, cfg.train.theta,
-                                           cfg.train.max_iters)
+        evaluate = lambda w: _bar_accuracy(w, arch, cfg.train)
     w, log = train(dataset, arch, cfg.train, evaluate=evaluate,
                    eval_every=args.eval_every, on_epoch=on_epoch)
     if not log_rows:  # zero-epoch run still leaves a checkpoint behind
@@ -157,7 +157,7 @@ def cmd_train(args):
         save_checkpoint(outdir / "latest.ckpt", ckpt)
         _write_log_csv(log_path, [])
     try:
-        _write_samples(outdir, w, arch, cfg)
+        _write_samples(outdir, w, arch, cfg, dataset)
     except ValueError as e:
         print(f"note: no sample grid written ({e})", file=sys.stderr)
     print(f"trained {cfg.train.epochs} epochs; outputs under {outdir}")
@@ -165,6 +165,11 @@ def cmd_train(args):
 
 
 def _load_evidence(args, arch):
+    """Evidence (values, mask) on the visible layer, plus the shape to render.
+
+    Outputs render in the shape the evidence came in; flat evidence takes
+    the visible layer's shape.
+    """
     from .data import generate_mask
     from .imageio import bytes_to_activations, read_image
 
@@ -174,11 +179,9 @@ def _load_evidence(args, arch):
             values, mask = z["values"], z["mask"].astype(bool)
     else:
         img = bytes_to_activations(read_image(path))
-        if args.mask is None:
+        spec = _mask_from_args(args)
+        if spec is None:
             raise ValueError("image input needs --mask to say what is observed")
-        from .config import mask_from_dict
-
-        spec = mask_from_dict(_mask_dict_from_args(args))
         rng = np.random.default_rng(args.seed)
         pixel = generate_mask(spec, img.mean(axis=0), rng)
         mask = np.broadcast_to(pixel, img.shape).copy()
@@ -188,33 +191,37 @@ def _load_evidence(args, arch):
         raise ValueError(
             f"evidence has {values.size} units, the network's visible layer has "
             f"{int(np.prod(vis))}")
-    return values.reshape(vis), mask.reshape(vis)
+    shape = values.shape if values.ndim > 1 else vis
+    return values.reshape(vis), mask.reshape(vis), shape
 
 
-def _mask_dict_from_args(args):
+def _mask_from_args(args):
+    """The --mask spec, or None without one."""
+    from .data import BernoulliMask, PerlinMask, SquarePatches
+
     if args.mask == "perlin":
-        return {"kind": "perlin", "frequency": args.mask_frequency,
-                "obscured_fraction": args.mask_fraction}
+        return PerlinMask(args.mask_frequency, args.mask_fraction)
     if args.mask == "patches":
-        return {"kind": "patches", "diameter_min": args.patch_min,
-                "diameter_max": args.patch_max,
-                "white_fraction": args.mask_fraction}
+        return SquarePatches(args.patch_min, args.patch_max, args.mask_fraction)
     if args.mask == "bernoulli":
-        return {"kind": "bernoulli", "p": args.mask_fraction}
-    raise ValueError(f"unknown mask kind {args.mask!r}")
+        return BernoulliMask(args.mask_fraction)
+    return None
 
 
-def _write_visible_image(path_base, flat, arch):
+def _write_visible_image(path_base, x, shape):
+    """A (3, h, w) shape renders in colour; other shapes render as a gray
+    image with channels stacked vertically, and a flat vector as a square
+    when its length is a perfect square, else as a 1 x n strip."""
     from .imageio import activations_to_bytes, write_pgm, write_ppm
 
-    img = _reshape_visible(flat, arch)
+    img = x.reshape(shape)
+    if img.ndim == 1:
+        side = int(round(np.sqrt(img.size)))
+        img = img.reshape((side, side) if side * side == img.size else (1, img.size))
     if img.ndim == 3 and img.shape[0] == 3:
         write_ppm(f"{path_base}.ppm", activations_to_bytes(img))
-        return f"{path_base}.ppm"
-    if img.ndim == 3:
-        img = img.reshape(-1, img.shape[-1])
-    write_pgm(f"{path_base}.pgm", activations_to_bytes(img))
-    return f"{path_base}.pgm"
+    else:
+        write_pgm(f"{path_base}.pgm", activations_to_bytes(img.reshape(-1, img.shape[-1])))
 
 
 def cmd_complete(args):
@@ -225,7 +232,7 @@ def cmd_complete(args):
     try:
         ckpt = load_checkpoint(args.ckpt)
         arch = ckpt.arch
-        values, mask = _load_evidence(args, arch)
+        values, mask, shape = _load_evidence(args, arch)
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
     outdir = Path(args.outdir)
@@ -233,10 +240,9 @@ def cmd_complete(args):
     ev = EvidenceConstraint(mask=mask, values=values)
     state, report = settle(initial_state(arch, ev), ckpt.weights, arch,
                            theta=args.theta, max_iters=args.max_iters)
-    completed = state.activations[0].data.reshape(-1)
-    dream = unclamped_visible(state, ckpt.weights, arch).data.reshape(-1)
-    _write_visible_image(outdir / "completed", completed, arch)
-    _write_visible_image(outdir / "dream", dream, arch)
+    dream = unclamped_visible(state, ckpt.weights, arch)
+    _write_visible_image(outdir / "completed", state.activations[0].data, shape)
+    _write_visible_image(outdir / "dream", dream.data, shape)
     with open(outdir / "trace.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["iteration", "energy", "max_delta"])
@@ -251,67 +257,43 @@ def cmd_complete(args):
 
 def cmd_eval(args):
     from .checkpoint import CheckpointError, load_checkpoint
-    from .config import mask_from_dict
-    from .data import (
-        LabelPlus,
-        generate_mask,
-        load_idx,
-        load_image_folder,
-        make_supervised_example,
-        Example,
-    )
+    from .data import ReplicatedCompletion, SupervisedDigits, load_idx
     from .metrics import label_accuracy, metric_report
     from .training import complete
 
     try:
         ckpt = load_checkpoint(args.ckpt)
         arch = ckpt.arch
-        data_path = Path(args.data)
-        labels = load_idx(args.labels) if args.labels else None
-        if data_path.is_dir():
-            images = load_image_folder(data_path)
-        else:
-            images = list(load_idx(data_path))
-        if args.limit:
-            images = images[: args.limit]
-            labels = labels[: args.limit] if labels is not None else None
-        spec = mask_from_dict(_mask_dict_from_args(args)) if args.mask else None
+        limit = args.limit or None
+        images = _load_images(args.data)[:limit]
+        labels = load_idx(args.labels)[:limit] if args.labels else None
+        dataset = _library_dataset(arch, images, labels, _mask_from_args(args))
+        examples = dataset.epoch_examples(np.random.default_rng(args.seed))
+        n_vis = int(np.prod(arch.visible_shape))
+        for e in examples:
+            if e.target.size != n_vis:
+                raise ValueError(
+                    f"{args.data} gives visible states of shape {e.target.shape}; "
+                    f"the network's visible layer has shape {arch.visible_shape}")
+        outputs, _ = complete(examples, ckpt.weights, arch, theta=args.theta,
+                              max_iters=args.max_iters)
+        outputs = [o.reshape(e.target.shape) for o, e in zip(outputs, examples)]
+        targets = [e.target for e in examples]
+        extra = []
+        if isinstance(dataset, SupervisedDigits):
+            # image rows above the label row
+            extra.append(["label_accuracy",
+                         label_accuracy([o[-1] for o in outputs], labels)])
+            outputs, targets = [o[:-1] for o in outputs], [t[:-1] for t in targets]
+        elif isinstance(dataset, ReplicatedCompletion):
+            # the output copy, after the clamped input copy
+            half = arch.visible_shape[0] // 2
+            outputs, targets = [o[half:] for o in outputs], [t[half:] for t in targets]
+        report = metric_report(outputs, targets)
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
-    rng = np.random.default_rng(args.seed)
-    supervised = labels is not None and int(np.prod(arch.visible_shape)) == 812
-    examples = []
-    for i, img in enumerate(images):
-        img = np.asarray(img, dtype=np.float64)
-        if supervised:
-            inner = spec if spec is not None else LabelPlus(
-                mask_from_dict({"kind": "perlin"}))
-            examples.append(make_supervised_example(
-                img if img.ndim == 2 else img[0], int(labels[i]), inner, rng))
-        else:
-            if spec is None:
-                return _fail("eval over plain images needs --mask")
-            flat_img = img if img.ndim == 3 else img[None]
-            pixel = generate_mask(spec, flat_img.mean(axis=0), rng)
-            examples.append(Example(target=flat_img,
-                                    mask=np.broadcast_to(pixel, flat_img.shape).copy()))
-    outputs, _ = complete(examples, ckpt.weights, arch, theta=args.theta,
-                          max_iters=args.max_iters)
-    out_imgs, tgt_imgs = [], []
-    for out, ex in zip(outputs, examples):
-        oi = _reshape_visible(out.reshape(-1), arch)
-        ti = _reshape_visible(ex.target.reshape(-1), arch)
-        if supervised:
-            oi, ti = oi[:28], ti[:28]  # metrics on the image part
-        out_imgs.append(oi)
-        tgt_imgs.append(ti)
-    report = metric_report(out_imgs, tgt_imgs)
     rows = [["psnr_mean", report.psnr.mean], ["psnr_stderr", report.psnr.stderr],
-            ["ssim_mean", report.ssim.mean], ["ssim_stderr", report.ssim.stderr]]
-    if supervised:
-        acc = label_accuracy([_reshape_visible(o.reshape(-1), arch)[28]
-                              for o in outputs], labels[: len(outputs)])
-        rows.append(["label_accuracy", acc])
+            ["ssim_mean", report.ssim.mean], ["ssim_stderr", report.ssim.stderr]] + extra
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "metrics.csv", "w", newline="") as f:

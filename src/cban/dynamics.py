@@ -34,10 +34,6 @@ from .tensor import (
     tanh,
     transpose,
     where,
-    _barrier_leaky_np,
-    _barrier_tanh_np,
-    _leaky_forward,
-    _leaky_inverse,
 )
 
 __all__ = [
@@ -84,52 +80,34 @@ class LeakySigmoid:
 
 
 def activation(kind, z):
-    """Elementwise activation; accepts a Tensor or a plain array."""
+    """Elementwise activation of a Tensor (or array); returns a Tensor."""
     if isinstance(kind, Tanh):
-        return tanh(z) if isinstance(z, Tensor) else np.tanh(z)
-    if isinstance(z, Tensor):
-        return leaky_sigmoid(z, kind.alpha)
-    return _leaky_forward(np.asarray(z, dtype=np.float64), kind.alpha)
+        return tanh(z)
+    return leaky_sigmoid(z, kind.alpha)
 
 
 def inverse_activation(kind, x):
-    """Inverse of the activation; tanh demands |x| < 1 strictly."""
-    if isinstance(kind, Tanh):
-        if isinstance(x, Tensor):
-            return atanh(x)
-        from .tensor import DomainError
+    """Inverse of the activation; tanh demands |x| < 1 strictly.
 
-        arr = np.asarray(x, dtype=np.float64)
-        if np.any(np.abs(arr) >= 1.0):
-            bad = np.argwhere(np.abs(arr) >= 1.0)[0]
-            raise DomainError(f"atanh domain violation at index {tuple(int(i) for i in bad)}")
-        return np.arctanh(arr)
-    if isinstance(x, Tensor):
-        return leaky_sigmoid_inverse(x, kind.alpha)
-    return _leaky_inverse(np.asarray(x, dtype=np.float64), kind.alpha)
+    A value outside the domain raises DomainError naming its index.
+    """
+    if isinstance(kind, Tanh):
+        return atanh(x)
+    return leaky_sigmoid_inverse(x, kind.alpha)
 
 
 def barrier(kind, x):
-    """Integral of the inverse activation from 0 to x.
+    """Integral of the inverse activation from 0 to x, as a Tensor.
 
     For tanh this is 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x) on [-1, 1]; for
     the leaky sigmoid it is x^2/2 inside [-1, 1] and a steeper quadratic
     outside. In both cases the derivative is exactly the inverse
     activation, which is what makes layer updates minimize the energy.
+    A tanh value with |x| > 1 raises DomainError naming its index.
     """
     if isinstance(kind, Tanh):
-        if isinstance(x, Tensor):
-            return barrier_tanh(x)
-        from .tensor import DomainError
-
-        arr = np.asarray(x, dtype=np.float64)
-        if np.any(np.abs(arr) > 1.0):
-            bad = np.argwhere(np.abs(arr) > 1.0)[0]
-            raise DomainError(f"barrier domain violation at index {tuple(int(i) for i in bad)}")
-        return _barrier_tanh_np(arr)
-    if isinstance(x, Tensor):
-        return barrier_leaky(x, kind.alpha)
-    return _barrier_leaky_np(np.asarray(x, dtype=np.float64), kind.alpha)
+        return barrier_tanh(x)
+    return barrier_leaky(x, kind.alpha)
 
 
 @dataclass(frozen=True)
@@ -286,7 +264,7 @@ class WeightBundle:
         return transpose(w)
 
 
-_EVIDENCE_MODES = ("clamp", "convex_mix", "external_bias", "replicated")
+_EVIDENCE_MODES = ("clamp", "convex_mix", "external_bias")
 
 
 @dataclass
@@ -298,9 +276,9 @@ class EvidenceConstraint:
     clamp overwrites masked units after every visible update; convex_mix
     blends observation and computed value with weight mix_weight (1.0
     reproduces clamping); external_bias adds scale * observation to the
-    visible preactivation instead of overwriting; replicated is clamping
-    applied to a designated input copy of the visible units, leaving the
-    output copy free.
+    visible preactivation instead of overwriting. A replicated visible
+    layout (an input copy and an output copy of the image) is clamping with
+    a mask that observes only the input copy.
     """
 
     mask: np.ndarray
@@ -366,7 +344,7 @@ def initial_state(arch, evidence=None, batch=None):
         shape = spec.shape if batch is None else (batch,) + spec.shape
         acts.append(Tensor(np.zeros(shape)))
     state = NetState(activations=acts, evidence=evidence)
-    if evidence is not None and evidence.mode in ("clamp", "convex_mix", "replicated"):
+    if evidence is not None and evidence.mode in ("clamp", "convex_mix"):
         vis = state.activations[0]
         state.activations[0] = where(evidence.mask, Tensor(evidence.values), vis)
     elif evidence is not None and evidence.mode == "external_bias":
@@ -429,7 +407,7 @@ def update_layer(state, w, arch, l):
     x = activation(arch.activation, pre)
     ev = state.evidence
     if l == 0 and ev is not None:
-        if ev.mode in ("clamp", "replicated"):
+        if ev.mode == "clamp":
             x = where(ev.mask, Tensor(ev.values), x)
         elif ev.mode == "convex_mix":
             mixed = ev.mix_weight * Tensor(ev.values) + (1.0 - ev.mix_weight) * x
@@ -475,7 +453,7 @@ def energy(state, w, arch):
                                      w, arch, pair, batched)
     for l, spec in enumerate(arch.layers):
         x = state.activations[l].data
-        rho = barrier(arch.activation, x)
+        rho = barrier(arch.activation, state.activations[l]).data
         b = w.biases[l].data
         if spec.kind == "conv":
             b = b.reshape(spec.channels, 1, 1)
@@ -616,4 +594,4 @@ def synchronous_step(x, W, b, kind):
     always end in a fixed point or a period-2 cycle.
     """
     x = np.asarray(x, dtype=np.float64)
-    return activation(kind, x @ W + b)
+    return activation(kind, x @ W + b).data

@@ -30,7 +30,6 @@ __all__ = [
     "Tensor",
     "ConvKernel",
     "GradTape",
-    "grad",
     "matmul",
     "transpose",
     "reshape",
@@ -238,11 +237,6 @@ def atanh(a):
     return _from_op(np.arctanh(x), (a,), lambda g: (g / (1.0 - x * x),))
 
 
-def _leaky_forward(x, alpha):
-    return np.where(x > 1.0, alpha * (x - 1.0) + 1.0,
-                    np.where(x < -1.0, alpha * (x + 1.0) - 1.0, x))
-
-
 def _leaky_inverse(x, alpha):
     return np.where(x > 1.0, (x - 1.0) / alpha + 1.0,
                     np.where(x < -1.0, (x + 1.0) / alpha - 1.0, x))
@@ -253,7 +247,9 @@ def leaky_sigmoid(a, alpha):
     a = _as_tensor(a)
     x = a.data
     slope = np.where(np.abs(x) > 1.0, alpha, 1.0)
-    return _from_op(_leaky_forward(x, alpha), (a,), lambda g: (g * slope,))
+    y = np.where(x > 1.0, alpha * (x - 1.0) + 1.0,
+                 np.where(x < -1.0, alpha * (x + 1.0) - 1.0, x))
+    return _from_op(y, (a,), lambda g: (g * slope,))
 
 
 def leaky_sigmoid_inverse(a, alpha):
@@ -270,18 +266,6 @@ def _xlogx(t):
     return out
 
 
-def _barrier_tanh_np(x):
-    # 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x), with 0*ln(0) := 0 at the endpoints
-    return 0.5 * _xlogx(1.0 + x) + 0.5 * _xlogx(1.0 - x)
-
-
-def _barrier_leaky_np(x, alpha):
-    inner = 0.5 * x * x
-    hi = (x * x + (1.0 - alpha) * (1.0 - 2.0 * x)) / (2.0 * alpha)
-    lo = (x * x + (1.0 - alpha) * (1.0 + 2.0 * x)) / (2.0 * alpha)
-    return np.where(x > 1.0, hi, np.where(x < -1.0, lo, inner))
-
-
 def barrier_tanh(a):
     """Integral of atanh from 0 to x; domain |x| <= 1 (endpoints by continuity)."""
     a = _as_tensor(a)
@@ -291,16 +275,19 @@ def barrier_tanh(a):
             f"barrier domain violation (|x| > 1) at index {_first_bad_index(a.data, ok)}"
         )
     x = a.data
-    return _from_op(_barrier_tanh_np(x), (a,), lambda g: (g * np.arctanh(x),))
+    # 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x), with 0*ln(0) := 0 at the endpoints
+    y = 0.5 * _xlogx(1.0 + x) + 0.5 * _xlogx(1.0 - x)
+    return _from_op(y, (a,), lambda g: (g * np.arctanh(x),))
 
 
 def barrier_leaky(a, alpha):
     """Integral of the leaky-sigmoid inverse from 0 to x; defined on all reals."""
     a = _as_tensor(a)
     x = a.data
-    return _from_op(
-        _barrier_leaky_np(x, alpha), (a,), lambda g: (g * _leaky_inverse(x, alpha),)
-    )
+    hi = (x * x + (1.0 - alpha) * (1.0 - 2.0 * x)) / (2.0 * alpha)
+    lo = (x * x + (1.0 - alpha) * (1.0 + 2.0 * x)) / (2.0 * alpha)
+    y = np.where(x > 1.0, hi, np.where(x < -1.0, lo, 0.5 * x * x))
+    return _from_op(y, (a,), lambda g: (g * _leaky_inverse(x, alpha),))
 
 
 def _sigmoid_np(x):
@@ -615,8 +602,3 @@ class GradTape:
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
         return [grads.get(id(t), np.zeros_like(t.data)) for t in targets]
-
-
-def grad(tape, scalar_output, inputs):
-    """Functional form of GradTape.gradient."""
-    return tape.gradient(scalar_output, inputs)

@@ -1,10 +1,11 @@
-"""Losses, contrastive states, unrolled TD(1) training, and optimizers.
+"""Losses, unrolled TD(1) training, and optimizers.
 
 Training runs the settling loop on a gradient tape and injects the loss
 after every sweep up to the stability iteration, so the network learns both
-to reach the target completion and to reach it quickly. The energy-based
-losses compare the clamped state (visible units at their targets) with the
-matched unclamped state (visible units at the values the current hidden
+to reach the target completion and to reach it quickly. One function,
+`loss_per_item`, computes all three losses. The energy-based ones (ΔE, ΔE+)
+compare the clamped state (visible units at their targets) with the matched
+unclamped state (visible units at the values the current hidden
 configuration would produce); squared error compares those unclamped values
 with the targets directly.
 """
@@ -24,7 +25,6 @@ from .dynamics import (
     _max_delta,
     activation,
     barrier,
-    energy,
     initial_state,
     inverse_activation,
     layer_preactivation,
@@ -36,12 +36,9 @@ __all__ = [
     "LOSS_KINDS",
     "OPTIMIZERS",
     "TrainConfig",
-    "ContrastivePair",
     "OptState",
     "unclamped_visible",
-    "loss_se",
-    "loss_delta_e",
-    "loss_delta_e_plus",
+    "loss_per_item",
     "td1_forward",
     "init_opt_state",
     "optimizer_step",
@@ -73,7 +70,6 @@ class TrainConfig:
     max_iters: int = 100
     batch_size: int = 20
     seed: int = 0
-    temperature: float = 1.0
     evidence_mode: str = "clamp"
     conv_init_std: float = 0.01
 
@@ -90,8 +86,6 @@ class TrainConfig:
             raise ValueError("max_iters must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.temperature != 1.0:
-            raise ValueError("only temperature 1 is supported")
 
     def lr_at(self, epoch):
         lr = self.lr
@@ -99,19 +93,6 @@ class TrainConfig:
             if epoch >= start:
                 lr = self.lr * mult
         return lr
-
-
-@dataclass
-class ContrastivePair:
-    """Matched clamped/unclamped visible states over a shared hidden config."""
-
-    clamped_visible: Tensor
-    unclamped_visible: Tensor
-    hidden: tuple
-
-    def __post_init__(self):
-        if self.clamped_visible.shape != self.unclamped_visible.shape:
-            raise ValueError("clamped and unclamped visible shapes differ")
 
 
 def unclamped_visible(state, w, arch):
@@ -125,56 +106,29 @@ def unclamped_visible(state, w, arch):
     return activation(arch.activation, pre)
 
 
-def _per_item_sum(t, batched):
-    if not batched:
-        return tensor_sum(t)
-    axes = tuple(range(1, t.ndim))
-    return tensor_sum(t, axis=axes)
+def loss_per_item(loss_kind, act_kind, v_tilde, y):
+    """One loss per item between unclamped visible values v~ and targets y.
 
-
-def _se_terms(v_tilde, y):
-    d = v_tilde - y
-    return d * d
-
-
-def _delta_e_terms(v_tilde, y, kind):
-    if isinstance(kind, Tanh):
-        v_tilde = clip(v_tilde, -_TANH_CLIP, _TANH_CLIP)
-    f_inv = inverse_activation(kind, v_tilde)
-    return f_inv * (v_tilde - y) + barrier(kind, y) - barrier(kind, v_tilde)
-
-
-def loss_se(v_tilde, y):
-    """Summed squared error between unclamped visible values and targets."""
-    v_tilde = v_tilde if isinstance(v_tilde, Tensor) else Tensor(v_tilde)
-    y = y if isinstance(y, Tensor) else Tensor(y)
+    Both are batched (n, ...) states. "se" sums the squared error.
+    "delta_e" is the energy gap between the clamped state (visible units at
+    y) and the unclamped one (at v~), computed unit-locally as
+    f_inv(v~) * (v~ - y) + barrier(y) - barrier(v~); this equals the full
+    network energy difference because both states share the hidden
+    configuration, and it is zero exactly when v~ == y. "delta_e_plus" is
+    the softplus of that gap: a soft hinge that only wants the gap closed.
+    """
     if v_tilde.shape != y.shape:
         raise ValueError(f"shape mismatch: {v_tilde.shape} vs {y.shape}")
-    return tensor_sum(_se_terms(v_tilde, y))
-
-
-def loss_delta_e(pair, kind):
-    """Energy gap between the clamped and unclamped states.
-
-    Computed unit-locally as f_inv(v~) * (v~ - y) + barrier(y) - barrier(v~),
-    which equals the full network energy difference because both states
-    share the hidden configuration. Zero exactly when v~ == y.
-    """
-    return tensor_sum(_delta_e_terms(pair.unclamped_visible, pair.clamped_visible, kind))
-
-
-def loss_delta_e_plus(pair, kind):
-    """Softplus of the energy gap: a soft hinge that only wants the gap closed."""
-    return softplus(loss_delta_e(pair, kind))
-
-
-def _loss_per_item(loss_kind, act_kind, v_tilde, y, batched):
     if loss_kind == "se":
-        return _per_item_sum(_se_terms(v_tilde, y), batched)
-    gap = _per_item_sum(_delta_e_terms(v_tilde, y, act_kind), batched)
-    if loss_kind == "delta_e":
-        return gap
-    return softplus(gap)
+        d = v_tilde - y
+        terms = d * d
+    else:
+        if isinstance(act_kind, Tanh):
+            v_tilde = clip(v_tilde, -_TANH_CLIP, _TANH_CLIP)
+        f_inv = inverse_activation(act_kind, v_tilde)
+        terms = f_inv * (v_tilde - y) + barrier(act_kind, y) - barrier(act_kind, v_tilde)
+    per_item = tensor_sum(terms, axis=tuple(range(1, terms.ndim)))
+    return softplus(per_item) if loss_kind == "delta_e_plus" else per_item
 
 
 def _batch_evidence(examples, arch, mode):
@@ -194,7 +148,8 @@ def td1_forward(examples, w, arch, cfg):
     pair for that iteration; the per-item loss stops accumulating once that
     item's state change drops below theta. Items that never converge
     contribute losses for all max_iters sweeps and are flagged in their
-    reports. Returns (mean over items of summed per-sweep losses, reports).
+    reports, whose energy_trace is empty: no energy is evaluated. Returns
+    (mean over items of summed per-sweep losses, reports).
     """
     n = len(examples)
     if n == 0:
@@ -202,7 +157,6 @@ def td1_forward(examples, w, arch, cfg):
     targets, evidence = _batch_evidence(examples, arch, cfg.evidence_mode)
     y = Tensor(targets)
     state = initial_state(arch, evidence, batch=n)
-    batched = True
     L = arch.n_layers
 
     total = None
@@ -210,20 +164,18 @@ def td1_forward(examples, w, arch, cfg):
     t_star = np.full(n, cfg.max_iters, dtype=int)
     converged = np.zeros(n, dtype=bool)
     delta_traces = []
-    energy_traces = []
     for t in range(1, cfg.max_iters + 1):
         prev = state.activations
         for l in range(1, L):
             state = update_layer(state, w, arch, l)
         v_tilde = unclamped_visible(state, w, arch)
-        loss_vec = _loss_per_item(cfg.loss, arch.activation, v_tilde, y, batched)
+        loss_vec = loss_per_item(cfg.loss, arch.activation, v_tilde, y)
         contrib = tensor_sum(loss_vec * active.astype(float))
         total = contrib if total is None else total + contrib
         for l in range(L - 2, -1, -1):
             state = update_layer(state, w, arch, l)
-        delta = _max_delta(prev, state.activations, batched)
+        delta = _max_delta(prev, state.activations, batched=True)
         delta_traces.append(delta)
-        energy_traces.append(energy(state, w, arch))
         newly = active & (delta < cfg.theta)
         t_star[newly] = t
         converged |= newly
@@ -232,13 +184,12 @@ def td1_forward(examples, w, arch, cfg):
             break
     total = total * (1.0 / n)
     deltas = np.stack(delta_traces)  # (sweeps, items)
-    energies = np.stack(energy_traces)
     reports = [
         SettleReport(
             t_star=int(t_star[i]),
             converged=bool(converged[i]),
             cycle_length=0,
-            energy_trace=energies[:, i].copy(),
+            energy_trace=np.empty(0),
             max_delta_trace=deltas[:, i].copy(),
         )
         for i in range(n)

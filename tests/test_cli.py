@@ -221,6 +221,25 @@ class TestCmdTrain:
         assert main(["train", "--config", str(path)]) == 2
         assert "missing_dir" in capsys.readouterr().err
 
+    def test_in_training_evaluation_uses_the_evidence_mode(self, tmp_path, monkeypatch):
+        import cban.training
+
+        path = write_bar_config(tmp_path, epochs=2)
+        cfg = json.loads(path.read_text())
+        cfg["train"]["evidence_mode"] = "external_bias"
+        path.write_text(json.dumps(cfg))
+        modes = []
+        original = cban.training.complete
+
+        def recording(*args, **kwargs):
+            modes.append(kwargs.get("evidence_mode"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cban.training, "complete", recording)
+        assert main(["train", "--config", str(path), "--eval-every", "1"]) == 0
+        # two bar-accuracy evaluations, then the sample grid
+        assert modes == ["external_bias"] * 3
+
     def test_keep_every_writes_numbered_checkpoints(self, tmp_path):
         config = write_bar_config(tmp_path, epochs=4)
         assert main(["train", "--config", str(config), "--keep-every", "2"]) == 0
@@ -312,7 +331,10 @@ class TestCmdComplete:
         code = main(["complete", "--ckpt", str(path), "--input",
                      str(tmp_path / "ev.npz"), "--outdir", str(outdir)])
         assert code == 1
-        assert (outdir / "completed.pgm").exists()
+        from cban.imageio import read_pgm
+
+        # flat evidence of a perfect-square length renders as a square
+        assert read_pgm(outdir / "completed.pgm").shape == (5, 5)
 
 
 class TestCmdEval:
@@ -333,6 +355,84 @@ class TestCmdEval:
         text = (outdir / "metrics.csv").read_text()
         assert "psnr_mean" in text and "ssim_mean" in text
         assert "psnr_mean" in capsys.readouterr().out
+
+    def test_supervised_layout_reports_label_accuracy(self, tmp_path):
+        rng = np.random.default_rng(3)
+        save_idx(tmp_path / "imgs.idx", rng.integers(0, 256, size=(4, 28, 28)).astype(np.uint8))
+        save_idx(tmp_path / "labels.idx", np.array([0, 3, 7, 9], dtype=np.uint8))
+        arch = supervised_digits_arch()
+        save_checkpoint(tmp_path / "d.ckpt", Checkpoint(
+            version=VERSION, arch=arch, weights=init_weights(arch, seed=0),
+            opt_state=None, epoch=0, rng_state=None))
+        outdir = tmp_path / "ev"
+        code = main(["eval", "--ckpt", str(tmp_path / "d.ckpt"), "--data",
+                     str(tmp_path / "imgs.idx"), "--labels", str(tmp_path / "labels.idx"),
+                     "--outdir", str(outdir), "--max-iters", "5"])
+        assert code == 0
+        rows = dict(line.split(",") for line in
+                    (outdir / "metrics.csv").read_text().strip().splitlines()[1:])
+        assert set(rows) == {"psnr_mean", "psnr_stderr", "ssim_mean", "ssim_stderr",
+                             "label_accuracy"}
+        assert float(rows["label_accuracy"]) in (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def _replicated_run(self, tmp_path, image_size):
+        from cban.dynamics import ArchSpec, WeightBundle, conv_layer
+        from cban.imageio import write_ppm
+        from cban.tensor import ConvKernel, Tensor
+
+        rng = np.random.default_rng(4)
+        folder = tmp_path / "imgs"
+        folder.mkdir()
+        images = rng.integers(0, 256, size=(3, 3, image_size, image_size)).astype(np.uint8)
+        for i, img in enumerate(images):
+            write_ppm(folder / f"{i}.ppm", img)
+        arch = ArchSpec(layers=(conv_layer(6, 12, 12, visible=True),
+                                conv_layer(4, 12, 12)),
+                        kernel_sizes=(3,))
+        # zero weights leave the free output copy at exactly 0
+        w = WeightBundle(forward=[ConvKernel(Tensor(np.zeros((4, 6, 3, 3))))],
+                         biases=[Tensor(np.zeros(6)), Tensor(np.zeros(4))])
+        save_checkpoint(tmp_path / "r.ckpt", Checkpoint(
+            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            rng_state=None))
+        outdir = tmp_path / "ev"
+        code = main(["eval", "--ckpt", str(tmp_path / "r.ckpt"), "--data", str(folder),
+                     "--mask", "bernoulli", "--mask-fraction", "0.5",
+                     "--outdir", str(outdir)])
+        return code, images, outdir
+
+    def test_replicated_checkpoint_scored_on_output_copy(self, tmp_path):
+        from cban.imageio import bytes_to_activations
+        from cban.metrics import psnr
+
+        code, images, outdir = self._replicated_run(tmp_path, 12)
+        assert code == 0
+        rows = dict(line.split(",") for line in
+                    (outdir / "metrics.csv").read_text().strip().splitlines()[1:])
+        expected = np.mean([psnr(np.zeros((3, 12, 12)), bytes_to_activations(img), 1.998)
+                            for img in images])
+        assert abs(float(rows["psnr_mean"]) - expected) < 1e-9
+
+    def test_image_shape_mismatch_exits_2(self, tmp_path, capsys):
+        code, _, outdir = self._replicated_run(tmp_path, 10)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "visible layer" in err
+        assert not (outdir / "metrics.csv").exists()
+
+    def test_image_smaller_than_ssim_window_exits_2(self, tmp_path, capsys):
+        images = np.random.default_rng(1).integers(0, 256, size=(4, 8, 8))
+        save_idx(tmp_path / "small.idx", images.astype(np.uint8))
+        arch = fban(64, [8])
+        save_checkpoint(tmp_path / "s.ckpt", Checkpoint(
+            version=VERSION, arch=arch, weights=init_weights(arch, seed=0),
+            opt_state=None, epoch=0, rng_state=None))
+        code = main(["eval", "--ckpt", str(tmp_path / "s.ckpt"), "--data",
+                     str(tmp_path / "small.idx"), "--mask", "bernoulli",
+                     "--mask-fraction", "0.5", "--outdir", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "window" in err
 
 
 class TestCmdCheck:

@@ -52,15 +52,15 @@ def random_state(arch, rng, lo=-0.9, hi=0.9):
 
 class TestActivationFunctions:
     def test_tanh_zero(self):
-        assert activation(Tanh(), np.array([0.0]))[0] == 0.0
+        assert activation(Tanh(), np.array([0.0])).data[0] == 0.0
 
     def test_leaky_boundary_continuity(self):
         k = LeakySigmoid(0.2)
-        np.testing.assert_allclose(activation(k, np.array([1.0, -1.0])), [1.0, -1.0])
+        np.testing.assert_allclose(activation(k, np.array([1.0, -1.0])).data, [1.0, -1.0])
 
     def test_leaky_outside_values(self):
         k = LeakySigmoid(0.2)
-        np.testing.assert_allclose(activation(k, np.array([2.0, -3.0])), [1.2, -1.4])
+        np.testing.assert_allclose(activation(k, np.array([2.0, -3.0])).data, [1.2, -1.4])
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
@@ -71,11 +71,11 @@ class TestActivationFunctions:
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.95, 0.95, size=50)
-        got = activation(Tanh(), inverse_activation(Tanh(), x))
+        got = activation(Tanh(), inverse_activation(Tanh(), x)).data
         np.testing.assert_allclose(got, x, atol=1e-12)
         k = LeakySigmoid(0.2)
         y = rng.uniform(-3, 3, size=50)
-        np.testing.assert_allclose(activation(k, inverse_activation(k, y)), y, atol=1e-12)
+        np.testing.assert_allclose(activation(k, inverse_activation(k, y)).data, y, atol=1e-12)
 
     def test_inverse_tanh_domain_error(self):
         with pytest.raises(DomainError):
@@ -83,25 +83,25 @@ class TestActivationFunctions:
 
     def test_leaky_inverse_value(self):
         np.testing.assert_allclose(
-            inverse_activation(LeakySigmoid(0.2), np.array([1.2])), [2.0]
+            inverse_activation(LeakySigmoid(0.2), np.array([1.2])).data, [2.0]
         )
 
 
 class TestBarrier:
     def test_zero_at_origin(self):
-        assert barrier(Tanh(), np.array([0.0]))[0] == 0.0
-        assert barrier(LeakySigmoid(0.3), np.array([0.0]))[0] == 0.0
+        assert barrier(Tanh(), np.array([0.0])).data[0] == 0.0
+        assert barrier(LeakySigmoid(0.3), np.array([0.0])).data[0] == 0.0
 
     def test_tanh_value_against_quadrature(self):
         # independent oracle: numerically integrate atanh from 0 to 0.5
         xs = np.linspace(0.0, 0.5, 200001)
         integral = np.trapezoid(np.arctanh(xs), xs)
-        got = barrier(Tanh(), np.array([0.5]))[0]
+        got = barrier(Tanh(), np.array([0.5])).data[0]
         assert abs(got - integral) < 1e-9
         assert abs(got - 0.130812) < 1e-6
 
     def test_leaky_half_square_inside(self):
-        got = barrier(LeakySigmoid(0.2), np.array([1.0, 0.4]))
+        got = barrier(LeakySigmoid(0.2), np.array([1.0, 0.4])).data
         np.testing.assert_allclose(got, [0.5, 0.08], atol=1e-15)
 
     def test_tanh_domain(self):
@@ -116,8 +116,8 @@ class TestBarrier:
             grid = np.linspace(-2.5, 2.5, 41)
             grid = grid[np.abs(np.abs(grid) - 1.0) > 0.05]
         h = 1e-6
-        num = (barrier(kind, grid + h) - barrier(kind, grid - h)) / (2 * h)
-        np.testing.assert_allclose(num, inverse_activation(kind, grid), atol=1e-6)
+        num = (barrier(kind, grid + h).data - barrier(kind, grid - h).data) / (2 * h)
+        np.testing.assert_allclose(num, inverse_activation(kind, grid).data, atol=1e-6)
 
 
 class TestArchValidation:
@@ -277,8 +277,7 @@ class TestUpdateAndSweep:
         w = random_fc_bundle(arch, rng, scale=0.8)
         mask = np.zeros(6, dtype=bool)
         mask[:3] = True  # input copy
-        ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.7, 0.0),
-                                mode="replicated")
+        ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.7, 0.0))
         state, report = settle(initial_state(arch, ev), w, arch, theta=1e-8,
                                max_iters=300)
         np.testing.assert_array_equal(state.activations[0].data[:3], 0.7)

@@ -18,7 +18,6 @@ from cban.tensor import (
     barrier_tanh,
     clip,
     conv2d_half,
-    grad,
     leaky_sigmoid,
     leaky_sigmoid_inverse,
     matmul,
@@ -335,11 +334,11 @@ class TestGradTape:
         (g,) = tape.gradient(out, [x])
         np.testing.assert_array_equal(g, np.ones((2, 3)))
 
-    def test_grad_free_function(self):
+    def test_product_gradient(self):
         x = Tensor([2.0])
         with GradTape() as tape:
             out = tensor_sum(x * x)
-        (g,) = grad(tape, out, [x])
+        (g,) = tape.gradient(out, [x])
         np.testing.assert_allclose(g, [4.0])
 
     def test_non_scalar_output_rejected(self):

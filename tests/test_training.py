@@ -1,4 +1,4 @@
-"""Losses, contrastive pairs, TD(1) unrolling, optimizers, initialization."""
+"""Losses, TD(1) unrolling, optimizers, initialization."""
 
 import numpy as np
 import pytest
@@ -15,13 +15,10 @@ from cban.dynamics import (
     update_layer,
 )
 from cban.training import (
-    ContrastivePair,
     TrainConfig,
     init_opt_state,
     init_weights,
-    loss_delta_e,
-    loss_delta_e_plus,
-    loss_se,
+    loss_per_item,
     optimizer_step,
     td1_forward,
     train,
@@ -31,10 +28,12 @@ from cban.data import BarTask
 from helpers import finite_difference, relative_error
 
 
-def pair_of(v_tilde, y, hidden=()):
-    return ContrastivePair(clamped_visible=Tensor(np.asarray(y, dtype=float)),
-                           unclamped_visible=Tensor(np.asarray(v_tilde, dtype=float)),
-                           hidden=tuple(hidden))
+def loss_of(loss_kind, v_tilde, y, act_kind=Tanh()):
+    """The loss of one item, through the batched per-item loss."""
+    out = loss_per_item(loss_kind, act_kind, Tensor(np.asarray(v_tilde, dtype=float)[None]),
+                        Tensor(np.asarray(y, dtype=float)[None]))
+    assert out.shape == (1,)
+    return out.data[0]
 
 
 class TestUnclampedVisible:
@@ -68,33 +67,33 @@ class TestUnclampedVisible:
 class TestLossSE:
     def test_zero_when_equal(self):
         v = np.array([0.1, -0.4])
-        assert loss_se(v, v).item() == 0.0
+        assert loss_of("se", v, v) == 0.0
 
     def test_hand_value(self):
-        got = loss_se(np.zeros(2), np.array([0.6, -0.8]))
-        assert abs(got.item() - 1.0) < 1e-15
+        got = loss_of("se", np.zeros(2), np.array([0.6, -0.8]))
+        assert abs(got - 1.0) < 1e-15
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         v, y = rng.normal(size=12), rng.normal(size=12)
         p = rng.permutation(12)
-        assert abs(loss_se(v, y).item() - loss_se(v[p], y[p]).item()) < 1e-12
+        assert abs(loss_of("se", v, y) - loss_of("se", v[p], y[p])) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            loss_se(np.zeros(3), np.zeros(4))
+            loss_of("se", np.zeros(3), np.zeros(4))
 
 
 class TestLossDeltaE:
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(2)
         y = rng.uniform(-0.9, 0.9, size=8)
-        assert abs(loss_delta_e(pair_of(y, y), Tanh()).item()) < 1e-12
+        assert abs(loss_of("delta_e", y, y)) < 1e-12
         v = y + 0.05
-        assert loss_delta_e(pair_of(v, y), Tanh()).item() > 1e-9
+        assert loss_of("delta_e", v, y) > 1e-9
 
     def test_single_unit_value(self):
-        got = loss_delta_e(pair_of([0.0], [0.5]), Tanh()).item()
+        got = loss_of("delta_e", [0.0], [0.5])
         rho_half = 0.5 * 1.5 * np.log(1.5) + 0.5 * 0.5 * np.log(0.5)
         assert abs(got - rho_half) < 1e-12
         assert abs(got - 0.130812) < 1e-6
@@ -114,7 +113,7 @@ class TestLossDeltaE:
             y = rng.uniform(-0.9, 0.9, size=sizes[0])
             state = NetState([Tensor(np.zeros(sizes[0]))] + hidden)
             v_tilde = unclamped_visible(state, w, arch)
-            gap = loss_delta_e(pair_of(v_tilde.data, y), Tanh()).item()
+            gap = loss_of("delta_e", v_tilde.data, y)
             clamped = NetState([Tensor(y)] + hidden)
             unclamped = NetState([v_tilde] + hidden)
             oracle = energy(clamped, w, arch) - energy(unclamped, w, arch)
@@ -129,7 +128,7 @@ class TestLossDeltaE:
         y = rng.uniform(-1.2, 1.2, size=5)
         state = NetState([Tensor(np.zeros(5))] + hidden)
         v_tilde = unclamped_visible(state, w, arch)
-        gap = loss_delta_e(pair_of(v_tilde.data, y), kind).item()
+        gap = loss_of("delta_e", v_tilde.data, y, kind)
         oracle = (energy(NetState([Tensor(y)] + hidden), w, arch)
                   - energy(NetState([v_tilde] + hidden), w, arch))
         assert abs(gap - oracle) < 1e-10
@@ -137,21 +136,20 @@ class TestLossDeltaE:
     def test_saturated_v_tilde_stays_finite(self):
         y = np.array([0.5])
         v = np.array([1.0 - 1e-17])  # rounds to 1.0
-        val = loss_delta_e(pair_of(v, y), Tanh()).item()
+        val = loss_of("delta_e", v, y)
         assert np.isfinite(val)
 
 
 class TestLossDeltaEPlus:
     def test_softplus_at_zero(self):
         y = np.array([0.3, -0.3])
-        got = loss_delta_e_plus(pair_of(y, y), Tanh()).item()
+        got = loss_of("delta_e_plus", y, y)
         assert abs(got - np.log(2.0)) < 1e-12
 
     def test_large_gap_asymptote(self):
         # engineered gap of about 100 returns the gap itself
-        pair = pair_of([0.999999], [-0.999])
-        gap = loss_delta_e(pair, Tanh()).item()
-        plus = loss_delta_e_plus(pair, Tanh()).item()
+        gap = loss_of("delta_e", [0.999999], [-0.999])
+        plus = loss_of("delta_e_plus", [0.999999], [-0.999])
         if gap > 30:
             assert plus == gap
         assert abs(plus - np.logaddexp(0.0, gap)) < 1e-10
@@ -161,8 +159,8 @@ class TestLossDeltaEPlus:
         for _ in range(20):
             v = rng.uniform(-0.95, 0.95, size=6)
             y = rng.uniform(-0.95, 0.95, size=6)
-            gap = loss_delta_e(pair_of(v, y), Tanh()).item()
-            plus = loss_delta_e_plus(pair_of(v, y), Tanh()).item()
+            gap = loss_of("delta_e", v, y)
+            plus = loss_of("delta_e_plus", v, y)
             assert abs(plus - np.logaddexp(0.0, gap)) < 1e-12
 
     def test_softplus_limit_vanishes_for_ordered_energies(self):
@@ -178,7 +176,7 @@ class TestLossDeltaEPlus:
         for _ in range(200):
             v = rng.uniform(-0.999, 0.999, size=4)
             y = rng.uniform(-0.999, 0.999, size=4)
-            assert loss_delta_e(pair_of(v, y), Tanh()).item() >= 0.0
+            assert loss_of("delta_e", v, y) >= 0.0
 
 
 def tiny_cfg(**kw):
@@ -461,13 +459,22 @@ class TestTrain:
         assert trained > untrained
 
 
+class TestLossPerItem:
+    @pytest.mark.parametrize("loss_kind", ["se", "delta_e", "delta_e_plus"])
+    def test_batch_matches_items_alone(self, loss_kind):
+        rng = np.random.default_rng(14)
+        v = rng.uniform(-0.95, 0.95, size=(3, 2, 4))
+        y = rng.uniform(-0.95, 0.95, size=(3, 2, 4))
+        batch = loss_per_item(loss_kind, Tanh(), Tensor(v), Tensor(y)).data
+        alone = [loss_of(loss_kind, v[i], y[i]) for i in range(3)]
+        np.testing.assert_array_equal(batch, alone)
+
+
 class TestLabelAgnosticLoss:
     def test_losses_invariant_under_consistent_permutation(self):
         rng = np.random.default_rng(12)
         v = rng.uniform(-0.9, 0.9, size=20)
         y = rng.uniform(-0.9, 0.9, size=20)
         p = rng.permutation(20)
-        for fn in (lambda a, b: loss_se(a, b).item(),
-                   lambda a, b: loss_delta_e(pair_of(a, b), Tanh()).item(),
-                   lambda a, b: loss_delta_e_plus(pair_of(a, b), Tanh()).item()):
-            assert abs(fn(v, y) - fn(v[p], y[p])) < 1e-12
+        for kind in ("se", "delta_e", "delta_e_plus"):
+            assert abs(loss_of(kind, v, y) - loss_of(kind, v[p], y[p])) < 1e-12
