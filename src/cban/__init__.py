@@ -24,8 +24,8 @@ from .tensor import (  # noqa: E402
     GradTape,
     Tensor,
     avg_pool2,
+    avg_pool2_adjoint,
     conv2d_half,
-    nn_upsample2,
     reverse_kernel,
 )
 from .dynamics import (  # noqa: E402
@@ -95,7 +95,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvKernel", "DomainError", "GradTape", "Tensor", "avg_pool2",
-    "conv2d_half", "nn_upsample2", "reverse_kernel",
+    "avg_pool2_adjoint", "conv2d_half", "reverse_kernel",
     "ArchSpec", "EvidenceConstraint", "LayerSpec", "LeakySigmoid", "NetState",
     "SettleReport", "Tanh", "WeightBundle", "activation", "barrier",
     "conv_layer", "detect_cycle", "energy", "fban", "fc_layer",

@@ -96,7 +96,11 @@ def load_checkpoint(path):
                 f"checkpoint version {version} not supported (expected {VERSION})")
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length"))
         meta = json.loads(_read_exact(f, meta_len, "metadata"))
-        shapes = [tuple(s) for s in meta["blocks"]]
+        arch = arch_from_dict(meta["arch"])
+        shapes, expected = [tuple(s) for s in meta["blocks"]], _block_shapes(arch)
+        if shapes != expected:
+            raise CheckpointError(f"block manifest {shapes} does not match the "
+                                  f"architecture's blocks {expected}")
         arrays = []
         for shape in shapes:
             count = int(np.prod(shape))
@@ -118,28 +122,24 @@ def load_checkpoint(path):
                                    .astype(np.float64).reshape(shape))
                 opt.m = moments[: len(shapes)]
                 opt.v = moments[len(shapes):]
-    arch = arch_from_dict(meta["arch"])
     weights = _rebuild_weights(arch, arrays)
     return Checkpoint(version=version, arch=arch, weights=weights, opt_state=opt,
                       epoch=int(meta["epoch"]), rng_state=meta.get("rng_state"))
 
 
+def _block_shapes(arch):
+    """The shape of each parameter block, in WeightBundle.params() order."""
+    pairs = list(zip(arch.layers[:-1], arch.layers[1:], arch.kernel_sizes))
+    if not arch.symmetric:  # reverse blocks map each upper layer a to its lower b
+        pairs += [(hi, lo, k) for lo, hi, k in pairs]
+    return [(a.units, b.units) if a.kind == "fc" else (b.channels, a.channels, k, k)
+            for a, b, k in pairs] + [spec.shape[:1] for spec in arch.layers]
+
+
 def _rebuild_weights(arch, arrays):
-    n_pairs = arch.n_layers - 1
-    idx = 0
-    forward = []
-    for pair in range(n_pairs):
-        a = arrays[idx]
-        idx += 1
-        forward.append(ConvKernel(Tensor(a)) if a.ndim == 4 else Tensor(a))
-    reverse = None
-    if not arch.symmetric:
-        reverse = []
-        for pair in range(n_pairs):
-            a = arrays[idx]
-            idx += 1
-            reverse.append(ConvKernel(Tensor(a)) if a.ndim == 4 else Tensor(a))
-    biases = [Tensor(a) for a in arrays[idx:]]
-    if len(biases) != arch.n_layers:
-        raise CheckpointError("block manifest does not match the architecture")
-    return WeightBundle(forward=forward, biases=biases, reverse=reverse)
+    # the manifest matches _block_shapes(arch): pair blocks, then one bias per layer
+    n_pairs, n_layers = arch.n_layers - 1, arch.n_layers
+    blocks = [ConvKernel(Tensor(a)) if a.ndim == 4 else Tensor(a)
+              for a in arrays[:-n_layers]]
+    return WeightBundle(forward=blocks[:n_pairs], reverse=blocks[n_pairs:] or None,
+                        biases=[Tensor(a) for a in arrays[-n_layers:]])

@@ -153,15 +153,28 @@ def _random_symmetric_fban(rng, max_units=64, max_hidden_layers=2, scale=0.1,
     return arch, WeightBundle(forward=forward, biases=biases), sizes
 
 
+# pooled-conv trials of the descent check, one per kernel scale
+_CONV_DESCENT_STDS = (0.08, 0.3, 1.0)
+
+
 def check_layerwise_descent(seed=0, trials=200, max_units=64, slack=1e-9,
                             theta=1e-3, max_iters=500, descent_sweeps=5):
-    """Symmetric tanh nets: every layer update non-increasing, settle converges."""
+    """Symmetric tanh nets: every layer update non-increasing, settle converges.
+
+    Runs `trials` random fc nets, then a tiny pooled conv net per kernel scale.
+    """
     rng = np.random.default_rng(seed)
     failures = []
     t_stars = []
-    for trial in range(trials):
-        arch, w, sizes = _random_symmetric_fban(rng, max_units=max_units)
-        state = NetState([Tensor(rng.uniform(-0.9, 0.9, size=(n,))) for n in sizes])
+    for trial in range(trials + len(_CONV_DESCENT_STDS)):
+        if trial < trials:
+            arch, w, _ = _random_symmetric_fban(rng, max_units=max_units)
+        else:
+            arch = _pooled_conv_arch()
+            w = init_weights(arch, seed=int(rng.integers(1 << 30)),
+                             conv_std=_CONV_DESCENT_STDS[trial - trials])
+        state = NetState([Tensor(rng.uniform(-0.9, 0.9, size=spec.shape))
+                          for spec in arch.layers])
         e = energy(state, w, arch)
         for it in range(descent_sweeps):
             for l in sweep_order(arch.n_layers):
@@ -179,7 +192,7 @@ def check_layerwise_descent(seed=0, trials=200, max_units=64, slack=1e-9,
         if np.any(np.diff(report.energy_trace) > slack):
             failures.append(f"trial {trial}: sweep-level energy rose during settle")
     return CheckResult(name="layerwise-energy-descent", passed=not failures,
-                       trials=trials, failures=failures,
+                       trials=trials + len(_CONV_DESCENT_STDS), failures=failures,
                        stats={"mean_t_star": float(np.mean(t_stars))})
 
 

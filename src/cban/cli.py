@@ -40,7 +40,8 @@ def _library_dataset(arch, images, labels, mask):
     label row, Perlin-masked unless a mask is given. Otherwise a mask is
     required, and a visible layer with twice the images' channels is the
     replicated layout: the masked image is clamped into the input copy and
-    the clean image is the output copy's target.
+    the clean image is the output copy's target. Images whose visible
+    states do not fit the visible layer are refused.
     """
     from .data import (
         ImageFolderCompletion,
@@ -50,15 +51,26 @@ def _library_dataset(arch, images, labels, mask):
         SupervisedDigits,
     )
 
+    vis = arch.visible_shape
+    image_shapes = {np.shape(img) for img in images}
     if labels is not None:
         mask = mask if mask is not None else LabelPlus(PerlinMask())
-        return SupervisedDigits(np.asarray(images)[:, 0], labels, mask)
-    if mask is None:
+        dataset = SupervisedDigits(np.asarray(images)[:, 0], labels, mask)
+        states = {(h + 1, w) for _, h, w in image_shapes}
+    elif mask is None:
         raise ValueError("image completion needs a mask spec")
-    vis = arch.visible_shape
-    if len(vis) == 3 and vis[0] == 2 * images[0].shape[0]:
-        return ReplicatedCompletion(images, mask)
-    return ImageFolderCompletion(images, mask)
+    elif len(vis) == 3 and vis[0] == 2 * images[0].shape[0]:
+        dataset = ReplicatedCompletion(images, mask)
+        states = {(2 * c, h, w) for c, h, w in image_shapes}
+    else:
+        dataset = ImageFolderCompletion(images, mask)
+        states = image_shapes
+    for shape in states:
+        if int(np.prod(shape)) != int(np.prod(vis)):
+            raise ValueError(
+                f"the images give visible states of shape {shape}; "
+                f"the network's visible layer has shape {vis}")
+    return dataset
 
 
 def _build_dataset(cfg):
@@ -269,12 +281,6 @@ def cmd_eval(args):
         labels = load_idx(args.labels)[:limit] if args.labels else None
         dataset = _library_dataset(arch, images, labels, _mask_from_args(args))
         examples = dataset.epoch_examples(np.random.default_rng(args.seed))
-        n_vis = int(np.prod(arch.visible_shape))
-        for e in examples:
-            if e.target.size != n_vis:
-                raise ValueError(
-                    f"{args.data} gives visible states of shape {e.target.shape}; "
-                    f"the network's visible layer has shape {arch.visible_shape}")
         outputs, _ = complete(examples, ckpt.weights, arch, theta=args.theta,
                               max_iters=args.max_iters)
         outputs = [o.reshape(e.target.shape) for o, e in zip(outputs, examples)]

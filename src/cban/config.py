@@ -164,6 +164,8 @@ def run_config_from_dict(d, base_dir=None, check_paths=True):
     data = dict(d.get("data", {}))
     if check_paths:
         for key, value in data.items():
+            if not isinstance(value, str):
+                continue  # a setting such as "limit", not a path
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path

@@ -22,13 +22,13 @@ from .tensor import (
     Tensor,
     atanh,
     avg_pool2,
+    avg_pool2_adjoint,
     barrier_leaky,
     barrier_tanh,
     conv2d_half,
     leaky_sigmoid,
     leaky_sigmoid_inverse,
     matmul,
-    nn_upsample2,
     reshape,
     reverse_kernel,
     tanh,
@@ -115,7 +115,8 @@ class LayerSpec:
     """One layer: flat ("fc") or a feature map ("conv").
 
     pool_before puts 2x2 average pooling on the upward map into this layer
-    and nearest-neighbor upsampling on the downward map out of it.
+    and its exact transpose (avg_pool2_adjoint) on the downward map out of
+    it, so the two maps stay adjoint and layer updates descend the energy.
     """
 
     kind: str
@@ -354,21 +355,20 @@ def initial_state(arch, evidence=None, batch=None):
 
 def _up_map(x, w, arch, pair):
     """Map layer `pair` activation up into layer pair+1 (pooling included)."""
-    upper = arch.layers[pair + 1]
-    if upper.kind == "fc":
-        return matmul(x, w.forward[pair])
-    h = avg_pool2(x) if upper.pool_before else x
-    return conv2d_half(h, w.forward[pair])
+    block = w.forward[pair]
+    if not isinstance(block, ConvKernel):
+        return matmul(x, block)
+    return conv2d_half(avg_pool2(x) if arch.layers[pair + 1].pool_before else x, block)
 
 
 def _down_map(x, w, arch, pair):
-    """Map layer pair+1 activation down into layer `pair` (upsampling included)."""
-    upper = arch.layers[pair + 1]
-    down_w = w.down_weights(pair)
-    if upper.kind == "fc":
-        return matmul(x, down_w)
-    y = conv2d_half(x, down_w)
-    return nn_upsample2(y) if upper.pool_before else y
+    """Map layer pair+1 activation down into layer `pair`; with symmetric
+    weights, the exact adjoint of _up_map (pooling's transpose included)."""
+    block = w.down_weights(pair)
+    if not isinstance(block, ConvKernel):
+        return matmul(x, block)
+    y = conv2d_half(x, block)
+    return avg_pool2_adjoint(y) if arch.layers[pair + 1].pool_before else y
 
 
 def _bias_term(b, spec):
@@ -429,13 +429,6 @@ def sweep(state, w, arch):
     return state
 
 
-def _pair_energy(x_lo, x_hi, w, arch, pair, batched):
-    up = _up_map(x_lo, w, arch, pair)
-    prod = x_hi.data * up.data
-    axes = tuple(range(1, prod.ndim)) if batched else None
-    return prod.sum(axis=axes)
-
-
 def energy(state, w, arch):
     """Network energy: cross-layer coupling plus barrier and bias terms.
 
@@ -446,20 +439,17 @@ def energy(state, w, arch):
     forward weights and is no longer guaranteed to decrease.
     """
     batched = state.batched(arch)
+    acts = state.activations
+
+    def summed(a):
+        return a.sum(axis=tuple(range(1, a.ndim)) if batched else None)
+
     total = 0.0
     for pair in range(arch.n_layers - 1):
-        total = total - _pair_energy(state.activations[pair],
-                                     state.activations[pair + 1],
-                                     w, arch, pair, batched)
+        total = total - summed(acts[pair + 1].data * _up_map(acts[pair], w, arch, pair).data)
     for l, spec in enumerate(arch.layers):
-        x = state.activations[l].data
-        rho = barrier(arch.activation, state.activations[l]).data
-        b = w.biases[l].data
-        if spec.kind == "conv":
-            b = b.reshape(spec.channels, 1, 1)
-        site = rho - b * x
-        axes = tuple(range(1, x.ndim)) if batched else None
-        total = total + site.sum(axis=axes)
+        rho = barrier(arch.activation, acts[l]).data
+        total = total + summed(rho - _bias_term(w.biases[l], spec).data * acts[l].data)
     return total if batched else float(total)
 
 
@@ -545,18 +535,11 @@ def detect_cycle(trailing_states, tol):
     return 0
 
 
-def _block_l1_in(w):
-    """Per-unit (or per-channel) L1 of incoming weights for the upper layer."""
-    if isinstance(w, ConvKernel):
-        return np.abs(w.weights.data).sum(axis=(1, 2, 3))  # per out-channel
-    return np.abs(w.data).sum(axis=0)  # per column = per upper unit
-
-
-def _block_l1_out(w):
-    """Per-unit (or per-channel) L1 of incoming weights for the lower layer."""
-    if isinstance(w, ConvKernel):
-        return np.abs(w.weights.data).sum(axis=(0, 2, 3))  # per in-channel
-    return np.abs(w.data).sum(axis=1)  # per row = per lower unit
+def _block_l1_in(block):
+    """Per-unit (or per-channel) L1 of the weights a block's outputs receive."""
+    if isinstance(block, ConvKernel):
+        return np.abs(block.weights.data).sum(axis=(1, 2, 3))  # per out-channel
+    return np.abs(block.data).sum(axis=0)  # per column = per receiving unit
 
 
 def norm_1inf(w):
@@ -564,26 +547,16 @@ def norm_1inf(w):
 
     Taken over the full bipartite connection structure: each unit receives
     from the adjacent layer below and above. For conv layers the bound is
-    per channel (interior units see the whole kernel); pooling does not
-    change it because averaging spreads each weight over four inputs of a
-    quarter magnitude each.
+    per channel (interior units see the whole kernel). On a pooled pair the
+    upper side is exact: pooling spreads each weight over four inputs at a
+    quarter magnitude. The lower side is quartered by the pooling's
+    transpose but counted whole here, so the result is an upper bound.
     """
-    n_pairs = len(w.forward)
-    per_layer_in = {}
-    for pair in range(n_pairs):
-        up_w = w.forward[pair]
-        down_w = w.reverse[pair] if w.reverse is not None else None
-        incoming_upper = _block_l1_in(up_w)
-        if down_w is None:
-            incoming_lower = _block_l1_out(up_w)
-        else:
-            # reverse weights map upper -> lower; their "in" side is the lower layer
-            incoming_lower = _block_l1_in(down_w)
-        per_layer_in.setdefault(pair, np.zeros_like(incoming_lower))
-        per_layer_in[pair] = per_layer_in[pair] + incoming_lower
-        per_layer_in.setdefault(pair + 1, np.zeros_like(incoming_upper))
-        per_layer_in[pair + 1] = per_layer_in[pair + 1] + incoming_upper
-    return float(max(np.max(v) for v in per_layer_in.values()))
+    per_layer_in = [0.0] * (len(w.forward) + 1)
+    for pair, block in enumerate(w.forward):
+        per_layer_in[pair + 1] = per_layer_in[pair + 1] + _block_l1_in(block)
+        per_layer_in[pair] = per_layer_in[pair] + _block_l1_in(w.down_weights(pair))
+    return float(max(np.max(v) for v in per_layer_in))
 
 
 def synchronous_step(x, W, b, kind):

@@ -2,9 +2,9 @@
 
 Everything the settling dynamics and the unrolled training loop need lives
 here: elementwise arithmetic, matrix products, the half-padded convolution
-and its index-reversed counterpart, 2x2 average pooling with its
-nearest-neighbor upsampling partner, and a GradTape that differentiates any
-scalar built from these operations with respect to any tensor that fed it.
+and its index-reversed counterpart, 2x2 average pooling and its exact
+transpose, and a GradTape that differentiates any scalar built from these
+operations with respect to any tensor that fed it.
 
 Convolution (forward, input gradient, weight gradient) is one matrix
 product per map plus kh*kw shifted copies or adds. The shift is applied to
@@ -46,7 +46,7 @@ __all__ = [
     "conv2d_half",
     "reverse_kernel",
     "avg_pool2",
-    "nn_upsample2",
+    "avg_pool2_adjoint",
 ]
 
 
@@ -488,6 +488,18 @@ def conv2d_half(x, k):
     return _from_op(out if batched else out[0], (x, w), vjp)
 
 
+def _pool2_np(d):
+    return 0.25 * ((d[..., 0::2, 0::2] + d[..., 0::2, 1::2])
+                   + (d[..., 1::2, 0::2] + d[..., 1::2, 1::2]))
+
+
+def _spread2_np(g):
+    # a quarter of each value over its 2x2 block: the transpose of _pool2_np
+    *lead, h, w = g.shape
+    quarter = np.broadcast_to(0.25 * g[..., :, None, :, None], (*lead, h, 2, w, 2))
+    return quarter.reshape(*lead, 2 * h, 2 * w)
+
+
 def avg_pool2(x):
     """2x2 average pooling; spatial extents must be even."""
     x = _as_tensor(x)
@@ -496,29 +508,19 @@ def avg_pool2(x):
     H, W = x.shape[-2], x.shape[-1]
     if H % 2 or W % 2:
         raise ValueError(f"avg_pool2 requires even spatial extents, got {(H, W)}")
-    d = x.data
-    out = 0.25 * ((d[..., 0::2, 0::2] + d[..., 0::2, 1::2])
-                  + (d[..., 1::2, 0::2] + d[..., 1::2, 1::2]))
-
-    def vjp(g):
-        return (0.25 * np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1),)
-
-    return _from_op(out, (x,), vjp)
+    return _from_op(_pool2_np(x.data), (x,), lambda g: (_spread2_np(g),))
 
 
-def nn_upsample2(x):
-    """2x2 nearest-neighbor upsampling: each element becomes a 2x2 block."""
+def avg_pool2_adjoint(x):
+    """The transpose of avg_pool2: each value spread as a quarter over a 2x2 block.
+
+    <y, avg_pool2(x)> == <avg_pool2_adjoint(y), x> for any x and y of
+    matching shapes; avg_pool2 is in turn this op's gradient map.
+    """
     x = _as_tensor(x)
     if x.ndim not in (3, 4):
-        raise ValueError(f"upsample input must be (c, h, w) or (batch, c, h, w), got {x.shape}")
-    out = np.repeat(np.repeat(x.data, 2, axis=-2), 2, axis=-1)
-    h, w = x.shape[-2], x.shape[-1]
-    lead = x.shape[:-2]
-
-    def vjp(g):
-        return (g.reshape(lead + (h, 2, w, 2)).sum(axis=(-3, -1)),)
-
-    return _from_op(out, (x,), vjp)
+        raise ValueError(f"adjoint input must be (c, h, w) or (batch, c, h, w), got {x.shape}")
+    return _from_op(_spread2_np(x.data), (x,), lambda g: (_pool2_np(g),))
 
 
 class GradTape:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cban
-from cban.checks import check_gradients
+from cban.checks import check_gradients, check_layerwise_descent
 from cban.checkpoint import (
     VERSION,
     Checkpoint,
@@ -240,6 +240,43 @@ class TestCmdTrain:
         # two bar-accuracy evaluations, then the sample grid
         assert modes == ["external_bias"] * 3
 
+    def test_image_shape_mismatch_exits_2(self, tmp_path, capsys):
+        folder = tmp_path / "imgs"
+        folder.mkdir()
+        for i in range(2):
+            write_pgm(folder / f"{i}.pgm", np.full((6, 6), 128, dtype=np.uint8))
+        cfg = {
+            "task": "completion", "seed": 0, "output_dir": str(tmp_path / "o"),
+            "arch": {"layers": [{"kind": "fc", "units": 4, "visible": True},
+                                {"kind": "fc", "units": 2}]},
+            "train": {"epochs": 1},
+            "mask": {"kind": "bernoulli", "p": 0.5},
+            "data": {"folder": str(folder)},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "visible layer" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_shipped_supervised_config_trains_with_a_limit(self, tmp_path):
+        # "limit" under "data" is a setting, not a path to check
+        rng = np.random.default_rng(6)
+        save_idx(tmp_path / "imgs.idx", rng.integers(0, 256, size=(6, 28, 28)).astype(np.uint8))
+        save_idx(tmp_path / "labels.idx", rng.integers(0, 10, size=6).astype(np.uint8))
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "mnist_supervised.json").read_text())
+        cfg["data"].update(images=str(tmp_path / "imgs.idx"),
+                           labels=str(tmp_path / "labels.idx"), limit=3)
+        cfg["train"].update(epochs=1, max_iters=3)
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "mnist.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 0
+        rows = (tmp_path / "out" / "train_log.csv").read_text().strip().splitlines()
+        assert len(rows) == 2  # header + 1 epoch
+
     def test_keep_every_writes_numbered_checkpoints(self, tmp_path):
         config = write_bar_config(tmp_path, epochs=4)
         assert main(["train", "--config", str(config), "--keep-every", "2"]) == 0
@@ -296,6 +333,31 @@ class TestCmdComplete:
                      str(tmp_path / "bad.npz"), "--outdir", str(tmp_path / "x")])
         assert code == 2
         assert "visible layer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocks", [
+        # a 4 -> 3 net whose weight block is stored transposed
+        [np.zeros((3, 4)), np.zeros(4), np.zeros(3)],
+        # a 4 -> 3 -> 2 net with fewer blocks than it has pairs
+        [np.zeros((4, 3))],
+    ])
+    def test_block_manifest_mismatch_exits_2(self, tmp_path, capsys, blocks):
+        from cban.dynamics import WeightBundle
+        from cban.tensor import Tensor
+
+        arch = fban(4, [3] if len(blocks) == 3 else [3, 2])
+        # params() lists these blocks in order, so they become the manifest
+        w = WeightBundle(forward=[], biases=[Tensor(b) for b in blocks])
+        save_checkpoint(tmp_path / "bad.ckpt", Checkpoint(
+            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            rng_state=None))
+        np.savez(tmp_path / "ev.npz", values=np.zeros(4), mask=np.ones(4, dtype=bool))
+        code = main(["complete", "--ckpt", str(tmp_path / "bad.ckpt"), "--input",
+                     str(tmp_path / "ev.npz"), "--outdir", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "block manifest" in err
+        with pytest.raises(CheckpointError, match="block manifest"):
+            load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_image_input_with_mask_option(self, tmp_path):
         ckpt = self._trained_ckpt(tmp_path)
@@ -443,6 +505,10 @@ class TestCmdCheck:
     def test_gradient_suite_covers_pooled_conv(self):
         result = check_gradients(seed=3, per_loss=0)
         assert result.trials == 6 and result.passed, result.failures
+
+    def test_energy_suite_covers_pooled_conv(self):
+        result = check_layerwise_descent(seed=3, trials=0)
+        assert result.trials == 3 and result.passed, result.failures
 
     def test_convergence_suite_passes(self, capsys):
         assert main(["check", "--suite", "convergence", "--seed", "1"]) == 0

@@ -14,6 +14,7 @@ from cban.tensor import (
     Tensor,
     atanh,
     avg_pool2,
+    avg_pool2_adjoint,
     barrier_leaky,
     barrier_tanh,
     clip,
@@ -21,7 +22,6 @@ from cban.tensor import (
     leaky_sigmoid,
     leaky_sigmoid_inverse,
     matmul,
-    nn_upsample2,
     reverse_kernel,
     softplus,
     tanh,
@@ -258,31 +258,35 @@ class TestPooling:
             avg_pool2(Tensor(np.zeros((1, 3, 4))))
 
     def test_upsample_replicates(self):
-        out = nn_upsample2(Tensor([[[5.0]]]))
-        np.testing.assert_array_equal(out.data, np.full((1, 2, 2), 5.0))
+        out = avg_pool2_adjoint(Tensor([[[5.0]]]))
+        np.testing.assert_array_equal(out.data, np.full((1, 2, 2), 1.25))
 
     def test_upsample_quadrants(self):
-        out = nn_upsample2(Tensor([[[1.0, 2.0], [3.0, 4.0]]])).data
-        np.testing.assert_array_equal(out[0, :2, :2], np.full((2, 2), 1.0))
-        np.testing.assert_array_equal(out[0, :2, 2:], np.full((2, 2), 2.0))
-        np.testing.assert_array_equal(out[0, 2:, :2], np.full((2, 2), 3.0))
-        np.testing.assert_array_equal(out[0, 2:, 2:], np.full((2, 2), 4.0))
+        out = avg_pool2_adjoint(Tensor([[[1.0, 2.0], [3.0, 4.0]]])).data
+        np.testing.assert_array_equal(out[0, :2, :2], np.full((2, 2), 0.25))
+        np.testing.assert_array_equal(out[0, :2, 2:], np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(out[0, 2:, :2], np.full((2, 2), 0.75))
+        np.testing.assert_array_equal(out[0, 2:, 2:], np.full((2, 2), 1.0))
 
-    def test_pool_inverts_upsample(self):
+    def test_pool_after_adjoint_is_a_quarter(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 5, 7))
-        back = avg_pool2(nn_upsample2(Tensor(x)))
-        np.testing.assert_allclose(back.data, x, rtol=0, atol=1e-15)
+        back = avg_pool2(avg_pool2_adjoint(Tensor(x)))
+        np.testing.assert_allclose(back.data, 0.25 * x, rtol=0, atol=1e-15)
 
-    def test_adjoint_gap_factor_four(self):
-        # <y, pool(x)> == 0.25 * <upsample(y), x>: nearest-neighbor
-        # upsampling is 4x the true transpose of average pooling
+    def test_adjoint_is_exact_transpose(self):
+        # <y, pool(x)> == <adjoint(y), x>, unbatched and batched
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 6, 4))
-        y = rng.normal(size=(2, 3, 2))
-        lhs = float(np.sum(y * avg_pool2(Tensor(x)).data))
-        rhs = float(np.sum(nn_upsample2(Tensor(y)).data * x))
-        assert abs(lhs - 0.25 * rhs) < 1e-12
+        for shape in ((2, 6, 4), (3, 2, 4, 6)):
+            x = rng.normal(size=shape)
+            y = rng.normal(size=shape[:-2] + (shape[-2] // 2, shape[-1] // 2))
+            lhs = float(np.sum(y * avg_pool2(Tensor(x)).data))
+            rhs = float(np.sum(avg_pool2_adjoint(Tensor(y)).data * x))
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_adjoint_rejects_flat_input(self):
+        with pytest.raises(ValueError, match="adjoint input"):
+            avg_pool2_adjoint(Tensor(np.zeros(4)))
 
 
 class TestElementwiseOps:
@@ -458,7 +462,8 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 4, 4))
         _gradcheck(
-            lambda xt: tensor_sum(nn_upsample2(avg_pool2(xt)) * avg_pool2(nn_upsample2(xt)).sum()),
+            lambda xt: tensor_sum(avg_pool2_adjoint(avg_pool2(xt))
+                                  * avg_pool2(avg_pool2_adjoint(xt)).sum()),
             [x],
         )
 
