@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import arch_from_dict, arch_to_dict
-from .dynamics import ArchSpec, WeightBundle
-from .tensor import ConvKernel, Tensor
+from .dynamics import ArchSpec, WeightBundle, block_shapes
+from .tensor import Tensor
 from .training import OptState
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "CheckpointError"]
@@ -41,27 +41,18 @@ class Checkpoint:
     rng_state: dict | None
 
 
-def _weight_arrays(weights):
-    return [p.data for p in weights.params()]
+_OPT_KEYS = ("kind", "lr", "step", "beta1", "beta2", "eps")
 
 
 def save_checkpoint(path, ckpt):
-    arrays = _weight_arrays(ckpt.weights)
+    arrays = [p.data for p in ckpt.weights.params()]
     opt = ckpt.opt_state
     opt_meta = None
     moment_arrays = []
     if opt is not None:
-        opt_meta = {
-            "kind": opt.kind,
-            "lr": opt.lr,
-            "step": opt.step,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "eps": opt.eps,
-            "has_moments": bool(opt.m),
-        }
-        if opt.m:
-            moment_arrays = list(opt.m) + list(opt.v)
+        opt_meta = {k: getattr(opt, k) for k in _OPT_KEYS}
+        opt_meta["has_moments"] = bool(opt.m)
+        moment_arrays = list(opt.m) + list(opt.v)
     meta = {
         "arch": arch_to_dict(ckpt.arch),
         "epoch": ckpt.epoch,
@@ -97,49 +88,24 @@ def load_checkpoint(path):
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length"))
         meta = json.loads(_read_exact(f, meta_len, "metadata"))
         arch = arch_from_dict(meta["arch"])
-        shapes, expected = [tuple(s) for s in meta["blocks"]], _block_shapes(arch)
+        shapes, expected = [tuple(s) for s in meta["blocks"]], block_shapes(arch)
         if shapes != expected:
             raise CheckpointError(f"block manifest {shapes} does not match the "
                                   f"architecture's blocks {expected}")
-        arrays = []
-        for shape in shapes:
-            count = int(np.prod(shape))
-            raw = _read_exact(f, 4 * count, f"block {shape}")
-            arrays.append(np.frombuffer(raw, dtype=np.float32)
-                          .astype(np.float64).reshape(shape))
+
+        def read_blocks(what):  # one float32 block per manifest shape, widened
+            return [np.frombuffer(_read_exact(f, 4 * int(np.prod(s)), f"{what} {s}"),
+                                  dtype=np.float32).astype(np.float64).reshape(s)
+                    for s in shapes]
+
+        arrays = read_blocks("block")
         opt_meta = meta.get("optimizer")
         opt = None
         if opt_meta is not None:
-            opt = OptState(kind=opt_meta["kind"], lr=opt_meta["lr"],
-                           step=opt_meta["step"], beta1=opt_meta["beta1"],
-                           beta2=opt_meta["beta2"], eps=opt_meta["eps"])
+            opt = OptState(**{k: opt_meta[k] for k in _OPT_KEYS})
             if opt_meta["has_moments"]:
-                moments = []
-                for shape in shapes + shapes:
-                    count = int(np.prod(shape))
-                    raw = _read_exact(f, 4 * count, "optimizer moments")
-                    moments.append(np.frombuffer(raw, dtype=np.float32)
-                                   .astype(np.float64).reshape(shape))
-                opt.m = moments[: len(shapes)]
-                opt.v = moments[len(shapes):]
-    weights = _rebuild_weights(arch, arrays)
+                opt.m, opt.v = read_blocks("first moment"), read_blocks("second moment")
+    weights = WeightBundle.from_params([Tensor(a) for a in arrays], arch.n_layers)
     return Checkpoint(version=version, arch=arch, weights=weights, opt_state=opt,
                       epoch=int(meta["epoch"]), rng_state=meta.get("rng_state"))
 
-
-def _block_shapes(arch):
-    """The shape of each parameter block, in WeightBundle.params() order."""
-    pairs = list(zip(arch.layers[:-1], arch.layers[1:], arch.kernel_sizes))
-    if not arch.symmetric:  # reverse blocks map each upper layer a to its lower b
-        pairs += [(hi, lo, k) for lo, hi, k in pairs]
-    return [(a.units, b.units) if a.kind == "fc" else (b.channels, a.channels, k, k)
-            for a, b, k in pairs] + [spec.shape[:1] for spec in arch.layers]
-
-
-def _rebuild_weights(arch, arrays):
-    # the manifest matches _block_shapes(arch): pair blocks, then one bias per layer
-    n_pairs, n_layers = arch.n_layers - 1, arch.n_layers
-    blocks = [ConvKernel(Tensor(a)) if a.ndim == 4 else Tensor(a)
-              for a in arrays[:-n_layers]]
-    return WeightBundle(forward=blocks[:n_pairs], reverse=blocks[n_pairs:] or None,
-                        biases=[Tensor(a) for a in arrays[-n_layers:]])

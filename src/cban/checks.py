@@ -8,7 +8,7 @@ same defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .tensor import GradTape, Tensor
 from .data import Example
 from .dynamics import (
     ArchSpec,
+    EvidenceConstraint,
     LeakySigmoid,
     NetState,
     Tanh,
@@ -24,6 +25,7 @@ from .dynamics import (
     detect_cycle,
     energy,
     fban,
+    initial_state,
     norm_1inf,
     settle,
     sweep_order,
@@ -62,16 +64,21 @@ class CheckResult:
         return out
 
 
+def _random_mask(rng, units):
+    """About half the units observed, never none and never all."""
+    mask = rng.random(units) < 0.5
+    if not mask.any():
+        mask[0] = True
+    if mask.all():
+        mask[-1] = False
+    return mask
+
+
 def _random_examples(rng, n, units):
     out = []
     for _ in range(n):
         target = rng.uniform(-0.9, 0.9, size=units)
-        mask = rng.random(units) < 0.5
-        if not mask.any():
-            mask[0] = True
-        if mask.all():
-            mask[-1] = False
-        out.append(Example(target=target, mask=mask))
+        out.append(Example(target=target, mask=_random_mask(rng, units)))
     return out
 
 
@@ -155,26 +162,40 @@ def _random_symmetric_fban(rng, max_units=64, max_hidden_layers=2, scale=0.1,
 
 # pooled-conv trials of the descent check, one per kernel scale
 _CONV_DESCENT_STDS = (0.08, 0.3, 1.0)
+# external-bias fc trials of the descent check, one per weight scale
+_EXTERNAL_BIAS_SCALES = (0.1, 0.5, 1.0, 2.0)
 
 
 def check_layerwise_descent(seed=0, trials=200, max_units=64, slack=1e-9,
                             theta=1e-3, max_iters=500, descent_sweeps=5):
     """Symmetric tanh nets: every layer update non-increasing, settle converges.
 
-    Runs `trials` random fc nets, then a tiny pooled conv net per kernel scale.
+    Runs `trials` random fc nets, then a tiny pooled conv net per kernel
+    scale, then a random fc net settling external-bias evidence per weight
+    scale.
     """
     rng = np.random.default_rng(seed)
     failures = []
     t_stars = []
-    for trial in range(trials + len(_CONV_DESCENT_STDS)):
+    n_conv = len(_CONV_DESCENT_STDS)
+    n_trials = trials + n_conv + len(_EXTERNAL_BIAS_SCALES)
+    for trial in range(n_trials):
+        evidence = None
         if trial < trials:
             arch, w, _ = _random_symmetric_fban(rng, max_units=max_units)
-        else:
+        elif trial < trials + n_conv:
             arch = _pooled_conv_arch()
             w = init_weights(arch, seed=int(rng.integers(1 << 30)),
                              conv_std=_CONV_DESCENT_STDS[trial - trials])
+        else:
+            scale = _EXTERNAL_BIAS_SCALES[trial - trials - n_conv]
+            arch, w, sizes = _random_symmetric_fban(rng, max_units=max_units, scale=scale)
+            arch = replace(arch, evidence="external_bias")
+            mask = _random_mask(rng, sizes[0])
+            evidence = EvidenceConstraint(
+                mask=mask, values=np.where(mask, rng.uniform(-0.9, 0.9, sizes[0]), 0.0))
         state = NetState([Tensor(rng.uniform(-0.9, 0.9, size=spec.shape))
-                          for spec in arch.layers])
+                          for spec in arch.layers], evidence=evidence)
         e = energy(state, w, arch)
         for it in range(descent_sweeps):
             for l in sweep_order(arch.n_layers):
@@ -192,7 +213,7 @@ def check_layerwise_descent(seed=0, trials=200, max_units=64, slack=1e-9,
         if np.any(np.diff(report.energy_trace) > slack):
             failures.append(f"trial {trial}: sweep-level energy rose during settle")
     return CheckResult(name="layerwise-energy-descent", passed=not failures,
-                       trials=trials + len(_CONV_DESCENT_STDS), failures=failures,
+                       trials=n_trials, failures=failures,
                        stats={"mean_t_star": float(np.mean(t_stars))})
 
 
@@ -202,13 +223,7 @@ def check_settle_convergence(seed=0, trials=50, theta=1e-3, max_iters=500):
     failures = []
     for trial in range(trials):
         arch, w, sizes = _random_symmetric_fban(rng, max_units=32)
-        from .dynamics import EvidenceConstraint, initial_state
-
-        mask = rng.random(sizes[0]) < 0.5
-        if not mask.any():
-            mask[0] = True
-        if mask.all():
-            mask[-1] = False
+        mask = _random_mask(rng, sizes[0])
         ev = EvidenceConstraint(mask=mask,
                                 values=np.where(mask, rng.uniform(-0.9, 0.9, sizes[0]), 0.0))
         _, report = settle(initial_state(arch, ev), w, arch, theta=theta,

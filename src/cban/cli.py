@@ -96,8 +96,7 @@ def _bar_accuracy(w, arch, train_cfg, n=200, seed=7777):
 
     examples = bar_eval_set(np.random.default_rng(seed), n)
     outputs, _ = complete(examples, w, arch, theta=train_cfg.theta,
-                          max_iters=train_cfg.max_iters,
-                          evidence_mode=train_cfg.evidence_mode)
+                          max_iters=train_cfg.max_iters)
     targets = np.stack([e.target.reshape(-1) for e in examples])
     masks = np.stack([e.mask.reshape(-1) for e in examples])
     return {"accuracy": completion_accuracy(outputs, targets, masks)}
@@ -122,8 +121,7 @@ def _write_samples(outdir, w, arch, cfg, dataset):
     rng = np.random.default_rng(cfg.seed + 1)
     examples = list(dataset.epoch_examples(rng))[:10]
     outputs, _ = complete(examples, w, arch, theta=cfg.train.theta,
-                          max_iters=cfg.train.max_iters,
-                          evidence_mode=cfg.train.evidence_mode)
+                          max_iters=cfg.train.max_iters)
     targets = [e.target for e in examples]
     completions = [o.reshape(e.target.shape) for o, e in zip(outputs, examples)]
     masks = [e.mask for e in examples]
@@ -245,12 +243,12 @@ def cmd_complete(args):
         ckpt = load_checkpoint(args.ckpt)
         arch = ckpt.arch
         values, mask, shape = _load_evidence(args, arch)
+        state = initial_state(arch, EvidenceConstraint(mask=mask, values=values))
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ev = EvidenceConstraint(mask=mask, values=values)
-    state, report = settle(initial_state(arch, ev), ckpt.weights, arch,
+    state, report = settle(state, ckpt.weights, arch,
                            theta=args.theta, max_iters=args.max_iters)
     dream = unclamped_visible(state, ckpt.weights, arch)
     _write_visible_image(outdir / "completed", state.activations[0].data, shape)

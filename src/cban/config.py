@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import BernoulliMask, LabelOnly, LabelPlus, PerlinMask, SquarePatches
@@ -77,10 +77,21 @@ def arch_to_dict(arch):
         "kernel_sizes": list(arch.kernel_sizes),
         "activation": _activation_to_dict(arch.activation),
         "symmetric": arch.symmetric,
+        "evidence": arch.evidence,
     }
 
 
+def _check_keys(d, allowed, where):
+    """Refuse any key of d outside allowed, naming it and where it sits."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; "
+                         f"expected some of {sorted(allowed)}")
+
+
 def arch_from_dict(d):
+    """An ArchSpec; a dict without "evidence" (older checkpoints) clamps."""
+    _check_keys(d, ("layers", "kernel_sizes", "activation", "symmetric", "evidence"), "arch")
     layers = []
     for ld in d["layers"]:
         if ld["kind"] == "fc":
@@ -95,7 +106,8 @@ def arch_from_dict(d):
     return ArchSpec(layers=tuple(layers),
                     kernel_sizes=tuple(int(k) for k in d.get("kernel_sizes", ())),
                     activation=_activation_from_dict(d.get("activation", {"kind": "tanh"})),
-                    symmetric=d.get("symmetric", True))
+                    symmetric=d.get("symmetric", True),
+                    evidence=d.get("evidence", "clamp"))
 
 
 def mask_to_dict(spec):
@@ -137,25 +149,25 @@ def mask_from_dict(d):
     raise ValueError(f"unknown mask kind {kind!r}")
 
 
-_TRAIN_FIELDS = ("epochs", "loss", "optimizer", "lr", "adam_beta1", "adam_beta2",
-                 "adam_eps", "theta", "max_iters", "batch_size", "seed",
-                 "evidence_mode", "conv_init_std")
-
-
 def train_to_dict(cfg):
-    d = {name: getattr(cfg, name) for name in _TRAIN_FIELDS}
+    d = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
     d["lr_schedule"] = [list(pair) for pair in cfg.lr_schedule]
     return d
 
 
 def train_from_dict(d):
-    kwargs = {name: d[name] for name in _TRAIN_FIELDS if name in d}
+    _check_keys(d, [f.name for f in fields(TrainConfig)], "train")
+    if "epochs" not in d:
+        raise ValueError("train.epochs is required")
+    kwargs = dict(d)
     if "lr_schedule" in d:
         kwargs["lr_schedule"] = tuple((int(e), float(m)) for e, m in d["lr_schedule"])
     return TrainConfig(**kwargs)
 
 
 def run_config_from_dict(d, base_dir=None, check_paths=True):
+    _check_keys(d, ("task", "seed", "output_dir", "arch", "train", "mask", "data"),
+                "top-level")
     if "seed" not in d:
         raise ValueError("config must carry an explicit seed")
     seed = int(d["seed"])

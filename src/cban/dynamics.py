@@ -48,6 +48,7 @@ __all__ = [
     "fc_layer",
     "conv_layer",
     "fban",
+    "block_shapes",
     "activation",
     "inverse_activation",
     "barrier",
@@ -151,22 +152,33 @@ def conv_layer(channels, height, width, pool_before=False, visible=False):
                      pool_before=pool_before, visible=visible)
 
 
+_EVIDENCE_MODES = ("clamp", "external_bias")
+
+
 @dataclass(frozen=True)
 class ArchSpec:
-    """Layer stack plus activation kind and connection structure.
+    """Layer stack plus activation kind, connection structure and evidence rule.
 
     kernel_sizes gives the (odd) convolution extent per adjacent layer
     pair; fc pairs carry 0. symmetric=False stores independent reverse
     weights instead of deriving them, which forfeits the energy guarantee
-    and exists for limit-cycle experiments.
+    and exists for limit-cycle experiments. evidence says how observed
+    values enter the visible layer: "clamp" overwrites the observed units
+    after every visible update; "external_bias" adds the observations to
+    the visible preactivation and leaves every unit free, which adds
+    -<values, x_visible> to the energy.
     """
 
     layers: tuple
     activation: object = field(default_factory=Tanh)
     kernel_sizes: tuple = ()
     symmetric: bool = True
+    evidence: str = "clamp"
 
     def __post_init__(self):
+        if self.evidence not in _EVIDENCE_MODES:
+            raise ValueError(f"evidence must be one of {_EVIDENCE_MODES}, "
+                             f"got {self.evidence!r}")
         layers = tuple(self.layers)
         object.__setattr__(self, "layers", layers)
         if len(layers) < 2:
@@ -209,6 +221,20 @@ class ArchSpec:
         return self.layers[0].shape
 
 
+def block_shapes(arch):
+    """The shape of each parameter block, in WeightBundle.params() order.
+
+    Forward blocks per pair, then (asymmetric only) reverse blocks, then one
+    bias per layer. A matrix maps (lower units, upper units); a kernel is
+    (receiving channels, sending channels, k, k).
+    """
+    pairs = list(zip(arch.layers[:-1], arch.layers[1:], arch.kernel_sizes))
+    if not arch.symmetric:  # reverse blocks map each upper layer a to its lower b
+        pairs += [(hi, lo, k) for lo, hi, k in pairs]
+    return [(a.units, b.units) if a.kind == "fc" else (b.channels, a.channels, k, k)
+            for a, b, k in pairs] + [spec.shape[:1] for spec in arch.layers]
+
+
 def fban(visible_units, hidden_units, activation_kind=None, symmetric=True):
     """Fully connected bipartite attractor net: visible + stack of hidden sizes."""
     layers = [fc_layer(visible_units, visible=True)]
@@ -241,19 +267,19 @@ class WeightBundle:
         out += list(self.biases)
         return out
 
+    @classmethod
+    def from_params(cls, tensors, n_layers):
+        """The bundle of a net with n_layers layers, from tensors in params()
+        order (see block_shapes); 4-d blocks are convolution kernels."""
+        tensors = list(tensors)
+        blocks = [ConvKernel(t) if t.ndim == 4 else t for t in tensors[:-n_layers]]
+        n_pairs = n_layers - 1
+        return cls(forward=blocks[:n_pairs], biases=tensors[-n_layers:],
+                   reverse=blocks[n_pairs:] or None)
+
     def with_params(self, tensors):
         """Rebuild the bundle around replacement tensors from params() order."""
-        tensors = list(tensors)
-        n_fwd = len(self.forward)
-        n_rev = len(self.reverse) if self.reverse is not None else 0
-
-        def rewrap(blocks, flat):
-            return [ConvKernel(t) if isinstance(b, ConvKernel) else t
-                    for b, t in zip(blocks, flat)]
-
-        fwd = rewrap(self.forward, tensors[:n_fwd])
-        rev = rewrap(self.reverse, tensors[n_fwd:n_fwd + n_rev]) if n_rev else None
-        return WeightBundle(forward=fwd, biases=tensors[n_fwd + n_rev:], reverse=rev)
+        return WeightBundle.from_params(tensors, len(self.biases))
 
     def down_weights(self, pair):
         """Weights for the map from layer pair+1 down to pair."""
@@ -265,28 +291,19 @@ class WeightBundle:
         return transpose(w)
 
 
-_EVIDENCE_MODES = ("clamp", "convex_mix", "external_bias")
-
-
 @dataclass
 class EvidenceConstraint:
-    """Observed values pinned onto the visible layer.
+    """Observed values on the visible layer.
 
     mask is boolean over the visible units (True = observed) and values
-    holds the observations at masked positions (zero elsewhere). Modes:
-    clamp overwrites masked units after every visible update; convex_mix
-    blends observation and computed value with weight mix_weight (1.0
-    reproduces clamping); external_bias adds scale * observation to the
-    visible preactivation instead of overwriting. A replicated visible
-    layout (an input copy and an output copy of the image) is clamping with
-    a mask that observes only the input copy.
+    holds the observations at masked positions (zero elsewhere). How they
+    enter the dynamics is the architecture's evidence rule (ArchSpec). A
+    replicated visible layout (an input copy and an output copy of the
+    image) is clamping with a mask that observes only the input copy.
     """
 
     mask: np.ndarray
     values: np.ndarray
-    mode: str = "clamp"
-    mix_weight: float = 1.0
-    scale: float = 1.0
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -296,10 +313,6 @@ class EvidenceConstraint:
         if not np.all(np.isfinite(vals)):
             raise ValueError("evidence values must be finite")
         self.values = np.where(self.mask, vals, 0.0)
-        if self.mode not in _EVIDENCE_MODES:
-            raise ValueError(f"unknown evidence mode {self.mode!r}")
-        if not 0.0 <= self.mix_weight <= 1.0:
-            raise ValueError("mix_weight must lie in [0, 1]")
 
 
 @dataclass
@@ -338,18 +351,16 @@ def _check_evidence_range(evidence, kind):
 
 
 def initial_state(arch, evidence=None, batch=None):
-    """Start state: unobserved units at 0, observed units at their evidence."""
+    """Start state at 0, with observed units at their evidence under clamping."""
     _check_evidence_range(evidence, arch.activation)
     acts = []
     for spec in arch.layers:
         shape = spec.shape if batch is None else (batch,) + spec.shape
         acts.append(Tensor(np.zeros(shape)))
     state = NetState(activations=acts, evidence=evidence)
-    if evidence is not None and evidence.mode in ("clamp", "convex_mix"):
+    if evidence is not None and arch.evidence == "clamp":
         vis = state.activations[0]
         state.activations[0] = where(evidence.mask, Tensor(evidence.values), vis)
-    elif evidence is not None and evidence.mode == "external_bias":
-        pass  # bias enters through the preactivation; start from zero
     return state
 
 
@@ -396,22 +407,18 @@ def layer_preactivation(state, w, arch, l, include_evidence_bias=True):
     total = total + _bias_term(w.biases[l], spec)
     ev = state.evidence
     if (include_evidence_bias and l == 0 and ev is not None
-            and ev.mode == "external_bias"):
-        total = total + Tensor(ev.scale * ev.values)
+            and arch.evidence == "external_bias"):
+        total = total + Tensor(ev.values)
     return total
 
 
 def update_layer(state, w, arch, l):
-    """Activate layer l from its preactivation, then re-apply evidence."""
+    """Activate layer l from its preactivation, then re-clamp any evidence."""
     pre = layer_preactivation(state, w, arch, l)
     x = activation(arch.activation, pre)
     ev = state.evidence
-    if l == 0 and ev is not None:
-        if ev.mode == "clamp":
-            x = where(ev.mask, Tensor(ev.values), x)
-        elif ev.mode == "convex_mix":
-            mixed = ev.mix_weight * Tensor(ev.values) + (1.0 - ev.mix_weight) * x
-            x = where(ev.mask, mixed, x)
+    if l == 0 and ev is not None and arch.evidence == "clamp":
+        x = where(ev.mask, Tensor(ev.values), x)
     acts = list(state.activations)
     acts[l] = x
     return NetState(activations=acts, evidence=ev)
@@ -433,10 +440,13 @@ def energy(state, w, arch):
     """Network energy: cross-layer coupling plus barrier and bias terms.
 
     E = -sum_pairs <x_upper, up(x_lower)> + sum_layers sum_units
-    (barrier(x) - b * x), with each cross-layer product counted once.
-    Returns a scalar for an unbatched state, one energy per item for a
-    batched state. In asymmetric mode this quantity is computed from the
-    forward weights and is no longer guaranteed to decrease.
+    (barrier(x) - b * x), with each cross-layer product counted once, and
+    under external-bias evidence also -<values, x_visible>, so that every
+    layer update minimizes E over its layer. Clamped units are held fixed
+    instead and add no term. Returns a scalar for an unbatched state, one
+    energy per item for a batched state. In asymmetric mode this quantity
+    is computed from the forward weights and is no longer guaranteed to
+    decrease.
     """
     batched = state.batched(arch)
     acts = state.activations
@@ -450,6 +460,8 @@ def energy(state, w, arch):
     for l, spec in enumerate(arch.layers):
         rho = barrier(arch.activation, acts[l]).data
         total = total + summed(rho - _bias_term(w.biases[l], spec).data * acts[l].data)
+    if state.evidence is not None and arch.evidence == "external_bias":
+        total = total - summed(state.evidence.values * acts[0].data)
     return total if batched else float(total)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import ConvKernel, GradTape, Tensor, clip, softplus, tensor_sum
+from .tensor import GradTape, Tensor, clip, softplus, tensor_sum
 from .dynamics import (
     EvidenceConstraint,
     SettleReport,
@@ -25,6 +25,7 @@ from .dynamics import (
     _max_delta,
     activation,
     barrier,
+    block_shapes,
     initial_state,
     inverse_activation,
     layer_preactivation,
@@ -70,7 +71,6 @@ class TrainConfig:
     max_iters: int = 100
     batch_size: int = 20
     seed: int = 0
-    evidence_mode: str = "clamp"
     conv_init_std: float = 0.01
 
     def __post_init__(self):
@@ -112,9 +112,11 @@ def loss_per_item(loss_kind, act_kind, v_tilde, y):
     Both are batched (n, ...) states. "se" sums the squared error.
     "delta_e" is the energy gap between the clamped state (visible units at
     y) and the unclamped one (at v~), computed unit-locally as
-    f_inv(v~) * (v~ - y) + barrier(y) - barrier(v~); this equals the full
-    network energy difference because both states share the hidden
-    configuration, and it is zero exactly when v~ == y. "delta_e_plus" is
+    f_inv(v~) * (v~ - y) + barrier(y) - barrier(v~). Under clamping this
+    equals the full network energy difference, because both states share
+    the hidden configuration; under external-bias evidence it is the gap of
+    the evidence-free energy, since v~ (unclamped_visible) leaves the
+    evidence bias out. It is zero exactly when v~ == y. "delta_e_plus" is
     the softplus of that gap: a soft hinge that only wants the gap closed.
     """
     if v_tilde.shape != y.shape:
@@ -131,13 +133,13 @@ def loss_per_item(loss_kind, act_kind, v_tilde, y):
     return softplus(per_item) if loss_kind == "delta_e_plus" else per_item
 
 
-def _batch_evidence(examples, arch, mode):
+def _batch_evidence(examples, arch):
     vis_shape = arch.visible_shape
     targets = np.stack([np.clip(e.target.reshape(vis_shape), -0.999, 0.999)
                         for e in examples])
     masks = np.stack([e.mask.reshape(vis_shape) for e in examples])
     values = np.where(masks, targets, 0.0)
-    return targets, EvidenceConstraint(mask=masks, values=values, mode=mode)
+    return targets, EvidenceConstraint(mask=masks, values=values)
 
 
 def td1_forward(examples, w, arch, cfg):
@@ -154,7 +156,7 @@ def td1_forward(examples, w, arch, cfg):
     n = len(examples)
     if n == 0:
         raise ValueError("empty batch")
-    targets, evidence = _batch_evidence(examples, arch, cfg.evidence_mode)
+    targets, evidence = _batch_evidence(examples, arch)
     y = Tensor(targets)
     state = initial_state(arch, evidence, batch=n)
     L = arch.n_layers
@@ -260,30 +262,20 @@ def _fc_init_std(n_lo, n_hi):
 def init_weights(arch, seed, conv_std=0.01):
     """Gaussian weights, zero biases, deterministic in the seed.
 
-    Fully connected pairs use std 0.1 / sqrt(n_l/2 + n_{l+1}/2 + 1);
-    convolution kernels use conv_std. Asymmetric mode draws independent
-    reverse weights with the same recipe.
+    One block is drawn per block_shapes(arch) entry, in params() order.
+    Matrices (n_a, n_b) use std 0.1 / sqrt(n_a/2 + n_b/2 + 1); convolution
+    kernels use conv_std; biases are zero.
     """
     rng = np.random.default_rng(seed)
-    forward, reverse = [], []
-    for pair in range(arch.n_layers - 1):
-        lo, hi = arch.layers[pair], arch.layers[pair + 1]
-        if lo.kind == "fc":
-            std = _fc_init_std(lo.units, hi.units)
-            forward.append(Tensor(rng.normal(scale=std, size=(lo.units, hi.units))))
-            if not arch.symmetric:
-                reverse.append(Tensor(rng.normal(scale=std, size=(hi.units, lo.units))))
-        else:
-            k = arch.kernel_sizes[pair]
-            forward.append(ConvKernel(
-                Tensor(rng.normal(scale=conv_std, size=(hi.channels, lo.channels, k, k)))))
-            if not arch.symmetric:
-                reverse.append(ConvKernel(
-                    Tensor(rng.normal(scale=conv_std, size=(lo.channels, hi.channels, k, k)))))
-    biases = [Tensor(np.zeros(spec.units if spec.kind == "fc" else spec.channels))
-              for spec in arch.layers]
-    return WeightBundle(forward=forward, biases=biases,
-                        reverse=reverse if not arch.symmetric else None)
+
+    def draw(shape):
+        if len(shape) == 1:
+            return np.zeros(shape)
+        std = conv_std if len(shape) == 4 else _fc_init_std(*shape)
+        return rng.normal(scale=std, size=shape)
+
+    return WeightBundle.from_params([Tensor(draw(s)) for s in block_shapes(arch)],
+                                    arch.n_layers)
 
 
 def train(dataset, arch, cfg, evaluate=None, eval_every=0, on_epoch=None):
@@ -329,13 +321,14 @@ def train(dataset, arch, cfg, evaluate=None, eval_every=0, on_epoch=None):
     return w, log
 
 
-def complete(examples, w, arch, theta=0.01, max_iters=100, evidence_mode="clamp"):
+def complete(examples, w, arch, theta=0.01, max_iters=100):
     """Settle a batch of evidence states; returns (visible outputs, reports).
 
-    Outputs keep clamped positions at their evidence values; unobserved
-    positions carry the settled completion.
+    Under clamping, outputs keep observed positions at their evidence
+    values and unobserved positions carry the settled completion; under
+    external-bias evidence every position carries the settled value.
     """
-    targets, evidence = _batch_evidence(examples, arch, evidence_mode)
+    targets, evidence = _batch_evidence(examples, arch)
     state = initial_state(arch, evidence, batch=len(examples))
     state, report = settle(state, w, arch, theta=theta, max_iters=max_iters,
                            record_energy=False)

@@ -1,5 +1,6 @@
 """Configuration files, checkpoint serialization, and the CLI commands."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -57,6 +58,14 @@ class TestConfigRoundTrips:
                           lr_schedule=((3, 0.1),), batch_size=7, seed=11)
         again = train_from_dict(train_to_dict(cfg))
         assert again == cfg
+
+    def test_arch_without_evidence_key_loads_as_clamp(self):
+        d = arch_to_dict(fban(6, [4]))
+        del d["evidence"]  # the arch dict of an older checkpoint
+        assert arch_from_dict(d).evidence == "clamp"
+        external = dataclasses.replace(fban(6, [4]), evidence="external_bias")
+        assert arch_to_dict(external)["evidence"] == "external_bias"
+        assert arch_from_dict(arch_to_dict(external)) == external
 
     def test_seed_required(self, tmp_path):
         path = tmp_path / "c.json"
@@ -226,19 +235,44 @@ class TestCmdTrain:
 
         path = write_bar_config(tmp_path, epochs=2)
         cfg = json.loads(path.read_text())
-        cfg["train"]["evidence_mode"] = "external_bias"
+        cfg["arch"]["evidence"] = "external_bias"
         path.write_text(json.dumps(cfg))
         modes = []
         original = cban.training.complete
 
-        def recording(*args, **kwargs):
-            modes.append(kwargs.get("evidence_mode"))
-            return original(*args, **kwargs)
+        def recording(examples, w, arch, **kwargs):
+            modes.append(arch.evidence)
+            return original(examples, w, arch, **kwargs)
 
         monkeypatch.setattr(cban.training, "complete", recording)
         assert main(["train", "--config", str(path), "--eval-every", "1"]) == 0
         # two bar-accuracy evaluations, then the sample grid
         assert modes == ["external_bias"] * 3
+
+    @pytest.mark.parametrize("where, key", [
+        (None, "comment"),
+        ("train", "lr_shedule"),
+        ("train", "evidence_mode"),
+        ("arch", "evidnce"),
+    ])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, where, key):
+        path = write_bar_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        (cfg if where is None else cfg[where])[key] = 1
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_epochs_exits_2(self, tmp_path, capsys):
+        path = write_bar_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        del cfg["train"]["epochs"]
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train.epochs" in err
 
     def test_image_shape_mismatch_exits_2(self, tmp_path, capsys):
         folder = tmp_path / "imgs"
@@ -324,6 +358,46 @@ class TestCmdComplete:
               "--outdir", str(outdir)])
         out = bytes_to_activations(read_pgm(outdir / "completed.pgm"))
         np.testing.assert_allclose(out[mask], pattern[mask], atol=0.01)
+
+    @pytest.mark.parametrize("value, message", [(1.0, "|v| < 1"), (np.nan, "finite")])
+    def test_bad_evidence_values_exit_2(self, tmp_path, capsys, value, message):
+        ckpt = self._trained_ckpt(tmp_path)
+        mask = np.zeros(25, dtype=bool)
+        mask[:3] = True
+        values = np.where(mask, 0.5, 0.0)
+        values[1] = value
+        np.savez(tmp_path / "ev.npz", values=values, mask=mask)
+        code = main(["complete", "--ckpt", str(ckpt), "--input",
+                     str(tmp_path / "ev.npz"), "--outdir", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "x").exists()
+
+    def test_external_bias_checkpoint_settles_without_clamping(self, tmp_path):
+        from cban.dynamics import WeightBundle
+        from cban.imageio import bytes_to_activations, read_pgm
+        from cban.tensor import Tensor
+
+        # no couplings: each visible unit settles at tanh(b + evidence), so
+        # an observed value of 0.9 reads tanh(0.9), not 0.9
+        arch = dataclasses.replace(fban(25, [4]), evidence="external_bias")
+        w = WeightBundle(forward=[Tensor(np.zeros((25, 4)))],
+                         biases=[Tensor(np.zeros(25)), Tensor(np.zeros(4))])
+        save_checkpoint(tmp_path / "eb.ckpt", Checkpoint(
+            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            rng_state=None))
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[:2] = True
+        np.savez(tmp_path / "ev.npz", values=np.where(mask, 0.9, 0.0), mask=mask)
+        outdir = tmp_path / "eb"
+        code = main(["complete", "--ckpt", str(tmp_path / "eb.ckpt"), "--input",
+                     str(tmp_path / "ev.npz"), "--outdir", str(outdir)])
+        assert code == 0
+        out = bytes_to_activations(read_pgm(outdir / "completed.pgm"))
+        np.testing.assert_allclose(out[mask], np.tanh(0.9), atol=0.01)
+        assert np.all(np.abs(out[mask] - 0.9) > 0.1)
+        np.testing.assert_allclose(out[~mask], 0.0, atol=0.01)
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         ckpt = self._trained_ckpt(tmp_path)
@@ -475,6 +549,41 @@ class TestCmdEval:
                             for img in images])
         assert abs(float(rows["psnr_mean"]) - expected) < 1e-9
 
+    def test_external_bias_checkpoint_scored_unclamped(self, tmp_path):
+        from cban.cli import _library_dataset, _load_images
+        from cban.data import BernoulliMask
+        from cban.metrics import psnr
+        from cban.tensor import Tensor
+
+        rng = np.random.default_rng(2)
+        save_idx(tmp_path / "imgs.idx",
+                 rng.integers(0, 256, size=(3, 12, 12)).astype(np.uint8))
+        # zero weights: each visible unit settles at tanh of its evidence
+        arch = dataclasses.replace(fban(144, [4]), evidence="external_bias")
+        w = init_weights(arch, seed=0)
+        w.forward[0] = Tensor(np.zeros((144, 4)))
+        save_checkpoint(tmp_path / "eb.ckpt", Checkpoint(
+            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            rng_state=None))
+        outdir = tmp_path / "ev"
+        code = main(["eval", "--ckpt", str(tmp_path / "eb.ckpt"), "--data",
+                     str(tmp_path / "imgs.idx"), "--mask", "bernoulli",
+                     "--mask-fraction", "0.5", "--outdir", str(outdir)])
+        assert code == 0
+        rows = dict(line.split(",") for line in
+                    (outdir / "metrics.csv").read_text().strip().splitlines()[1:])
+        dataset = _library_dataset(arch, _load_images(tmp_path / "imgs.idx"), None,
+                                   BernoulliMask(0.5))
+        examples = dataset.epoch_examples(np.random.default_rng(0))
+        free = [np.where(e.mask, np.tanh(np.clip(e.target, -0.999, 0.999)), 0.0)
+                for e in examples]
+        clamped = [np.where(e.mask, np.clip(e.target, -0.999, 0.999), 0.0)
+                   for e in examples]
+        expected = np.mean([psnr(o, e.target, 1.998) for o, e in zip(free, examples)])
+        assert abs(float(rows["psnr_mean"]) - expected) < 1e-9
+        assert abs(expected - np.mean([psnr(o, e.target, 1.998)
+                                       for o, e in zip(clamped, examples)])) > 0.1
+
     def test_image_shape_mismatch_exits_2(self, tmp_path, capsys):
         code, _, outdir = self._replicated_run(tmp_path, 10)
         assert code == 2
@@ -507,8 +616,14 @@ class TestCmdCheck:
         assert result.trials == 6 and result.passed, result.failures
 
     def test_energy_suite_covers_pooled_conv(self):
+        # trials=0 leaves the 3 pooled-conv and 4 external-bias fc trials
         result = check_layerwise_descent(seed=3, trials=0)
-        assert result.trials == 3 and result.passed, result.failures
+        assert result.trials == 7 and result.passed, result.failures
+
+    @pytest.mark.parametrize("suite", ["gradients", "energy", "convergence", "bound"])
+    def test_suite_passes_at_cli_defaults(self, suite, capsys):
+        assert main(["check", "--suite", suite]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_convergence_suite_passes(self, capsys):
         assert main(["check", "--suite", "convergence", "--seed", "1"]) == 0

@@ -1,5 +1,7 @@
 """Settling dynamics: activations, energy, convergence, cycles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,31 +211,6 @@ class TestUpdateAndSweep:
         state = update_layer(state, w, arch, 0)
         np.testing.assert_array_equal(state.activations[0].data[mask], 0.8)
 
-    def test_convex_mix_extremes(self):
-        rng = np.random.default_rng(4)
-        arch = fban(5, [3])
-        w = random_fc_bundle(arch, rng, scale=0.8)
-        mask = np.array([True, True, False, False, True])
-        values = np.where(mask, 0.5, 0.0)
-
-        def run(mode, mix):
-            ev = EvidenceConstraint(mask=mask, values=values, mode=mode, mix_weight=mix)
-            st = initial_state(arch, ev)
-            st = update_layer(st, w, arch, 1)
-            st = update_layer(st, w, arch, 0)
-            return st.activations[0].data
-
-        clamped = run("clamp", 1.0)
-        np.testing.assert_allclose(run("convex_mix", 1.0), clamped)
-        free_ev = EvidenceConstraint(mask=mask, values=values, mode="convex_mix",
-                                     mix_weight=0.0)
-        st = initial_state(arch, free_ev)
-        st = update_layer(st, w, arch, 1)
-        pre = layer_preactivation(st, w, arch, 0)
-        computed = np.tanh(pre.data)
-        st = update_layer(st, w, arch, 0)
-        np.testing.assert_allclose(st.activations[0].data, computed)
-
     def test_zero_weights_zero_hidden(self):
         arch = fban(3, [4])
         w = WeightBundle(forward=[Tensor(np.zeros((3, 4)))],
@@ -261,16 +238,32 @@ class TestUpdateAndSweep:
 
     def test_external_bias_enters_preactivation(self):
         rng = np.random.default_rng(6)
-        arch = fban(4, [3])
+        arch = dataclasses.replace(fban(4, [3]), evidence="external_bias")
         w = random_fc_bundle(arch, rng)
         mask = np.array([True, False, False, False])
-        ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.9, 0.0),
-                                mode="external_bias", scale=2.0)
+        ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.9, 0.0))
         state = initial_state(arch, ev)
         pre_with = layer_preactivation(state, w, arch, 0).data
         state_free = NetState(list(state.activations), evidence=None)
         pre_without = layer_preactivation(state_free, w, arch, 0).data
-        np.testing.assert_allclose(pre_with - pre_without, 2.0 * ev.values)
+        np.testing.assert_allclose(pre_with - pre_without, ev.values)
+
+    def test_external_bias_leaves_observed_units_free(self):
+        rng = np.random.default_rng(8)
+        arch = dataclasses.replace(fban(5, [3]), evidence="external_bias")
+        w = random_fc_bundle(arch, rng, scale=0.8)
+        mask = np.array([True, True, False, False, True])
+        ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.5, 0.0))
+        state = initial_state(arch, ev)
+        np.testing.assert_array_equal(state.activations[0].data, np.zeros(5))
+        state = update_layer(update_layer(state, w, arch, 1), w, arch, 0)
+        pre = layer_preactivation(state, w, arch, 0)
+        np.testing.assert_array_equal(state.activations[0].data, np.tanh(pre.data))
+        assert np.all(state.activations[0].data[mask] != 0.5)
+
+    def test_unknown_evidence_rule_rejected(self):
+        with pytest.raises(ValueError, match="evidence"):
+            ArchSpec(layers=(fc_layer(3, visible=True), fc_layer(2)), evidence="mix")
 
     def test_replicated_clamps_input_copy_only(self):
         rng = np.random.default_rng(7)
@@ -324,6 +317,24 @@ class TestEnergy:
         for i in range(5):
             single = NetState([Tensor(xs[i]), Tensor(hs[i])])
             assert abs(evec[i] - energy(single, w, arch)) < 1e-12
+
+    def test_external_bias_term_per_item(self):
+        rng = np.random.default_rng(11)
+        arch = dataclasses.replace(fban(6, [4]), evidence="external_bias")
+        w = random_fc_bundle(arch, rng, bias_scale=0.1)
+        xs = rng.uniform(-0.9, 0.9, size=(3, 6))
+        hs = rng.uniform(-0.9, 0.9, size=(3, 4))
+        mask = rng.random((3, 6)) < 0.5
+        ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.4, 0.0))
+        with_ev = energy(NetState([Tensor(xs), Tensor(hs)], evidence=ev), w, arch)
+        without = energy(NetState([Tensor(xs), Tensor(hs)]), w, arch)
+        np.testing.assert_allclose(without - with_ev, (ev.values * xs).sum(axis=1),
+                                   atol=1e-12)
+        # clamped evidence adds no term
+        clamp = dataclasses.replace(arch, evidence="clamp")
+        np.testing.assert_array_equal(
+            energy(NetState([Tensor(xs), Tensor(hs)], evidence=ev), w, clamp),
+            energy(NetState([Tensor(xs), Tensor(hs)]), w, clamp))
 
 
 class TestSettle:
@@ -486,6 +497,31 @@ class TestLayerwiseEnergyDescent:
                     e2 = energy(state, w, arch)
                     assert e2 <= e + 1e-9
                     e = e2
+
+    def test_fc_descent_under_external_bias(self):
+        # the evidence bias adds -<values, x_visible> to the energy; without
+        # that term, visible updates raise energy() in some trials
+        rng = np.random.default_rng(18)
+        rises = []
+        for trial in range(200):
+            depth = int(rng.integers(1, 3))
+            sizes = rng.integers(2, 16, size=depth + 1)
+            arch = fban(int(sizes[0]), [int(s) for s in sizes[1:]])
+            arch = dataclasses.replace(arch, evidence="external_bias")
+            w = random_fc_bundle(arch, rng, scale=0.5, bias_scale=0.2)
+            mask = rng.random(arch.layers[0].units) < 0.5
+            ev = EvidenceConstraint(mask=mask, values=np.where(
+                mask, rng.uniform(-0.9, 0.9, size=mask.shape), 0.0))
+            state = NetState(random_state(arch, rng).activations, evidence=ev)
+            e = energy(state, w, arch)
+            for _ in range(5):
+                for l in sweep_order(arch.n_layers):
+                    state = update_layer(state, w, arch, l)
+                    e2 = energy(state, w, arch)
+                    if e2 > e + 1e-9:
+                        rises.append((trial, l, e2 - e))
+                    e = e2
+        assert not rises, rises
 
     def test_conv_descent_unpooled(self):
         rng = np.random.default_rng(16)

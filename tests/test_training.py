@@ -391,6 +391,21 @@ class TestInitWeights:
         assert w.reverse is not None
         assert w.reverse[0].shape == (4, 6)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_blocks_follow_block_shapes_in_params_order(self, symmetric):
+        from cban.dynamics import ArchSpec, WeightBundle, block_shapes, conv_layer
+
+        for arch in (fban(6, [4, 3], symmetric=symmetric),
+                     ArchSpec(layers=(conv_layer(2, 4, 4, visible=True), conv_layer(3, 4, 4),
+                                      conv_layer(5, 2, 2, pool_before=True)),
+                              kernel_sizes=(3, 1), symmetric=symmetric)):
+            w = init_weights(arch, seed=1)
+            assert [p.shape for p in w.params()] == block_shapes(arch)
+            again = WeightBundle.from_params(w.params(), arch.n_layers)
+            assert all(p is q for p, q in zip(again.params(), w.params()))
+            assert [type(b) for b in again.forward] == [type(b) for b in w.forward]
+            assert (again.reverse is None) == symmetric
+
 
 class TestTrain:
     def test_zero_epochs_returns_initial_weights(self):
