@@ -89,12 +89,16 @@ def _build_dataset(cfg):
     return _library_dataset(cfg.arch, images, labels, cfg.mask)
 
 
-def _bar_accuracy(w, arch, train_cfg, n=200, seed=7777):
-    from .data import bar_eval_set
+def _bar_accuracy(w, arch, train_cfg, examples):
+    """Completion accuracy of weights `w` on the held-out bar examples.
+
+    `cmd_train` draws the held-out set once per run, as
+    `bar_eval_set(np.random.default_rng(7777), 200)`, and every evaluation
+    scores the current weights on those same examples.
+    """
     from .metrics import completion_accuracy
     from .training import complete
 
-    examples = bar_eval_set(np.random.default_rng(seed), n)
     outputs, _ = complete(examples, w, arch, theta=train_cfg.theta,
                           max_iters=train_cfg.max_iters)
     targets = np.stack([e.target.reshape(-1) for e in examples])
@@ -103,6 +107,8 @@ def _bar_accuracy(w, arch, train_cfg, n=200, seed=7777):
 
 
 def _write_log_csv(path, log):
+    """Write every row of `log` under the union of their keys; returns the
+    header, in first-seen order."""
     keys = []
     for row in log:
         for k in row:
@@ -112,6 +118,7 @@ def _write_log_csv(path, log):
         writer = csv.DictWriter(f, fieldnames=keys)
         writer.writeheader()
         writer.writerows(log)
+    return keys
 
 
 def _write_samples(outdir, w, arch, cfg, dataset):
@@ -142,11 +149,23 @@ def cmd_train(args):
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     log_path = outdir / "train_log.csv"
-    log_rows = []
+    log_rows, header = [], []
 
     def on_epoch(epoch, w, opt, rng, row):
+        """Log the epoch's row, then checkpoint.
+
+        The row is appended to train_log.csv; the whole file is rewritten
+        only when the row brings a column the header lacks (`accuracy` at
+        the first evaluation). Either way the row is on disk before the
+        epoch's checkpoint is saved, and the epoch ends with checkpoint saves.
+        """
+        nonlocal header
         log_rows.append(row)
-        _write_log_csv(log_path, log_rows)
+        if all(k in header for k in row):
+            with open(log_path, "a", newline="") as f:
+                csv.DictWriter(f, fieldnames=header).writerow(row)
+        else:
+            header = _write_log_csv(log_path, log_rows)
         ckpt = Checkpoint(version=VERSION, arch=arch, weights=w, opt_state=opt,
                           epoch=epoch, rng_state=rng.bit_generator.state)
         save_checkpoint(outdir / "latest.ckpt", ckpt)
@@ -154,8 +173,11 @@ def cmd_train(args):
             save_checkpoint(outdir / f"epoch_{epoch:05d}.ckpt", ckpt)
 
     evaluate = None
-    if cfg.task == "bar":
-        evaluate = lambda w: _bar_accuracy(w, arch, cfg.train)
+    if cfg.task == "bar" and args.eval_every:
+        from .data import bar_eval_set
+
+        held_out = bar_eval_set(np.random.default_rng(7777), 200)
+        evaluate = lambda w: _bar_accuracy(w, arch, cfg.train, held_out)
     w, log = train(dataset, arch, cfg.train, evaluate=evaluate,
                    eval_every=args.eval_every, on_epoch=on_epoch)
     if not log_rows:  # zero-epoch run still leaves a checkpoint behind
@@ -240,17 +262,22 @@ def cmd_complete(args):
     from .training import unclamped_visible
 
     try:
+        if args.theta <= 0 or args.max_iters < 1:
+            raise ValueError("--theta must be positive and --max-iters at least 1")
         ckpt = load_checkpoint(args.ckpt)
         arch = ckpt.arch
         values, mask, shape = _load_evidence(args, arch)
         state = initial_state(arch, EvidenceConstraint(mask=mask, values=values))
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
+    try:
+        state, report = settle(state, ckpt.weights, arch,
+                               theta=args.theta, max_iters=args.max_iters)
+        dream = unclamped_visible(state, ckpt.weights, arch)
+    except ValueError as e:  # with valid arguments, only a non-finite state
+        return _fail(f"settling diverged: {e}", code=1)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    state, report = settle(state, ckpt.weights, arch,
-                           theta=args.theta, max_iters=args.max_iters)
-    dream = unclamped_visible(state, ckpt.weights, arch)
     _write_visible_image(outdir / "completed", state.activations[0].data, shape)
     _write_visible_image(outdir / "dream", dream.data, shape)
     with open(outdir / "trace.csv", "w", newline="") as f:

@@ -155,13 +155,33 @@ def train_to_dict(cfg):
     return d
 
 
+# the JSON values each annotated TrainConfig field type accepts; JSON true
+# and false load as bool, an int subclass, and are refused as numbers
+_FIELD_VALUES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
 def train_from_dict(d):
     _check_keys(d, [f.name for f in fields(TrainConfig)], "train")
     if "epochs" not in d:
         raise ValueError("train.epochs is required")
+    for f in fields(TrainConfig):
+        if f.name in d and f.type in _FIELD_VALUES:
+            kinds, what = _FIELD_VALUES[f.type]
+            value = d[f.name]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(
+                    f"train.{f.name} must be {what}, got {type(value).__name__}")
     kwargs = dict(d)
     if "lr_schedule" in d:
-        kwargs["lr_schedule"] = tuple((int(e), float(m)) for e, m in d["lr_schedule"])
+        try:
+            kwargs["lr_schedule"] = tuple((int(e), float(m)) for e, m in d["lr_schedule"])
+        except (TypeError, ValueError):
+            raise ValueError("train.lr_schedule must be a list of [epoch, multiplier] "
+                             f"pairs, got {d['lr_schedule']!r}") from None
     return TrainConfig(**kwargs)
 
 

@@ -140,7 +140,8 @@ def generate_mask(spec, image, rng):
 # bar task
 
 def gen_bar_patterns():
-    """All 5x5 patterns with exactly two rows on or two columns on (20 total)."""
+    """All 5x5 patterns with exactly two rows on or two columns on, stacked
+    as a (20, 5, 5) array."""
     patterns = []
     for i, j in combinations(range(5), 2):
         p = np.full((5, 5), OFF)
@@ -152,18 +153,23 @@ def gen_bar_patterns():
         p[:, i] = ON
         p[:, j] = ON
         patterns.append(p)
-    return patterns
+    return np.stack(patterns)
 
 
 def bar_consistency_count(values, mask, patterns=None):
-    """How many bar patterns agree with the evidence on all observed pixels."""
+    """How many bar patterns agree with the evidence on all observed pixels.
+
+    `patterns` is a list or an array of patterns of the evidence's shape
+    (all 20 bar patterns by default); they are matched as one (n, 25)
+    matrix against the observed pixels.
+    """
     if patterns is None:
         patterns = gen_bar_patterns()
-    count = 0
-    for p in patterns:
-        if np.array_equal(p[mask], values[mask]):
-            count += 1
-    return count
+    patterns = np.asarray(patterns)
+    stack = patterns.reshape(len(patterns), -1)
+    observed = np.asarray(mask, dtype=bool).reshape(-1)
+    evidence = np.asarray(values).reshape(-1)[observed]
+    return int((stack[:, observed] == evidence).all(axis=1).sum())
 
 
 def gen_bar_evidence(pattern, rng, patterns=None, max_tries=100000):

@@ -318,6 +318,99 @@ class TestCmdTrain:
         assert (out / "epoch_00001.ckpt").exists()
         assert (out / "epoch_00003.ckpt").exists()
 
+    def test_log_after_every_epoch_is_the_full_rewrite(self, tmp_path, monkeypatch):
+        import cban.checkpoint
+        import cban.training
+        from cban.cli import _write_log_csv
+
+        log, ref = tmp_path / "out" / "train_log.csv", tmp_path / "ref.csv"
+        train, save = cban.training.train, cban.checkpoint.save_checkpoint
+        rows, mismatches, rows_at_save = [], [], []
+
+        def checked_train(*args, on_epoch, **kwargs):
+            def hook(epoch, w, opt, rng, row):
+                on_epoch(epoch, w, opt, rng, row)
+                rows.append(row)
+                _write_log_csv(ref, rows)
+                if log.read_bytes() != ref.read_bytes():
+                    mismatches.append(epoch)
+            return train(*args, on_epoch=hook, **kwargs)
+
+        def counting_save(path, ckpt):
+            rows_at_save.append(len(log.read_text().splitlines()) - 1)
+            return save(path, ckpt)
+
+        monkeypatch.setattr(cban.training, "train", checked_train)
+        monkeypatch.setattr(cban.checkpoint, "save_checkpoint", counting_save)
+        path = write_bar_config(tmp_path, epochs=5)
+        # accuracy first appears at epoch 1, the first evaluation
+        assert main(["train", "--config", str(path), "--eval-every", "2"]) == 0
+        assert ["accuracy" in row for row in rows] == [False, True, False, True, True]
+        assert mismatches == []
+        # each epoch's row is on disk when its checkpoint is saved
+        assert rows_at_save == [1, 2, 3, 4, 5]
+
+    def test_zero_epoch_run_writes_a_header_only_log(self, tmp_path):
+        from cban.cli import _write_log_csv
+
+        path = write_bar_config(tmp_path, epochs=0)
+        assert main(["train", "--config", str(path), "--eval-every", "2"]) == 0
+        _write_log_csv(tmp_path / "ref.csv", [])
+        log = tmp_path / "out" / "train_log.csv"
+        assert log.read_bytes() == (tmp_path / "ref.csv").read_bytes() == b"\r\n"
+        assert (tmp_path / "out" / "latest.ckpt").exists()
+
+    def test_held_out_set_is_drawn_once_per_run(self, tmp_path, monkeypatch):
+        import csv
+
+        import cban.cli
+        import cban.data
+
+        draw, score = cban.data.bar_eval_set, cban.cli._bar_accuracy
+        draws, anew = [], []
+
+        def counting_draw(rng, n):
+            draws.append(n)
+            return draw(rng, n)
+
+        def scoring(w, arch, train_cfg, examples):
+            # what the evaluation scored when it redrew its set every time
+            fresh = draw(np.random.default_rng(7777), 200)
+            anew.append(score(w, arch, train_cfg, fresh)["accuracy"])
+            return score(w, arch, train_cfg, examples)
+
+        monkeypatch.setattr(cban.data, "bar_eval_set", counting_draw)
+        monkeypatch.setattr(cban.cli, "_bar_accuracy", scoring)
+        path = write_bar_config(tmp_path, epochs=5)
+        assert main(["train", "--config", str(path), "--eval-every", "2"]) == 0
+        assert draws == [200]
+        with open(tmp_path / "out" / "train_log.csv", newline="") as f:
+            logged = [float(r["accuracy"]) for r in csv.DictReader(f) if r["accuracy"]]
+        assert len(logged) == 3 and logged == anew
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr", "0.01", "train.lr must be a number, got str"),
+        ("epochs", True, "train.epochs must be an integer, got bool"),
+        ("max_iters", 10.0, "train.max_iters must be an integer, got float"),
+        ("theta", None, "train.theta must be a number, got NoneType"),
+        ("loss", 3, "train.loss must be a string, got int"),
+        ("optimizer", ["adam"], "train.optimizer must be a string, got list"),
+        ("lr_schedule", 5, "train.lr_schedule must be a list of [epoch, multiplier] "
+                           "pairs, got 5"),
+        ("lr_schedule", [[600]], "train.lr_schedule must be a list of [epoch, multiplier] "
+                                 "pairs, got [[600]]"),
+    ])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value, message):
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "bar.json").read_text())
+        cfg["train"][key] = value
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "bar.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdComplete:
     def _trained_ckpt(self, tmp_path):
@@ -443,6 +536,43 @@ class TestCmdComplete:
                      "--mask-fraction", "0.4", "--outdir", str(outdir)])
         assert code in (0, 1)
         assert (outdir / "completed.pgm").exists()
+
+    @pytest.mark.parametrize("option, value", [("--theta", "0"), ("--max-iters", "0")])
+    def test_bad_settle_option_exits_2(self, tmp_path, capsys, option, value):
+        ckpt = self._trained_ckpt(tmp_path)
+        mask = np.zeros(25, dtype=bool)
+        mask[:3] = True
+        np.savez(tmp_path / "ev.npz", values=np.where(mask, 0.5, 0.0), mask=mask)
+        code = main(["complete", "--ckpt", str(ckpt), "--input", str(tmp_path / "ev.npz"),
+                     "--outdir", str(tmp_path / "x"), option, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and option in err
+        assert not (tmp_path / "x").exists()
+
+    def test_diverging_net_exits_1_without_outputs(self, tmp_path, capsys):
+        from cban.dynamics import WeightBundle
+        from cban.tensor import Tensor
+
+        # weights of 10.0 drive a leaky sigmoid's unbounded tails to overflow
+        arch = fban(4, [4], activation_kind=LeakySigmoid(0.5))
+        w = WeightBundle(forward=[Tensor(np.full((4, 4), 10.0))],
+                         biases=[Tensor(np.full(4, 10.0)), Tensor(np.full(4, 10.0))])
+        save_checkpoint(tmp_path / "div.ckpt", Checkpoint(
+            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            rng_state=None))
+        mask = np.zeros(4, dtype=bool)
+        mask[0] = True
+        np.savez(tmp_path / "ev.npz", values=np.where(mask, 0.5, 0.0), mask=mask)
+        outdir = tmp_path / "div"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["complete", "--ckpt", str(tmp_path / "div.ckpt"), "--input",
+                         str(tmp_path / "ev.npz"), "--outdir", str(outdir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite value" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
 
     def test_nonconvergent_checkpoint_exits_1_with_outputs(self, tmp_path):
         # asymmetric random weights cycle rather than settle

@@ -106,6 +106,65 @@ class TestBarEvidence:
             assert bar_consistency_count(ex.target, ex.mask, patterns) == 1
 
 
+def _reference_count(values, mask, patterns):
+    """The per-pattern loop that the matrix match replaced."""
+    return sum(np.array_equal(p[mask], values[mask]) for p in patterns)
+
+
+def _reference_mask(pattern, rng, patterns):
+    """The rejection loop of gen_bar_evidence over the reference count."""
+    while True:
+        k = int(rng.integers(1, 25))
+        idx = rng.choice(25, size=k, replace=False)
+        mask = np.zeros(25, dtype=bool)
+        mask[idx] = True
+        mask = mask.reshape(5, 5)
+        if _reference_count(pattern, mask, patterns) == 1:
+            return mask
+
+
+class TestBarMatchEquivalence:
+    def test_count_equals_the_per_pattern_loop(self):
+        rng = np.random.default_rng(11)
+        patterns = gen_bar_patterns()
+        as_list = list(patterns)
+        masks = [np.ones((5, 5), dtype=bool)]
+        for i in range(25):
+            single = np.zeros(25, dtype=bool)
+            single[i] = True
+            masks.append(single.reshape(5, 5))
+        masks += [rng.random((5, 5)) < rng.random() for _ in range(1000)]
+        counts = set()
+        for i, mask in enumerate(masks):
+            # a bar pattern, or random on/off pixels that may fit no pattern
+            values = (patterns[rng.integers(20)] if i % 2 else
+                      np.where(rng.random((5, 5)) < 0.4, 0.999, -0.999))
+            expected = _reference_count(values, mask, as_list)
+            assert bar_consistency_count(values, mask, patterns) == expected
+            assert bar_consistency_count(values, mask, as_list) == expected
+            counts.add(expected)
+        assert {0, 1, 20} <= counts and max(counts - {20}) > 1
+
+    def test_evidence_draws_equal_the_reference_loop(self):
+        patterns = gen_bar_patterns()
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        for i in range(500):
+            p = patterns[i % 20]
+            ex = gen_bar_evidence(p, rng, patterns)
+            np.testing.assert_array_equal(ex.mask, _reference_mask(p, ref, list(patterns)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_eval_set_equals_the_reference_loop(self):
+        patterns = list(gen_bar_patterns())
+        rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+        examples = bar_eval_set(rng, 500)
+        for ex in examples:
+            p = patterns[int(ref.integers(20))]
+            np.testing.assert_array_equal(ex.target, p)
+            np.testing.assert_array_equal(ex.mask, _reference_mask(p, ref, patterns))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestIdx:
     def test_round_trip_images(self, tmp_path):
         rng = np.random.default_rng(3)
