@@ -33,7 +33,8 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    version: int
+    """What a checkpoint file holds; save_checkpoint writes format VERSION."""
+
     arch: ArchSpec
     weights: WeightBundle
     opt_state: OptState | None
@@ -63,7 +64,7 @@ def save_checkpoint(path, ckpt):
     payload = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<I", ckpt.version))
+        f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(payload)))
         f.write(payload)
         for a in arrays + moment_arrays:
@@ -106,6 +107,6 @@ def load_checkpoint(path):
             if opt_meta["has_moments"]:
                 opt.m, opt.v = read_blocks("first moment"), read_blocks("second moment")
     weights = WeightBundle.from_params([Tensor(a) for a in arrays], arch.n_layers)
-    return Checkpoint(version=version, arch=arch, weights=weights, opt_state=opt,
+    return Checkpoint(arch=arch, weights=weights, opt_state=opt,
                       epoch=int(meta["epoch"]), rng_state=meta.get("rng_state"))
 

@@ -1,9 +1,11 @@
 """Command-line entry points: train, complete, eval, check.
 
-Exit codes: 0 on success, 1 when a check suite fails or settling does not
-converge, 2 on usage, configuration, or i/o errors. All outputs stay under
-the configured output directory. Set CBAN_NUM_THREADS before launching to
-cap the linear-algebra thread count.
+Exit codes: 0 on success, 1 when a check suite fails, settling does not
+converge, or training or settling diverges to non-finite values, 2 on
+usage, configuration, or i/o errors. `cban eval` settles its set in
+batches of 32, so its memory does not grow with the set. All outputs stay
+under the configured output directory. Set CBAN_NUM_THREADS before
+launching to cap the linear-algebra thread count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["main", "entry", "cmd_train", "cmd_complete", "cmd_eval", "cmd_check"]
+
+# examples `cban eval` settles in one complete() call
+_EVAL_BATCH = 32
 
 
 def _fail(msg, code=2):
@@ -136,9 +141,10 @@ def _write_samples(outdir, w, arch, cfg, dataset):
 
 
 def cmd_train(args):
-    from .checkpoint import Checkpoint, save_checkpoint, VERSION
+    from .checkpoint import Checkpoint, save_checkpoint
     from .config import load_run_config
-    from .training import train
+    from .data import bar_eval_set
+    from .training import init_opt_state, train
 
     try:
         cfg = load_run_config(args.config)
@@ -150,42 +156,49 @@ def cmd_train(args):
     outdir.mkdir(parents=True, exist_ok=True)
     log_path = outdir / "train_log.csv"
     log_rows, header = [], []
+    every = args.eval_every
+    held_out = None
+    if cfg.task == "bar" and every:
+        held_out = bar_eval_set(np.random.default_rng(7777), 200)
 
     def on_epoch(epoch, w, opt, rng, row):
-        """Log the epoch's row, then checkpoint.
+        """Evaluate when due, log the epoch's row, then checkpoint.
 
-        The row is appended to train_log.csv; the whole file is rewritten
-        only when the row brings a column the header lacks (`accuracy` at
-        the first evaluation). Either way the row is on disk before the
-        epoch's checkpoint is saved, and the epoch ends with checkpoint saves.
+        A bar run with --eval-every N adds the held-out `accuracy` to the
+        rows of every N-th epoch and of the last. The row is appended to
+        train_log.csv; the whole file is rewritten only when the row brings
+        a column the header lacks (`accuracy` at the first evaluation).
+        Either way the row is on disk before the epoch's checkpoint is
+        saved, and the epoch ends with checkpoint saves.
         """
         nonlocal header
+        if held_out is not None and (epoch % every == every - 1
+                                     or epoch == cfg.train.epochs - 1):
+            row.update(_bar_accuracy(w, arch, cfg.train, held_out))
         log_rows.append(row)
         if all(k in header for k in row):
             with open(log_path, "a", newline="") as f:
                 csv.DictWriter(f, fieldnames=header).writerow(row)
         else:
             header = _write_log_csv(log_path, log_rows)
-        ckpt = Checkpoint(version=VERSION, arch=arch, weights=w, opt_state=opt,
-                          epoch=epoch, rng_state=rng.bit_generator.state)
+        ckpt = Checkpoint(arch=arch, weights=w, opt_state=opt, epoch=epoch,
+                          rng_state=rng.bit_generator.state)
         save_checkpoint(outdir / "latest.ckpt", ckpt)
         if args.keep_every and (epoch + 1) % args.keep_every == 0:
             save_checkpoint(outdir / f"epoch_{epoch:05d}.ckpt", ckpt)
 
-    evaluate = None
-    if cfg.task == "bar" and args.eval_every:
-        from .data import bar_eval_set
-
-        held_out = bar_eval_set(np.random.default_rng(7777), 200)
-        evaluate = lambda w: _bar_accuracy(w, arch, cfg.train, held_out)
-    w, log = train(dataset, arch, cfg.train, evaluate=evaluate,
-                   eval_every=args.eval_every, on_epoch=on_epoch)
+    try:
+        # a diverging net overflows before a tensor refuses the result; the
+        # error line below reports that, so numpy's warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, _ = train(dataset, arch, cfg.train, on_epoch=on_epoch)
+    except ValueError as e:
+        if "non-finite" not in str(e):
+            raise
+        return _fail(f"training diverged: {e}", code=1)
     if not log_rows:  # zero-epoch run still leaves a checkpoint behind
-        from .training import init_opt_state
-
-        ckpt = Checkpoint(version=VERSION, arch=arch, weights=w,
-                          opt_state=init_opt_state(cfg.train), epoch=-1,
-                          rng_state=None)
+        ckpt = Checkpoint(arch=arch, weights=w, opt_state=init_opt_state(cfg.train),
+                          epoch=-1, rng_state=None)
         save_checkpoint(outdir / "latest.ckpt", ckpt)
         _write_log_csv(log_path, [])
     try:
@@ -202,7 +215,7 @@ def _load_evidence(args, arch):
     Outputs render in the shape the evidence came in; flat evidence takes
     the visible layer's shape.
     """
-    from .data import generate_mask
+    from .data import channel_mask
     from .imageio import bytes_to_activations, read_image
 
     path = Path(args.input)
@@ -214,9 +227,7 @@ def _load_evidence(args, arch):
         spec = _mask_from_args(args)
         if spec is None:
             raise ValueError("image input needs --mask to say what is observed")
-        rng = np.random.default_rng(args.seed)
-        pixel = generate_mask(spec, img.mean(axis=0), rng)
-        mask = np.broadcast_to(pixel, img.shape).copy()
+        mask = channel_mask(spec, img, np.random.default_rng(args.seed))
         values = np.where(mask, img, 0.0)
     vis = arch.visible_shape
     if int(np.prod(values.shape)) != int(np.prod(vis)):
@@ -271,9 +282,11 @@ def cmd_complete(args):
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
     try:
-        state, report = settle(state, ckpt.weights, arch,
-                               theta=args.theta, max_iters=args.max_iters)
-        dream = unclamped_visible(state, ckpt.weights, arch)
+        # as in cmd_train: the error line reports the overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            state, report = settle(state, ckpt.weights, arch,
+                                   theta=args.theta, max_iters=args.max_iters)
+            dream = unclamped_visible(state, ckpt.weights, arch)
     except ValueError as e:  # with valid arguments, only a non-finite state
         return _fail(f"settling diverged: {e}", code=1)
     outdir = Path(args.outdir)
@@ -306,8 +319,11 @@ def cmd_eval(args):
         labels = load_idx(args.labels)[:limit] if args.labels else None
         dataset = _library_dataset(arch, images, labels, _mask_from_args(args))
         examples = dataset.epoch_examples(np.random.default_rng(args.seed))
-        outputs, _ = complete(examples, ckpt.weights, arch, theta=args.theta,
-                              max_iters=args.max_iters)
+        outputs = []
+        for start in range(0, len(examples), _EVAL_BATCH):
+            batch, _ = complete(examples[start:start + _EVAL_BATCH], ckpt.weights,
+                                arch, theta=args.theta, max_iters=args.max_iters)
+            outputs.extend(batch)
         outputs = [o.reshape(e.target.shape) for o, e in zip(outputs, examples)]
         targets = [e.target for e in examples]
         extra = []
@@ -362,35 +378,31 @@ def _build_parser():
                          help="also keep a numbered checkpoint every N epochs")
     p_train.set_defaults(func=cmd_train)
 
-    p_complete = sub.add_parser("complete", help="settle evidence into a completion")
-    p_complete.add_argument("--ckpt", required=True)
+    # what `complete` and `eval` share: the checkpoint, the mask, settling
+    settling = argparse.ArgumentParser(add_help=False)
+    settling.add_argument("--ckpt", required=True)
+    settling.add_argument("--mask", choices=["perlin", "patches", "bernoulli"])
+    settling.add_argument("--mask-frequency", type=int, default=7)
+    settling.add_argument("--mask-fraction", type=float, default=1 / 3)
+    settling.add_argument("--patch-min", type=int, default=3)
+    settling.add_argument("--patch-max", type=int, default=6)
+    settling.add_argument("--seed", type=int, default=0)
+    settling.add_argument("--theta", type=float, default=0.01)
+    settling.add_argument("--max-iters", type=int, default=100)
+
+    p_complete = sub.add_parser("complete", parents=[settling],
+                                help="settle evidence into a completion")
     p_complete.add_argument("--input", required=True,
                             help="PGM/PPM image or .npz with values+mask")
     p_complete.add_argument("--outdir", default="out/complete")
-    p_complete.add_argument("--mask", choices=["perlin", "patches", "bernoulli"])
-    p_complete.add_argument("--mask-frequency", type=int, default=7)
-    p_complete.add_argument("--mask-fraction", type=float, default=1 / 3)
-    p_complete.add_argument("--patch-min", type=int, default=3)
-    p_complete.add_argument("--patch-max", type=int, default=6)
-    p_complete.add_argument("--seed", type=int, default=0)
-    p_complete.add_argument("--theta", type=float, default=0.01)
-    p_complete.add_argument("--max-iters", type=int, default=100)
     p_complete.set_defaults(func=cmd_complete)
 
-    p_eval = sub.add_parser("eval", help="reconstruction metrics on a dataset")
-    p_eval.add_argument("--ckpt", required=True)
+    p_eval = sub.add_parser("eval", parents=[settling],
+                            help="reconstruction metrics on a dataset")
     p_eval.add_argument("--data", required=True, help="IDX file or image folder")
     p_eval.add_argument("--labels", help="IDX label file (supervised layout)")
     p_eval.add_argument("--outdir", default="out/eval")
-    p_eval.add_argument("--mask", choices=["perlin", "patches", "bernoulli"])
-    p_eval.add_argument("--mask-frequency", type=int, default=7)
-    p_eval.add_argument("--mask-fraction", type=float, default=1 / 3)
-    p_eval.add_argument("--patch-min", type=int, default=3)
-    p_eval.add_argument("--patch-max", type=int, default=6)
     p_eval.add_argument("--limit", type=int, default=0)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--theta", type=float, default=0.01)
-    p_eval.add_argument("--max-iters", type=int, default=100)
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="run a randomized invariant suite")

@@ -1,4 +1,4 @@
-"""Run configuration files and the standard architecture recipes."""
+"""Run configuration files: parsing and validation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import BernoulliMask, LabelOnly, LabelPlus, PerlinMask, SquarePatches
-from .dynamics import ArchSpec, LayerSpec, LeakySigmoid, Tanh, conv_layer, fc_layer
+from .dynamics import ArchSpec, LeakySigmoid, Tanh, conv_layer, fc_layer
 from .training import TrainConfig
 
 __all__ = [
@@ -16,15 +16,8 @@ __all__ = [
     "run_config_from_dict",
     "arch_to_dict",
     "arch_from_dict",
-    "mask_to_dict",
     "mask_from_dict",
-    "train_to_dict",
     "train_from_dict",
-    "bar_arch",
-    "supervised_digits_arch",
-    "omniglot_arch",
-    "cifar10_arch",
-    "superres_arch",
 ]
 
 TASKS = ("bar", "mnist-supervised", "completion")
@@ -110,25 +103,6 @@ def arch_from_dict(d):
                     evidence=d.get("evidence", "clamp"))
 
 
-def mask_to_dict(spec):
-    if spec is None:
-        return None
-    if isinstance(spec, PerlinMask):
-        return {"kind": "perlin", "frequency": spec.frequency,
-                "obscured_fraction": spec.obscured_fraction}
-    if isinstance(spec, SquarePatches):
-        return {"kind": "patches", "diameter_min": spec.diameter_min,
-                "diameter_max": spec.diameter_max,
-                "white_fraction": spec.white_fraction}
-    if isinstance(spec, BernoulliMask):
-        return {"kind": "bernoulli", "p": spec.p}
-    if isinstance(spec, LabelOnly):
-        return {"kind": "label_only"}
-    if isinstance(spec, LabelPlus):
-        return {"kind": "label_plus", "inner": mask_to_dict(spec.inner)}
-    raise ValueError(f"cannot serialize mask spec {spec!r}")
-
-
 def mask_from_dict(d):
     if d is None:
         return None
@@ -147,12 +121,6 @@ def mask_from_dict(d):
     if kind == "label_plus":
         return LabelPlus(inner=mask_from_dict(d["inner"]))
     raise ValueError(f"unknown mask kind {kind!r}")
-
-
-def train_to_dict(cfg):
-    d = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
-    d["lr_schedule"] = [list(pair) for pair in cfg.lr_schedule]
-    return d
 
 
 # the JSON values each annotated TrainConfig field type accepts; JSON true
@@ -222,47 +190,3 @@ def load_run_config(path, check_paths=True):
         d = json.load(f)
     return run_config_from_dict(d, base_dir=path.parent, check_paths=check_paths)
 
-
-# ---------------------------------------------------------------------------
-# standard recipes
-
-def bar_arch(hidden=(50,)):
-    """5x5 bar task: flat 25-unit visible layer plus hidden stack."""
-    layers = [fc_layer(25, visible=True)] + [fc_layer(h) for h in hidden]
-    return ArchSpec(layers=tuple(layers))
-
-
-def supervised_digits_arch():
-    """28x28 digits plus one label row: 812-200-50."""
-    return ArchSpec(layers=(fc_layer(812, visible=True), fc_layer(200), fc_layer(50)))
-
-
-def omniglot_arch():
-    """28x28x1 visible; hidden 28x28x128, 14x14x256, 7x7x512; 3x3 kernels."""
-    return ArchSpec(
-        layers=(conv_layer(1, 28, 28, visible=True),
-                conv_layer(128, 28, 28),
-                conv_layer(256, 14, 14, pool_before=True),
-                conv_layer(512, 7, 7, pool_before=True)),
-        kernel_sizes=(3, 3, 3))
-
-
-def cifar10_arch():
-    """32x32x3 visible; hidden 32x32x40, 16x16x120, 8x8x440; 3x3 kernels."""
-    return ArchSpec(
-        layers=(conv_layer(3, 32, 32, visible=True),
-                conv_layer(40, 32, 32),
-                conv_layer(120, 16, 16, pool_before=True),
-                conv_layer(440, 8, 8, pool_before=True)),
-        kernel_sizes=(3, 3, 3))
-
-
-def superres_arch(size=40):
-    """Replicated visible state (3 clamped + 3 free channels); 5x5 kernels,
-    three 300-channel hidden maps, no pooling."""
-    return ArchSpec(
-        layers=(conv_layer(6, size, size, visible=True),
-                conv_layer(300, size, size),
-                conv_layer(300, size, size),
-                conv_layer(300, size, size)),
-        kernel_sizes=(5, 5, 5))

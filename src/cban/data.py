@@ -25,6 +25,7 @@ __all__ = [
     "LabelOnly",
     "LabelPlus",
     "generate_mask",
+    "channel_mask",
     "gen_bar_patterns",
     "gen_bar_evidence",
     "bar_consistency_count",
@@ -37,7 +38,6 @@ __all__ = [
     "perlin_mask",
     "square_patch_mask",
     "bernoulli_mask",
-    "unobserved_adjacency",
     "LABEL_UNITS",
     "make_supervised_example",
     "SupervisedDigits",
@@ -66,10 +66,6 @@ class Example:
                 f"mask shape {self.mask.shape} != target shape {self.target.shape}")
         if not self.mask.any() or self.mask.all():
             raise ValueError("need at least one observed and one unobserved unit")
-
-    @property
-    def evidence_values(self):
-        return np.where(self.mask, self.target, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +132,13 @@ def generate_mask(spec, image, rng):
     raise ValueError(f"cannot generate a pixel mask from {spec!r}")
 
 
+def channel_mask(spec, image, rng):
+    """Observed-position mask for a (c, h, w) image: one pixel mask, drawn
+    from the channel-mean image, shared by every channel."""
+    pixel = generate_mask(spec, image.mean(axis=0), rng)
+    return np.broadcast_to(pixel, image.shape).copy()
+
+
 # ---------------------------------------------------------------------------
 # bar task
 
@@ -156,15 +159,13 @@ def gen_bar_patterns():
     return np.stack(patterns)
 
 
-def bar_consistency_count(values, mask, patterns=None):
-    """How many bar patterns agree with the evidence on all observed pixels.
+def bar_consistency_count(values, mask, patterns):
+    """How many of `patterns` agree with the evidence on all observed pixels.
 
-    `patterns` is a list or an array of patterns of the evidence's shape
-    (all 20 bar patterns by default); they are matched as one (n, 25)
-    matrix against the observed pixels.
+    `patterns` is a list or an array of patterns of the evidence's shape,
+    such as gen_bar_patterns(); they are matched as one (n, 25) matrix
+    against the observed pixels.
     """
-    if patterns is None:
-        patterns = gen_bar_patterns()
     patterns = np.asarray(patterns)
     stack = patterns.reshape(len(patterns), -1)
     observed = np.asarray(mask, dtype=bool).reshape(-1)
@@ -172,15 +173,13 @@ def bar_consistency_count(values, mask, patterns=None):
     return int((stack[:, observed] == evidence).all(axis=1).sum())
 
 
-def gen_bar_evidence(pattern, rng, patterns=None, max_tries=100000):
+def gen_bar_evidence(pattern, rng, patterns, max_tries=100000):
     """Random evidence under which `pattern` is the only consistent completion.
 
     Rejection sampling: draw an observed-pixel subset, keep it only if
-    exactly one of the 20 patterns matches it. A nearly full mask is always
-    uniquely consistent, so the loop terminates.
+    exactly one of `patterns` (the 20 of gen_bar_patterns()) matches it. A
+    nearly full mask is always uniquely consistent, so the loop terminates.
     """
-    if patterns is None:
-        patterns = gen_bar_patterns()
     for _ in range(max_tries):
         k = int(rng.integers(1, 25))  # always >= 1 observed, >= 1 unobserved
         idx = rng.choice(25, size=k, replace=False)
@@ -354,19 +353,6 @@ def bernoulli_mask(h, w, p, rng):
     return rng.random((h, w)) >= p
 
 
-def unobserved_adjacency(mask):
-    """Fraction of unobserved pixels that touch an unobserved 4-neighbor."""
-    unobs = ~np.asarray(mask, dtype=bool)
-    if not unobs.any():
-        return 0.0
-    near = np.zeros_like(unobs)
-    near[1:, :] |= unobs[:-1, :]
-    near[:-1, :] |= unobs[1:, :]
-    near[:, 1:] |= unobs[:, :-1]
-    near[:, :-1] |= unobs[:, 1:]
-    return float((unobs & near).sum() / unobs.sum())
-
-
 # ---------------------------------------------------------------------------
 # supervised digit completion (image plus label row)
 
@@ -403,9 +389,6 @@ class SupervisedDigits:
             raise ValueError("images and labels disagree in length")
         self.mask_spec = mask_spec
 
-    def __len__(self):
-        return len(self.images)
-
     def epoch_examples(self, rng):
         return [make_supervised_example(img, int(cls), self.mask_spec, rng)
                 for img, cls in zip(self.images, self.labels)]
@@ -431,16 +414,9 @@ class ImageFolderCompletion:
         self.images = [np.asarray(img, dtype=np.float64) for img in images]
         self.mask_spec = mask_spec
 
-    def __len__(self):
-        return len(self.images)
-
     def epoch_examples(self, rng):
-        out = []
-        for img in self.images:
-            pixel = generate_mask(self.mask_spec, img.mean(axis=0), rng)
-            mask = np.broadcast_to(pixel, img.shape).copy()
-            out.append(Example(target=img, mask=mask))
-        return out
+        return [Example(target=img, mask=channel_mask(self.mask_spec, img, rng))
+                for img in self.images]
 
 
 def replicated_example(input_image, output_target):
@@ -469,13 +445,9 @@ class ReplicatedCompletion:
         self.images = [np.asarray(img, dtype=np.float64) for img in images]
         self.mask_spec = mask_spec
 
-    def __len__(self):
-        return len(self.images)
-
     def epoch_examples(self, rng):
         out = []
         for img in self.images:
-            pixel = generate_mask(self.mask_spec, img.mean(axis=0), rng)
-            observed = np.where(pixel, img, 0.0)
-            out.append(replicated_example(observed, img))
+            mask = channel_mask(self.mask_spec, img, rng)
+            out.append(replicated_example(np.where(mask, img, 0.0), img))
         return out

@@ -388,12 +388,14 @@ def _bias_term(b, spec):
     return reshape(b, (spec.channels, 1, 1))
 
 
-def layer_preactivation(state, w, arch, l, include_evidence_bias=True):
+def layer_preactivation(state, w, arch, l):
     """Total input to layer l: neighbor contributions plus the layer bias.
 
     End layers receive one neighbor contribution, interior layers two.
     fc pairs use the weight matrix and its transpose; conv pairs use the
-    forward kernel upward and its reversed kernel downward.
+    forward kernel upward and its reversed kernel downward. Under
+    external-bias evidence the visible layer also receives the state's
+    evidence values; a state without evidence receives none.
     """
     if not 0 <= l < arch.n_layers:
         raise IndexError(f"layer index {l} out of range for {arch.n_layers} layers")
@@ -406,8 +408,7 @@ def layer_preactivation(state, w, arch, l, include_evidence_bias=True):
         total = down if total is None else total + down
     total = total + _bias_term(w.biases[l], spec)
     ev = state.evidence
-    if (include_evidence_bias and l == 0 and ev is not None
-            and arch.evidence == "external_bias"):
+    if l == 0 and ev is not None and arch.evidence == "external_bias":
         total = total + Tensor(ev.values)
     return total
 
@@ -465,6 +466,10 @@ def energy(state, w, arch):
     return total if batched else float(total)
 
 
+# states a non-converging settle keeps for cycle detection
+_CYCLE_WINDOW = 24
+
+
 def _max_delta(prev, new, batched):
     """Largest absolute activation change, per item when batched."""
     if not batched:
@@ -476,15 +481,15 @@ def _max_delta(prev, new, batched):
     return per
 
 
-def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True,
-           cycle_window=24):
+def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
     """Sweep until the largest activation change in one iteration is < theta.
 
     Returns the settled state and a report with the stability iteration
     t_star, per-iteration energy and delta traces, and, when the state
     fails to converge, the period of any limit cycle found in the trailing
-    window of states. Intended for inference; do not call under an active
-    GradTape (unrolled training has its own loop).
+    window of states: the last _CYCLE_WINDOW states (24), or all of them
+    when fewer were swept. Intended for inference; do not call under an
+    active GradTape (unrolled training has its own loop).
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -494,8 +499,8 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True,
     energies = []
     deltas = []
     # only states that can still lie in the trailing window at max_iters are
-    # kept: t >= max_iters + 1 - cycle_window
-    first_kept = max_iters + 1 - cycle_window
+    # kept: t >= max_iters + 1 - _CYCLE_WINDOW
+    first_kept = max_iters + 1 - _CYCLE_WINDOW
     history = [state.snapshot()] if first_kept <= 0 else []
     converged = False
     t_star = max_iters

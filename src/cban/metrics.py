@@ -14,7 +14,6 @@ __all__ = [
     "ssim",
     "completion_accuracy",
     "label_accuracy",
-    "baseline_copy_evidence",
     "MetricSummary",
     "MetricReport",
     "summarize",
@@ -87,12 +86,9 @@ def ssim(a, b, peak):
     return float(np.mean(num / den))
 
 
-def completion_accuracy(outputs, targets, masks, per="item"):
-    """Sign agreement on the unobserved positions of binary-valued targets.
-
-    per="item": an item counts only if every unobserved unit matches.
-    per="pixel": fraction of unobserved units matching, pooled over items.
-    """
+def completion_accuracy(outputs, targets, masks):
+    """Share of items whose sign agrees with a binary-valued target on
+    every unobserved position; observed positions are ignored."""
     outputs = np.asarray(outputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     masks = np.asarray(masks, dtype=bool)
@@ -100,11 +96,6 @@ def completion_accuracy(outputs, targets, masks, per="item"):
         raise ValueError("outputs, targets, and masks must share a shape")
     n = outputs.shape[0]
     agree = (outputs > 0) == (targets > 0)
-    free = ~masks
-    if per == "pixel":
-        return float((agree & free).sum() / free.sum())
-    if per != "item":
-        raise ValueError("per must be 'item' or 'pixel'")
     flat_ok = (agree | masks).reshape(n, -1).all(axis=1)
     return float(flat_ok.mean())
 
@@ -114,11 +105,6 @@ def label_accuracy(label_rows, classes):
     classes = np.asarray(classes)
     hits = sum(decode_label(row) == int(c) for row, c in zip(label_rows, classes))
     return float(hits / len(classes))
-
-
-def baseline_copy_evidence(evidence_values, mask):
-    """The no-model completion: observed values copied, zeros elsewhere."""
-    return np.where(np.asarray(mask, dtype=bool), evidence_values, 0.0)
 
 
 @dataclass
@@ -140,16 +126,14 @@ def summarize(values):
 
 @dataclass
 class MetricReport:
-    """Reconstruction / classification metrics over an evaluation set."""
+    """Reconstruction metrics over an evaluation set."""
 
     psnr: MetricSummary
     ssim: MetricSummary
-    accuracy: MetricSummary | None = None
 
 
-def metric_report(outputs, targets, peak=1.998, accuracy_values=None):
+def metric_report(outputs, targets, peak=1.998):
     """PSNR and SSIM summaries over paired (output, target) images."""
     psnrs = [psnr(o, t, peak) for o, t in zip(outputs, targets)]
     ssims = [ssim(o, t, peak) for o, t in zip(outputs, targets)]
-    acc = summarize(accuracy_values) if accuracy_values is not None else None
-    return MetricReport(psnr=summarize(psnrs), ssim=summarize(ssims), accuracy=acc)
+    return MetricReport(psnr=summarize(psnrs), ssim=summarize(ssims))

@@ -19,6 +19,7 @@ import numpy as np
 from .tensor import GradTape, Tensor, clip, softplus, tensor_sum
 from .dynamics import (
     EvidenceConstraint,
+    NetState,
     SettleReport,
     Tanh,
     WeightBundle,
@@ -30,6 +31,7 @@ from .dynamics import (
     inverse_activation,
     layer_preactivation,
     settle,
+    sweep_order,
     update_layer,
 )
 
@@ -98,11 +100,11 @@ class TrainConfig:
 def unclamped_visible(state, w, arch):
     """Visible values the current hidden configuration would produce.
 
-    The visible preactivation is computed from the adjacent hidden layer
-    (plus bias) and activated, with no evidence re-applied afterwards and
-    no evidence bias mixed in.
+    The visible preactivation is computed on the state's activations with
+    its evidence dropped, from the adjacent hidden layer plus bias, and
+    activated: no evidence is re-applied and no evidence bias mixed in.
     """
-    pre = layer_preactivation(state, w, arch, 0, include_evidence_bias=False)
+    pre = layer_preactivation(NetState(state.activations), w, arch, 0)
     return activation(arch.activation, pre)
 
 
@@ -159,7 +161,9 @@ def td1_forward(examples, w, arch, cfg):
     targets, evidence = _batch_evidence(examples, arch)
     y = Tensor(targets)
     state = initial_state(arch, evidence, batch=n)
-    L = arch.n_layers
+    # the sweep's upward half ends on the top layer, where the pair is read
+    order = sweep_order(arch.n_layers)
+    up, down = order[:arch.n_layers - 1], order[arch.n_layers - 1:]
 
     total = None
     active = np.ones(n, dtype=bool)
@@ -168,13 +172,13 @@ def td1_forward(examples, w, arch, cfg):
     delta_traces = []
     for t in range(1, cfg.max_iters + 1):
         prev = state.activations
-        for l in range(1, L):
+        for l in up:
             state = update_layer(state, w, arch, l)
         v_tilde = unclamped_visible(state, w, arch)
         loss_vec = loss_per_item(cfg.loss, arch.activation, v_tilde, y)
         contrib = tensor_sum(loss_vec * active.astype(float))
         total = contrib if total is None else total + contrib
-        for l in range(L - 2, -1, -1):
+        for l in down:
             state = update_layer(state, w, arch, l)
         delta = _max_delta(prev, state.activations, batched=True)
         delta_traces.append(delta)
@@ -278,16 +282,16 @@ def init_weights(arch, seed, conv_std=0.01):
                                     arch.n_layers)
 
 
-def train(dataset, arch, cfg, evaluate=None, eval_every=0, on_epoch=None):
-    """Mini-batch training over fresh-masked epochs.
+def train(dataset, arch, cfg, on_epoch=None):
+    """Mini-batch training over fresh-masked epochs; returns (weights, log).
 
     `dataset.epoch_examples(rng)` must yield the epoch's examples with
     masks regenerated per example. The log gets one row per epoch with the
-    mean loss, mean stability iteration, and learning rate; `evaluate`, if
-    given, is called every `eval_every` epochs (and on the last) with the
-    current weights and its dict merged into the row. `on_epoch`, if given,
-    runs after every epoch as on_epoch(epoch, weights, opt_state, rng, row)
-    (checkpointing hook).
+    mean loss, mean stability iteration, and learning rate. `on_epoch`, if
+    given, is the one per-epoch hook: it runs after every epoch as
+    on_epoch(epoch, weights, opt_state, rng, row), with the row already in
+    the log, so entries it adds to the row (such as a held-out evaluation)
+    are logged too.
     """
     rng = np.random.default_rng(cfg.seed)
     w = init_weights(arch, seed=cfg.seed, conv_std=cfg.conv_init_std)
@@ -312,9 +316,6 @@ def train(dataset, arch, cfg, evaluate=None, eval_every=0, on_epoch=None):
             "mean_t_star": float(np.mean(t_stars)),
             "lr": opt.lr,
         }
-        if evaluate is not None and eval_every and (
-                epoch % eval_every == eval_every - 1 or epoch == cfg.epochs - 1):
-            row.update(evaluate(w))
         log.append(row)
         if on_epoch is not None:
             on_epoch(epoch, w, opt, rng, row)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 import cban
 from cban.checks import check_gradients, check_layerwise_descent
 from cban.checkpoint import (
-    VERSION,
     Checkpoint,
     CheckpointError,
     load_checkpoint,
@@ -23,41 +23,54 @@ from cban.cli import main
 from cban.config import (
     arch_from_dict,
     arch_to_dict,
-    bar_arch,
-    cifar10_arch,
     load_run_config,
     mask_from_dict,
-    mask_to_dict,
-    omniglot_arch,
-    superres_arch,
-    supervised_digits_arch,
     train_from_dict,
-    train_to_dict,
 )
-from cban.data import LabelPlus, PerlinMask, SquarePatches, save_idx
+from cban.data import BernoulliMask, LabelOnly, LabelPlus, PerlinMask, SquarePatches, save_idx
 from cban.dynamics import LeakySigmoid, fban
 from cban.imageio import read_ppm, write_pgm
 from cban.training import TrainConfig, init_opt_state, init_weights, optimizer_step
 
 
+SHIPPED_CONFIGS = ("bar.json", "bar_deep.json", "mnist_supervised.json",
+                   "omniglot.json", "cifar10.json", "superres.json")
+
+
+def shipped_arch(name):
+    return load_run_config(Path("configs") / name, check_paths=False).arch
+
+
 class TestConfigRoundTrips:
     def test_arch_round_trip(self):
-        for arch in (bar_arch(), bar_arch((48, 24)), supervised_digits_arch(),
-                     omniglot_arch(), cifar10_arch(), superres_arch(),
-                     fban(6, [4], activation_kind=LeakySigmoid(0.2), symmetric=False)):
+        archs = [shipped_arch(name) for name in SHIPPED_CONFIGS]
+        archs.append(fban(6, [4], activation_kind=LeakySigmoid(0.2), symmetric=False))
+        for arch in archs:
             again = arch_from_dict(arch_to_dict(arch))
             assert again == arch
 
     def test_mask_round_trip(self):
-        for spec in (PerlinMask(7, 1 / 3), SquarePatches(3, 6, 0.25),
-                     LabelPlus(PerlinMask(5, 0.25)), None):
-            assert mask_from_dict(mask_to_dict(spec)) == spec
+        cases = [
+            ({"kind": "perlin", "frequency": 5, "obscured_fraction": 0.25},
+             PerlinMask(5, 0.25)),
+            ({"kind": "patches", "diameter_min": 2, "diameter_max": 4,
+              "white_fraction": 0.5}, SquarePatches(2, 4, 0.5)),
+            ({"kind": "bernoulli", "p": 0.3}, BernoulliMask(0.3)),
+            ({"kind": "label_only"}, LabelOnly()),
+            ({"kind": "label_plus", "inner": {"kind": "perlin"}}, LabelPlus(PerlinMask())),
+            (None, None),
+        ]
+        for d, spec in cases:
+            assert mask_from_dict(d) == spec
+        with pytest.raises(ValueError, match="unknown mask kind"):
+            mask_from_dict({"kind": "stripes"})
 
     def test_train_round_trip(self):
-        cfg = TrainConfig(epochs=5, loss="se", optimizer="adam", lr=0.005,
-                          lr_schedule=((3, 0.1),), batch_size=7, seed=11)
-        again = train_from_dict(train_to_dict(cfg))
-        assert again == cfg
+        d = {"epochs": 5, "loss": "se", "optimizer": "adam", "lr": 0.005,
+             "lr_schedule": [[3, 0.1]], "batch_size": 7, "seed": 11}
+        assert train_from_dict(d) == TrainConfig(
+            epochs=5, loss="se", optimizer="adam", lr=0.005,
+            lr_schedule=((3, 0.1),), batch_size=7, seed=11)
 
     def test_arch_without_evidence_key_loads_as_clamp(self):
         d = arch_to_dict(fban(6, [4]))
@@ -69,7 +82,7 @@ class TestConfigRoundTrips:
 
     def test_seed_required(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"task": "bar", "arch": arch_to_dict(bar_arch()),
+        path.write_text(json.dumps({"task": "bar", "arch": arch_to_dict(fban(25, [50])),
                                     "train": {"epochs": 1}}))
         with pytest.raises(ValueError, match="seed"):
             load_run_config(path)
@@ -77,16 +90,13 @@ class TestConfigRoundTrips:
     def test_missing_data_path_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
-            "task": "completion", "seed": 0, "arch": arch_to_dict(bar_arch()),
+            "task": "completion", "seed": 0, "arch": arch_to_dict(fban(25, [50])),
             "train": {"epochs": 1}, "data": {"folder": "nowhere/x"}}))
         with pytest.raises(FileNotFoundError, match="nowhere"):
             load_run_config(path)
 
     def test_shipped_configs_parse(self):
-        from pathlib import Path
-
-        for name in ("bar.json", "bar_deep.json", "mnist_supervised.json",
-                     "omniglot.json", "cifar10.json", "superres.json"):
+        for name in SHIPPED_CONFIGS:
             cfg = load_run_config(Path("configs") / name, check_paths=False)
             assert cfg.train.epochs > 0
 
@@ -100,7 +110,7 @@ def make_checkpoint(arch=None, with_moments=False):
         opt, w = optimizer_step(opt, w, grads)
     rng = np.random.default_rng(5)
     rng.random(10)
-    return Checkpoint(version=VERSION, arch=arch, weights=w, opt_state=opt,
+    return Checkpoint(arch=arch, weights=w, opt_state=opt,
                       epoch=4, rng_state=rng.bit_generator.state)
 
 
@@ -388,6 +398,24 @@ class TestCmdTrain:
             logged = [float(r["accuracy"]) for r in csv.DictReader(f) if r["accuracy"]]
         assert len(logged) == 3 and logged == anew
 
+    def test_diverging_training_exits_1_with_a_message(self, tmp_path, capsys):
+        # a leaky sigmoid's unbounded tails at a huge learning rate overflow
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "bar.json").read_text())
+        cfg["arch"]["activation"] = {"kind": "leaky_sigmoid", "alpha": 0.2}
+        cfg["train"].update(loss="se", lr=1e6, epochs=5)
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "bar.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged:") and "non-finite value" in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not (tmp_path / "out" / "samples.ppm").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("lr", "0.01", "train.lr must be a number, got str"),
         ("epochs", True, "train.epochs must be an integer, got bool"),
@@ -478,7 +506,7 @@ class TestCmdComplete:
         w = WeightBundle(forward=[Tensor(np.zeros((25, 4)))],
                          biases=[Tensor(np.zeros(25)), Tensor(np.zeros(4))])
         save_checkpoint(tmp_path / "eb.ckpt", Checkpoint(
-            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
         mask = np.zeros((5, 5), dtype=bool)
         mask[:2] = True
@@ -515,7 +543,7 @@ class TestCmdComplete:
         # params() lists these blocks in order, so they become the manifest
         w = WeightBundle(forward=[], biases=[Tensor(b) for b in blocks])
         save_checkpoint(tmp_path / "bad.ckpt", Checkpoint(
-            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
         np.savez(tmp_path / "ev.npz", values=np.zeros(4), mask=np.ones(4, dtype=bool))
         code = main(["complete", "--ckpt", str(tmp_path / "bad.ckpt"), "--input",
@@ -559,16 +587,18 @@ class TestCmdComplete:
         w = WeightBundle(forward=[Tensor(np.full((4, 4), 10.0))],
                          biases=[Tensor(np.full(4, 10.0)), Tensor(np.full(4, 10.0))])
         save_checkpoint(tmp_path / "div.ckpt", Checkpoint(
-            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
         mask = np.zeros(4, dtype=bool)
         mask[0] = True
         np.savez(tmp_path / "ev.npz", values=np.where(mask, 0.5, 0.0), mask=mask)
         outdir = tmp_path / "div"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["complete", "--ckpt", str(tmp_path / "div.ckpt"), "--input",
                          str(tmp_path / "ev.npz"), "--outdir", str(outdir)])
         assert code == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite value" in err
         assert "Traceback" not in err
@@ -585,7 +615,7 @@ class TestCmdComplete:
             forward=[Tensor(rng.normal(scale=1.2, size=(25, 25)))],
             biases=[Tensor(np.zeros(25)), Tensor(np.zeros(25))],
             reverse=[Tensor(rng.normal(scale=1.2, size=(25, 25)))])
-        ckpt = Checkpoint(version=VERSION, arch=arch, weights=w, opt_state=None,
+        ckpt = Checkpoint(arch=arch, weights=w, opt_state=None,
                           epoch=0, rng_state=None)
         path = tmp_path / "asym.ckpt"
         save_checkpoint(path, ckpt)
@@ -609,7 +639,7 @@ class TestCmdEval:
         images = rng.integers(0, 256, size=(6, 28, 28)).astype(np.uint8)
         save_idx(tmp_path / "imgs.idx", images)
         arch = fban(784, [16])
-        ckpt = Checkpoint(version=VERSION, arch=arch,
+        ckpt = Checkpoint(arch=arch,
                           weights=init_weights(arch, seed=0), opt_state=None,
                           epoch=0, rng_state=None)
         save_checkpoint(tmp_path / "m.ckpt", ckpt)
@@ -622,13 +652,38 @@ class TestCmdEval:
         assert "psnr_mean" in text and "ssim_mean" in text
         assert "psnr_mean" in capsys.readouterr().out
 
+    def test_large_set_settles_in_batches_of_32(self, tmp_path, monkeypatch):
+        import cban.training
+
+        rng = np.random.default_rng(5)
+        save_idx(tmp_path / "imgs.idx",
+                 rng.integers(0, 256, size=(70, 12, 12)).astype(np.uint8))
+        arch = fban(144, [4])
+        save_checkpoint(tmp_path / "m.ckpt", Checkpoint(
+            arch=arch, weights=init_weights(arch, seed=0), opt_state=None,
+            epoch=0, rng_state=None))
+        sizes, original = [], cban.training.complete
+
+        def recording(examples, *args, **kwargs):
+            sizes.append(len(examples))
+            return original(examples, *args, **kwargs)
+
+        monkeypatch.setattr(cban.training, "complete", recording)
+        outdir = tmp_path / "ev"
+        code = main(["eval", "--ckpt", str(tmp_path / "m.ckpt"), "--data",
+                     str(tmp_path / "imgs.idx"), "--mask", "bernoulli",
+                     "--mask-fraction", "0.5", "--outdir", str(outdir)])
+        assert code == 0
+        assert sizes == [32, 32, 6]
+        assert "psnr_mean" in (outdir / "metrics.csv").read_text()
+
     def test_supervised_layout_reports_label_accuracy(self, tmp_path):
         rng = np.random.default_rng(3)
         save_idx(tmp_path / "imgs.idx", rng.integers(0, 256, size=(4, 28, 28)).astype(np.uint8))
         save_idx(tmp_path / "labels.idx", np.array([0, 3, 7, 9], dtype=np.uint8))
-        arch = supervised_digits_arch()
+        arch = shipped_arch("mnist_supervised.json")
         save_checkpoint(tmp_path / "d.ckpt", Checkpoint(
-            version=VERSION, arch=arch, weights=init_weights(arch, seed=0),
+            arch=arch, weights=init_weights(arch, seed=0),
             opt_state=None, epoch=0, rng_state=None))
         outdir = tmp_path / "ev"
         code = main(["eval", "--ckpt", str(tmp_path / "d.ckpt"), "--data",
@@ -659,7 +714,7 @@ class TestCmdEval:
         w = WeightBundle(forward=[ConvKernel(Tensor(np.zeros((4, 6, 3, 3))))],
                          biases=[Tensor(np.zeros(6)), Tensor(np.zeros(4))])
         save_checkpoint(tmp_path / "r.ckpt", Checkpoint(
-            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
         outdir = tmp_path / "ev"
         code = main(["eval", "--ckpt", str(tmp_path / "r.ckpt"), "--data", str(folder),
@@ -693,7 +748,7 @@ class TestCmdEval:
         w = init_weights(arch, seed=0)
         w.forward[0] = Tensor(np.zeros((144, 4)))
         save_checkpoint(tmp_path / "eb.ckpt", Checkpoint(
-            version=VERSION, arch=arch, weights=w, opt_state=None, epoch=0,
+            arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
         outdir = tmp_path / "ev"
         code = main(["eval", "--ckpt", str(tmp_path / "eb.ckpt"), "--data",
@@ -726,7 +781,7 @@ class TestCmdEval:
         save_idx(tmp_path / "small.idx", images.astype(np.uint8))
         arch = fban(64, [8])
         save_checkpoint(tmp_path / "s.ckpt", Checkpoint(
-            version=VERSION, arch=arch, weights=init_weights(arch, seed=0),
+            arch=arch, weights=init_weights(arch, seed=0),
             opt_state=None, epoch=0, rng_state=None))
         code = main(["eval", "--ckpt", str(tmp_path / "s.ckpt"), "--data",
                      str(tmp_path / "small.idx"), "--mask", "bernoulli",

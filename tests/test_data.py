@@ -26,8 +26,8 @@ from cban.data import (
     replicated_example,
     save_idx,
     square_patch_mask,
-    unobserved_adjacency,
 )
+from cban.dynamics import EvidenceConstraint
 from cban.imageio import activations_to_bytes, write_pgm, write_ppm
 
 
@@ -41,8 +41,10 @@ class TestExample:
             Example(target=np.zeros(4), mask=np.ones(4, dtype=bool))
 
     def test_evidence_values_zero_off_mask(self):
+        # evidence built from a whole target keeps only its observed values
         ex = Example(target=np.array([0.5, -0.5]), mask=np.array([True, False]))
-        np.testing.assert_array_equal(ex.evidence_values, [0.5, 0.0])
+        ev = EvidenceConstraint(mask=ex.mask, values=ex.target)
+        np.testing.assert_array_equal(ev.values, [0.5, 0.0])
 
 
 class TestBarPatterns:
@@ -258,6 +260,13 @@ class TestPerlinMask:
     def test_spatial_coherence_beats_bernoulli(self):
         # Monte-Carlo estimate of the adjacency statistic for both
         # generators at the same obscured fraction
+        def unobserved_adjacency(mask):
+            """Fraction of unobserved pixels that touch an unobserved 4-neighbor."""
+            unobs = np.pad(~mask, 1)
+            near = (unobs[:-2, 1:-1] | unobs[2:, 1:-1]
+                    | unobs[1:-1, :-2] | unobs[1:-1, 2:])
+            return float((~mask & near).sum() / (~mask).sum())
+
         rng = np.random.default_rng(6)
         perlin = np.mean([unobserved_adjacency(perlin_mask(28, 28, 7, 1 / 3, rng))
                           for _ in range(300)])

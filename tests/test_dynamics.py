@@ -374,7 +374,7 @@ class TestSettle:
 
     @pytest.mark.parametrize("max_iters", [10, 60])
     def test_trailing_window_matches_full_history(self, max_iters, monkeypatch):
-        # max_iters below and above cycle_window: detect_cycle sees exactly
+        # max_iters below and above the window: detect_cycle sees exactly
         # the trailing window of the full history and finds the same cycle
         import cban.dynamics as dyn
 
@@ -389,7 +389,7 @@ class TestSettle:
                           Tensor(rng.uniform(-0.9, 0.9, size=(10,)))])
         for _ in range(50):  # start on the limit cycle, so both windows find it
             state = sweep(state, w, arch)
-        window = 24
+        window = dyn._CYCLE_WINDOW
         history = [state.snapshot()]
         s = state
         for _ in range(max_iters):
@@ -400,12 +400,14 @@ class TestSettle:
         monkeypatch.setattr(dyn, "detect_cycle",
                             lambda states, tol: seen.append(states) or detect_cycle(states, tol))
         _, report = settle(state, w, arch, theta=1e-3, max_iters=max_iters,
-                           record_energy=False, cycle_window=window)
+                           record_energy=False)
         assert not report.converged
         assert expected >= 2 and report.cycle_length == expected
         np.testing.assert_array_equal(np.stack(seen[0]), np.stack(history[-window:]))
 
     def test_converged_run_takes_no_snapshots(self, monkeypatch):
+        import cban.dynamics as dyn
+
         calls = []
         monkeypatch.setattr(NetState, "snapshot",
                             lambda self: calls.append(1) or np.zeros(1))
@@ -413,8 +415,9 @@ class TestSettle:
         arch = fban(10, [10])
         w = random_fc_bundle(arch, rng, scale=0.1)
         _, report = settle(random_state(arch, rng), w, arch, theta=1e-3,
-                           max_iters=100, cycle_window=24)
-        assert report.converged and report.t_star < 77
+                           max_iters=100)
+        # snapshots start at t = max_iters + 1 - window
+        assert report.converged and report.t_star < 101 - dyn._CYCLE_WINDOW
         assert calls == []
 
     def test_diverging_state_aborts_with_context(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cban.metrics import (
-    baseline_copy_evidence,
     completion_accuracy,
     label_accuracy,
     metric_report,
@@ -93,7 +92,6 @@ class TestCompletionAccuracy:
         m = np.zeros((4, 6), dtype=bool)
         m[:, 0] = True
         assert completion_accuracy(out, t, m) == 0.75
-        assert completion_accuracy(out, t, m, per="pixel") == 1.0 - 1.0 / 20.0
 
     def test_threshold_at_zero(self):
         t = np.array([[0.999, -0.999]])
@@ -113,14 +111,6 @@ class TestLabelAccuracy:
         rows = [encode_label(c) for c in (3, 1, 4)]
         assert label_accuracy(rows, [3, 1, 4]) == 1.0
         assert abs(label_accuracy(rows, [3, 1, 5]) - 2 / 3) < 1e-12
-
-
-class TestBaseline:
-    def test_copies_evidence_and_zeros_elsewhere(self):
-        values = np.array([0.5, -0.5, 0.9])
-        mask = np.array([True, False, True])
-        np.testing.assert_array_equal(baseline_copy_evidence(values, mask),
-                                      [0.5, 0.0, 0.9])
 
 
 class TestSummaries:
@@ -151,5 +141,4 @@ class TestSummaries:
         report = metric_report(outs, tgts)
         assert len(report.psnr.values) == 4
         assert len(report.ssim.values) == 4
-        assert report.accuracy is None
         assert np.isfinite(report.psnr.mean)
