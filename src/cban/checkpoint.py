@@ -42,7 +42,7 @@ class Checkpoint:
     rng_state: dict | None
 
 
-_OPT_KEYS = ("kind", "lr", "step", "beta1", "beta2", "eps")
+_OPT_KEYS = ("kind", "lr", "step")  # loading ignores older files' adam beta1/beta2/eps
 
 
 def save_checkpoint(path, ckpt):

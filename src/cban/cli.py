@@ -267,14 +267,19 @@ def _write_visible_image(path_base, x, shape):
         write_pgm(f"{path_base}.pgm", activations_to_bytes(img.reshape(-1, img.shape[-1])))
 
 
+def _check_settle_options(args):
+    """Refuse the --theta and --max-iters values settle() cannot take."""
+    if args.theta <= 0 or args.max_iters < 1:
+        raise ValueError("--theta must be positive and --max-iters at least 1")
+
+
 def cmd_complete(args):
     from .checkpoint import CheckpointError, load_checkpoint
     from .dynamics import EvidenceConstraint, initial_state, settle
     from .training import unclamped_visible
 
     try:
-        if args.theta <= 0 or args.max_iters < 1:
-            raise ValueError("--theta must be positive and --max-iters at least 1")
+        _check_settle_options(args)
         ckpt = load_checkpoint(args.ckpt)
         arch = ckpt.arch
         values, mask, shape = _load_evidence(args, arch)
@@ -299,8 +304,7 @@ def cmd_complete(args):
         for i, (e, d) in enumerate(zip(report.energy_trace,
                                        report.max_delta_trace), start=1):
             writer.writerow([i, e, d])
-    status = "converged" if report.converged else (
-        f"did not converge (cycle length {report.cycle_length})")
+    status = "converged" if report.converged else "did not converge"
     print(f"settled in {report.t_star} iterations: {status}; outputs under {outdir}")
     return 0 if report.converged else 1
 
@@ -312,6 +316,7 @@ def cmd_eval(args):
     from .training import complete
 
     try:
+        _check_settle_options(args)
         ckpt = load_checkpoint(args.ckpt)
         arch = ckpt.arch
         limit = args.limit or None
@@ -319,25 +324,32 @@ def cmd_eval(args):
         labels = load_idx(args.labels)[:limit] if args.labels else None
         dataset = _library_dataset(arch, images, labels, _mask_from_args(args))
         examples = dataset.epoch_examples(np.random.default_rng(args.seed))
-        outputs = []
-        for start in range(0, len(examples), _EVAL_BATCH):
-            batch, _ = complete(examples[start:start + _EVAL_BATCH], ckpt.weights,
-                                arch, theta=args.theta, max_iters=args.max_iters)
-            outputs.extend(batch)
-        outputs = [o.reshape(e.target.shape) for o, e in zip(outputs, examples)]
-        targets = [e.target for e in examples]
-        extra = []
-        if isinstance(dataset, SupervisedDigits):
-            # image rows above the label row
-            extra.append(["label_accuracy",
-                         label_accuracy([o[-1] for o in outputs], labels)])
-            outputs, targets = [o[:-1] for o in outputs], [t[:-1] for t in targets]
-        elif isinstance(dataset, ReplicatedCompletion):
-            # the output copy, after the clamped input copy
-            half = arch.visible_shape[0] // 2
-            outputs, targets = [o[half:] for o in outputs], [t[half:] for t in targets]
-        report = metric_report(outputs, targets)
     except (OSError, CheckpointError, ValueError, KeyError) as e:
+        return _fail(str(e))
+    outputs = []
+    try:
+        # as in cmd_train: the error line reports the overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(examples), _EVAL_BATCH):
+                batch, _ = complete(examples[start:start + _EVAL_BATCH], ckpt.weights,
+                                    arch, theta=args.theta, max_iters=args.max_iters)
+                outputs.extend(batch)
+    except ValueError as e:  # with valid arguments, only a non-finite state
+        return _fail(f"settling diverged: {e}", code=1)
+    outputs = [o.reshape(e.target.shape) for o, e in zip(outputs, examples)]
+    targets = [e.target for e in examples]
+    extra = []
+    if isinstance(dataset, SupervisedDigits):
+        # image rows above the label row
+        extra.append(["label_accuracy", label_accuracy([o[-1] for o in outputs], labels)])
+        outputs, targets = [o[:-1] for o in outputs], [t[:-1] for t in targets]
+    elif isinstance(dataset, ReplicatedCompletion):
+        # the output copy, after the clamped input copy
+        half = arch.visible_shape[0] // 2
+        outputs, targets = [o[half:] for o in outputs], [t[half:] for t in targets]
+    try:
+        report = metric_report(outputs, targets)
+    except ValueError as e:  # such as images smaller than the SSIM window
         return _fail(str(e))
     rows = [["psnr_mean", report.psnr.mean], ["psnr_stderr", report.psnr.stderr],
             ["ssim_mean", report.ssim.mean], ["ssim_stderr", report.ssim.stderr]] + extra

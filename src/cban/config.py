@@ -69,7 +69,6 @@ def arch_to_dict(arch):
         "layers": layers,
         "kernel_sizes": list(arch.kernel_sizes),
         "activation": _activation_to_dict(arch.activation),
-        "symmetric": arch.symmetric,
         "evidence": arch.evidence,
     }
 
@@ -83,8 +82,11 @@ def _check_keys(d, allowed, where):
 
 
 def arch_from_dict(d):
-    """An ArchSpec; a dict without "evidence" (older checkpoints) clamps."""
+    """An ArchSpec; a dict without "evidence" (older checkpoints) clamps, and
+    "symmetric", which older files carry, may only be true."""
     _check_keys(d, ("layers", "kernel_sizes", "activation", "symmetric", "evidence"), "arch")
+    if d.get("symmetric", True) is not True:
+        raise ValueError(f"arch.symmetric must be true, got {d['symmetric']!r}")
     layers = []
     for ld in d["layers"]:
         if ld["kind"] == "fc":
@@ -99,7 +101,6 @@ def arch_from_dict(d):
     return ArchSpec(layers=tuple(layers),
                     kernel_sizes=tuple(int(k) for k in d.get("kernel_sizes", ())),
                     activation=_activation_from_dict(d.get("activation", {"kind": "tanh"})),
-                    symmetric=d.get("symmetric", True),
                     evidence=d.get("evidence", "clamp"))
 
 

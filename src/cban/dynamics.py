@@ -157,12 +157,12 @@ _EVIDENCE_MODES = ("clamp", "external_bias")
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Layer stack plus activation kind, connection structure and evidence rule.
+    """Layer stack plus activation kind, kernel sizes and evidence rule.
 
-    kernel_sizes gives the (odd) convolution extent per adjacent layer
-    pair; fc pairs carry 0. symmetric=False stores independent reverse
-    weights instead of deriving them, which forfeits the energy guarantee
-    and exists for limit-cycle experiments. evidence says how observed
+    Every pair of adjacent layers is connected symmetrically: the downward
+    map is the exact adjoint of the upward one, so no layer update raises
+    the energy. kernel_sizes gives the (odd) convolution extent per
+    adjacent layer pair; fc pairs carry 0. evidence says how observed
     values enter the visible layer: "clamp" overwrites the observed units
     after every visible update; "external_bias" adds the observations to
     the visible preactivation and leaves every unit free, which adds
@@ -172,7 +172,6 @@ class ArchSpec:
     layers: tuple
     activation: object = field(default_factory=Tanh)
     kernel_sizes: tuple = ()
-    symmetric: bool = True
     evidence: str = "clamp"
 
     def __post_init__(self):
@@ -188,8 +187,6 @@ class ArchSpec:
         ksz = tuple(self.kernel_sizes) if self.kernel_sizes else ()
         if not ksz:
             ksz = tuple(0 for _ in range(len(layers) - 1))
-        if len(ksz) == 1 and len(layers) > 2:
-            ksz = ksz * (len(layers) - 1)
         if len(ksz) != len(layers) - 1:
             raise ValueError("need one kernel size per adjacent layer pair")
         object.__setattr__(self, "kernel_sizes", ksz)
@@ -224,67 +221,55 @@ class ArchSpec:
 def block_shapes(arch):
     """The shape of each parameter block, in WeightBundle.params() order.
 
-    Forward blocks per pair, then (asymmetric only) reverse blocks, then one
-    bias per layer. A matrix maps (lower units, upper units); a kernel is
-    (receiving channels, sending channels, k, k).
+    One forward block per adjacent pair, then one bias per layer. A matrix
+    maps (lower units, upper units); a kernel is (upper channels, lower
+    channels, k, k).
     """
-    pairs = list(zip(arch.layers[:-1], arch.layers[1:], arch.kernel_sizes))
-    if not arch.symmetric:  # reverse blocks map each upper layer a to its lower b
-        pairs += [(hi, lo, k) for lo, hi, k in pairs]
-    return [(a.units, b.units) if a.kind == "fc" else (b.channels, a.channels, k, k)
-            for a, b, k in pairs] + [spec.shape[:1] for spec in arch.layers]
+    pairs = zip(arch.layers[:-1], arch.layers[1:], arch.kernel_sizes)
+    return [(lo.units, hi.units) if lo.kind == "fc" else (hi.channels, lo.channels, k, k)
+            for lo, hi, k in pairs] + [spec.shape[:1] for spec in arch.layers]
 
 
-def fban(visible_units, hidden_units, activation_kind=None, symmetric=True):
+def fban(visible_units, hidden_units, activation_kind=None):
     """Fully connected bipartite attractor net: visible + stack of hidden sizes."""
     layers = [fc_layer(visible_units, visible=True)]
     layers += [fc_layer(int(h)) for h in hidden_units]
-    return ArchSpec(layers=tuple(layers),
-                    activation=activation_kind or Tanh(),
-                    symmetric=symmetric)
+    return ArchSpec(layers=tuple(layers), activation=activation_kind or Tanh())
 
 
 @dataclass
 class WeightBundle:
     """Forward weights per adjacent pair plus one bias tensor per layer.
 
-    In symmetric mode the downward weights are always derived from the
-    forward ones (matrix transpose / kernel reversal) and never stored;
-    `reverse` holds independent downward weights only in asymmetric mode.
-    Matrices map (lower units, upper units); biases are per-unit for fc
-    layers and per-channel for conv layers.
+    The downward weights are always derived from the forward ones (matrix
+    transpose / kernel reversal) and never stored. Matrices map (lower
+    units, upper units); biases are per-unit for fc layers and per-channel
+    for conv layers.
     """
 
     forward: list
     biases: list
-    reverse: list | None = None
 
     def params(self):
-        """Trainable tensors, in declaration order (forward, reverse, biases)."""
-        out = [w.weights if isinstance(w, ConvKernel) else w for w in self.forward]
-        if self.reverse is not None:
-            out += [w.weights if isinstance(w, ConvKernel) else w for w in self.reverse]
-        out += list(self.biases)
-        return out
+        """Trainable tensors, in declaration order (forward, then biases)."""
+        return ([w.weights if isinstance(w, ConvKernel) else w for w in self.forward]
+                + list(self.biases))
 
     @classmethod
     def from_params(cls, tensors, n_layers):
         """The bundle of a net with n_layers layers, from tensors in params()
         order (see block_shapes); 4-d blocks are convolution kernels."""
         tensors = list(tensors)
-        blocks = [ConvKernel(t) if t.ndim == 4 else t for t in tensors[:-n_layers]]
-        n_pairs = n_layers - 1
-        return cls(forward=blocks[:n_pairs], biases=tensors[-n_layers:],
-                   reverse=blocks[n_pairs:] or None)
+        return cls(forward=[ConvKernel(t) if t.ndim == 4 else t for t in tensors[:-n_layers]],
+                   biases=tensors[-n_layers:])
 
     def with_params(self, tensors):
         """Rebuild the bundle around replacement tensors from params() order."""
         return WeightBundle.from_params(tensors, len(self.biases))
 
     def down_weights(self, pair):
-        """Weights for the map from layer pair+1 down to pair."""
-        if self.reverse is not None:
-            return self.reverse[pair]
+        """Weights for the map from layer pair+1 down to pair: the transpose
+        of the forward matrix, or the reversed forward kernel."""
         w = self.forward[pair]
         if isinstance(w, ConvKernel):
             return reverse_kernel(w)
@@ -325,18 +310,13 @@ class NetState:
     def batched(self, arch):
         return self.activations[0].ndim > len(arch.layers[0].shape)
 
-    def snapshot(self):
-        """Full state flattened to one vector."""
-        return np.concatenate([a.data.ravel() for a in self.activations])
-
 
 @dataclass
 class SettleReport:
-    """Settling summary: iterations, convergence, cycle, traces."""
+    """Settling summary: iterations, convergence, traces."""
 
     t_star: int
     converged: bool
-    cycle_length: int
     energy_trace: np.ndarray
     max_delta_trace: np.ndarray
 
@@ -373,8 +353,8 @@ def _up_map(x, w, arch, pair):
 
 
 def _down_map(x, w, arch, pair):
-    """Map layer pair+1 activation down into layer `pair`; with symmetric
-    weights, the exact adjoint of _up_map (pooling's transpose included)."""
+    """Map layer pair+1 activation down into layer `pair`: the exact adjoint
+    of _up_map, pooling's transpose included."""
     block = w.down_weights(pair)
     if not isinstance(block, ConvKernel):
         return matmul(x, block)
@@ -445,9 +425,7 @@ def energy(state, w, arch):
     under external-bias evidence also -<values, x_visible>, so that every
     layer update minimizes E over its layer. Clamped units are held fixed
     instead and add no term. Returns a scalar for an unbatched state, one
-    energy per item for a batched state. In asymmetric mode this quantity
-    is computed from the forward weights and is no longer guaranteed to
-    decrease.
+    energy per item for a batched state.
     """
     batched = state.batched(arch)
     acts = state.activations
@@ -466,10 +444,6 @@ def energy(state, w, arch):
     return total if batched else float(total)
 
 
-# states a non-converging settle keeps for cycle detection
-_CYCLE_WINDOW = 24
-
-
 def _max_delta(prev, new, batched):
     """Largest absolute activation change, per item when batched."""
     if not batched:
@@ -485,25 +459,18 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
     """Sweep until the largest activation change in one iteration is < theta.
 
     Returns the settled state and a report with the stability iteration
-    t_star, per-iteration energy and delta traces, and, when the state
-    fails to converge, the period of any limit cycle found in the trailing
-    window of states: the last _CYCLE_WINDOW states (24), or all of them
-    when fewer were swept. Intended for inference; do not call under an
-    active GradTape (unrolled training has its own loop).
+    t_star and per-iteration energy and delta traces. Every layer update
+    minimizes the energy over its layer, so a run that stops at max_iters
+    without converging has still lowered or kept its energy at every sweep.
+    Intended for inference; do not call under an active GradTape (unrolled
+    training has its own loop).
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     batched = state.batched(arch)
-    energies = []
-    deltas = []
-    # only states that can still lie in the trailing window at max_iters are
-    # kept: t >= max_iters + 1 - _CYCLE_WINDOW
-    first_kept = max_iters + 1 - _CYCLE_WINDOW
-    history = [state.snapshot()] if first_kept <= 0 else []
-    converged = False
-    t_star = max_iters
+    energies, deltas = [], []
     for t in range(1, max_iters + 1):
         prev = state.activations
         try:
@@ -514,24 +481,11 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
         deltas.append(d)
         if record_energy:
             energies.append(energy(state, w, arch))
-        if t >= first_kept:
-            history.append(state.snapshot())
         if float(np.max(d)) < theta:
-            converged = True
-            t_star = t
             break
-    cycle = 0
-    if not converged:
-        p = detect_cycle(history, tol=theta)
-        cycle = p if p >= 2 else 0
-    report = SettleReport(
-        t_star=t_star,
-        converged=converged,
-        cycle_length=cycle,
-        energy_trace=np.asarray(energies),
-        max_delta_trace=np.asarray(deltas),
-    )
-    return state, report
+    return state, SettleReport(t_star=t, converged=float(np.max(d)) < theta,
+                               energy_trace=np.asarray(energies),
+                               max_delta_trace=np.asarray(deltas))
 
 
 def detect_cycle(trailing_states, tol):

@@ -56,6 +56,9 @@ OPTIMIZERS = ("sgd-l2", "sgd-linf", "adam")
 # keeps the inverse activation finite when tanh saturates
 _TANH_CLIP = 1.0 - 1e-6
 
+# adam's moment decay rates and denominator guard
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -66,9 +69,6 @@ class TrainConfig:
     optimizer: str = "sgd-l2"
     lr: float = 0.01
     lr_schedule: tuple = ()  # (epoch, multiplier) pairs, applied from that epoch on
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     theta: float = 0.01
     max_iters: int = 100
     batch_size: int = 20
@@ -194,7 +194,6 @@ def td1_forward(examples, w, arch, cfg):
         SettleReport(
             t_star=int(t_star[i]),
             converged=bool(converged[i]),
-            cycle_length=0,
             energy_trace=np.empty(0),
             max_delta_trace=deltas[:, i].copy(),
         )
@@ -210,16 +209,12 @@ class OptState:
     kind: str
     lr: float
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
 def init_opt_state(cfg):
-    return OptState(kind=cfg.optimizer, lr=cfg.lr, beta1=cfg.adam_beta1,
-                    beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+    return OptState(kind=cfg.optimizer, lr=cfg.lr)
 
 
 def optimizer_step(opt, w, grads):
@@ -227,9 +222,10 @@ def optimizer_step(opt, w, grads):
 
     sgd-l2 / sgd-linf renormalize each parameter block's gradient to unit
     L2 / max norm before the step (blocks with zero gradient are stepped
-    as-is); adam is the standard bias-corrected moment update. Only the
-    tensors in w.params() move, so symmetric-mode reverse weights stay
-    derived by construction.
+    as-is); adam is the standard bias-corrected moment update, with
+    beta1 0.9, beta2 0.999 and eps 1e-8. Only the tensors in w.params()
+    move, and the downward weights are derived from them, so every step
+    keeps the net symmetric.
     """
     params = w.params()
     if len(grads) != len(params):
@@ -249,11 +245,11 @@ def optimizer_step(opt, w, grads):
     t = opt.step + 1
     new_m, new_v = [], []
     for p, g, m, v in zip(params, grads, opt.m, opt.v):
-        m = opt.beta1 * m + (1 - opt.beta1) * g
-        v = opt.beta2 * v + (1 - opt.beta2) * g * g
-        m_hat = m / (1 - opt.beta1 ** t)
-        v_hat = v / (1 - opt.beta2 ** t)
-        new_params.append(Tensor(p.data - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)))
+        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * g
+        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * g * g
+        m_hat = m / (1 - _ADAM_BETA1 ** t)
+        v_hat = v / (1 - _ADAM_BETA2 ** t)
+        new_params.append(Tensor(p.data - opt.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)))
         new_m.append(m)
         new_v.append(v)
     return replace(opt, step=t, m=new_m, v=new_v), w.with_params(new_params)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -44,7 +45,7 @@ def shipped_arch(name):
 class TestConfigRoundTrips:
     def test_arch_round_trip(self):
         archs = [shipped_arch(name) for name in SHIPPED_CONFIGS]
-        archs.append(fban(6, [4], activation_kind=LeakySigmoid(0.2), symmetric=False))
+        archs.append(fban(6, [4], activation_kind=LeakySigmoid(0.2)))
         for arch in archs:
             again = arch_from_dict(arch_to_dict(arch))
             assert again == arch
@@ -173,14 +174,49 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
-    def test_asymmetric_bundle_round_trip(self, tmp_path):
-        arch = fban(5, [4], symmetric=False)
-        ckpt = make_checkpoint(arch=arch)
-        path = tmp_path / "asym.ckpt"
-        save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
-        assert loaded.weights.reverse is not None
-        assert loaded.weights.reverse[0].shape == (4, 5)
+    def test_older_metadata_loads_with_equal_weights_and_moments(self, tmp_path):
+        # older checkpoints carry "symmetric": true in the arch and adam's
+        # constants among the optimizer settings
+        new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+        save_checkpoint(new, make_checkpoint(with_moments=True))
+        rewrite_metadata(new, old, lambda meta: (
+            meta["arch"].update(symmetric=True),
+            meta["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)))
+        fresh, loaded = load_checkpoint(new), load_checkpoint(old)
+        assert loaded.arch == fresh.arch and loaded.epoch == fresh.epoch
+        assert loaded.opt_state.kind == "adam" and loaded.opt_state.step == 1
+        assert loaded.opt_state.lr == fresh.opt_state.lr
+
+        def arrays(ckpt):
+            return ([p.data for p in ckpt.weights.params()]
+                    + ckpt.opt_state.m + ckpt.opt_state.v)
+
+        assert len(arrays(loaded)) == 3 * 3
+        for a, b in zip(arrays(fresh), arrays(loaded)):
+            np.testing.assert_array_equal(a, b)
+
+
+def rewrite_metadata(src, dst, edit):
+    """Copy checkpoint src to dst with edit(metadata) applied."""
+    raw = Path(src).read_bytes()
+    (n,) = struct.unpack("<I", raw[12:16])
+    meta = json.loads(raw[16:16 + n])
+    edit(meta)
+    payload = json.dumps(meta, sort_keys=True).encode()
+    Path(dst).write_bytes(raw[:12] + struct.pack("<I", len(payload)) + payload + raw[16 + n:])
+
+
+BAD_SETTLE_OPTIONS = [("--theta", "0"), ("--max-iters", "0")]
+
+
+def assert_bad_settle_option_exits_2(tmp_path, capsys, argv, option, value):
+    """`cban <argv>` with a bad settle option exits 2 naming it, writing nothing."""
+    code = main(argv + ["--ckpt", str(tmp_path / "none.ckpt"),
+                        "--outdir", str(tmp_path / "x"), option, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and option in err
+    assert not (tmp_path / "x").exists()
 
 
 def write_bar_config(tmp_path, epochs=3, seed=0):
@@ -263,6 +299,7 @@ class TestCmdTrain:
         (None, "comment"),
         ("train", "lr_shedule"),
         ("train", "evidence_mode"),
+        ("train", "adam_beta1"),
         ("arch", "evidnce"),
     ])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, where, key):
@@ -273,6 +310,15 @@ class TestCmdTrain:
         assert main(["train", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_asymmetric_config_exits_2(self, tmp_path, capsys):
+        path = write_bar_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["arch"]["symmetric"] = False
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: arch.symmetric must be true, got False\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_epochs_exits_2(self, tmp_path, capsys):
@@ -565,17 +611,22 @@ class TestCmdComplete:
         assert code in (0, 1)
         assert (outdir / "completed.pgm").exists()
 
-    @pytest.mark.parametrize("option, value", [("--theta", "0"), ("--max-iters", "0")])
+    @pytest.mark.parametrize("option, value", BAD_SETTLE_OPTIONS)
     def test_bad_settle_option_exits_2(self, tmp_path, capsys, option, value):
-        ckpt = self._trained_ckpt(tmp_path)
-        mask = np.zeros(25, dtype=bool)
-        mask[:3] = True
-        np.savez(tmp_path / "ev.npz", values=np.where(mask, 0.5, 0.0), mask=mask)
-        code = main(["complete", "--ckpt", str(ckpt), "--input", str(tmp_path / "ev.npz"),
-                     "--outdir", str(tmp_path / "x"), option, value])
+        # refused before the (missing) checkpoint is read
+        np.savez(tmp_path / "ev.npz", values=np.zeros(25), mask=np.ones(25, dtype=bool))
+        assert_bad_settle_option_exits_2(
+            tmp_path, capsys, ["complete", "--input", str(tmp_path / "ev.npz")], option, value)
+
+    def test_asymmetric_checkpoint_exits_2(self, tmp_path, capsys):
+        save_checkpoint(tmp_path / "new.ckpt", make_checkpoint())
+        rewrite_metadata(tmp_path / "new.ckpt", tmp_path / "asym.ckpt",
+                         lambda meta: meta["arch"].update(symmetric=False))
+        np.savez(tmp_path / "ev.npz", values=np.zeros(6), mask=np.ones(6, dtype=bool))
+        code = main(["complete", "--ckpt", str(tmp_path / "asym.ckpt"), "--input",
+                     str(tmp_path / "ev.npz"), "--outdir", str(tmp_path / "x")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and option in err
+        assert capsys.readouterr().err == "error: arch.symmetric must be true, got False\n"
         assert not (tmp_path / "x").exists()
 
     def test_diverging_net_exits_1_without_outputs(self, tmp_path, capsys):
@@ -604,29 +655,30 @@ class TestCmdComplete:
         assert "Traceback" not in err
         assert not outdir.exists()
 
-    def test_nonconvergent_checkpoint_exits_1_with_outputs(self, tmp_path):
-        # asymmetric random weights cycle rather than settle
+    def test_nonconvergent_checkpoint_exits_1_with_outputs(self, tmp_path, capsys):
+        # two sweeps cannot bring a random net's state change below 1e-12
         rng = np.random.default_rng(2)
         from cban.dynamics import WeightBundle
         from cban.tensor import Tensor
 
-        arch = fban(25, [25], symmetric=False)
+        arch = fban(25, [25])
         w = WeightBundle(
             forward=[Tensor(rng.normal(scale=1.2, size=(25, 25)))],
-            biases=[Tensor(np.zeros(25)), Tensor(np.zeros(25))],
-            reverse=[Tensor(rng.normal(scale=1.2, size=(25, 25)))])
+            biases=[Tensor(np.zeros(25)), Tensor(np.zeros(25))])
         ckpt = Checkpoint(arch=arch, weights=w, opt_state=None,
                           epoch=0, rng_state=None)
-        path = tmp_path / "asym.ckpt"
+        path = tmp_path / "rand.ckpt"
         save_checkpoint(path, ckpt)
         mask = np.zeros(25, dtype=bool)
         mask[:5] = True
         values = np.where(mask, 0.9, 0.0)
         np.savez(tmp_path / "ev.npz", values=values, mask=mask)
-        outdir = tmp_path / "cyc"
+        outdir = tmp_path / "out"
         code = main(["complete", "--ckpt", str(path), "--input",
-                     str(tmp_path / "ev.npz"), "--outdir", str(outdir)])
+                     str(tmp_path / "ev.npz"), "--outdir", str(outdir),
+                     "--max-iters", "2", "--theta", "1e-12"])
         assert code == 1
+        assert "settled in 2 iterations: did not converge" in capsys.readouterr().out
         from cban.imageio import read_pgm
 
         # flat evidence of a perfect-square length renders as a square
@@ -634,6 +686,37 @@ class TestCmdComplete:
 
 
 class TestCmdEval:
+    @pytest.mark.parametrize("option, value", BAD_SETTLE_OPTIONS)
+    def test_bad_settle_option_exits_2(self, tmp_path, capsys, option, value):
+        # refused before the (missing) checkpoint and data are read
+        assert_bad_settle_option_exits_2(
+            tmp_path, capsys, ["eval", "--data", str(tmp_path / "none.idx")], option, value)
+
+    def test_diverging_net_exits_1_without_outputs(self, tmp_path, capsys):
+        from cban.dynamics import WeightBundle
+        from cban.tensor import Tensor
+
+        # weights of 10.0 drive a leaky sigmoid's unbounded tails to overflow
+        save_idx(tmp_path / "imgs.idx", np.random.default_rng(5).integers(
+            0, 256, size=(3, 12, 12)).astype(np.uint8))
+        arch = fban(144, [4], activation_kind=LeakySigmoid(0.5))
+        w = WeightBundle(forward=[Tensor(np.full((144, 4), 10.0))],
+                         biases=[Tensor(np.full(144, 10.0)), Tensor(np.full(4, 10.0))])
+        save_checkpoint(tmp_path / "div.ckpt", Checkpoint(
+            arch=arch, weights=w, opt_state=None, epoch=0, rng_state=None))
+        outdir = tmp_path / "ev"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--ckpt", str(tmp_path / "div.ckpt"), "--data",
+                         str(tmp_path / "imgs.idx"), "--mask", "bernoulli",
+                         "--outdir", str(outdir)])
+        assert code == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: settling diverged:") and "non-finite value" in err
+        assert err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_metrics_on_synthetic_idx(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         images = rng.integers(0, 256, size=(6, 28, 28)).astype(np.uint8)
