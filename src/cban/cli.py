@@ -312,7 +312,7 @@ def cmd_complete(args):
 def cmd_eval(args):
     from .checkpoint import CheckpointError, load_checkpoint
     from .data import ReplicatedCompletion, SupervisedDigits, load_idx
-    from .metrics import label_accuracy, metric_report
+    from .metrics import check_ssim_extent, label_accuracy, metric_report
     from .training import complete
 
     try:
@@ -324,6 +324,8 @@ def cmd_eval(args):
         labels = load_idx(args.labels)[:limit] if args.labels else None
         dataset = _library_dataset(arch, images, labels, _mask_from_args(args))
         examples = dataset.epoch_examples(np.random.default_rng(args.seed))
+        if len(images):  # every scored image has the images' (h, w)
+            check_ssim_extent(*images[0].shape[-2:])
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
     outputs = []
@@ -347,10 +349,7 @@ def cmd_eval(args):
         # the output copy, after the clamped input copy
         half = arch.visible_shape[0] // 2
         outputs, targets = [o[half:] for o in outputs], [t[half:] for t in targets]
-    try:
-        report = metric_report(outputs, targets)
-    except ValueError as e:  # such as images smaller than the SSIM window
-        return _fail(str(e))
+    report = metric_report(outputs, targets)
     rows = [["psnr_mean", report.psnr.mean], ["psnr_stderr", report.psnr.stderr],
             ["ssim_mean", report.ssim.mean], ["ssim_stderr", report.ssim.stderr]] + extra
     outdir = Path(args.outdir)

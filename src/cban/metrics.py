@@ -12,6 +12,7 @@ from .data import decode_label
 __all__ = [
     "psnr",
     "ssim",
+    "check_ssim_extent",
     "completion_accuracy",
     "label_accuracy",
     "MetricSummary",
@@ -59,6 +60,13 @@ def _to_luminance(img):
     return img
 
 
+def check_ssim_extent(height, width):
+    """Refuse an image extent smaller than the SSIM window."""
+    if min(height, width) < _SSIM_WINDOW:
+        raise ValueError(f"image {(height, width)} is smaller than the "
+                         f"{_SSIM_WINDOW}x{_SSIM_WINDOW} window")
+
+
 def ssim(a, b, peak):
     """Mean structural similarity over Gaussian-weighted sliding windows.
 
@@ -70,9 +78,7 @@ def ssim(a, b, peak):
     b = _to_luminance(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if min(a.shape) < _SSIM_WINDOW:
-        raise ValueError(
-            f"image {a.shape} is smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
+    check_ssim_extent(*a.shape)
     kernel = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
     mu_a = _window_means(a, kernel)
     mu_b = _window_means(b, kernel)

@@ -19,6 +19,14 @@ batch dimension, when present, is leading and optional: feature maps are
 (channels, height, width) or (batch, channels, height, width), flat layers
 are (units,) or (batch, units). Construction rejects NaN/Inf outright so a
 numerical blow-up surfaces at the operation that produced it.
+
+The tape keeps only what its backward reads. A recorded tensor points at a
+small graph node (its parents' nodes and its vjp), not at the tensors that
+made it, and each vjp closes over the arrays it reads and nothing else: add,
+sub and where keep operand shapes, not operands. An intermediate that no
+vjp reads is therefore freed as soon as the caller drops it. The backward
+frees each cotangent and vjp once it has run, so a tape's gradient can be
+taken once.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ def _first_bad_index(arr, good):
 class Tensor:
     """Immutable dense float64 array, optionally recorded on a GradTape."""
 
-    __slots__ = ("data", "_parents", "_vjp", "_tape")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
@@ -77,9 +85,7 @@ class Tensor:
                 f"in tensor of shape {arr.shape}"
             )
         self.data = arr
-        self._parents = ()
-        self._vjp = None
-        self._tape = None
+        self._node = None
 
     @property
     def shape(self):
@@ -129,14 +135,28 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _Node:
+    """One tensor's place in a tape's graph: its parents' nodes and its vjp.
+
+    A leaf (a tensor made off the tape) gets a node with no parents, no vjp
+    and no tape the first time an op on the tape uses it; the tape holds
+    that node, and a leaf node holding the tape back would make a cycle
+    that only the garbage collector frees.
+    """
+
+    __slots__ = ("parents", "vjp", "tape")
+
+    def __init__(self, parents, vjp, tape):
+        self.parents = parents
+        self.vjp = vjp
+        self.tape = tape
+
+
 def _from_op(data, parents, vjp):
     out = Tensor(data)
     tape = _ACTIVE_TAPE
     if tape is not None:
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        out._tape = tape
-        tape._register(out)
+        out._node = _Node(tuple(tape._node_of(p) for p in parents), vjp, tape)
     return out
 
 
@@ -150,15 +170,17 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _add_vjp(a, b, out):
-    return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+def _add_vjp(a, b):
+    sa, sb = a.shape, b.shape
+    return lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
 
-def _sub_vjp(a, b, out):
-    return lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+def _sub_vjp(a, b):
+    sa, sb = a.shape, b.shape
+    return lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
 
-def _mul_vjp(a, b, out):
+def _mul_vjp(a, b):
     return lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
 
@@ -168,7 +190,7 @@ def _binary_elementwise(a, b, fwd, make_vjp, swap=False):
     if swap:
         at, bt = bt, at
     data = fwd(at.data, bt.data)
-    return _from_op(data, (at, bt), make_vjp(at.data, bt.data, data))
+    return _from_op(data, (at, bt), make_vjp(at.data, bt.data))
 
 
 def matmul(a, b):
@@ -321,11 +343,12 @@ def where(mask, a, b):
     a = _as_tensor(a)
     b = _as_tensor(b)
     data = np.where(mask, a.data, b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
         return (
-            _unbroadcast(np.where(mask, g, 0.0), a.shape),
-            _unbroadcast(np.where(mask, 0.0, g), b.shape),
+            _unbroadcast(np.where(mask, g, 0.0), sa),
+            _unbroadcast(np.where(mask, 0.0, g), sb),
         )
 
     return _from_op(data, (a, b), vjp)
@@ -530,12 +553,17 @@ class GradTape:
     `with` block. Every operation executed inside the block is recorded;
     `gradient` then returns d(output)/d(input) for a scalar output and any
     tensors that participated.
+
+    The graph keeps only what the backward reads: the arrays each op's vjp
+    needs, the shapes of add, sub and where operands, and the leaves (the
+    tensors made off the tape that recorded ops used). `gradient` frees
+    each cotangent and vjp as soon as it has run, so it can be taken once.
     """
 
     def __init__(self):
-        self._leaf_ids = set()
-        self._leaf_refs = []
+        self._leaves = {}  # id -> (leaf, node); holding the leaf keeps its id unique
         self._entered = False
+        self._taken = False
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -552,34 +580,48 @@ class GradTape:
         _ACTIVE_TAPE = None
         return False
 
-    def _register(self, out):
-        for p in out._parents:
-            if p._tape is None:
-                if id(p) not in self._leaf_ids:
-                    self._leaf_ids.add(id(p))
-                    self._leaf_refs.append(p)
-            elif p._tape is not self:
-                raise RuntimeError("tensor recorded on a different tape")
+    def _node_of(self, t):
+        """The node of a tensor an op records, made on first use for a leaf."""
+        node = t._node
+        if node is None:
+            entry = self._leaves.get(id(t))
+            if entry is None:
+                entry = self._leaves[id(t)] = (t, _Node((), None, None))
+            return entry[1]
+        if node.tape is not self:
+            raise RuntimeError("tensor recorded on a different tape")
+        return node
 
-    def _on_tape(self, t):
-        return t._tape is self or id(t) in self._leaf_ids
+    def _recorded(self, t):
+        """The node of a tensor on this tape, or None."""
+        if t._node is not None:
+            return t._node if t._node.tape is self else None
+        entry = self._leaves.get(id(t))
+        return None if entry is None else entry[1]
 
     def gradient(self, output, inputs):
-        """Gradients of a recorded scalar with respect to recorded inputs."""
+        """Gradients of a recorded scalar with respect to recorded inputs.
+
+        Can be called once per tape: the backward frees the graph it reads.
+        """
+        if self._taken:
+            raise RuntimeError("a GradTape's gradient can be taken only once")
         if isinstance(output, ConvKernel):
             output = output.weights
         if output.size != 1:
             raise ValueError(f"gradient output must be scalar, got shape {output.shape}")
-        if output._tape is not self:
+        root = output._node
+        if root is None or root.tape is not self:
             raise ValueError("output was not recorded on this tape")
         targets = [t.weights if isinstance(t, ConvKernel) else t for t in inputs]
-        for t in targets:
-            if not self._on_tape(t):
-                raise ValueError("an input was not recorded on this tape")
+        target_nodes = [self._recorded(t) for t in targets]
+        if any(n is None for n in target_nodes):
+            raise ValueError("an input was not recorded on this tape")
+        self._taken = True
 
         topo = []
         visited = set()
-        stack = [(output, False)]
+        stack = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -589,18 +631,21 @@ class GradTape:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p._tape is self and id(p) not in visited:
+            for p in node.parents:  # a leaf has no vjp and nothing to visit
+                if p.vjp is not None and id(p) not in visited:
                     stack.append((p, False))
 
-        grads = {id(output): np.ones_like(output.data)}
+        keep = {id(n) for n in target_nodes}
+        grads = {id(root): np.ones_like(output.data)}
         for node in reversed(topo):
-            g = grads.get(id(node))
-            if g is None or node._vjp is None:
+            g = grads.get(id(node)) if id(node) in keep else grads.pop(id(node), None)
+            vjp, node.vjp = node.vjp, None
+            if g is None:
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            for parent, pg in zip(node.parents, vjp(g)):
                 if pg is None:
                     continue
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
-        return [grads.get(id(t), np.zeros_like(t.data)) for t in targets]
+        return [grads.get(id(n), np.zeros_like(t.data))
+                for t, n in zip(targets, target_nodes)]

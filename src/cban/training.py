@@ -278,6 +278,19 @@ def init_weights(arch, seed, conv_std=0.01):
                                     arch.n_layers)
 
 
+def _train_step(batch, w, opt, arch, cfg):
+    """One TD(1) step; returns (opt, weights, loss value, t* per item).
+
+    The step's tape and graph go out of scope on return, so they are freed
+    before the next step's forward.
+    """
+    with GradTape() as tape:
+        loss, reports = td1_forward(batch, w, arch, cfg)
+    grads = tape.gradient(loss, w.params())
+    opt, w = optimizer_step(opt, w, grads)
+    return opt, w, loss.item(), [r.t_star for r in reports]
+
+
 def train(dataset, arch, cfg, on_epoch=None):
     """Mini-batch training over fresh-masked epochs; returns (weights, log).
 
@@ -300,12 +313,9 @@ def train(dataset, arch, cfg, on_epoch=None):
         losses, t_stars = [], []
         for start in range(0, len(examples), cfg.batch_size):
             batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            with GradTape() as tape:
-                loss, reports = td1_forward(batch, w, arch, cfg)
-            grads = tape.gradient(loss, w.params())
-            opt, w = optimizer_step(opt, w, grads)
-            losses.append(loss.item())
-            t_stars.extend(r.t_star for r in reports)
+            opt, w, loss, batch_t_stars = _train_step(batch, w, opt, arch, cfg)
+            losses.append(loss)
+            t_stars.extend(batch_t_stars)
         row = {
             "epoch": epoch,
             "loss": float(np.mean(losses)),

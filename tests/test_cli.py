@@ -859,19 +859,28 @@ class TestCmdEval:
         assert err.startswith("error:") and "visible layer" in err
         assert not (outdir / "metrics.csv").exists()
 
-    def test_image_smaller_than_ssim_window_exits_2(self, tmp_path, capsys):
-        images = np.random.default_rng(1).integers(0, 256, size=(4, 8, 8))
+    def test_image_smaller_than_ssim_window_exits_2(self, tmp_path, capsys, monkeypatch):
+        import cban.training
+
+        # 40 images are two batches: the refusal comes before either settles
+        images = np.random.default_rng(1).integers(0, 256, size=(40, 8, 8))
         save_idx(tmp_path / "small.idx", images.astype(np.uint8))
         arch = fban(64, [8])
         save_checkpoint(tmp_path / "s.ckpt", Checkpoint(
             arch=arch, weights=init_weights(arch, seed=0),
             opt_state=None, epoch=0, rng_state=None))
+        calls = []
+        real = cban.training.complete
+        monkeypatch.setattr(cban.training, "complete",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
         code = main(["eval", "--ckpt", str(tmp_path / "s.ckpt"), "--data",
                      str(tmp_path / "small.idx"), "--mask", "bernoulli",
                      "--mask-fraction", "0.5", "--outdir", str(tmp_path / "ev")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "window" in err
+        assert capsys.readouterr().err == (
+            "error: image (8, 8) is smaller than the 11x11 window\n")
+        assert calls == []
+        assert not (tmp_path / "ev").exists()
 
 
 class TestCmdCheck:

@@ -1,6 +1,7 @@
 """Tensor arithmetic, structural maps, and gradient-tape correctness."""
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -378,7 +379,7 @@ class TestGradTape:
     def test_no_tape_means_no_recording(self):
         x = Tensor([1.0])
         y = x + 1.0
-        assert y._tape is None and y._parents == ()
+        assert y._node is None
 
     def test_reuse_of_consumed_tape_rejected(self):
         t = GradTape()
@@ -387,6 +388,36 @@ class TestGradTape:
         with pytest.raises(RuntimeError, match="reused"):
             with t:
                 pass
+
+    def test_input_from_other_tape_rejected(self):
+        x = Tensor([1.0])
+        with GradTape():
+            y = x * 2.0
+        with GradTape() as tape:
+            out = tensor_sum(x * 3.0)
+        with pytest.raises(ValueError, match="not recorded"):
+            tape.gradient(out, [y])
+
+    def test_gradient_can_be_taken_once(self):
+        x = Tensor([2.0])
+        with GradTape() as tape:
+            out = tensor_sum(x * x)
+        (g,) = tape.gradient(out, [x])
+        np.testing.assert_allclose(g, [4.0])
+        with pytest.raises(RuntimeError, match="only once"):
+            tape.gradient(out, [x])
+
+    def test_intermediate_read_only_by_add_is_freed(self):
+        # add keeps its operands' shapes, so nothing holds the product's array
+        x = Tensor([1.0, 2.0])
+        with GradTape() as tape:
+            prod = x * 3.0
+            freed = weakref.ref(prod.data)
+            out = tensor_sum(prod + 1.0)
+            del prod
+        assert freed() is None
+        (g,) = tape.gradient(out, [x])
+        np.testing.assert_allclose(g, [3.0, 3.0])
 
     def test_unreached_input_gets_zero_gradient(self):
         x = Tensor([1.0])

@@ -1,14 +1,18 @@
 """Losses, TD(1) unrolling, optimizers, initialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cban.tensor import GradTape, Tensor
 from cban.dynamics import (
+    ArchSpec,
     LeakySigmoid,
     NetState,
     Tanh,
     WeightBundle,
+    conv_layer,
     energy,
     fban,
     norm_1inf,
@@ -465,6 +469,58 @@ class TestTrain:
         trained = accuracy(w)
         assert trained >= 0.6
         assert trained > untrained
+
+
+class TestTapeMemory:
+    """The tape keeps what the backward reads, and train() frees each step."""
+
+    arch = ArchSpec(layers=(conv_layer(3, 16, 16, visible=True), conv_layer(8, 16, 16),
+                            conv_layer(16, 8, 8, pool_before=True),
+                            conv_layer(32, 4, 4, pool_before=True)),
+                    kernel_sizes=(3, 3, 3))
+    batch, sweeps = 4, 5
+
+    def _targets(self, n):
+        rng = np.random.default_rng(5)
+        return [rng.uniform(-0.9, 0.9, size=(3, 16, 16)) for _ in range(n)]
+
+    def _cfg(self, **kw):
+        return tiny_cfg(max_iters=self.sweeps, theta=1e-300, batch_size=self.batch,
+                        conv_init_std=0.1, **kw)
+
+    def test_td1_graph_and_backward_stay_within_a_few_states_per_sweep(self):
+        examples = ToyExamples(self._targets(self.batch)).epoch_examples(
+            np.random.default_rng(0))
+        w = init_weights(self.arch, seed=0, conv_std=0.1)
+        cfg = self._cfg()
+        state_bytes = 8 * self.batch * sum(int(np.prod(l.shape)) for l in self.arch.layers)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with GradTape() as tape:
+                loss, reports = td1_forward(examples, w, self.arch, cfg)
+            kept = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.gradient(loss, w.params())
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(r.t_star == self.sweeps and not r.converged for r in reports)
+        assert kept <= 4 * self.sweeps * state_bytes
+        assert backward_peak <= 5 * self.sweeps * state_bytes
+
+    def test_train_frees_each_step_before_the_next(self):
+        def peak_of(steps):
+            dataset = ToyExamples(self._targets(steps * self.batch))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train(dataset, self.arch, self._cfg())
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak_of(3) <= 1.1 * peak_of(1)
 
 
 class TestLossPerItem:
