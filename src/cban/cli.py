@@ -147,6 +147,7 @@ def cmd_train(args):
     from .training import init_opt_state, train
 
     try:
+        _check_counts(args, "eval_every", "keep_every")
         cfg = load_run_config(args.config)
         dataset = _build_dataset(cfg)
     except (OSError, ValueError, KeyError) as e:
@@ -273,6 +274,13 @@ def _check_settle_options(args):
         raise ValueError("--theta must be positive and --max-iters at least 1")
 
 
+def _check_counts(args, *names):
+    """Refuse a negative count option; 0 keeps its meaning of "off" or "all"."""
+    for name in names:
+        if getattr(args, name) < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be 0 or more")
+
+
 def cmd_complete(args):
     from .checkpoint import CheckpointError, load_checkpoint
     from .dynamics import EvidenceConstraint, initial_state, settle
@@ -317,15 +325,17 @@ def cmd_eval(args):
 
     try:
         _check_settle_options(args)
+        _check_counts(args, "limit")
         ckpt = load_checkpoint(args.ckpt)
         arch = ckpt.arch
         limit = args.limit or None
         images = _load_images(args.data)[:limit]
+        if not len(images):
+            raise ValueError(f"{args.data} holds no images")
         labels = load_idx(args.labels)[:limit] if args.labels else None
         dataset = _library_dataset(arch, images, labels, _mask_from_args(args))
         examples = dataset.epoch_examples(np.random.default_rng(args.seed))
-        if len(images):  # every scored image has the images' (h, w)
-            check_ssim_extent(*images[0].shape[-2:])
+        check_ssim_extent(*images[0].shape[-2:])  # every scored image has this (h, w)
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
     outputs = []

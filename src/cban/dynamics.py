@@ -242,13 +242,15 @@ class WeightBundle:
     """Forward weights per adjacent pair plus one bias tensor per layer.
 
     The downward weights are always derived from the forward ones (matrix
-    transpose / kernel reversal) and never stored. Matrices map (lower
-    units, upper units); biases are per-unit for fc layers and per-channel
-    for conv layers.
+    transpose / kernel reversal) and are never parameters. Matrices map
+    (lower units, upper units); biases are per-unit for fc layers and
+    per-channel for conv layers.
     """
 
     forward: list
     biases: list
+    # set only by with_down_derived: one derived tensor per pair
+    _derived_down: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def params(self):
         """Trainable tensors, in declaration order (forward, then biases)."""
@@ -269,11 +271,30 @@ class WeightBundle:
 
     def down_weights(self, pair):
         """Weights for the map from layer pair+1 down to pair: the transpose
-        of the forward matrix, or the reversed forward kernel."""
+        of the forward matrix, or the reversed forward kernel.
+
+        A bundle from with_down_derived returns the tensor it derived; any
+        other bundle derives a fresh copy on every call, which settle()
+        frees as soon as its down map has used it.
+        """
+        if self._derived_down is not None:
+            return self._derived_down[pair]
         w = self.forward[pair]
         if isinstance(w, ConvKernel):
             return reverse_kernel(w)
         return transpose(w)
+
+    def with_down_derived(self):
+        """The same weights with each pair's downward weights derived once.
+
+        Every down map of the returned bundle reads one tensor per pair. An
+        unrolled TD(1) step uses it, so its tape keeps one reversed kernel
+        (or transposed matrix) per pair rather than one per down map, and
+        its backward runs one reversal per pair.
+        """
+        bundle = WeightBundle(self.forward, self.biases)
+        bundle._derived_down = [self.down_weights(p) for p in range(len(self.forward))]
+        return bundle
 
 
 @dataclass

@@ -27,6 +27,13 @@ sub and where keep operand shapes, not operands. An intermediate that no
 vjp reads is therefore freed as soon as the caller drops it. The backward
 frees each cotangent and vjp once it has run, so a tape's gradient can be
 taken once.
+
+A reversed kernel read by many maps is best derived once on the tape (the
+unrolled TD(1) step derives each layer pair's downward weights once, see
+dynamics.WeightBundle.with_down_derived): the tape then keeps one copy,
+sums the cotangents of every map that read it, and runs one reversal vjp.
+The backward copies no kernel: the reversal vjp and the conv input
+gradient flip their kernels as strided views.
 """
 
 from __future__ import annotations
@@ -388,7 +395,8 @@ class ConvKernel:
 
 
 def _flip_kernel_np(w):
-    return np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    """The reversed kernel as a strided view of w: no copy is made."""
+    return w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
 def reverse_kernel(k):
@@ -397,9 +405,12 @@ def reverse_kernel(k):
     A kernel and its reverse implement transposed linear maps under
     half-padded convolution (see conv2d_half), which is how bidirectional
     symmetric connectivity is realized without storing reverse weights.
+    The forward makes one contiguous copy; the vjp returns a view of its
+    cotangent, which the tape sums or hands back without copying.
     """
     w = k.weights
-    out = _from_op(_flip_kernel_np(w.data), (w,), lambda g: (_flip_kernel_np(g),))
+    out = _from_op(np.ascontiguousarray(_flip_kernel_np(w.data)), (w,),
+                   lambda g: (_flip_kernel_np(g),))
     return ConvKernel(out)
 
 
@@ -444,15 +455,20 @@ def _im2col(x, ka, kb):
     return cols.reshape(ka * kb * c, n * h * w)
 
 
-def _conv_half_np(x, w):
+def _conv_half_np(x, w, x_laid=None):
     # x: (n, r, H, W), w: (q, r, ka, kb) -> (n, q, H, W), zero padding (k-1)/2.
     # One GEMM; the k^2 shifted copies expand whichever side has fewer channels.
+    # The reshape copies w into the GEMM's layout, so w may be a strided view.
+    # x_laid, if given, is x already laid out for the GEMM: the im2col of x
+    # when q > r, else its channels-first copy.
     n, r, h, wd = x.shape
     q, _, ka, kb = w.shape
     if q > r:
-        out = w.transpose(0, 2, 3, 1).reshape(q, ka * kb * r) @ _im2col(x, ka, kb)
+        cols = _im2col(x, ka, kb) if x_laid is None else x_laid
+        out = w.transpose(0, 2, 3, 1).reshape(q, ka * kb * r) @ cols
         return np.ascontiguousarray(out.reshape(q, n, h, wd).transpose(1, 0, 2, 3))
-    y = w.transpose(2, 3, 0, 1).reshape(ka * kb * q, r) @ _channels_first(x)
+    xc = _channels_first(x) if x_laid is None else x_laid
+    y = w.transpose(2, 3, 0, 1).reshape(ka * kb * q, r) @ xc
     y = y.reshape(ka * kb, q, n, h, wd).transpose(0, 2, 1, 3, 4)
     out = np.zeros((n, q, h, wd))
     for t, dst, src in _taps(ka, kb, h, wd):
@@ -460,16 +476,37 @@ def _conv_half_np(x, w):
     return out
 
 
-def _conv_weight_grad_np(x, g, ka, kb):
+def _conv_weight_grad_np(x, g, ka, kb, g_laid=None):
     # d<g, conv(x, w)>/dw, shape (q, r, ka, kb), by the same rule as the forward.
+    # g_laid, if given, is the channels-first copy of g when q > r, else its im2col.
     q, r = g.shape[1], x.shape[1]
     if q > r:
-        m = _channels_first(g) @ _im2col(x, ka, kb).T
+        gc = _channels_first(g) if g_laid is None else g_laid
+        m = gc @ _im2col(x, ka, kb).T
         return m.reshape(q, ka, kb, r).transpose(0, 3, 1, 2)
     # shifting g by -offset pairs it with x exactly as shifting x by +offset
     # pairs it with g, so the taps of im2col(g) come out in reverse order
-    m = _im2col(g, ka, kb) @ _channels_first(x).T
+    gcols = _im2col(g, ka, kb) if g_laid is None else g_laid
+    m = gcols @ _channels_first(x).T
     return m.reshape(ka, kb, q, r)[::-1, ::-1].transpose(2, 3, 0, 1)
+
+
+def _conv_vjp_np(x, w, g):
+    """(input gradient, weight gradient) of a batched map at cotangent g.
+
+    The input gradient is the map with the reversed kernel, a strided view
+    that its GEMM copies into layout. When q != r, both GEMMs read g in the
+    same layout (channels-first when q > r, the im2col when q < r), so it
+    is built once.
+    """
+    q, r, ka, kb = w.shape
+    g_laid = None
+    if q > r:
+        g_laid = _channels_first(g)
+    elif q < r:
+        g_laid = _im2col(g, ka, kb)
+    gx = _conv_half_np(g, _flip_kernel_np(w), g_laid)
+    return gx, _conv_weight_grad_np(x, g, ka, kb, g_laid)
 
 
 def conv2d_half(x, k):
@@ -503,9 +540,7 @@ def conv2d_half(x, k):
     out = _conv_half_np(xd, wd)
 
     def vjp(g):
-        gb = g if batched else g[None]
-        gx = _conv_half_np(gb, _flip_kernel_np(wd))
-        gw = _conv_weight_grad_np(xd, gb, wd.shape[2], wd.shape[3])
+        gx, gw = _conv_vjp_np(xd, wd, g if batched else g[None])
         return (gx if batched else gx[0]), gw
 
     return _from_op(out if batched else out[0], (x, w), vjp)
@@ -556,8 +591,11 @@ class GradTape:
 
     The graph keeps only what the backward reads: the arrays each op's vjp
     needs, the shapes of add, sub and where operands, and the leaves (the
-    tensors made off the tape that recorded ops used). `gradient` frees
-    each cotangent and vjp as soon as it has run, so it can be taken once.
+    tensors made off the tape that recorded ops used). A tensor that many
+    ops read, such as the downward weights an unrolled TD(1) step derives
+    once per layer pair, is kept once and its cotangents are summed before
+    its own vjp runs. `gradient` frees each cotangent and vjp as soon as it
+    has run, so it can be taken once.
     """
 
     def __init__(self):

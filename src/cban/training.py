@@ -154,12 +154,19 @@ def td1_forward(examples, w, arch, cfg):
     contribute losses for all max_iters sweeps and are flagged in their
     reports, whose energy_trace is empty: no energy is evaluated. Returns
     (mean over items of summed per-sweep losses, reports).
+
+    Each adjacent pair's downward weights (the reversed kernel or the
+    transposed matrix) are derived once per call, on the tape, and every
+    down map of the unrolled sweeps reads them, unclamped_visible's
+    included. The tape therefore keeps one derived copy per pair, whatever
+    the number of sweeps.
     """
     n = len(examples)
     if n == 0:
         raise ValueError("empty batch")
     targets, evidence = _batch_evidence(examples, arch)
     y = Tensor(targets)
+    w = w.with_down_derived()
     state = initial_state(arch, evidence, batch=n)
     # the sweep's upward half ends on the top layer, where the pair is read
     order = sweep_order(arch.n_layers)

@@ -1,5 +1,7 @@
 """Shared test utilities: the central finite-difference gradient oracle."""
 
+import tracemalloc
+
 import numpy as np
 
 from cban.tensor import GradTape
@@ -32,3 +34,20 @@ def tape_gradients(build, inputs):
     with GradTape() as tape:
         out = build(*inputs)
     return out, tape.gradient(out, list(inputs))
+
+
+def traced_bytes(fn):
+    """Call fn() under tracemalloc; return (its result, bytes kept, peak bytes).
+
+    Both counts are relative to the start of the call and cover only blocks
+    allocated during it: "kept" is what is still allocated when fn returns,
+    the peak the most that was at any one time.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return out, current - base, peak - base
+    finally:
+        tracemalloc.stop()

@@ -219,6 +219,33 @@ def assert_bad_settle_option_exits_2(tmp_path, capsys, argv, option, value):
     assert not (tmp_path / "x").exists()
 
 
+NEGATIVE_COUNT_OPTIONS = [("train", "--eval-every", "-3"), ("train", "--keep-every", "-2"),
+                          ("eval", "--limit", "-1")]
+
+
+@pytest.mark.parametrize("command, option, value", NEGATIVE_COUNT_OPTIONS)
+def test_negative_count_option_exits_2_before_loading(tmp_path, capsys, monkeypatch,
+                                                      command, option, value):
+    import cban.checkpoint
+    import cban.config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loaded before the option was checked")
+
+    monkeypatch.setattr(cban.config, "load_run_config", refuse)
+    monkeypatch.setattr(cban.checkpoint, "load_checkpoint", refuse)
+    if command == "train":
+        argv = ["train", "--config", str(write_bar_config(tmp_path))]
+        outdir = tmp_path / "out"
+    else:
+        argv = ["eval", "--ckpt", str(tmp_path / "none.ckpt"),
+                "--data", str(tmp_path / "none.idx"), "--outdir", str(tmp_path / "ev")]
+        outdir = tmp_path / "ev"
+    assert main(argv + [option, value]) == 2
+    assert capsys.readouterr().err == f"error: {option} must be 0 or more\n"
+    assert not outdir.exists()
+
+
 def write_bar_config(tmp_path, epochs=3, seed=0):
     cfg = {
         "task": "bar",
@@ -858,6 +885,29 @@ class TestCmdEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "visible layer" in err
         assert not (outdir / "metrics.csv").exists()
+
+    def test_empty_image_set_exits_2_before_settling(self, tmp_path, capsys, monkeypatch):
+        import cban.training
+
+        save_idx(tmp_path / "empty.idx", np.zeros((0, 8, 8), dtype=np.uint8))
+        arch = fban(64, [8])
+        save_checkpoint(tmp_path / "e.ckpt", Checkpoint(
+            arch=arch, weights=init_weights(arch, seed=0),
+            opt_state=None, epoch=0, rng_state=None))
+        calls = []
+        real = cban.training.complete
+        monkeypatch.setattr(cban.training, "complete",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--ckpt", str(tmp_path / "e.ckpt"), "--data",
+                         str(tmp_path / "empty.idx"), "--mask", "bernoulli",
+                         "--outdir", str(tmp_path / "ev")])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {tmp_path / 'empty.idx'} holds no images\n"
+        assert calls == []
+        assert not (tmp_path / "ev").exists()
 
     def test_image_smaller_than_ssim_window_exits_2(self, tmp_path, capsys, monkeypatch):
         import cban.training
