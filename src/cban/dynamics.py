@@ -9,10 +9,21 @@ conditioned on whatever evidence is clamped into the visible layer.
 Layer indices are 0-based with layer 0 the visible layer. One iteration is
 a sweep 1, 2, ..., L-1, L-2, ..., 0 (2L-2 layer updates), ending on the
 visible layer so the read-out is current after every iteration.
+
+A layer's preactivation is the sum of two pair terms, the up map of the
+layer below and the down map of the layer above, and a term only changes
+when its source layer does. settle and the unrolled TD(1) step therefore
+keep one PairTerms per run: the downward update of layer l reuses the up
+term of its upward update, the next sweep's upward update of l reuses the
+down term of this sweep's downward update, and every other term is dropped
+right after its one read. After the first sweep that is 2L-2 maps per
+sweep instead of 4L-6: 6 instead of 10 on a 4-layer net. sweep() and
+update_layer without a PairTerms compute every term afresh.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +56,7 @@ __all__ = [
     "EvidenceConstraint",
     "NetState",
     "SettleReport",
+    "PairTerms",
     "fc_layer",
     "conv_layer",
     "fban",
@@ -275,7 +287,10 @@ class WeightBundle:
 
         A bundle from with_down_derived returns the tensor it derived; any
         other bundle derives a fresh copy on every call, which settle()
-        frees as soon as its down map has used it.
+        frees as soon as its down map has used it. After its first sweep
+        settle() computes one down map per pair and sweep (its PairTerms
+        reuses the rest), so it derives L-1 reversed kernels or transposes
+        per sweep: 3 on a 4-layer net instead of one per down map, 5.
         """
         if self._derived_down is not None:
             return self._derived_down[pair]
@@ -389,24 +404,86 @@ def _bias_term(b, spec):
     return reshape(b, (spec.channels, 1, 1))
 
 
-def layer_preactivation(state, w, arch, l):
+class PairTerms:
+    """The pair terms of one run of layer updates, each computed once per
+    change of its source layer.
+
+    A term is the map of a source layer's activations into an adjacent
+    reader layer's preactivation: up(x[l-1]) is the term (l, l-1) and
+    down(x[l+1]) the term (l, l+1). A run updates its layers in sweep
+    order, which walks up and down the stack, and every state it passes
+    with this object is the result of the update before. Two rules keep
+    each held term exact and short-lived:
+    - a term is dropped as soon as its source layer is updated;
+    - a term is held only while its reader is due for an update before its
+      source: otherwise its last read has already happened.
+    So between updates each layer holds at most one term. Updates in
+    another order stay exact but reuse less.
+    """
+
+    def __init__(self, n_layers):
+        self._steps = _walk_steps(n_layers)
+        self._at = 0  # walk position of the next update
+        self._terms = {}
+
+    def _due(self, reader, source):
+        steps = self._steps[self._at]
+        return steps[reader] < steps[source]
+
+    def read(self, reader, source, compute):
+        """The term (reader, source): held, or compute() and hold it if due."""
+        key = (reader, source)
+        term = self._terms.get(key)
+        if term is None:
+            term = compute()
+            if self._due(reader, source):
+                self._terms[key] = term
+        return term
+
+    def updated(self, l):
+        """Layer l is updated: drop the terms it leaves stale or dead."""
+        self._at = (self._at + self._steps[self._at][l] + 1) % len(self._steps)
+        self._terms = {key: term for key, term in self._terms.items()
+                       if key[1] != l and self._due(*key)}
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_steps(n_layers):
+    """From each position of the sweep_order walk, the number of updates
+    before each layer's next one."""
+    walk = sweep_order(n_layers)
+    n = len(walk)
+    return tuple({layer: next(s for s in range(n) if walk[(at + s) % n] == layer)
+                  for layer in range(n_layers)} for at in range(n))
+
+
+def _pair_term(state, w, arch, reader, source, terms):
+    """The map of layer `source`'s activations into layer `reader`."""
+    def compute():
+        x = state.activations[source]
+        return _up_map(x, w, arch, source) if source < reader else _down_map(x, w, arch, reader)
+
+    return compute() if terms is None else terms.read(reader, source, compute)
+
+
+def layer_preactivation(state, w, arch, l, terms=None):
     """Total input to layer l: neighbor contributions plus the layer bias.
 
     End layers receive one neighbor contribution, interior layers two.
     fc pairs use the weight matrix and its transpose; conv pairs use the
     forward kernel upward and its reversed kernel downward. Under
     external-bias evidence the visible layer also receives the state's
-    evidence values; a state without evidence receives none.
+    evidence values; a state without evidence receives none. With a
+    PairTerms the neighbor contributions are read from it (see PairTerms).
     """
     if not 0 <= l < arch.n_layers:
         raise IndexError(f"layer index {l} out of range for {arch.n_layers} layers")
     spec = arch.layers[l]
     total = None
-    if l > 0:
-        total = _up_map(state.activations[l - 1], w, arch, l - 1)
-    if l < arch.n_layers - 1:
-        down = _down_map(state.activations[l + 1], w, arch, l)
-        total = down if total is None else total + down
+    for source in (l - 1, l + 1):
+        if 0 <= source < arch.n_layers:
+            term = _pair_term(state, w, arch, l, source, terms)
+            total = term if total is None else total + term
     total = total + _bias_term(w.biases[l], spec)
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "external_bias":
@@ -414,9 +491,15 @@ def layer_preactivation(state, w, arch, l):
     return total
 
 
-def update_layer(state, w, arch, l):
-    """Activate layer l from its preactivation, then re-clamp any evidence."""
-    pre = layer_preactivation(state, w, arch, l)
+def update_layer(state, w, arch, l, terms=None):
+    """Activate layer l from its preactivation, then re-clamp any evidence.
+
+    With a PairTerms the preactivation reuses its held terms, and the
+    terms that layer l's change leaves stale or dead are dropped.
+    """
+    pre = layer_preactivation(state, w, arch, l, terms)
+    if terms is not None:
+        terms.updated(l)  # before the activation, so the dropped terms free first
     x = activation(arch.activation, pre)
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "clamp":
@@ -467,13 +550,13 @@ def energy(state, w, arch):
 
 def _max_delta(prev, new, batched):
     """Largest absolute activation change, per item when batched."""
-    if not batched:
-        return max(float(np.max(np.abs(n.data - p.data))) for p, n in zip(prev, new))
     per = None
     for p, n in zip(prev, new):
-        d = np.abs(n.data - p.data).reshape(n.data.shape[0], -1).max(axis=1)
+        d = np.subtract(n.data, p.data)
+        np.abs(d, out=d)
+        d = d.max() if not batched else d.reshape(d.shape[0], -1).max(axis=1)
         per = d if per is None else np.maximum(per, d)
-    return per
+    return per if batched else float(per)
 
 
 def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
@@ -483,19 +566,24 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
     t_star and per-iteration energy and delta traces. Every layer update
     minimizes the energy over its layer, so a run that stops at max_iters
     without converging has still lowered or kept its energy at every sweep.
-    Intended for inference; do not call under an active GradTape (unrolled
-    training has its own loop).
+    The sweeps are those of sweep(), with the pair terms of one PairTerms
+    for the whole run: each up or down map is computed once per change of
+    its source layer, 2L-2 maps per sweep after the first, and each term is
+    dropped right after its last read.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     batched = state.batched(arch)
+    order = sweep_order(arch.n_layers)
+    terms = PairTerms(arch.n_layers)
     energies, deltas = [], []
     for t in range(1, max_iters + 1):
         prev = state.activations
         try:
-            state = sweep(state, w, arch)
+            for l in order:
+                state = update_layer(state, w, arch, l, terms)
         except ValueError as e:
             raise ValueError(f"state diverged during iteration {t}: {e}") from e
         d = _max_delta(prev, state.activations, batched)

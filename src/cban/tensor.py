@@ -33,7 +33,12 @@ unrolled TD(1) step derives each layer pair's downward weights once, see
 dynamics.WeightBundle.with_down_derived): the tape then keeps one copy,
 sums the cotangents of every map that read it, and runs one reversal vjp.
 The backward copies no kernel: the reversal vjp and the conv input
-gradient flip their kernels as strided views.
+gradient flip their kernels as strided views. The same holds for a map's
+output read twice (dynamics.PairTerms reuses a pair term until its source
+layer changes): its cotangents are summed before the map's one vjp. Off
+the tape, settle derives each reversed kernel afresh per down map and
+frees it after use; reusing the pair terms leaves one down map, so one
+derivation, per pair and sweep.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from .tensor import GradTape, Tensor, clip, softplus, tensor_sum
 from .dynamics import (
     EvidenceConstraint,
     NetState,
+    PairTerms,
     SettleReport,
     Tanh,
     WeightBundle,
@@ -97,14 +98,16 @@ class TrainConfig:
         return lr
 
 
-def unclamped_visible(state, w, arch):
+def unclamped_visible(state, w, arch, terms=None):
     """Visible values the current hidden configuration would produce.
 
     The visible preactivation is computed on the state's activations with
     its evidence dropped, from the adjacent hidden layer plus bias, and
     activated: no evidence is re-applied and no evidence bias mixed in.
+    With a PairTerms the down term is read from it, so on a 2-layer net the
+    visible update that follows reuses it.
     """
-    pre = layer_preactivation(NetState(state.activations), w, arch, 0)
+    pre = layer_preactivation(NetState(state.activations), w, arch, 0, terms)
     return activation(arch.activation, pre)
 
 
@@ -160,6 +163,12 @@ def td1_forward(examples, w, arch, cfg):
     down map of the unrolled sweeps reads them, unclamped_visible's
     included. The tape therefore keeps one derived copy per pair, whatever
     the number of sweeps.
+
+    The sweeps and v~ share one PairTerms, as in settle, so each map is
+    computed once per change of its source layer: 2L-1 maps per sweep after
+    the first, 7 on a 4-layer net. On a 2-layer net the visible update
+    reuses v~'s down term, which leaves 2. A term read twice sums both
+    cotangents before its one vjp.
     """
     n = len(examples)
     if n == 0:
@@ -168,6 +177,7 @@ def td1_forward(examples, w, arch, cfg):
     y = Tensor(targets)
     w = w.with_down_derived()
     state = initial_state(arch, evidence, batch=n)
+    terms = PairTerms(arch.n_layers)
     # the sweep's upward half ends on the top layer, where the pair is read
     order = sweep_order(arch.n_layers)
     up, down = order[:arch.n_layers - 1], order[arch.n_layers - 1:]
@@ -180,13 +190,13 @@ def td1_forward(examples, w, arch, cfg):
     for t in range(1, cfg.max_iters + 1):
         prev = state.activations
         for l in up:
-            state = update_layer(state, w, arch, l)
-        v_tilde = unclamped_visible(state, w, arch)
+            state = update_layer(state, w, arch, l, terms)
+        v_tilde = unclamped_visible(state, w, arch, terms)
         loss_vec = loss_per_item(cfg.loss, arch.activation, v_tilde, y)
         contrib = tensor_sum(loss_vec * active.astype(float))
         total = contrib if total is None else total + contrib
         for l in down:
-            state = update_layer(state, w, arch, l)
+            state = update_layer(state, w, arch, l, terms)
         delta = _max_delta(prev, state.activations, batched=True)
         delta_traces.append(delta)
         newly = active & (delta < cfg.theta)
@@ -342,8 +352,8 @@ def complete(examples, w, arch, theta=0.01, max_iters=100):
     values and unobserved positions carry the settled completion; under
     external-bias evidence every position carries the settled value.
     """
-    targets, evidence = _batch_evidence(examples, arch)
-    state = initial_state(arch, evidence, batch=len(examples))
-    state, report = settle(state, w, arch, theta=theta, max_iters=max_iters,
-                           record_energy=False)
+    _, evidence = _batch_evidence(examples, arch)
+    # passed unbound, so the start state is freed once settle moves past it
+    state, report = settle(initial_state(arch, evidence, batch=len(examples)), w, arch,
+                           theta=theta, max_iters=max_iters, record_energy=False)
     return state.activations[0].data.copy(), report

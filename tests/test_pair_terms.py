@@ -1,0 +1,298 @@
+"""Pair-term reuse in settle and TD(1): the same numbers from fewer maps.
+
+settle and td1_forward keep one PairTerms per run, so each up or down map
+is computed once per change of its source layer. The references here are
+the plain loops they replace: sweep() for settle, and cache-less
+update_layer plus unclamped_visible for the unrolled TD(1) step.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import cban.dynamics
+import cban.training
+from cban.data import Example
+from cban.dynamics import (
+    ArchSpec,
+    EvidenceConstraint,
+    PairTerms,
+    SettleReport,
+    _max_delta,
+    conv_layer,
+    energy,
+    fban,
+    initial_state,
+    settle,
+    sweep,
+    sweep_order,
+    update_layer,
+)
+from cban.tensor import GradTape, Tensor, tensor_sum
+from cban.training import (
+    TrainConfig,
+    _batch_evidence,
+    init_weights,
+    loss_per_item,
+    td1_forward,
+    unclamped_visible,
+)
+from helpers import relative_error
+
+ARCHS = {
+    "fc2": fban(25, [50]),  # the bar task's shape
+    "fc3": fban(9, [7, 5]),
+    "conv4": ArchSpec(layers=(conv_layer(2, 8, 8, visible=True), conv_layer(5, 8, 8),
+                              conv_layer(4, 4, 4, pool_before=True),
+                              conv_layer(3, 2, 2, pool_before=True)),
+                      kernel_sizes=(3, 3, 3)),
+}
+
+
+def _net(name, evidence, seed=4):
+    arch = dataclasses.replace(ARCHS[name], evidence=evidence)
+    rng = np.random.default_rng(seed)
+    w = init_weights(arch, seed=seed, conv_std=0.3)
+    # nonzero biases and larger weights, so every layer moves every sweep
+    w = w.with_params([Tensor(p.data + rng.normal(scale=0.3, size=p.shape))
+                       for p in w.params()])
+    return arch, w, rng
+
+
+def _mask(shape):
+    return np.arange(int(np.prod(shape))).reshape(shape) % 3 == 0
+
+
+def _settle_reference(state, w, arch, theta, max_iters):
+    """settle's loop with every sweep the plain sweep()."""
+    batched = state.batched(arch)
+    energies, deltas = [], []
+    for t in range(1, max_iters + 1):
+        prev = state.activations
+        state = sweep(state, w, arch)
+        d = _max_delta(prev, state.activations, batched)
+        deltas.append(d)
+        energies.append(energy(state, w, arch))
+        if float(np.max(d)) < theta:
+            break
+    return state, SettleReport(t_star=t, converged=float(np.max(d)) < theta,
+                               energy_trace=np.asarray(energies),
+                               max_delta_trace=np.asarray(deltas))
+
+
+def _td1_reference(examples, w, arch, cfg):
+    """td1_forward's loop with cache-less update_layer and unclamped_visible."""
+    n = len(examples)
+    targets, evidence = _batch_evidence(examples, arch)
+    y = Tensor(targets)
+    w = w.with_down_derived()
+    state = initial_state(arch, evidence, batch=n)
+    order = sweep_order(arch.n_layers)
+    up, down = order[:arch.n_layers - 1], order[arch.n_layers - 1:]
+    total = None
+    active = np.ones(n, dtype=bool)
+    deltas = []
+    for _ in range(cfg.max_iters):
+        prev = state.activations
+        for l in up:
+            state = update_layer(state, w, arch, l)
+        loss_vec = loss_per_item(cfg.loss, arch.activation,
+                                 unclamped_visible(state, w, arch), y)
+        contrib = tensor_sum(loss_vec * active.astype(float))
+        total = contrib if total is None else total + contrib
+        for l in down:
+            state = update_layer(state, w, arch, l)
+        delta = _max_delta(prev, state.activations, batched=True)
+        deltas.append(delta)
+        active &= ~(delta < cfg.theta)
+        if not active.any():
+            break
+    return total * (1.0 / n), np.stack(deltas)
+
+
+def _examples(arch, rng, n=3):
+    shape = arch.visible_shape
+    return [Example(target=rng.uniform(-0.9, 0.9, size=shape), mask=_mask(shape))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("evidence", ["clamp", "external_bias"])
+@pytest.mark.parametrize("net", list(ARCHS))
+class TestSameNumbersAsThePlainLoops:
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_settle_matches_a_loop_of_sweep(self, net, evidence, batch):
+        arch, w, rng = _net(net, evidence)
+        shape = arch.visible_shape if batch is None else (batch,) + arch.visible_shape
+        mask = rng.random(shape) < 0.4
+        ev = EvidenceConstraint(mask=mask, values=rng.uniform(-0.9, 0.9, shape) * mask)
+        start = initial_state(arch, ev, batch=batch)
+        got, report = settle(start, w, arch, theta=1e-4, max_iters=12)
+        ref, ref_report = _settle_reference(start, w, arch, theta=1e-4, max_iters=12)
+        assert report.t_star == ref_report.t_star and report.t_star > 2
+        assert report.converged == ref_report.converged
+        for a, b in zip(got.activations, ref.activations):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert report.max_delta_trace.tobytes() == ref_report.max_delta_trace.tobytes()
+        assert report.energy_trace.tobytes() == ref_report.energy_trace.tobytes()
+
+    @pytest.mark.parametrize("loss_kind", ["se", "delta_e_plus"])
+    def test_td1_matches_a_loop_of_cacheless_updates(self, net, evidence, loss_kind):
+        arch, w, rng = _net(net, evidence)
+        examples = _examples(arch, rng)
+        # a theta some items reach before others, so the lockstep mask acts
+        cfg = TrainConfig(epochs=1, loss=loss_kind, theta=0.02, max_iters=6)
+
+        def step(forward):
+            with GradTape() as tape:
+                loss, traces = forward(examples, w, arch, cfg)
+            return loss.data, traces, tape.gradient(loss, w.params())
+
+        loss, reports, grads = step(td1_forward)
+        ref_loss, ref_deltas, ref_grads = step(_td1_reference)
+        assert loss.tobytes() == ref_loss.tobytes()
+        deltas = np.stack([r.max_delta_trace for r in reports], axis=1)
+        assert deltas.tobytes() == ref_deltas.tobytes()
+        for g, ref in zip(grads, ref_grads):
+            assert relative_error(g, ref) <= 1e-12
+
+
+class TestMapsPerSweep:
+    """Each map is computed once per change of its source layer."""
+
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        count = [0]
+        for name in ("_up_map", "_down_map"):
+            real = getattr(cban.dynamics, name)
+
+            def counted(*args, real=real):
+                count[0] += 1
+                return real(*args)
+
+            monkeypatch.setattr(cban.dynamics, name, counted)
+        return count
+
+    @staticmethod
+    def _per_sweep(maps, run, sweeps=3):
+        """Maps of run(k) for k = 1..sweeps, as counts per added sweep."""
+        totals = []
+        for k in range(1, sweeps + 1):
+            maps[0] = 0
+            run(k)
+            totals.append(maps[0])
+        return [totals[0]] + list(np.diff(totals))
+
+    def _settle_maps(self, maps, net):
+        arch, w, _ = _net(net, "clamp")
+        mask = _mask(arch.visible_shape)
+        start = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask))
+
+        def run(k):
+            _, report = settle(start, w, arch, theta=1e-300, max_iters=k,
+                               record_energy=False)
+            assert report.t_star == k and not report.converged
+
+        return self._per_sweep(maps, run)
+
+    def _td1_maps(self, maps, net):
+        arch, w, rng = _net(net, "clamp")
+        examples = _examples(arch, rng, n=2)
+
+        def run(k):
+            _, reports = td1_forward(examples, w, arch,
+                                     TrainConfig(epochs=1, theta=1e-300, max_iters=k))
+            assert all(r.t_star == k and not r.converged for r in reports)
+
+        return self._per_sweep(maps, run)
+
+    def test_settle_on_a_4_layer_net(self, maps):
+        # 8 in the first sweep, then up and down once per pair
+        assert self._settle_maps(maps, "conv4") == [8, 6, 6]
+
+    def test_td1_on_a_4_layer_net(self, maps):
+        # one more per sweep for v~ (unclamped_visible)
+        assert self._td1_maps(maps, "conv4") == [9, 7, 7]
+
+    def test_td1_on_a_2_layer_net_reuses_the_visible_term(self, maps):
+        # the visible update reads v~'s down term
+        assert self._td1_maps(maps, "fc2") == [2, 2, 2]
+
+    def test_sweep_keeps_computing_every_term(self, maps):
+        arch, w, _ = _net("conv4", "clamp")
+        mask = _mask(arch.visible_shape)
+        sweep(initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask)), w, arch)
+        # two maps for each interior update, one for each end update
+        assert maps[0] == 10
+
+
+class TestUpdatesStayTraceable:
+    """settle and td1_forward call the public update_layer, 2L-2 times per
+    sweep and in sweep order, through the bindings a tracer wraps."""
+
+    @pytest.fixture
+    def updates(self, monkeypatch):
+        seen = []
+        real = cban.dynamics.update_layer
+
+        def counted(state, w, arch, l, *rest):
+            seen.append(l)
+            return real(state, w, arch, l, *rest)
+
+        for module in (cban.dynamics, cban.training):
+            monkeypatch.setattr(module, "update_layer", counted)
+        return seen
+
+    @pytest.mark.parametrize("net", ["fc2", "conv4"])
+    def test_settle(self, updates, net):
+        arch, w, _ = _net(net, "clamp")
+        mask = _mask(arch.visible_shape)
+        start = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask))
+        _, report = settle(start, w, arch, theta=1e-300, max_iters=3)
+        assert report.t_star == 3
+        assert updates == 3 * sweep_order(arch.n_layers)
+
+    @pytest.mark.parametrize("net", ["fc2", "conv4"])
+    def test_td1_forward(self, updates, net):
+        arch, w, rng = _net(net, "clamp")
+        td1_forward(_examples(arch, rng, n=2), w, arch,
+                    TrainConfig(epochs=1, theta=1e-300, max_iters=3))
+        assert updates == 3 * sweep_order(arch.n_layers)
+
+
+class TestPairTerms:
+    @staticmethod
+    def _update(terms, l, n_layers):
+        for source in (l - 1, l + 1):
+            if 0 <= source < n_layers:
+                terms.read(l, source, object)
+        terms.updated(l)
+
+    @pytest.mark.parametrize("n_layers", [2, 3, 4, 5])
+    def test_between_updates_each_layer_holds_at_most_one_term(self, n_layers):
+        terms = PairTerms(n_layers)
+        order = sweep_order(n_layers)
+        for _ in range(3):
+            for l in order[:n_layers - 1]:
+                self._update(terms, l, n_layers)
+            # v~'s read: held only when the visible update comes next
+            terms.read(0, 1, object)
+            assert ((0, 1) in terms._terms) == (n_layers == 2)
+            for l in order[n_layers - 1:]:
+                self._update(terms, l, n_layers)
+                readers = [reader for reader, _ in terms._terms]
+                assert len(readers) == len(set(readers))
+        # what a sweep leaves for the next: each interior layer's down term
+        assert sorted(terms._terms) == [(l, l + 1) for l in range(1, n_layers - 1)]
+
+    @pytest.mark.parametrize("evidence", ["clamp", "external_bias"])
+    def test_updates_out_of_sweep_order_stay_exact(self, evidence):
+        arch, w, rng = _net("conv4", evidence)
+        mask = _mask((2,) + arch.visible_shape)
+        state = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask), batch=2)
+        ref, terms = state, PairTerms(arch.n_layers)
+        for l in rng.integers(0, arch.n_layers, size=40):
+            state = update_layer(state, w, arch, int(l), terms)
+            ref = update_layer(ref, w, arch, int(l))
+            for a, b in zip(state.activations, ref.activations):
+                assert a.data.tobytes() == b.data.tobytes()
