@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when a check suite fails, settling does not
 converge, or training or settling diverges to non-finite values, 2 on
-usage, configuration, or i/o errors. `cban eval` settles its set in
+usage, configuration, data or i/o errors. `cban eval` settles its set in
 batches of 32, so its memory does not grow with the set. All outputs stay
 under the configured output directory. Set CBAN_NUM_THREADS before
 launching to cap the linear-algebra thread count.
@@ -84,9 +84,11 @@ def _build_dataset(cfg):
     if cfg.task == "bar":
         return BarTask()
     if cfg.task == "mnist-supervised":
-        limit = int(cfg.data.get("limit", 0)) or None
-        images = _load_images(cfg.data["images"])[:limit]
-        labels = load_idx(cfg.data["labels"])[:limit]
+        limit = int(cfg.data.get("limit", 0))
+        if limit < 0:
+            raise ValueError(f"data.limit must be 0 or more, got {limit}")
+        images = _load_images(cfg.data["images"])[:limit or None]
+        labels = load_idx(cfg.data["labels"])[:limit or None]
     elif "folder" not in cfg.data:
         raise ValueError("completion task needs data.folder")
     else:
@@ -194,9 +196,9 @@ def cmd_train(args):
         with np.errstate(over="ignore", invalid="ignore"):
             w, _ = train(dataset, arch, cfg.train, on_epoch=on_epoch)
     except ValueError as e:
-        if "non-finite" not in str(e):
-            raise
-        return _fail(f"training diverged: {e}", code=1)
+        if "non-finite" in str(e):
+            return _fail(f"training diverged: {e}", code=1)
+        return _fail(str(e))  # data that train() cannot use
     if not log_rows:  # zero-epoch run still leaves a checkpoint behind
         ckpt = Checkpoint(arch=arch, weights=w, opt_state=init_opt_state(cfg.train),
                           epoch=-1, rng_state=None)
@@ -270,7 +272,7 @@ def _write_visible_image(path_base, x, shape):
 
 def _check_settle_options(args):
     """Refuse the --theta and --max-iters values settle() cannot take."""
-    if args.theta <= 0 or args.max_iters < 1:
+    if not args.theta > 0 or args.max_iters < 1:
         raise ValueError("--theta must be positive and --max-iters at least 1")
 
 

@@ -261,8 +261,6 @@ class WeightBundle:
 
     forward: list
     biases: list
-    # set only by with_down_derived: one derived tensor per pair
-    _derived_down: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def params(self):
         """Trainable tensors, in declaration order (forward, then biases)."""
@@ -285,31 +283,13 @@ class WeightBundle:
         """Weights for the map from layer pair+1 down to pair: the transpose
         of the forward matrix, or the reversed forward kernel.
 
-        A bundle from with_down_derived returns the tensor it derived; any
-        other bundle derives a fresh copy on every call, which settle()
-        frees as soon as its down map has used it. After its first sweep
-        settle() computes one down map per pair and sweep (its PairTerms
-        reuses the rest), so it derives L-1 reversed kernels or transposes
-        per sweep: 3 on a 4-layer net instead of one per down map, 5.
+        Either is a strided view of the forward weights, so each down map
+        derives its own without a copy, on or off the tape.
         """
-        if self._derived_down is not None:
-            return self._derived_down[pair]
         w = self.forward[pair]
         if isinstance(w, ConvKernel):
             return reverse_kernel(w)
         return transpose(w)
-
-    def with_down_derived(self):
-        """The same weights with each pair's downward weights derived once.
-
-        Every down map of the returned bundle reads one tensor per pair. An
-        unrolled TD(1) step uses it, so its tape keeps one reversed kernel
-        (or transposed matrix) per pair rather than one per down map, and
-        its backward runs one reversal per pair.
-        """
-        bundle = WeightBundle(self.forward, self.biases)
-        bundle._derived_down = [self.down_weights(p) for p in range(len(self.forward))]
-        return bundle
 
 
 @dataclass
@@ -571,7 +551,7 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
     its source layer, 2L-2 maps per sweep after the first, and each term is
     dropped right after its last read.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")

@@ -28,20 +28,19 @@ vjp reads is therefore freed as soon as the caller drops it. The backward
 frees each cotangent and vjp once it has run, so a tape's gradient can be
 taken once.
 
-A reversed kernel read by many maps is best derived once on the tape (the
-unrolled TD(1) step derives each layer pair's downward weights once, see
-dynamics.WeightBundle.with_down_derived): the tape then keeps one copy,
-sums the cotangents of every map that read it, and runs one reversal vjp.
-The backward copies no kernel: the reversal vjp and the conv input
-gradient flip their kernels as strided views. The same holds for a map's
-output read twice (dynamics.PairTerms reuses a pair term until its source
-layer changes): its cotangents are summed before the map's one vjp. Off
-the tape, settle derives each reversed kernel afresh per down map and
-frees it after use; reusing the pair terms leaves one down map, so one
-derivation, per pair and sweep.
+The downward weights of a symmetric net hold no data of their own:
+transpose and reverse_kernel return strided views of the forward weights,
+so deriving them copies nothing, on or off the tape, and their vjps hand
+back views of the cotangent. The backward copies no kernel either: the
+conv input gradient flips its kernel as a view, and each GEMM copies its
+operand into layout. A tensor read by many ops, such as a map's output
+read twice (dynamics.PairTerms reuses a pair term until its source layer
+changes), has its cotangents summed before its one vjp.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -90,10 +89,15 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.size == 0:
             raise ValueError("tensors must have at least one element")
-        finite = np.isfinite(arr)
-        if not finite.all():
+        # from 64K elements up, min and max, which propagate NaN and show any
+        # infinity, cost no more than isfinite and allocate no boolean copy
+        if arr.size > 65536:
+            finite = math.isfinite(arr.min()) and math.isfinite(arr.max())
+        else:
+            finite = np.isfinite(arr).all()
+        if not finite:
             raise ValueError(
-                f"non-finite value at index {_first_bad_index(arr, finite)} "
+                f"non-finite value at index {_first_bad_index(arr, np.isfinite(arr))} "
                 f"in tensor of shape {arr.shape}"
             )
         self.data = arr
@@ -230,7 +234,7 @@ def transpose(a):
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ValueError(f"transpose expects a 2-d tensor, got {a.shape}")
-    return _from_op(a.data.T.copy(), (a,), lambda g: (g.T,))
+    return _from_op(a.data.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
@@ -410,13 +414,12 @@ def reverse_kernel(k):
     A kernel and its reverse implement transposed linear maps under
     half-padded convolution (see conv2d_half), which is how bidirectional
     symmetric connectivity is realized without storing reverse weights.
-    The forward makes one contiguous copy; the vjp returns a view of its
-    cotangent, which the tape sums or hands back without copying.
+    Forward and vjp are strided views, of the kernel and of the cotangent:
+    neither copies.
     """
     w = k.weights
-    out = _from_op(np.ascontiguousarray(_flip_kernel_np(w.data)), (w,),
-                   lambda g: (_flip_kernel_np(g),))
-    return ConvKernel(out)
+    return ConvKernel(_from_op(_flip_kernel_np(w.data), (w,),
+                               lambda g: (_flip_kernel_np(g),)))
 
 
 def _taps(ka, kb, H, W):
@@ -597,10 +600,9 @@ class GradTape:
     The graph keeps only what the backward reads: the arrays each op's vjp
     needs, the shapes of add, sub and where operands, and the leaves (the
     tensors made off the tape that recorded ops used). A tensor that many
-    ops read, such as the downward weights an unrolled TD(1) step derives
-    once per layer pair, is kept once and its cotangents are summed before
-    its own vjp runs. `gradient` frees each cotangent and vjp as soon as it
-    has run, so it can be taken once.
+    ops read is kept once and its cotangents are summed before its own vjp
+    runs. `gradient` frees each cotangent and vjp as soon as it has run, so
+    it can be taken once.
     """
 
     def __init__(self):

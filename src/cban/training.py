@@ -81,14 +81,24 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        # written so that NaN, which JSON loads, fails each comparison
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not all(0 < m < np.inf for _, m in self.lr_schedule):
+            raise ValueError("lr_schedule multipliers must be positive and finite, "
+                             f"got {[m for _, m in self.lr_schedule]}")
+        if not self.theta > 0:
+            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not 0 <= self.conv_init_std < np.inf:
+            raise ValueError(f"conv_init_std must be >= 0 and finite, got {self.conv_init_std}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def lr_at(self, epoch):
         lr = self.lr
@@ -158,12 +168,6 @@ def td1_forward(examples, w, arch, cfg):
     reports, whose energy_trace is empty: no energy is evaluated. Returns
     (mean over items of summed per-sweep losses, reports).
 
-    Each adjacent pair's downward weights (the reversed kernel or the
-    transposed matrix) are derived once per call, on the tape, and every
-    down map of the unrolled sweeps reads them, unclamped_visible's
-    included. The tape therefore keeps one derived copy per pair, whatever
-    the number of sweeps.
-
     The sweeps and v~ share one PairTerms, as in settle, so each map is
     computed once per change of its source layer: 2L-1 maps per sweep after
     the first, 7 on a 4-layer net. On a 2-layer net the visible update
@@ -175,7 +179,6 @@ def td1_forward(examples, w, arch, cfg):
         raise ValueError("empty batch")
     targets, evidence = _batch_evidence(examples, arch)
     y = Tensor(targets)
-    w = w.with_down_derived()
     state = initial_state(arch, evidence, batch=n)
     terms = PairTerms(arch.n_layers)
     # the sweep's upward half ends on the top layer, where the pair is read

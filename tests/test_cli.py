@@ -206,7 +206,7 @@ def rewrite_metadata(src, dst, edit):
     Path(dst).write_bytes(raw[:12] + struct.pack("<I", len(payload)) + payload + raw[16 + n:])
 
 
-BAD_SETTLE_OPTIONS = [("--theta", "0"), ("--max-iters", "0")]
+BAD_SETTLE_OPTIONS = [("--theta", "0"), ("--theta", "nan"), ("--max-iters", "0")]
 
 
 def assert_bad_settle_option_exits_2(tmp_path, capsys, argv, option, value):
@@ -260,6 +260,20 @@ def write_bar_config(tmp_path, epochs=3, seed=0):
     path = tmp_path / "bar.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def assert_bad_train_value_exits_2(tmp_path, capsys, key, value, message):
+    """`cban train` on the shipped bar config with train.<key> set to value
+    exits 2 with the one error line `message`, writing nothing."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "bar.json").read_text())
+    cfg["train"][key] = value
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "bar.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity load back as floats
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestCmdTrain:
@@ -377,22 +391,54 @@ class TestCmdTrain:
         assert err.startswith("error:") and "visible layer" in err
         assert not (tmp_path / "o").exists()
 
-    def test_shipped_supervised_config_trains_with_a_limit(self, tmp_path):
-        # "limit" under "data" is a setting, not a path to check
+    @staticmethod
+    def _supervised_config(tmp_path, limit):
+        """The shipped supervised config on six random digits, one short epoch."""
         rng = np.random.default_rng(6)
         save_idx(tmp_path / "imgs.idx", rng.integers(0, 256, size=(6, 28, 28)).astype(np.uint8))
         save_idx(tmp_path / "labels.idx", rng.integers(0, 10, size=6).astype(np.uint8))
         cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
                           / "mnist_supervised.json").read_text())
         cfg["data"].update(images=str(tmp_path / "imgs.idx"),
-                           labels=str(tmp_path / "labels.idx"), limit=3)
+                           labels=str(tmp_path / "labels.idx"), limit=limit)
         cfg["train"].update(epochs=1, max_iters=3)
         cfg["output_dir"] = str(tmp_path / "out")
         path = tmp_path / "mnist.json"
         path.write_text(json.dumps(cfg))
+        return path
+
+    def test_shipped_supervised_config_trains_with_a_limit(self, tmp_path):
+        # "limit" under "data" is a setting, not a path to check
+        path = self._supervised_config(tmp_path, limit=3)
         assert main(["train", "--config", str(path)]) == 0
         rows = (tmp_path / "out" / "train_log.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + 1 epoch
+
+    def test_negative_data_limit_exits_2(self, tmp_path, capsys):
+        path = self._supervised_config(tmp_path, limit=-5)
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: data.limit must be 0 or more, got -5\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_data_error_inside_training_exits_2(self, tmp_path, capsys):
+        # an all-black image has no white pixels for the patches mask to size by
+        folder = tmp_path / "imgs"
+        folder.mkdir()
+        write_pgm(folder / "black.pgm", np.zeros((4, 4), dtype=np.uint8))
+        cfg = {
+            "task": "completion", "seed": 0, "output_dir": str(tmp_path / "o"),
+            "arch": {"layers": [{"kind": "fc", "units": 16, "visible": True},
+                                {"kind": "fc", "units": 2}]},
+            "train": {"epochs": 1, "batch_size": 1},
+            "mask": {"kind": "patches"},
+            "data": {"folder": str(folder)},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no white pixels" in err
+        assert err.count("\n") == 1
 
     def test_keep_every_writes_numbered_checkpoints(self, tmp_path):
         config = write_bar_config(tmp_path, epochs=4)
@@ -502,15 +548,25 @@ class TestCmdTrain:
                                  "pairs, got [[600]]"),
     ])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value, message):
-        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
-                          / "bar.json").read_text())
-        cfg["train"][key] = value
-        cfg["output_dir"] = str(tmp_path / "out")
-        path = tmp_path / "bar.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
+        assert_bad_train_value_exits_2(tmp_path, capsys, key, value, message)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("batch_size", -3, "batch_size must be >= 1, got -3"),
+        ("lr", float("nan"), "lr must be positive and finite, got nan"),
+        ("lr", float("inf"), "lr must be positive and finite, got inf"),
+        ("theta", float("nan"), "theta must be positive, got nan"),
+        ("conv_init_std", -0.5, "conv_init_std must be >= 0 and finite, got -0.5"),
+        ("lr_schedule", [[10, 0]], "lr_schedule multipliers must be positive and finite, "
+                                   "got [0.0]"),
+        ("lr_schedule", [[10, 0.1], [20, -1]], "lr_schedule multipliers must be positive "
+                                               "and finite, got [0.1, -1.0]"),
+        ("lr_schedule", [[10, float("nan")]], "lr_schedule multipliers must be positive "
+                                              "and finite, got [nan]"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, key, value, message):
+        assert_bad_train_value_exits_2(tmp_path, capsys, key, value, message)
 
 
 class TestCmdComplete:

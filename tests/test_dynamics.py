@@ -371,6 +371,14 @@ class TestSettle:
         assert np.all(report.max_delta_trace >= 1e-12)
         assert np.all(np.diff(report.energy_trace) <= 1e-12)
 
+    @pytest.mark.parametrize("theta", [0.0, -1e-3, float("nan")])
+    def test_theta_not_positive_is_refused(self, theta):
+        rng = np.random.default_rng(11)
+        arch = fban(4, [3])
+        w = random_fc_bundle(arch, rng, scale=0.5)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            settle(random_state(arch, rng), w, arch, theta=theta)
+
     def test_diverging_state_aborts_with_context(self):
         import warnings
 

@@ -86,7 +86,6 @@ def _td1_reference(examples, w, arch, cfg):
     n = len(examples)
     targets, evidence = _batch_evidence(examples, arch)
     y = Tensor(targets)
-    w = w.with_down_derived()
     state = initial_state(arch, evidence, batch=n)
     order = sweep_order(arch.n_layers)
     up, down = order[:arch.n_layers - 1], order[arch.n_layers - 1:]

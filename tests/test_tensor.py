@@ -85,6 +85,17 @@ class TestTensorBasics:
         with pytest.raises(ValueError, match="non-finite"):
             Tensor([np.inf, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [7, 65537])
+    def test_rejects_non_finite_at_any_size(self, bad, size):
+        # above 64K elements the check reads min and max, not isfinite
+        arr = np.full(size, 1e308)
+        arr[size // 3] = bad
+        with pytest.raises(ValueError, match=rf"non-finite value at index \({size // 3},\)"):
+            Tensor(arr)
+        arr[size // 3] = -1e308
+        Tensor(arr)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Tensor(np.zeros((0, 3)))
@@ -234,6 +245,20 @@ class TestReverseKernel:
             lhs = float(np.sum(y * conv2d_half(Tensor(x), k).data))
             rhs = float(np.sum(x * conv2d_half(Tensor(y), reverse_kernel(k)).data))
             assert relative_error(np.array(lhs), np.array(rhs)) < 1e-12
+
+
+class TestDownWeightViews:
+    """The downward weights are views of the forward ones: deriving copies nothing."""
+
+    def test_reverse_kernel_shares_the_kernel(self):
+        k = ConvKernel(np.random.default_rng(3).normal(size=(4, 2, 3, 3)))
+        assert np.shares_memory(reverse_kernel(k).weights.data, k.weights.data)
+
+    def test_transpose_shares_the_matrix(self):
+        a = Tensor(np.random.default_rng(3).normal(size=(5, 3)))
+        t = transpose(a)
+        assert np.shares_memory(t.data, a.data)
+        np.testing.assert_array_equal(t.data, a.data.T)
 
 
 class TestPooling:
