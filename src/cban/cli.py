@@ -196,9 +196,9 @@ def cmd_train(args):
         with np.errstate(over="ignore", invalid="ignore"):
             w, _ = train(dataset, arch, cfg.train, on_epoch=on_epoch)
     except ValueError as e:
-        if "non-finite" in str(e):
-            return _fail(f"training diverged: {e}", code=1)
-        return _fail(str(e))  # data that train() cannot use
+        if "non-finite" not in str(e):
+            raise
+        return _fail(f"training diverged: {e}", code=1)
     if not log_rows:  # zero-epoch run still leaves a checkpoint behind
         ckpt = Checkpoint(arch=arch, weights=w, opt_state=init_opt_state(cfg.train),
                           epoch=-1, rng_state=None)

@@ -132,6 +132,16 @@ def generate_mask(spec, image, rng):
     raise ValueError(f"cannot generate a pixel mask from {spec!r}")
 
 
+def _refuse_unmaskable(spec, images):
+    """Refuse, before any mask is drawn, 2-d images with no white pixel for
+    square patches to hide a share of; the other masks take any image."""
+    spec = spec.inner if isinstance(spec, LabelPlus) else spec
+    if isinstance(spec, SquarePatches):
+        for i, image in enumerate(images):
+            if not (image > 0).any():
+                raise ValueError(f"image {i} has no white pixels for a patches mask to hide")
+
+
 def channel_mask(spec, image, rng):
     """Observed-position mask for a (c, h, w) image: one pixel mask, drawn
     from the channel-mean image, shared by every channel."""
@@ -387,6 +397,7 @@ class SupervisedDigits:
         self.labels = np.asarray(labels, dtype=np.int64)
         if len(self.images) != len(self.labels):
             raise ValueError("images and labels disagree in length")
+        _refuse_unmaskable(mask_spec, self.images)
         self.mask_spec = mask_spec
 
     def epoch_examples(self, rng):
@@ -412,6 +423,7 @@ class ImageFolderCompletion:
 
     def __init__(self, images, mask_spec):
         self.images = [np.asarray(img, dtype=np.float64) for img in images]
+        _refuse_unmaskable(mask_spec, [img.mean(axis=0) for img in self.images])
         self.mask_spec = mask_spec
 
     def epoch_examples(self, rng):
@@ -443,6 +455,7 @@ class ReplicatedCompletion:
 
     def __init__(self, images, mask_spec):
         self.images = [np.asarray(img, dtype=np.float64) for img in images]
+        _refuse_unmaskable(mask_spec, [img.mean(axis=0) for img in self.images])
         self.mask_spec = mask_spec
 
     def epoch_examples(self, rng):

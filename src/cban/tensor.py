@@ -89,13 +89,9 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.size == 0:
             raise ValueError("tensors must have at least one element")
-        # from 64K elements up, min and max, which propagate NaN and show any
-        # infinity, cost no more than isfinite and allocate no boolean copy
-        if arr.size > 65536:
-            finite = math.isfinite(arr.min()) and math.isfinite(arr.max())
-        else:
-            finite = np.isfinite(arr).all()
-        if not finite:
+        # min and max propagate NaN and show any infinity, and unlike
+        # isfinite they allocate no boolean copy of the array
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise ValueError(
                 f"non-finite value at index {_first_bad_index(arr, np.isfinite(arr))} "
                 f"in tensor of shape {arr.shape}"

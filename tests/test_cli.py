@@ -420,7 +420,7 @@ class TestCmdTrain:
         assert capsys.readouterr().err == "error: data.limit must be 0 or more, got -5\n"
         assert not (tmp_path / "out").exists()
 
-    def test_data_error_inside_training_exits_2(self, tmp_path, capsys):
+    def test_image_the_mask_cannot_use_exits_2(self, tmp_path, capsys):
         # an all-black image has no white pixels for the patches mask to size by
         folder = tmp_path / "imgs"
         folder.mkdir()
@@ -437,8 +437,8 @@ class TestCmdTrain:
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "no white pixels" in err
-        assert err.count("\n") == 1
+        assert err == "error: image 0 has no white pixels for a patches mask to hide\n"
+        assert not (tmp_path / "o").exists()
 
     def test_keep_every_writes_numbered_checkpoints(self, tmp_path):
         config = write_bar_config(tmp_path, epochs=4)

@@ -7,10 +7,13 @@ from cban.data import (
     BarTask,
     BernoulliMask,
     Example,
+    ImageFolderCompletion,
     LabelOnly,
     LabelPlus,
     PerlinMask,
+    ReplicatedCompletion,
     SquarePatches,
+    SupervisedDigits,
     bar_consistency_count,
     bar_eval_set,
     bernoulli_mask,
@@ -382,6 +385,27 @@ class TestImageFolder:
     def test_empty_folder_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no PGM/PPM"):
             load_image_folder(tmp_path)
+
+
+class TestUnmaskableImages:
+    BLACK = np.full((1, 6, 6), -0.999)
+
+    def _build(self, kind, spec):
+        white = np.full((1, 6, 6), 0.999)
+        if kind == "supervised":
+            return SupervisedDigits(np.stack([white, self.BLACK])[:, 0], [1, 2], spec)
+        return kind([white, self.BLACK], spec)
+
+    @pytest.mark.parametrize("kind", ["supervised", ImageFolderCompletion,
+                                      ReplicatedCompletion])
+    def test_patches_refuse_an_image_with_no_white_pixel(self, kind):
+        spec = LabelPlus(SquarePatches()) if kind == "supervised" else SquarePatches()
+        with pytest.raises(ValueError, match="image 1 has no white pixels"):
+            self._build(kind, spec)
+
+    def test_other_masks_take_it(self):
+        self._build("supervised", LabelPlus(PerlinMask(2, 0.3)))
+        self._build(ImageFolderCompletion, BernoulliMask(0.3))
 
 
 class TestReplicatedExample:

@@ -86,14 +86,13 @@ class TestTensorBasics:
             Tensor([np.inf, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("size", [7, 65537])
-    def test_rejects_non_finite_at_any_size(self, bad, size):
-        # above 64K elements the check reads min and max, not isfinite
-        arr = np.full(size, 1e308)
-        arr[size // 3] = bad
-        with pytest.raises(ValueError, match=rf"non-finite value at index \({size // 3},\)"):
+    def test_rejects_non_finite_among_extremes(self, bad):
+        # the check reads min and max: NaN must not hide between finite extremes
+        arr = np.full(7, 1e308)
+        arr[2] = bad
+        with pytest.raises(ValueError, match=r"non-finite value at index \(2,\)"):
             Tensor(arr)
-        arr[size // 3] = -1e308
+        arr[2] = -1e308
         Tensor(arr)
 
     def test_rejects_empty(self):
