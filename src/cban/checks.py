@@ -32,7 +32,7 @@ from .dynamics import (
     synchronous_step,
     update_layer,
 )
-from .training import TrainConfig, init_weights, td1_forward
+from .training import LOSS_KINDS, TrainConfig, init_weights, td1_forward
 
 __all__ = [
     "CheckResult",
@@ -97,6 +97,11 @@ def _fd_gradient(f, x, step):
 
 
 _CONV_PER_LOSS = 2
+# extra pooled-conv trials per loss kind, after the others so that their
+# draws stay as they were: the leaky sigmoid's branches, and external-bias
+# evidence, whose zero visible start leaves layer 1's first update its bias
+_CONV_VARIANTS = (("leaky", {"activation": LeakySigmoid(0.5)}),
+                  ("external-bias", {"evidence": "external_bias"}))
 
 
 def _pooled_conv_arch():
@@ -107,44 +112,60 @@ def _pooled_conv_arch():
                     kernel_sizes=(3, 3))
 
 
+def _gradient_errors(rng, arch, w, loss_kind, max_sweeps, step):
+    """Relative error of each parameter block's tape gradient of the TD(1)
+    loss against central differences, on random examples."""
+    examples = _random_examples(rng, int(rng.integers(1, 3)), arch.layers[0].size)
+    sweeps = int(rng.integers(1, max_sweeps + 1))
+    cfg = TrainConfig(epochs=1, loss=loss_kind, theta=1e-12, max_iters=sweeps,
+                      batch_size=len(examples), seed=0)
+    with GradTape() as tape:
+        loss, _ = td1_forward(examples, w, arch, cfg)
+    grads = tape.gradient(loss, w.params())
+    errors = []
+    for g, p in zip(grads, w.params()):
+        x = p.data  # perturbed in place by the fd helper
+        fd = _fd_gradient(lambda: td1_forward(examples, w, arch, cfg)[0].item(), x, step)
+        scale = max(np.max(np.abs(g)), np.max(np.abs(fd)), 1e-12)
+        errors.append(np.max(np.abs(g - fd)) / scale)
+    return errors
+
+
+def _gradient_trials(rng, per_loss):
+    """Yield (label, loss kind, arch, weights) per trial of check_gradients,
+    drawing each net from rng just before its trial runs."""
+    for loss_kind in LOSS_KINDS:
+        for trial in range(per_loss + _CONV_PER_LOSS):
+            if trial < per_loss:
+                arch = fban(int(rng.integers(2, 5)), [int(rng.integers(2, 4))])
+                w = init_weights(arch, seed=int(rng.integers(1 << 30)))
+            else:
+                arch = _pooled_conv_arch()
+                w = init_weights(arch, seed=int(rng.integers(1 << 30)), conv_std=0.3)
+            yield f"{loss_kind} trial {trial}", loss_kind, arch, w
+    for loss_kind in LOSS_KINDS:
+        for name, changes in _CONV_VARIANTS:
+            arch = replace(_pooled_conv_arch(), **changes)
+            w = init_weights(arch, seed=int(rng.integers(1 << 30)), conv_std=0.3)
+            yield f"{loss_kind} {name} trial", loss_kind, arch, w
+
+
 def check_gradients(seed=0, per_loss=20, max_sweeps=5, step=1e-5, tol=1e-4):
     """Unrolled autodiff versus central finite differences, per loss kind.
 
     Each loss kind gets per_loss trials on random one-hidden-layer fc nets
-    and _CONV_PER_LOSS trials on a tiny pooled conv net.
+    and _CONV_PER_LOSS trials on a tiny pooled conv net. Each then gets one
+    more pooled conv trial per _CONV_VARIANTS entry, so that every branch
+    of the fused layer update (see tensor.tanh) is differentiated.
     """
     rng = np.random.default_rng(seed)
     failures = []
     trials = 0
-    for loss_kind in ("se", "delta_e", "delta_e_plus"):
-        for trial in range(per_loss + _CONV_PER_LOSS):
-            trials += 1
-            if trial < per_loss:
-                n_vis = int(rng.integers(2, 5))
-                arch = fban(n_vis, [int(rng.integers(2, 4))])
-                w = init_weights(arch, seed=int(rng.integers(1 << 30)))
-            else:
-                arch = _pooled_conv_arch()
-                n_vis = arch.layers[0].size
-                w = init_weights(arch, seed=int(rng.integers(1 << 30)), conv_std=0.3)
-            examples = _random_examples(rng, int(rng.integers(1, 3)), n_vis)
-            sweeps = int(rng.integers(1, max_sweeps + 1))
-            cfg = TrainConfig(epochs=1, loss=loss_kind, theta=1e-12,
-                              max_iters=sweeps, batch_size=len(examples),
-                              seed=0)
-            with GradTape() as tape:
-                loss, _ = td1_forward(examples, w, arch, cfg)
-            grads = tape.gradient(loss, w.params())
-            params = w.params()
-            for i, p in enumerate(params):
-                x = p.data  # perturbed in place by the fd helper
-                fd = _fd_gradient(
-                    lambda: td1_forward(examples, w, arch, cfg)[0].item(), x, step)
-                scale = max(np.max(np.abs(grads[i])), np.max(np.abs(fd)), 1e-12)
-                err = np.max(np.abs(grads[i] - fd)) / scale
-                if err > tol:
-                    failures.append(
-                        f"{loss_kind} trial {trial} block {i}: rel err {err:.2e}")
+    for label, loss_kind, arch, w in _gradient_trials(rng, per_loss):
+        trials += 1
+        errors = _gradient_errors(rng, arch, w, loss_kind, max_sweeps, step)
+        failures += [f"{label} block {i}: rel err {err:.2e}"
+                     for i, err in enumerate(errors) if err > tol]
     return CheckResult(name="gradients", passed=not failures, trials=trials,
                        failures=failures)
 

@@ -133,13 +133,20 @@ def generate_mask(spec, image, rng):
 
 
 def _refuse_unmaskable(spec, images):
-    """Refuse, before any mask is drawn, 2-d images with no white pixel for
-    square patches to hide a share of; the other masks take any image."""
+    """Refuse, before any mask is drawn, 2-d images that square patches
+    cannot mask: one with no white pixel to hide a share of, and a square
+    one no wider than diameter_min, which every square hides whole. The
+    other masks take any image."""
     spec = spec.inner if isinstance(spec, LabelPlus) else spec
     if isinstance(spec, SquarePatches):
         for i, image in enumerate(images):
             if not (image > 0).any():
                 raise ValueError(f"image {i} has no white pixels for a patches mask to hide")
+            h, w = image.shape
+            if h == w <= spec.diameter_min:
+                raise ValueError(
+                    f"image {i} is {h}x{w}, so every patch (diameter_min "
+                    f"{spec.diameter_min}) hides all of it")
 
 
 def channel_mask(spec, image, rng):
@@ -333,12 +340,17 @@ def perlin_mask(h, w, frequency, obscured_fraction, rng):
     return mask.reshape(h, w)
 
 
+# masks square_patch_mask draws before it gives up on leaving a pixel observed
+_PATCH_DRAWS = 1000
+
+
 def square_patch_mask(image, diameter_min, diameter_max, white_fraction, rng):
     """Drop random squares until the target share of white pixels is hidden.
 
     Squares have side drawn uniformly from [diameter_min, diameter_max],
-    may overlap, and land uniformly inside the image. "White" means pixel
-    value > 0.
+    clipped to the image, may overlap, and land uniformly inside the image.
+    "White" means pixel value > 0. A mask that hides every pixel leaves no
+    evidence, so it is drawn again, up to _PATCH_DRAWS masks in all.
     """
     image = np.asarray(image)
     h, w = image.shape
@@ -346,14 +358,17 @@ def square_patch_mask(image, diameter_min, diameter_max, white_fraction, rng):
     n_white = int(white.sum())
     if n_white == 0:
         raise ValueError("image has no white pixels; the fraction is undefined")
-    unobs = np.zeros((h, w), dtype=bool)
-    while (unobs & white).sum() / n_white < white_fraction:
-        side = int(rng.integers(diameter_min, diameter_max + 1))
-        side = min(side, h, w)
-        r = int(rng.integers(0, h - side + 1))
-        c = int(rng.integers(0, w - side + 1))
-        unobs[r:r + side, c:c + side] = True
-    return ~unobs
+    for _ in range(_PATCH_DRAWS):
+        unobs = np.zeros((h, w), dtype=bool)
+        while (unobs & white).sum() / n_white < white_fraction:
+            side = int(rng.integers(diameter_min, diameter_max + 1))
+            side = min(side, h, w)
+            r = int(rng.integers(0, h - side + 1))
+            c = int(rng.integers(0, w - side + 1))
+            unobs[r:r + side, c:c + side] = True
+        if not unobs.all():
+            return ~unobs
+    raise ValueError(f"each of {_PATCH_DRAWS} patch masks hid the whole {h}x{w} image")
 
 
 def bernoulli_mask(h, w, p, rng):

@@ -10,13 +10,17 @@ Layer indices are 0-based with layer 0 the visible layer. One iteration is
 a sweep 1, 2, ..., L-1, L-2, ..., 0 (2L-2 layer updates), ending on the
 visible layer so the read-out is current after every iteration.
 
-A layer's preactivation is the sum of two pair terms, the up map of the
-layer below and the down map of the layer above, and a term only changes
-when its source layer does. settle and the unrolled TD(1) step therefore
-keep one PairTerms per run: the downward update of layer l reuses the up
-term of its upward update, the next sweep's upward update of l reuses the
-down term of this sweep's downward update, and every other term is dropped
-right after its one read. After the first sweep that is 2L-2 maps per
+A layer's preactivation is the sum of its terms: the up map of the layer
+below, the down map of the layer above, the bias, and on the visible layer
+any external-bias evidence. A layer update is one activation op over that
+list, summed into one buffer and activated in place. A pair term only
+changes when its source layer does. settle and the unrolled TD(1) step
+therefore keep one PairTerms per run: the downward update of layer l
+reuses the up term of its upward update, the next sweep's upward update of
+l reuses the down term of this sweep's downward update, and every other
+term is dropped right after its one read. A term whose source layer is
+still at an all-zero start is skipped, since it adds exactly zero. From
+the first sweep of a run from zero hidden layers that is 2L-2 maps per
 sweep instead of 4L-6: 6 instead of 10 on a 4-layer net. sweep() and
 update_layer without a PairTerms compute every term afresh.
 """
@@ -24,6 +28,7 @@ update_layer without a PairTerms compute every term afresh.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +41,7 @@ from .tensor import (
     avg_pool2_adjoint,
     barrier_leaky,
     barrier_tanh,
+    broadcast_to,
     conv2d_half,
     leaky_sigmoid,
     leaky_sigmoid_inverse,
@@ -93,7 +99,8 @@ class LeakySigmoid:
 
 
 def activation(kind, z):
-    """Elementwise activation of a Tensor (or array); returns a Tensor."""
+    """Elementwise activation of a Tensor (or array), or of the sum of a
+    list of them, as one op over one buffer; returns a Tensor."""
     if isinstance(kind, Tanh):
         return tanh(z)
     return leaky_sigmoid(z, kind.alpha)
@@ -399,19 +406,31 @@ class PairTerms:
       source: otherwise its last read has already happened.
     So between updates each layer holds at most one term. Updates in
     another order stay exact but reuse less.
+
+    A source layer that is exactly zero at its first read, as hidden layers
+    are at the start of a run, maps to exactly zero; its terms are skipped
+    until that layer is updated.
     """
 
     def __init__(self, n_layers):
         self._steps = _walk_steps(n_layers)
         self._at = 0  # walk position of the next update
         self._terms = {}
+        self._zero = {}  # source layer -> still at an all-zero start
 
     def _due(self, reader, source):
         steps = self._steps[self._at]
         return steps[reader] < steps[source]
 
-    def read(self, reader, source, compute):
-        """The term (reader, source): held, or compute() and hold it if due."""
+    def read(self, reader, source, x, compute):
+        """The term (reader, source) of source activations x: None while the
+        source is at its zero start, else held, or compute() and hold it if
+        due."""
+        zero = self._zero.get(source)
+        if zero is None:
+            zero = self._zero[source] = not x.data.any()
+        if zero:
+            return None
         key = (reader, source)
         term = self._terms.get(key)
         if term is None:
@@ -423,6 +442,7 @@ class PairTerms:
     def updated(self, l):
         """Layer l is updated: drop the terms it leaves stale or dead."""
         self._at = (self._at + self._steps[self._at][l] + 1) % len(self._steps)
+        self._zero[l] = False
         self._terms = {key: term for key, term in self._terms.items()
                        if key[1] != l and self._due(*key)}
 
@@ -438,49 +458,61 @@ def _walk_steps(n_layers):
 
 
 def _pair_term(state, w, arch, reader, source, terms):
-    """The map of layer `source`'s activations into layer `reader`."""
+    """The map of layer `source`'s activations into layer `reader`, or None
+    where a PairTerms skips it."""
+    x = state.activations[source]
+
     def compute():
-        x = state.activations[source]
         return _up_map(x, w, arch, source) if source < reader else _down_map(x, w, arch, reader)
 
-    return compute() if terms is None else terms.read(reader, source, compute)
+    return compute() if terms is None else terms.read(reader, source, x, compute)
 
 
-def layer_preactivation(state, w, arch, l, terms=None):
-    """Total input to layer l: neighbor contributions plus the layer bias.
+def _layer_terms(state, w, arch, l, terms):
+    """The terms of layer l's preactivation, in the order they are summed.
 
-    End layers receive one neighbor contribution, interior layers two.
-    fc pairs use the weight matrix and its transpose; conv pairs use the
-    forward kernel upward and its reversed kernel downward. Under
-    external-bias evidence the visible layer also receives the state's
-    evidence values; a state without evidence receives none. With a
-    PairTerms the neighbor contributions are read from it (see PairTerms).
+    The neighbor contributions come first, the one from below before the
+    one from above; end layers have one, interior layers two. fc pairs use
+    the weight matrix and its transpose; conv pairs use the forward kernel
+    upward and its reversed kernel downward. The layer bias follows, and
+    under external-bias evidence the visible layer also receives the
+    state's evidence values; a state without evidence receives none. With
+    a PairTerms the neighbor contributions are read from it (see
+    PairTerms); if it skips them all, the bias is broadcast to the layer's
+    shape.
     """
     if not 0 <= l < arch.n_layers:
         raise IndexError(f"layer index {l} out of range for {arch.n_layers} layers")
-    spec = arch.layers[l]
-    total = None
+    out = []
     for source in (l - 1, l + 1):
         if 0 <= source < arch.n_layers:
             term = _pair_term(state, w, arch, l, source, terms)
-            total = term if total is None else total + term
-    total = total + _bias_term(w.biases[l], spec)
+            if term is not None:
+                out.append(term)
+    bias = _bias_term(w.biases[l], arch.layers[l])
+    out.append(bias if out else broadcast_to(bias, state.activations[l].shape))
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "external_bias":
-        total = total + Tensor(ev.values)
-    return total
+        out.append(Tensor(ev.values))
+    return out
+
+
+def layer_preactivation(state, w, arch, l, terms=None):
+    """Total input to layer l: neighbor contributions plus the layer bias,
+    and external-bias evidence on the visible layer (see _layer_terms)."""
+    return functools.reduce(operator.add, _layer_terms(state, w, arch, l, terms))
 
 
 def update_layer(state, w, arch, l, terms=None):
     """Activate layer l from its preactivation, then re-clamp any evidence.
 
-    With a PairTerms the preactivation reuses its held terms, and the
-    terms that layer l's change leaves stale or dead are dropped.
+    The preactivation's terms are summed and activated as one op. With a
+    PairTerms they reuse its held terms, and the terms that layer l's
+    change leaves stale or dead are dropped.
     """
-    pre = layer_preactivation(state, w, arch, l, terms)
+    x = activation(arch.activation, _layer_terms(state, w, arch, l, terms))
     if terms is not None:
-        terms.updated(l)  # before the activation, so the dropped terms free first
-    x = activation(arch.activation, pre)
+        terms.updated(l)
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "clamp":
         x = where(ev.mask, Tensor(ev.values), x)
@@ -548,8 +580,9 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
     without converging has still lowered or kept its energy at every sweep.
     The sweeps are those of sweep(), with the pair terms of one PairTerms
     for the whole run: each up or down map is computed once per change of
-    its source layer, 2L-2 maps per sweep after the first, and each term is
-    dropped right after its last read.
+    its source layer and skipped while that layer is at an all-zero start,
+    so 2L-2 maps per sweep from the first sweep of a run from zero hidden
+    layers, and each term is dropped right after its last read.
     """
     if not theta > 0:
         raise ValueError("theta must be positive")

@@ -18,7 +18,17 @@ Tensors are immutable values; every operation returns a fresh tensor. A
 batch dimension, when present, is leading and optional: feature maps are
 (channels, height, width) or (batch, channels, height, width), flat layers
 are (units,) or (batch, units). Construction rejects NaN/Inf outright so a
-numerical blow-up surfaces at the operation that produced it.
+numerical blow-up surfaces at the operation that produced it. The check
+reads each value once (through min and max). The ops that cannot make a
+non-finite value from finite inputs skip it:
+- the views transpose, reshape, broadcast_to and reverse_kernel;
+- avg_pool2_adjoint, which spreads a quarter of each value;
+- where, which selects among its inputs;
+- tanh and leaky_sigmoid, whose output is finite wherever their input
+  is. They take a tensor or a list of terms, sum it into one fresh
+  buffer, check that sum, and activate it in place: a layer update is one
+  op over one buffer, and a sum that overflows fails at this op even
+  where tanh would saturate it.
 
 The tape keeps only what its backward reads. A recorded tensor points at a
 small graph node (its parents' nodes and its vjp), not at the tensors that
@@ -52,6 +62,7 @@ __all__ = [
     "matmul",
     "transpose",
     "reshape",
+    "broadcast_to",
     "tensor_sum",
     "tanh",
     "atanh",
@@ -80,6 +91,17 @@ def _first_bad_index(arr, good):
     return tuple(int(i) for i in np.argwhere(~good)[0])
 
 
+def _check_finite(arr):
+    """Raise ValueError naming the first NaN or infinity in arr, if any."""
+    # min and max propagate NaN and show any infinity, and unlike
+    # isfinite they allocate no boolean copy of the array
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        raise ValueError(
+            f"non-finite value at index {_first_bad_index(arr, np.isfinite(arr))} "
+            f"in tensor of shape {arr.shape}"
+        )
+
+
 class Tensor:
     """Immutable dense float64 array, optionally recorded on a GradTape."""
 
@@ -89,13 +111,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.size == 0:
             raise ValueError("tensors must have at least one element")
-        # min and max propagate NaN and show any infinity, and unlike
-        # isfinite they allocate no boolean copy of the array
-        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
-            raise ValueError(
-                f"non-finite value at index {_first_bad_index(arr, np.isfinite(arr))} "
-                f"in tensor of shape {arr.shape}"
-            )
+        _check_finite(arr)
         self.data = arr
         self._node = None
 
@@ -164,8 +180,18 @@ class _Node:
         self.tape = tape
 
 
-def _from_op(data, parents, vjp):
-    out = Tensor(data)
+def _from_op(data, parents, vjp, check=True):
+    """The tensor an op made, recorded on the active tape if there is one.
+
+    check=False skips the finiteness check, for ops whose finite inputs
+    cannot give a non-finite float64 result (see the module docstring).
+    """
+    if check:
+        out = Tensor(data)
+    else:
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out._node = None
     tape = _ACTIVE_TAPE
     if tape is not None:
         out._node = _Node(tuple(tape._node_of(p) for p in parents), vjp, tape)
@@ -230,13 +256,22 @@ def transpose(a):
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ValueError(f"transpose expects a 2-d tensor, got {a.shape}")
-    return _from_op(a.data.T, (a,), lambda g: (g.T,))
+    return _from_op(a.data.T, (a,), lambda g: (g.T,), check=False)
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
     old = a.shape
-    return _from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return _from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),),
+                    check=False)
+
+
+def broadcast_to(a, shape):
+    """a broadcast to `shape` as a read-only view: no copy is made."""
+    a = _as_tensor(a)
+    old = a.shape
+    return _from_op(np.broadcast_to(a.data, shape), (a,),
+                    lambda g: (_unbroadcast(g, old),), check=False)
 
 
 def tensor_sum(a, axis=None):
@@ -253,10 +288,49 @@ def tensor_sum(a, axis=None):
     return _from_op(data, (a,), vjp)
 
 
+def _summed(a):
+    """An activation's input: (its terms, their sum in one fresh buffer).
+
+    `a` is one tensor (or array) or a list or tuple of them. The terms are
+    summed in order, ((t0 + t1) + t2) + ..., into a buffer of their
+    broadcast shape, and that sum is checked for finiteness once.
+    """
+    terms = tuple(map(_as_tensor, a)) if isinstance(a, (list, tuple)) else (_as_tensor(a),)
+    if not terms:
+        raise ValueError("an activation needs at least one term")
+    data = [t.data for t in terms]
+    z = np.empty(np.broadcast_shapes(*(d.shape for d in data)))
+    if len(data) == 1:
+        np.copyto(z, data[0])
+    else:
+        np.add(data[0], data[1], out=z)
+    for d in data[2:]:
+        np.add(z, d, out=z)
+    _check_finite(z)
+    return terms, z
+
+
+def _activated(y, terms, slope_times):
+    """The activation output y of terms, on the tape as one op.
+
+    Its vjp forms slope_times(g), g times the activation's slope, once and
+    hands each term that cotangent summed down to the term's shape.
+    """
+    shapes = [t.shape for t in terms]
+
+    def vjp(g):
+        gz = slope_times(g)
+        return tuple(_unbroadcast(gz, s) for s in shapes)
+
+    return _from_op(y, terms, vjp, check=False)
+
+
 def tanh(a):
-    a = _as_tensor(a)
-    y = np.tanh(a.data)
-    return _from_op(y, (a,), lambda g: (g * (1.0 - y * y),))
+    """tanh of a tensor, or of the sum of a list of terms (see _summed),
+    computed in place: one buffer and one tape op."""
+    terms, y = _summed(a)
+    np.tanh(y, out=y)
+    return _activated(y, terms, lambda g: g * (1.0 - y * y))
 
 
 def atanh(a):
@@ -277,13 +351,16 @@ def _leaky_inverse(x, alpha):
 
 
 def leaky_sigmoid(a, alpha):
-    """Identity on [-1, 1], slope alpha outside, continuous at +/-1."""
-    a = _as_tensor(a)
-    x = a.data
-    slope = np.where(np.abs(x) > 1.0, alpha, 1.0)
-    y = np.where(x > 1.0, alpha * (x - 1.0) + 1.0,
-                 np.where(x < -1.0, alpha * (x + 1.0) - 1.0, x))
-    return _from_op(y, (a,), lambda g: (g * slope,))
+    """Identity on [-1, 1], slope alpha outside, continuous at +/-1.
+
+    Takes a tensor or a list of terms, as tanh does.
+    """
+    terms, y = _summed(a)
+    hi, lo = y > 1.0, y < -1.0
+    y[hi] = alpha * (y[hi] - 1.0) + 1.0
+    y[lo] = alpha * (y[lo] + 1.0) - 1.0
+    outside = hi | lo
+    return _activated(y, terms, lambda g: g * np.where(outside, alpha, 1.0))
 
 
 def leaky_sigmoid_inverse(a, alpha):
@@ -363,7 +440,7 @@ def where(mask, a, b):
             _unbroadcast(np.where(mask, 0.0, g), sb),
         )
 
-    return _from_op(data, (a, b), vjp)
+    return _from_op(data, (a, b), vjp, check=False)
 
 
 class ConvKernel:
@@ -415,7 +492,7 @@ def reverse_kernel(k):
     """
     w = k.weights
     return ConvKernel(_from_op(_flip_kernel_np(w.data), (w,),
-                               lambda g: (_flip_kernel_np(g),)))
+                               lambda g: (_flip_kernel_np(g),), check=False))
 
 
 def _taps(ka, kb, H, W):
@@ -582,7 +659,7 @@ def avg_pool2_adjoint(x):
     x = _as_tensor(x)
     if x.ndim not in (3, 4):
         raise ValueError(f"adjoint input must be (c, h, w) or (batch, c, h, w), got {x.shape}")
-    return _from_op(_spread2_np(x.data), (x,), lambda g: (_pool2_np(g),))
+    return _from_op(_spread2_np(x.data), (x,), lambda g: (_pool2_np(g),), check=False)
 
 
 class GradTape:

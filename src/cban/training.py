@@ -24,13 +24,13 @@ from .dynamics import (
     SettleReport,
     Tanh,
     WeightBundle,
+    _layer_terms,
     _max_delta,
     activation,
     barrier,
     block_shapes,
     initial_state,
     inverse_activation,
-    layer_preactivation,
     settle,
     sweep_order,
     update_layer,
@@ -115,10 +115,11 @@ def unclamped_visible(state, w, arch, terms=None):
     its evidence dropped, from the adjacent hidden layer plus bias, and
     activated: no evidence is re-applied and no evidence bias mixed in.
     With a PairTerms the down term is read from it, so on a 2-layer net the
-    visible update that follows reuses it.
+    visible update that follows reuses it. The terms are summed and
+    activated as one op, as in update_layer.
     """
-    pre = layer_preactivation(NetState(state.activations), w, arch, 0, terms)
-    return activation(arch.activation, pre)
+    return activation(arch.activation,
+                      _layer_terms(NetState(state.activations), w, arch, 0, terms))
 
 
 def loss_per_item(loss_kind, act_kind, v_tilde, y):
@@ -169,10 +170,11 @@ def td1_forward(examples, w, arch, cfg):
     (mean over items of summed per-sweep losses, reports).
 
     The sweeps and v~ share one PairTerms, as in settle, so each map is
-    computed once per change of its source layer: 2L-1 maps per sweep after
-    the first, 7 on a 4-layer net. On a 2-layer net the visible update
-    reuses v~'s down term, which leaves 2. A term read twice sums both
-    cotangents before its one vjp.
+    computed once per change of its source layer and skipped while that
+    layer is at its zero start: 2L-1 maps per sweep from the first, 7 on a
+    4-layer net. On a 2-layer net the visible update reuses v~'s down term,
+    which leaves 2. A term read twice sums both cotangents before its one
+    vjp.
     """
     n = len(examples)
     if n == 0:

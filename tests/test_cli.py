@@ -440,6 +440,38 @@ class TestCmdTrain:
         assert err == "error: image 0 has no white pixels for a patches mask to hide\n"
         assert not (tmp_path / "o").exists()
 
+    @staticmethod
+    def _white_4x4_config(tmp_path, mask):
+        folder = tmp_path / "imgs"
+        folder.mkdir()
+        write_pgm(folder / "white.pgm", np.full((4, 4), 255, dtype=np.uint8))
+        cfg = {
+            "task": "completion", "seed": 0, "output_dir": str(tmp_path / "o"),
+            "arch": {"layers": [{"kind": "fc", "units": 16, "visible": True},
+                                {"kind": "fc", "units": 2}]},
+            "train": {"epochs": 3, "batch_size": 1, "max_iters": 3},
+            "mask": mask,
+            "data": {"folder": str(folder)},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_small_image_patches_leave_pixels_observed(self, tmp_path):
+        # most patches clip to the whole 4x4 image; those masks are redrawn
+        path = self._white_4x4_config(tmp_path, {"kind": "patches"})
+        assert main(["train", "--config", str(path)]) == 0
+        rows = (tmp_path / "o" / "train_log.csv").read_text().strip().splitlines()
+        assert len(rows) == 4  # header + 3 epochs
+
+    def test_image_every_patch_hides_exits_2(self, tmp_path, capsys):
+        path = self._white_4x4_config(tmp_path, {"kind": "patches", "diameter_min": 4})
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: image 0 is 4x4, so every patch (diameter_min 4) "
+                       "hides all of it\n")
+        assert not (tmp_path / "o").exists()
+
     def test_keep_every_writes_numbered_checkpoints(self, tmp_path):
         config = write_bar_config(tmp_path, epochs=4)
         assert main(["train", "--config", str(config), "--keep-every", "2"]) == 0
@@ -995,8 +1027,9 @@ class TestCmdCheck:
             main(["check", "--suite", "bogus"])
 
     def test_gradient_suite_covers_pooled_conv(self):
+        # per loss kind: 2 tanh clamp trials, then a leaky and an external-bias one
         result = check_gradients(seed=3, per_loss=0)
-        assert result.trials == 6 and result.passed, result.failures
+        assert result.trials == 12 and result.passed, result.failures
 
     def test_energy_suite_covers_pooled_conv(self):
         # trials=0 leaves the 3 pooled-conv and 4 external-bias fc trials

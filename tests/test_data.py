@@ -321,6 +321,31 @@ class TestSquarePatchMask:
         mask = square_patch_mask(img, 4, 4, 0.1, rng)
         assert (~mask).sum() <= 16 * 10  # far looser than sum of areas
 
+    def test_a_mask_that_hides_every_pixel_is_drawn_again(self):
+        # on 4x4 a side of 4 to 6 clips to the whole image; only 3 leaves some
+        img = np.full((4, 4), 0.999)
+        rng = np.random.default_rng(12)
+        masks = [square_patch_mask(img, 3, 6, 0.25, rng) for _ in range(200)]
+        assert all(m.any() for m in masks)
+
+    def test_a_mask_that_leaves_pixels_is_the_first_draw(self):
+        # the redraw takes no extra draws from the rng when none is needed
+        img = np.where(np.random.default_rng(13).random((28, 28)) < 0.3, 0.999, -0.999)
+        a, b = np.random.default_rng(14), np.random.default_rng(14)
+        mask = square_patch_mask(img, 3, 6, 0.25, a)
+        unobs = np.zeros((28, 28), dtype=bool)
+        while (unobs & (img > 0)).sum() / (img > 0).sum() < 0.25:
+            side = int(b.integers(3, 7))
+            r, c = int(b.integers(0, 28 - side + 1)), int(b.integers(0, 28 - side + 1))
+            unobs[r:r + side, c:c + side] = True
+        np.testing.assert_array_equal(mask, ~unobs)
+        assert a.integers(1 << 30) == b.integers(1 << 30)
+
+    def test_gives_up_when_every_draw_hides_everything(self):
+        img = np.full((3, 3), 0.999)
+        with pytest.raises(ValueError, match="hid the whole 3x3 image"):
+            square_patch_mask(img, 3, 3, 0.25, np.random.default_rng(15))
+
 
 class TestBernoulliMask:
     def test_fraction_within_binomial_ci(self):
@@ -406,6 +431,14 @@ class TestUnmaskableImages:
     def test_other_masks_take_it(self):
         self._build("supervised", LabelPlus(PerlinMask(2, 0.3)))
         self._build(ImageFolderCompletion, BernoulliMask(0.3))
+
+    @pytest.mark.parametrize("kind", [ImageFolderCompletion, ReplicatedCompletion])
+    def test_patches_refuse_an_image_every_square_hides(self, kind):
+        with pytest.raises(ValueError, match="image 0 is 6x6, so every patch"):
+            kind([np.full((1, 6, 6), 0.999)], SquarePatches(diameter_min=6))
+        kind([np.full((1, 6, 6), 0.999)], SquarePatches(diameter_min=5))
+        # a square side clips to the shorter extent, so 4x6 is never hidden whole
+        kind([np.full((1, 4, 6), 0.999)], SquarePatches(diameter_min=6))
 
 
 class TestReplicatedExample:

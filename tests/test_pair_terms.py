@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cban.dynamics
+import cban.tensor
 import cban.training
 from cban.data import Example
 from cban.dynamics import (
@@ -156,6 +157,99 @@ class TestSameNumbersAsThePlainLoops:
             assert relative_error(g, ref) <= 1e-12
 
 
+class _NoSkip(PairTerms):
+    """PairTerms that computes the maps of zero-start layers too."""
+
+    def read(self, reader, source, x, compute):
+        self._zero[source] = False
+        return super().read(reader, source, x, compute)
+
+
+# a net and evidence for each way a map can be skipped at the zero start
+ZERO_STARTS = {
+    "conv4-clamp": ("conv4", "clamp", None),
+    "conv4-external_bias": ("conv4", "external_bias", None),
+    "fc3-clamp": ("fc3", "clamp", None),
+    "fc3-external_bias": ("fc3", "external_bias", None),
+    # every map of layer 1's first update is skipped: only its bias is left,
+    # which must still take the batched shape
+    "fc2-zero_clamp": ("fc2", "clamp", 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_STARTS))
+class TestZeroStartSkipping:
+    """Skipping the maps of layers at their zero start changes no number.
+
+    Values are compared with the plain loops. Gradients are compared with
+    the same run when nothing is skipped, since reusing a term (read twice,
+    one vjp) already rounds differently from computing it twice.
+    """
+
+    @staticmethod
+    def _setup(case, batch=20):
+        net, evidence, value = ZERO_STARTS[case]
+        arch, w, rng = _net(net, evidence)
+        shape = (batch,) + arch.visible_shape
+        mask = rng.random(shape) < 0.4
+        values = rng.uniform(-0.9, 0.9, shape) if value is None else np.full(shape, value)
+        ev = EvidenceConstraint(mask=mask, values=values * mask)
+        return arch, w, rng, initial_state(arch, ev, batch=batch)
+
+    @staticmethod
+    def _run_on_tape(run, w, readout):
+        with GradTape() as tape:
+            state = run()
+            out = tensor_sum(state.activations[0] * readout)
+        return state, tape.gradient(out, w.params())
+
+    def test_settle(self, case, monkeypatch):
+        arch, w, rng, start = self._setup(case)
+        readout = rng.normal(size=start.activations[0].shape)
+
+        def settled():
+            return settle(start, w, arch, theta=1e-300, max_iters=3, record_energy=False)[0]
+
+        def swept():
+            state = start
+            for _ in range(3):
+                state = sweep(state, w, arch)
+            return state
+
+        got, grads = self._run_on_tape(settled, w, readout)
+        ref, _ = self._run_on_tape(swept, w, readout)
+        monkeypatch.setattr(cban.dynamics, "PairTerms", _NoSkip)
+        _, ref_grads = self._run_on_tape(settled, w, readout)
+        for a, b, spec in zip(got.activations, ref.activations, arch.layers):
+            assert a.shape == (20,) + spec.shape
+            np.testing.assert_array_equal(a.data, b.data)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
+
+    @pytest.mark.parametrize("loss_kind", ["se", "delta_e_plus"])
+    def test_td1_forward(self, case, loss_kind, monkeypatch):
+        arch, w, rng, _ = self._setup(case)
+        examples = _examples(arch, rng, n=4)
+        if ZERO_STARTS[case][2] is not None:
+            examples = [Example(target=np.zeros_like(e.target), mask=e.mask)
+                        for e in examples]
+        cfg = TrainConfig(epochs=1, loss=loss_kind, theta=0.02, max_iters=4)
+
+        def step(forward):
+            with GradTape() as tape:
+                loss, _ = forward(examples, w, arch, cfg)
+            return loss.data, tape.gradient(loss, w.params())
+
+        loss, grads = step(td1_forward)
+        ref_loss, _ = step(_td1_reference)
+        monkeypatch.setattr(cban.training, "PairTerms", _NoSkip)
+        noskip_loss, noskip_grads = step(td1_forward)
+        np.testing.assert_array_equal(loss, ref_loss)
+        np.testing.assert_array_equal(loss, noskip_loss)
+        for g, ref in zip(grads, noskip_grads):
+            np.testing.assert_array_equal(g, ref)
+
+
 class TestMapsPerSweep:
     """Each map is computed once per change of its source layer."""
 
@@ -206,12 +300,13 @@ class TestMapsPerSweep:
         return self._per_sweep(maps, run)
 
     def test_settle_on_a_4_layer_net(self, maps):
-        # 8 in the first sweep, then up and down once per pair
-        assert self._settle_maps(maps, "conv4") == [8, 6, 6]
+        # up and down once per pair, from the first sweep: the maps of the
+        # hidden layers' zero start are skipped
+        assert self._settle_maps(maps, "conv4") == [6, 6, 6]
 
     def test_td1_on_a_4_layer_net(self, maps):
         # one more per sweep for v~ (unclamped_visible)
-        assert self._td1_maps(maps, "conv4") == [9, 7, 7]
+        assert self._td1_maps(maps, "conv4") == [7, 7, 7]
 
     def test_td1_on_a_2_layer_net_reuses_the_visible_term(self, maps):
         # the visible update reads v~'s down term
@@ -259,12 +354,15 @@ class TestUpdatesStayTraceable:
         assert updates == 3 * sweep_order(arch.n_layers)
 
 
+_NONZERO = Tensor([1.0])  # a source layer away from its zero start
+
+
 class TestPairTerms:
     @staticmethod
     def _update(terms, l, n_layers):
         for source in (l - 1, l + 1):
             if 0 <= source < n_layers:
-                terms.read(l, source, object)
+                terms.read(l, source, _NONZERO, object)
         terms.updated(l)
 
     @pytest.mark.parametrize("n_layers", [2, 3, 4, 5])
@@ -275,7 +373,7 @@ class TestPairTerms:
             for l in order[:n_layers - 1]:
                 self._update(terms, l, n_layers)
             # v~'s read: held only when the visible update comes next
-            terms.read(0, 1, object)
+            terms.read(0, 1, _NONZERO, object)
             assert ((0, 1) in terms._terms) == (n_layers == 2)
             for l in order[n_layers - 1:]:
                 self._update(terms, l, n_layers)
@@ -295,3 +393,42 @@ class TestPairTerms:
             ref = update_layer(ref, w, arch, int(l))
             for a, b in zip(state.activations, ref.activations):
                 assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestFinitenessPassesPerUpdate:
+    """A layer update checks each map it computes and the sum of its terms,
+    once each: the terms are summed and activated in one buffer, so no
+    intermediate sum or activation is checked (or allocated) on its own."""
+
+    @pytest.mark.parametrize("evidence", ["clamp", "external_bias"])
+    def test_interior_layer_of_the_conv_net(self, evidence, monkeypatch):
+        arch, w, _ = _net("conv4", evidence)
+        mask = _mask((2,) + arch.visible_shape)
+        state = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask), batch=2)
+        terms = PairTerms(arch.n_layers)
+        order = sweep_order(arch.n_layers)
+        for l in order:  # a first sweep, so no layer is at its zero start
+            state = update_layer(state, w, arch, l, terms)
+        counts = {"passes": 0, "maps": 0}
+        real_check = cban.tensor._check_finite
+
+        def check(arr):
+            counts["passes"] += 1
+            return real_check(arr)
+
+        monkeypatch.setattr(cban.tensor, "_check_finite", check)
+        for name in ("_up_map", "_down_map"):
+            def counted(*args, real=getattr(cban.dynamics, name)):
+                counts["maps"] += 1
+                return real(*args)
+
+            monkeypatch.setattr(cban.dynamics, name, counted)
+        seen = []
+        for l in order:
+            counts.update(passes=0, maps=0)
+            state = update_layer(state, w, arch, l, terms)
+            if l == 1:
+                seen.append(counts["maps"])
+                assert counts["passes"] <= counts["maps"] + 1
+        # the upward update reuses the down term, the downward one the up term
+        assert seen == [1, 1]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import cban.tensor
 from cban.tensor import (
     ConvKernel,
     DomainError,
@@ -18,11 +19,13 @@ from cban.tensor import (
     avg_pool2_adjoint,
     barrier_leaky,
     barrier_tanh,
+    broadcast_to,
     clip,
     conv2d_half,
     leaky_sigmoid,
     leaky_sigmoid_inverse,
     matmul,
+    reshape,
     reverse_kernel,
     softplus,
     tanh,
@@ -598,3 +601,112 @@ class TestGradientsAgainstFiniteDifferences:
                 [x, w],
                 tol=1e-4,
             )
+
+
+class TestFusedActivation:
+    """tanh and leaky_sigmoid of a list of terms: one op over one buffer."""
+
+    ACTS = {"tanh": tanh, "leaky": lambda z: leaky_sigmoid(z, 0.3)}
+
+    @staticmethod
+    def _terms(rng, scale):
+        # a lower and an upper map term, a per-channel bias, external evidence
+        shape = (2, 3, 4, 4)
+        return [rng.normal(scale=scale, size=shape), rng.normal(scale=scale, size=shape),
+                rng.normal(scale=scale, size=(3, 1, 1)), rng.normal(scale=scale, size=shape)]
+
+    @pytest.mark.parametrize("act", list(ACTS))
+    def test_same_values_as_the_chain_of_ops(self, act):
+        f = self.ACTS[act]
+        a, b, bias, ev = (Tensor(t) for t in self._terms(np.random.default_rng(40), 1.0))
+        fused = f([a, b, bias, ev])
+        assert fused.data.tobytes() == f(((a + b) + bias) + ev).data.tobytes()
+
+    @pytest.mark.parametrize("act", list(ACTS))
+    def test_gradient_against_finite_differences(self, act):
+        f = self.ACTS[act]
+        rng = np.random.default_rng(42)
+        terms = self._terms(rng, 0.7)
+        z = ((terms[0] + terms[1]) + terms[2]) + terms[3]
+        assert np.min(np.abs(np.abs(z) - 1.0)) > 1e-3  # clear of the leaky kinks
+        weights = rng.normal(size=z.shape)
+        _gradcheck(lambda *ts: tensor_sum(f(list(ts)) * weights), terms)
+
+    @pytest.mark.parametrize("act", list(ACTS))
+    def test_a_sum_that_overflows_fails_at_this_op(self, act):
+        # tanh would saturate inf to 1.0: the sum is checked before activation
+        big = Tensor([0.0, 1e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"non-finite value at index \(1,\)"):
+                self.ACTS[act]([big, big])
+
+    @pytest.mark.parametrize("act", list(ACTS))
+    def test_a_nan_term_fails_at_this_op(self, act):
+        with pytest.raises(ValueError, match=r"non-finite value at index \(0, 2\)"):
+            self.ACTS[act]([Tensor(np.zeros((2, 3))), np.array([[0.0, 0.0, np.nan]] * 2)])
+
+    @pytest.mark.parametrize("act", list(ACTS))
+    def test_inputs_are_not_written(self, act):
+        rng = np.random.default_rng(44)
+        arrays = self._terms(rng, 2.0)
+        terms = [Tensor(a.copy()) for a in arrays]
+        self.ACTS[act](terms)
+        self.ACTS[act](terms[0])
+        for t, a in zip(terms, arrays):
+            np.testing.assert_array_equal(t.data, a)
+
+    def test_one_term_broadcast_to_a_shape(self):
+        bias = Tensor(np.array([0.5, -0.25]))
+        out = tanh([broadcast_to(bias, (3, 2))])
+        np.testing.assert_array_equal(out.data, np.tanh(np.tile([0.5, -0.25], (3, 1))))
+        weights = np.arange(6.0).reshape(3, 2)
+        _gradcheck(lambda b: tensor_sum(tanh([broadcast_to(b, (3, 2))]) * weights),
+                   [np.array([0.5, -0.25])])
+
+
+class TestFinitenessPasses:
+    """Ops that cannot make a non-finite value from checked inputs skip the
+    check; every other op, and construction from user data, keeps it."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = [0]
+        real = cban.tensor._check_finite
+
+        def counted(arr):
+            count[0] += 1
+            return real(arr)
+
+        monkeypatch.setattr(cban.tensor, "_check_finite", counted)
+        return count
+
+    def test_views_selects_and_spreads_skip_it(self, passes):
+        rng = np.random.default_rng(43)
+        m, x = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(2, 3, 4, 4)))
+        k = ConvKernel(rng.normal(size=(3, 2, 3, 3)))
+        passes[0] = 0
+        transpose(m)
+        reshape(m, (4, 3))
+        broadcast_to(m, (2, 3, 4))
+        reverse_kernel(k)
+        where(x.data > 0, x, x)
+        avg_pool2_adjoint(x)
+        assert passes[0] == 0
+
+    @pytest.mark.parametrize("act", list(TestFusedActivation.ACTS))
+    def test_an_activation_checks_its_sum_once(self, act, passes):
+        a = Tensor(np.ones((2, 3)))
+        passes[0] = 0
+        TestFusedActivation.ACTS[act](a)
+        assert passes[0] == 1
+        TestFusedActivation.ACTS[act]([a, a, np.zeros(3)])
+        # and the array term once, as it becomes a tensor
+        assert passes[0] == 3
+
+    def test_other_ops_and_construction_keep_it(self, passes):
+        x = Tensor(np.ones((2, 4, 4)))
+        assert passes[0] == 1
+        x + x
+        avg_pool2(x)
+        tensor_sum(x)
+        assert passes[0] == 4
