@@ -145,7 +145,7 @@ def _write_samples(outdir, w, arch, cfg, dataset):
 def cmd_train(args):
     from .checkpoint import Checkpoint, save_checkpoint
     from .config import load_run_config
-    from .data import bar_eval_set
+    from .data import UnmaskableImage, bar_eval_set
     from .training import init_opt_state, train
 
     try:
@@ -195,6 +195,8 @@ def cmd_train(args):
         # error line below reports that, so numpy's warnings would repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             w, _ = train(dataset, arch, cfg.train, on_epoch=on_epoch)
+    except UnmaskableImage as e:  # masks are drawn per epoch, so found only here
+        return _fail(str(e))
     except ValueError as e:
         if "non-finite" not in str(e):
             raise

@@ -37,6 +37,7 @@ __all__ = [
     "decode_label",
     "perlin_mask",
     "square_patch_mask",
+    "UnmaskableImage",
     "bernoulli_mask",
     "LABEL_UNITS",
     "make_supervised_example",
@@ -132,6 +133,10 @@ def generate_mask(spec, image, rng):
     raise ValueError(f"cannot generate a pixel mask from {spec!r}")
 
 
+class UnmaskableImage(ValueError):
+    """A mask spec cannot mask an image: the input images are at fault."""
+
+
 def _refuse_unmaskable(spec, images):
     """Refuse, before any mask is drawn, 2-d images that square patches
     cannot mask: one with no white pixel to hide a share of, and a square
@@ -141,10 +146,10 @@ def _refuse_unmaskable(spec, images):
     if isinstance(spec, SquarePatches):
         for i, image in enumerate(images):
             if not (image > 0).any():
-                raise ValueError(f"image {i} has no white pixels for a patches mask to hide")
+                raise UnmaskableImage(f"image {i} has no white pixels for a patches mask to hide")
             h, w = image.shape
             if h == w <= spec.diameter_min:
-                raise ValueError(
+                raise UnmaskableImage(
                     f"image {i} is {h}x{w}, so every patch (diameter_min "
                     f"{spec.diameter_min}) hides all of it")
 
@@ -350,7 +355,8 @@ def square_patch_mask(image, diameter_min, diameter_max, white_fraction, rng):
     Squares have side drawn uniformly from [diameter_min, diameter_max],
     clipped to the image, may overlap, and land uniformly inside the image.
     "White" means pixel value > 0. A mask that hides every pixel leaves no
-    evidence, so it is drawn again, up to _PATCH_DRAWS masks in all.
+    evidence, so it is drawn again, up to _PATCH_DRAWS masks in all; if
+    every one hides the whole image, UnmaskableImage is raised.
     """
     image = np.asarray(image)
     h, w = image.shape
@@ -368,7 +374,7 @@ def square_patch_mask(image, diameter_min, diameter_max, white_fraction, rng):
             unobs[r:r + side, c:c + side] = True
         if not unobs.all():
             return ~unobs
-    raise ValueError(f"each of {_PATCH_DRAWS} patch masks hid the whole {h}x{w} image")
+    raise UnmaskableImage(f"each of {_PATCH_DRAWS} patch masks hid the whole {h}x{w} image")
 
 
 def bernoulli_mask(h, w, p, rng):

@@ -23,6 +23,9 @@ still at an all-zero start is skipped, since it adds exactly zero. From
 the first sweep of a run from zero hidden layers that is 2L-2 maps per
 sweep instead of 4L-6: 6 instead of 10 on a 4-layer net. sweep() and
 update_layer without a PairTerms compute every term afresh.
+
+The inverse activation and the barrier are ndarray functions off the tape,
+evaluated by both energy() and the TD(1) loss (training.loss_per_item).
 """
 
 from __future__ import annotations
@@ -35,16 +38,15 @@ import numpy as np
 
 from .tensor import (
     ConvKernel,
-    Tensor,
-    atanh,
+    DomainError,
+    _check_finite,
+    _first_bad_index,
+    _unchecked,
     avg_pool2,
     avg_pool2_adjoint,
-    barrier_leaky,
-    barrier_tanh,
     broadcast_to,
     conv2d_half,
     leaky_sigmoid,
-    leaky_sigmoid_inverse,
     matmul,
     reshape,
     reverse_kernel,
@@ -104,30 +106,6 @@ def activation(kind, z):
     if isinstance(kind, Tanh):
         return tanh(z)
     return leaky_sigmoid(z, kind.alpha)
-
-
-def inverse_activation(kind, x):
-    """Inverse of the activation; tanh demands |x| < 1 strictly.
-
-    A value outside the domain raises DomainError naming its index.
-    """
-    if isinstance(kind, Tanh):
-        return atanh(x)
-    return leaky_sigmoid_inverse(x, kind.alpha)
-
-
-def barrier(kind, x):
-    """Integral of the inverse activation from 0 to x, as a Tensor.
-
-    For tanh this is 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x) on [-1, 1]; for
-    the leaky sigmoid it is x^2/2 inside [-1, 1] and a steeper quadratic
-    outside. In both cases the derivative is exactly the inverse
-    activation, which is what makes layer updates minimize the energy.
-    A tanh value with |x| > 1 raises DomainError naming its index.
-    """
-    if isinstance(kind, Tanh):
-        return barrier_tanh(x)
-    return barrier_leaky(x, kind.alpha)
 
 
 @dataclass(frozen=True)
@@ -322,6 +300,12 @@ class EvidenceConstraint:
             raise ValueError("evidence values must be finite")
         self.values = np.where(self.mask, vals, 0.0)
 
+    @functools.cached_property
+    def tensor(self):
+        """values as a Tensor, built once on first use: values were checked
+        finite above, so the clamp and the external bias reuse it unchecked."""
+        return _unchecked(self.values)
+
 
 @dataclass
 class NetState:
@@ -359,11 +343,11 @@ def initial_state(arch, evidence=None, batch=None):
     acts = []
     for spec in arch.layers:
         shape = spec.shape if batch is None else (batch,) + spec.shape
-        acts.append(Tensor(np.zeros(shape)))
+        acts.append(_unchecked(np.zeros(shape)))
     state = NetState(activations=acts, evidence=evidence)
     if evidence is not None and arch.evidence == "clamp":
         vis = state.activations[0]
-        state.activations[0] = where(evidence.mask, Tensor(evidence.values), vis)
+        state.activations[0] = where(evidence.mask, evidence.tensor, vis)
     return state
 
 
@@ -493,7 +477,7 @@ def _layer_terms(state, w, arch, l, terms):
     out.append(bias if out else broadcast_to(bias, state.activations[l].shape))
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "external_bias":
-        out.append(Tensor(ev.values))
+        out.append(ev.tensor)
     return out
 
 
@@ -515,7 +499,7 @@ def update_layer(state, w, arch, l, terms=None):
         terms.updated(l)
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "clamp":
-        x = where(ev.mask, Tensor(ev.values), x)
+        x = where(ev.mask, ev.tensor, x)
     acts = list(state.activations)
     acts[l] = x
     return NetState(activations=acts, evidence=ev)
@@ -531,6 +515,51 @@ def sweep(state, w, arch):
     for l in sweep_order(arch.n_layers):
         state = update_layer(state, w, arch, l)
     return state
+
+
+def inverse_activation(kind, x):
+    """Inverse of the activation on an ndarray, off the tape. tanh demands
+    |x| < 1 strictly: a value outside raises DomainError naming its index."""
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(kind, Tanh):
+        ok = np.abs(x) < 1.0
+        if not ok.all():
+            raise DomainError(
+                f"atanh domain violation (|x| >= 1) at index {_first_bad_index(ok)}")
+        return np.arctanh(x)
+    a = kind.alpha
+    return np.where(x > 1.0, (x - 1.0) / a + 1.0, np.where(x < -1.0, (x + 1.0) / a - 1.0, x))
+
+
+def _xlogx(t):
+    """t ln t, with 0 ln 0 := 0."""
+    return t * np.log(np.where(t > 0.0, t, 1.0))
+
+
+def barrier(kind, x):
+    """Integral of the inverse activation from 0 to x, on an ndarray, off
+    the tape.
+
+    For tanh this is 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x) on [-1, 1]; a
+    value with |x| > 1 raises DomainError naming its index. For the leaky
+    sigmoid it is x^2/2 inside [-1, 1] and a steeper quadratic outside; an
+    overflow raises ValueError naming its index, as a tensor op does. The
+    derivative is exactly the inverse activation, which is what makes
+    layer updates minimize the energy.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(kind, Tanh):
+        ok = np.abs(x) <= 1.0
+        if not ok.all():
+            raise DomainError(
+                f"barrier domain violation (|x| > 1) at index {_first_bad_index(ok)}")
+        return 0.5 * _xlogx(1.0 + x) + 0.5 * _xlogx(1.0 - x)
+    a = kind.alpha
+    hi = (x * x + (1.0 - a) * (1.0 - 2.0 * x)) / (2.0 * a)
+    lo = (x * x + (1.0 - a) * (1.0 + 2.0 * x)) / (2.0 * a)
+    out = np.where(x > 1.0, hi, np.where(x < -1.0, lo, 0.5 * x * x))
+    _check_finite(out)  # x * x overflows once |x| passes 1e154, long before x does
+    return out
 
 
 def energy(state, w, arch):
@@ -553,7 +582,7 @@ def energy(state, w, arch):
     for pair in range(arch.n_layers - 1):
         total = total - summed(acts[pair + 1].data * _up_map(acts[pair], w, arch, pair).data)
     for l, spec in enumerate(arch.layers):
-        rho = barrier(arch.activation, acts[l]).data
+        rho = barrier(arch.activation, acts[l].data)
         total = total + summed(rho - _bias_term(w.biases[l], spec).data * acts[l].data)
     if state.evidence is not None and arch.evidence == "external_bias":
         total = total - summed(state.evidence.values * acts[0].data)

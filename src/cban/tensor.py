@@ -1,10 +1,13 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Everything the settling dynamics and the unrolled training loop need lives
-here: elementwise arithmetic, matrix products, the half-padded convolution
-and its index-reversed counterpart, 2x2 average pooling and its exact
-transpose, and a GradTape that differentiates any scalar built from these
-operations with respect to any tensor that fed it.
+The ops: elementwise add and mul, and tensor_sum; matmul and
+the views transpose, reshape and broadcast_to; the activations tanh and
+leaky_sigmoid and the select where; conv2d_half and its reversed kernel
+(reverse_kernel); avg_pool2 and its transpose, avg_pool2_adjoint. A
+GradTape differentiates any scalar built from them with respect to any
+tensor that fed it. Another module may record an op of its own through
+_from_op, as training.loss_per_item does. Inverse activations and barriers
+are ndarray functions in dynamics, off the tape.
 
 Convolution (forward, input gradient, weight gradient) is one matrix
 product per map plus kh*kw shifted copies or adds. The shift is applied to
@@ -32,8 +35,8 @@ non-finite value from finite inputs skip it:
 
 The tape keeps only what its backward reads. A recorded tensor points at a
 small graph node (its parents' nodes and its vjp), not at the tensors that
-made it, and each vjp closes over the arrays it reads and nothing else: add,
-sub and where keep operand shapes, not operands. An intermediate that no
+made it, and each vjp closes over the arrays it reads and nothing else: add
+and where keep operand shapes, not operands. An intermediate that no
 vjp reads is therefore freed as soon as the caller drops it. The backward
 frees each cotangent and vjp once it has run, so a tape's gradient can be
 taken once.
@@ -65,13 +68,7 @@ __all__ = [
     "broadcast_to",
     "tensor_sum",
     "tanh",
-    "atanh",
     "leaky_sigmoid",
-    "leaky_sigmoid_inverse",
-    "barrier_tanh",
-    "barrier_leaky",
-    "softplus",
-    "clip",
     "where",
     "conv2d_half",
     "reverse_kernel",
@@ -87,7 +84,8 @@ class DomainError(ValueError):
 _ACTIVE_TAPE = None
 
 
-def _first_bad_index(arr, good):
+def _first_bad_index(good):
+    """The index of the first False in a boolean array."""
     return tuple(int(i) for i in np.argwhere(~good)[0])
 
 
@@ -97,7 +95,7 @@ def _check_finite(arr):
     # isfinite they allocate no boolean copy of the array
     if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ValueError(
-            f"non-finite value at index {_first_bad_index(arr, np.isfinite(arr))} "
+            f"non-finite value at index {_first_bad_index(np.isfinite(arr))} "
             f"in tensor of shape {arr.shape}"
         )
 
@@ -141,19 +139,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return _binary_elementwise(self, other, np.subtract, _sub_vjp)
-
-    def __rsub__(self, other):
-        return _binary_elementwise(self, other, np.subtract, _sub_vjp, swap=True)
-
     def __mul__(self, other):
         return _binary_elementwise(self, other, np.multiply, _mul_vjp)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return _from_op(-self.data, (self,), lambda g: (-g,))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -180,18 +169,22 @@ class _Node:
         self.tape = tape
 
 
+def _unchecked(data):
+    """A tensor around a float64 array known to be finite, made without the
+    finiteness check or a copy."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out._node = None
+    return out
+
+
 def _from_op(data, parents, vjp, check=True):
     """The tensor an op made, recorded on the active tape if there is one.
 
     check=False skips the finiteness check, for ops whose finite inputs
     cannot give a non-finite float64 result (see the module docstring).
     """
-    if check:
-        out = Tensor(data)
-    else:
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out._node = None
+    out = Tensor(data) if check else _unchecked(data)
     tape = _ACTIVE_TAPE
     if tape is not None:
         out._node = _Node(tuple(tape._node_of(p) for p in parents), vjp, tape)
@@ -213,20 +206,13 @@ def _add_vjp(a, b):
     return lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
 
-def _sub_vjp(a, b):
-    sa, sb = a.shape, b.shape
-    return lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
-
-
 def _mul_vjp(a, b):
     return lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
 
-def _binary_elementwise(a, b, fwd, make_vjp, swap=False):
+def _binary_elementwise(a, b, fwd, make_vjp):
     at = _as_tensor(a)
     bt = _as_tensor(b)
-    if swap:
-        at, bt = bt, at
     data = fwd(at.data, bt.data)
     return _from_op(data, (at, bt), make_vjp(at.data, bt.data))
 
@@ -333,23 +319,6 @@ def tanh(a):
     return _activated(y, terms, lambda g: g * (1.0 - y * y))
 
 
-def atanh(a):
-    """Inverse tanh; strict domain |x| < 1, error names the offending index."""
-    a = _as_tensor(a)
-    ok = np.abs(a.data) < 1.0
-    if not ok.all():
-        raise DomainError(
-            f"atanh domain violation (|x| >= 1) at index {_first_bad_index(a.data, ok)}"
-        )
-    x = a.data
-    return _from_op(np.arctanh(x), (a,), lambda g: (g / (1.0 - x * x),))
-
-
-def _leaky_inverse(x, alpha):
-    return np.where(x > 1.0, (x - 1.0) / alpha + 1.0,
-                    np.where(x < -1.0, (x + 1.0) / alpha - 1.0, x))
-
-
 def leaky_sigmoid(a, alpha):
     """Identity on [-1, 1], slope alpha outside, continuous at +/-1.
 
@@ -361,69 +330,6 @@ def leaky_sigmoid(a, alpha):
     y[lo] = alpha * (y[lo] + 1.0) - 1.0
     outside = hi | lo
     return _activated(y, terms, lambda g: g * np.where(outside, alpha, 1.0))
-
-
-def leaky_sigmoid_inverse(a, alpha):
-    a = _as_tensor(a)
-    x = a.data
-    slope = np.where(np.abs(x) > 1.0, 1.0 / alpha, 1.0)
-    return _from_op(_leaky_inverse(x, alpha), (a,), lambda g: (g * slope,))
-
-
-def _xlogx(t):
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    out[pos] = t[pos] * np.log(t[pos])
-    return out
-
-
-def barrier_tanh(a):
-    """Integral of atanh from 0 to x; domain |x| <= 1 (endpoints by continuity)."""
-    a = _as_tensor(a)
-    ok = np.abs(a.data) <= 1.0
-    if not ok.all():
-        raise DomainError(
-            f"barrier domain violation (|x| > 1) at index {_first_bad_index(a.data, ok)}"
-        )
-    x = a.data
-    # 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x), with 0*ln(0) := 0 at the endpoints
-    y = 0.5 * _xlogx(1.0 + x) + 0.5 * _xlogx(1.0 - x)
-    return _from_op(y, (a,), lambda g: (g * np.arctanh(x),))
-
-
-def barrier_leaky(a, alpha):
-    """Integral of the leaky-sigmoid inverse from 0 to x; defined on all reals."""
-    a = _as_tensor(a)
-    x = a.data
-    hi = (x * x + (1.0 - alpha) * (1.0 - 2.0 * x)) / (2.0 * alpha)
-    lo = (x * x + (1.0 - alpha) * (1.0 + 2.0 * x)) / (2.0 * alpha)
-    y = np.where(x > 1.0, hi, np.where(x < -1.0, lo, 0.5 * x * x))
-    return _from_op(y, (a,), lambda g: (g * _leaky_inverse(x, alpha),))
-
-
-def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def softplus(a):
-    """log(1 + exp(x)), overflow-safe: returns x directly once x > 30."""
-    a = _as_tensor(a)
-    x = a.data
-    safe = np.minimum(x, 30.0)
-    y = np.where(x > 30.0, x, np.log1p(np.exp(safe)))
-    return _from_op(y, (a,), lambda g: (g * _sigmoid_np(x),))
-
-
-def clip(a, lo, hi):
-    a = _as_tensor(a)
-    x = a.data
-    inside = (x > lo) & (x < hi)
-    return _from_op(np.clip(x, lo, hi), (a,), lambda g: (g * inside,))
 
 
 def where(mask, a, b):
@@ -671,7 +577,7 @@ class GradTape:
     tensors that participated.
 
     The graph keeps only what the backward reads: the arrays each op's vjp
-    needs, the shapes of add, sub and where operands, and the leaves (the
+    needs, the shapes of add and where operands, and the leaves (the
     tensors made off the tape that recorded ops used). A tensor that many
     ops read is kept once and its cotangents are summed before its own vjp
     runs. `gradient` frees each cotangent and vjp as soon as it has run, so

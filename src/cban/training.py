@@ -7,7 +7,12 @@ to reach the target completion and to reach it quickly. One function,
 compare the clamped state (visible units at their targets) with the matched
 unclamped state (visible units at the values the current hidden
 configuration would produce); squared error compares those unclamped values
-with the targets directly.
+with the targets directly. ΔE+ applies the softplus to each item's ΔE, the
+sum over all its visible units, not to each unit's term.
+
+The loss is one tape op with a closed-form gradient. Each unit's ΔE term,
+f_inv(v~)(v~ - y) + B(y) - B(v~), is a Bregman divergence of the barrier
+B, and B' = f_inv, so its gradient in v~ is f_inv'(v~)(v~ - y).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import GradTape, Tensor, clip, softplus, tensor_sum
+from .tensor import GradTape, Tensor, _from_op, tensor_sum
 from .dynamics import (
     EvidenceConstraint,
     NetState,
@@ -122,31 +127,71 @@ def unclamped_visible(state, w, arch, terms=None):
                       _layer_terms(NetState(state.activations), w, arch, 0, terms))
 
 
+def _softplus(x):
+    """log(1 + exp(x)), overflow-safe: x itself once x > 30."""
+    return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
+
+
+def _sigmoid(x):
+    """1 / (1 + exp(-x)), the slope of _softplus, without overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def loss_per_item(loss_kind, act_kind, v_tilde, y):
     """One loss per item between unclamped visible values v~ and targets y.
 
-    Both are batched (n, ...) states. "se" sums the squared error.
-    "delta_e" is the energy gap between the clamped state (visible units at
-    y) and the unclamped one (at v~), computed unit-locally as
-    f_inv(v~) * (v~ - y) + barrier(y) - barrier(v~). Under clamping this
-    equals the full network energy difference, because both states share
-    the hidden configuration; under external-bias evidence it is the gap of
-    the evidence-free energy, since v~ (unclamped_visible) leaves the
-    evidence bias out. It is zero exactly when v~ == y. "delta_e_plus" is
-    the softplus of that gap: a soft hinge that only wants the gap closed.
+    Both are batched (n, ...) tensors, and the loss is one tape op that
+    differentiates v~ only: y is the constant target. "se" sums the
+    squared error. "delta_e" is the energy gap between the clamped state
+    (visible units at y) and the unclamped one (at v~), computed
+    unit-locally as f_inv(v~) * (v~ - y) + barrier(y) - barrier(v~), with
+    v~ clipped to +/-_TANH_CLIP under tanh. Under clamping this equals the
+    full network energy difference, because both states share the hidden
+    configuration; under external-bias evidence it is the gap of the
+    evidence-free energy, since v~ (unclamped_visible) leaves the evidence
+    bias out. It is zero exactly when v~ == y. "delta_e_plus" is the
+    softplus of each item's gap, summed over all its visible units: a soft
+    hinge that only wants the gap closed.
+
+    The gradient is closed-form (see the module docstring): f_inv'(v~) *
+    (v~ - y) per unit, that is (v~ - y) / (1 - v~^2) under tanh, zero where
+    the clip holds v~, and (v~ - y) / alpha where |v~| > 1 under the leaky
+    sigmoid, else v~ - y; under "delta_e_plus" times the sigmoid of the
+    item's gap. "se" gives g*d + g*d for d = v~ - y.
     """
     if v_tilde.shape != y.shape:
         raise ValueError(f"shape mismatch: {v_tilde.shape} vs {y.shape}")
+    v = v_tilde.data
+    units = tuple(range(1, v.ndim))
+    per_unit = (-1,) + (1,) * len(units)  # an item's cotangent over its units
     if loss_kind == "se":
-        d = v_tilde - y
-        terms = d * d
-    else:
-        if isinstance(act_kind, Tanh):
-            v_tilde = clip(v_tilde, -_TANH_CLIP, _TANH_CLIP)
-        f_inv = inverse_activation(act_kind, v_tilde)
-        terms = f_inv * (v_tilde - y) + barrier(act_kind, y) - barrier(act_kind, v_tilde)
-    per_item = tensor_sum(terms, axis=tuple(range(1, terms.ndim)))
-    return softplus(per_item) if loss_kind == "delta_e_plus" else per_item
+        d = v - y.data
+
+        def vjp(g):
+            gd = g.reshape(per_unit) * d
+            return (gd + gd,)
+
+        return _from_op((d * d).sum(axis=units), (v_tilde,), vjp)
+    tanh = isinstance(act_kind, Tanh)
+    if tanh:
+        inside = (v > -_TANH_CLIP) & (v < _TANH_CLIP)
+        v = np.clip(v, -_TANH_CLIP, _TANH_CLIP)
+    d = v - y.data
+    gap = (inverse_activation(act_kind, v) * d
+           + barrier(act_kind, y.data) - barrier(act_kind, v)).sum(axis=units)
+    plus = loss_kind == "delta_e_plus"
+
+    def vjp(g):
+        if plus:
+            g = g * _sigmoid(gap)
+        if tanh:
+            slope_d = np.where(inside, d / (1.0 - v * v), 0.0)
+        else:
+            slope_d = np.where(np.abs(v) > 1.0, d / act_kind.alpha, d)
+        return (g.reshape(per_unit) * slope_d,)
+
+    return _from_op(_softplus(gap) if plus else gap, (v_tilde,), vjp)
 
 
 def _batch_evidence(examples, arch):

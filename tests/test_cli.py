@@ -441,10 +441,11 @@ class TestCmdTrain:
         assert not (tmp_path / "o").exists()
 
     @staticmethod
-    def _white_4x4_config(tmp_path, mask):
+    def _white_4x4_config(tmp_path, mask, pixels=None):
         folder = tmp_path / "imgs"
         folder.mkdir()
-        write_pgm(folder / "white.pgm", np.full((4, 4), 255, dtype=np.uint8))
+        write_pgm(folder / "white.pgm",
+                  np.full((4, 4), 255, dtype=np.uint8) if pixels is None else pixels)
         cfg = {
             "task": "completion", "seed": 0, "output_dir": str(tmp_path / "o"),
             "arch": {"layers": [{"kind": "fc", "units": 16, "visible": True},
@@ -471,6 +472,18 @@ class TestCmdTrain:
         assert err == ("error: image 0 is 4x4, so every patch (diameter_min 4) "
                        "hides all of it\n")
         assert not (tmp_path / "o").exists()
+
+    def test_image_every_drawn_mask_hides_exits_2(self, tmp_path, capsys):
+        # white only at the corners: hiding 90% of the white hides all four
+        # corners, and the 3x3 squares that do so cover the whole image
+        corners = np.zeros((4, 4), dtype=np.uint8)
+        corners[::3, ::3] = 255
+        mask = {"kind": "patches", "diameter_min": 3, "diameter_max": 3,
+                "white_fraction": 0.9}
+        path = self._white_4x4_config(tmp_path, mask, pixels=corners)
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: each of 1000 patch masks hid the whole 4x4 image\n")
 
     def test_keep_every_writes_numbered_checkpoints(self, tmp_path):
         config = write_bar_config(tmp_path, epochs=4)

@@ -76,36 +76,58 @@ class TestActivationFunctions:
         y = rng.uniform(-3, 3, size=50)
         np.testing.assert_allclose(activation(k, inverse_activation(k, y)).data, y, atol=1e-12)
 
-    def test_inverse_tanh_domain_error(self):
-        with pytest.raises(DomainError):
-            inverse_activation(Tanh(), np.array([1.0]))
+    def test_inverse_is_an_ndarray_off_the_tape(self):
+        for kind in (Tanh(), LeakySigmoid(0.2)):
+            assert type(inverse_activation(kind, np.array([0.5]))) is np.ndarray
+            assert type(barrier(kind, np.array([0.5]))) is np.ndarray
+
+    def test_inverse_tanh_domain_error_names_index(self):
+        with pytest.raises(DomainError, match=r"atanh domain violation .* at index \(1,\)"):
+            inverse_activation(Tanh(), np.array([0.5, 1.0]))
 
     def test_leaky_inverse_value(self):
-        np.testing.assert_allclose(
-            inverse_activation(LeakySigmoid(0.2), np.array([1.2])).data, [2.0]
-        )
+        np.testing.assert_allclose(inverse_activation(LeakySigmoid(0.2), np.array([1.2])), [2.0])
 
 
 class TestBarrier:
     def test_zero_at_origin(self):
-        assert barrier(Tanh(), np.array([0.0])).data[0] == 0.0
-        assert barrier(LeakySigmoid(0.3), np.array([0.0])).data[0] == 0.0
+        assert barrier(Tanh(), np.array([0.0]))[0] == 0.0
+        assert barrier(LeakySigmoid(0.3), np.array([0.0]))[0] == 0.0
 
     def test_tanh_value_against_quadrature(self):
         # independent oracle: numerically integrate atanh from 0 to 0.5
         xs = np.linspace(0.0, 0.5, 200001)
         integral = np.trapezoid(np.arctanh(xs), xs)
-        got = barrier(Tanh(), np.array([0.5])).data[0]
+        got = barrier(Tanh(), np.array([0.5]))[0]
         assert abs(got - integral) < 1e-9
         assert abs(got - 0.130812) < 1e-6
 
-    def test_leaky_half_square_inside(self):
-        got = barrier(LeakySigmoid(0.2), np.array([1.0, 0.4])).data
-        np.testing.assert_allclose(got, [0.5, 0.08], atol=1e-15)
+    def test_tanh_closed_form_value(self):
+        got = barrier(Tanh(), np.array([0.5]))[0]
+        assert abs(got - (0.5 * 1.5 * np.log(1.5) + 0.5 * 0.5 * np.log(0.5))) < 1e-15
 
-    def test_tanh_domain(self):
-        with pytest.raises(DomainError):
-            barrier(Tanh(), np.array([1.0000001]))
+    def test_tanh_endpoints_finite(self):
+        np.testing.assert_allclose(barrier(Tanh(), np.array([1.0, -1.0, 0.0])),
+                                   [np.log(2.0), np.log(2.0), 0.0])
+
+    def test_leaky_half_square_inside(self):
+        got = barrier(LeakySigmoid(0.2), np.array([1.0, 0.4, 0.0, -0.5]))
+        np.testing.assert_allclose(got, [0.5, 0.08, 0.0, 0.125], atol=1e-15)
+
+    def test_leaky_continuous_at_kinks(self):
+        eps = 1e-9
+        for alpha in (0.1, 0.2, 0.7):
+            lo, hi = barrier(LeakySigmoid(alpha), np.array([1.0 - eps, 1.0 + eps]))
+            assert abs(hi - lo) < 1e-7
+
+    def test_tanh_domain_error_names_index(self):
+        with pytest.raises(DomainError, match=r"barrier domain violation .* at index \(1,\)"):
+            barrier(Tanh(), np.array([0.0, 1.0000001]))
+
+    def test_leaky_overflow_fails_naming_the_index(self):
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"non-finite value at index \(1,\)"):
+            barrier(LeakySigmoid(0.5), np.array([0.0, 1e200]))
 
     @pytest.mark.parametrize("kind", [Tanh(), LeakySigmoid(0.2), LeakySigmoid(0.7)])
     def test_derivative_matches_inverse_activation(self, kind):
@@ -115,8 +137,32 @@ class TestBarrier:
             grid = np.linspace(-2.5, 2.5, 41)
             grid = grid[np.abs(np.abs(grid) - 1.0) > 0.05]
         h = 1e-6
-        num = (barrier(kind, grid + h).data - barrier(kind, grid - h).data) / (2 * h)
-        np.testing.assert_allclose(num, inverse_activation(kind, grid).data, atol=1e-6)
+        num = (barrier(kind, grid + h) - barrier(kind, grid - h)) / (2 * h)
+        np.testing.assert_allclose(num, inverse_activation(kind, grid), atol=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["clamp", "external_bias"])
+def test_start_layers_and_evidence_skip_the_finiteness_check(mode, monkeypatch):
+    # zeros are finite and EvidenceConstraint refused non-finite values, so
+    # only the visible update's map and its summed input are checked
+    import cban.tensor
+
+    count = [0]
+    real = cban.tensor._check_finite
+
+    def counted(arr):
+        count[0] += 1
+        return real(arr)
+
+    arch = dataclasses.replace(fban(4, [3]), evidence=mode)
+    w = init_weights(arch, seed=0)
+    evidence = EvidenceConstraint(mask=np.array([True, False, True, False]),
+                                  values=np.full(4, 0.5))
+    monkeypatch.setattr(cban.tensor, "_check_finite", counted)
+    state = initial_state(arch, evidence, batch=2)
+    assert count[0] == 0
+    update_layer(update_layer(state, w, arch, 0), w, arch, 0)
+    assert count[0] == 4
 
 
 class TestArchValidation:

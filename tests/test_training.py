@@ -1,9 +1,13 @@
 """Losses, TD(1) unrolling, optimizers, initialization."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cban.tensor import GradTape, Tensor
+from cban.config import load_run_config
+from cban.tensor import GradTape, Tensor, tensor_sum
 from cban.dynamics import (
     ArchSpec,
     LeakySigmoid,
@@ -28,6 +32,8 @@ from cban.training import (
 )
 from cban.data import BarTask
 from helpers import finite_difference, relative_error, traced_bytes
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def loss_of(loss_kind, v_tilde, y, act_kind=Tanh()):
@@ -165,11 +171,15 @@ class TestLossDeltaEPlus:
             plus = loss_of("delta_e_plus", v, y)
             assert abs(plus - np.logaddexp(0.0, gap)) < 1e-12
 
-    def test_softplus_limit_vanishes_for_ordered_energies(self):
-        # the hinge goes to 0 as the gap goes to -inf
-        from cban.tensor import softplus
+    def test_softplus_values(self):
+        # log 2 at 0, the identity past 30, and a hinge that goes to 0 as
+        # the gap goes to -inf
+        from cban.training import _softplus
 
-        assert softplus(Tensor([-40.0])).data[0] < 1e-17
+        out = _softplus(np.array([0.0, 100.0, -40.0]))
+        assert abs(out[0] - np.log(2.0)) < 1e-15
+        assert out[1] == 100.0
+        assert out[2] < 1e-17
 
     def test_gap_is_never_negative(self):
         # the gap is the Bregman divergence of the barrier, so clamping the
@@ -179,6 +189,79 @@ class TestLossDeltaEPlus:
             v = rng.uniform(-0.999, 0.999, size=4)
             y = rng.uniform(-0.999, 0.999, size=4)
             assert loss_of("delta_e", v, y) >= 0.0
+
+
+class TestLossGradient:
+    """loss_per_item is one tape op with a closed-form vjp."""
+
+    KINDS = {"tanh": Tanh(), "leaky": LeakySigmoid(0.2)}
+    # per item: inside the clip, beyond +/-_TANH_CLIP, beyond +/-1 (leaky)
+    V = np.array([[0.3, -0.7, 1.5, -1.2, 0.9],
+                  [-0.2, 0.6, 2.3, -1.7, 0.05]])
+    Y = np.array([[0.5, -0.1, 0.8, 0.4, -0.6],
+                  [0.1, -0.9, 0.3, -0.5, 0.7]])
+    C = np.array([0.7, -1.3])  # distinct per-item cotangents
+
+    def _grad(self, loss_kind, kind, v):
+        y = Tensor(self.Y)
+        vt = Tensor(v)
+        with GradTape() as tape:
+            out = tensor_sum(loss_per_item(loss_kind, kind, vt, y) * self.C)
+        (g,) = tape.gradient(out, [vt])
+        return g
+
+    @pytest.mark.parametrize("loss_kind", ["se", "delta_e", "delta_e_plus"])
+    @pytest.mark.parametrize("act", ["tanh", "leaky"])
+    def test_matches_finite_differences(self, loss_kind, act):
+        kind = self.KINDS[act]
+
+        def scalar(v):
+            return float(np.sum(loss_per_item(loss_kind, kind, Tensor(v),
+                                              Tensor(self.Y)).data * self.C))
+
+        g = self._grad(loss_kind, kind, self.V)
+        assert relative_error(g, finite_difference(scalar, self.V.copy())) < 1e-7
+        if loss_kind != "se" and act == "tanh":
+            # the clip holds v~ beyond +/-_TANH_CLIP fixed: exactly no gradient
+            assert np.all(g[:, 2:4] == 0.0)
+            assert np.all(g[:, [0, 1, 4]] != 0.0)
+
+    def test_se_gradient_is_twice_the_difference(self):
+        g = self._grad("se", Tanh(), self.V)
+        np.testing.assert_array_equal(g, 2.0 * (self.C[:, None] * (self.V - self.Y)))
+
+    def test_leaky_slope_at_the_kink_is_the_inner_one(self):
+        # at |v~| = 1 the inverse's slope is 1, not 1/alpha
+        v = self.V.copy()
+        v[:, 2:4] = [[1.0, -1.0], [-1.0, 1.0]]
+        g = self._grad("delta_e", LeakySigmoid(0.2), v)
+        np.testing.assert_allclose(g[:, 2:4], self.C[:, None] * (v - self.Y)[:, 2:4],
+                                   rtol=1e-15)
+
+    def test_a_bar_sweep_records_at_most_12_tape_ops(self, monkeypatch):
+        import cban.tensor
+        import cban.training
+
+        count = [0]
+        from_op = cban.tensor._from_op
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return from_op(*args, **kwargs)
+
+        for module in (cban.tensor, cban.training):
+            monkeypatch.setattr(module, "_from_op", counting)
+        cfg = load_run_config(CONFIGS / "bar.json")
+        w = init_weights(cfg.arch, seed=0)
+        examples = BarTask().epoch_examples(np.random.default_rng(0))
+        ops = []
+        for sweeps in (2, 3):
+            count[0] = 0
+            with GradTape():
+                td1_forward(examples, w, cfg.arch,
+                            replace(cfg.train, max_iters=sweeps, theta=1e-300))
+            ops.append(count[0])
+        assert ops[1] - ops[0] <= 12
 
 
 def tiny_cfg(**kw):
