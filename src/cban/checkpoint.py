@@ -2,16 +2,34 @@
 
 Container layout (little-endian): the 8-byte magic "CBANCKPT", a u32
 format version, a u32-length-prefixed JSON metadata block (architecture,
-epoch, rng state, optimizer settings, block manifest), then the raw
-float32 parameter blocks in declaration order, followed by the optimizer's
-first- and second-moment blocks when present. Weights are stored 32-bit to
-keep files small; loading widens back to the 64-bit training precision.
+epoch, rng state, optimizer settings, block manifest, and "crc32", the
+zlib CRC-32 of all block bytes in file order), then the raw float32
+parameter blocks in declaration order, followed by the optimizer's first-
+and second-moment blocks when present. Weights are stored 32-bit to keep
+files small; loading widens back to the 64-bit training precision.
+
+A save over an existing file rewrites it in place and then truncates it
+to the new length; it neither truncates the file to zero first nor
+renames a new file over it. On ext4 (auto_da_alloc, the default) both of
+those patterns make the file's close start a forced write-back, and `cban
+train` saves latest.ckpt every epoch: on a 2-vCPU ext4 box a bar-task
+save took 0.29-0.44 ms that way, against 0.055 ms in place, in an epoch
+of about 7 ms. Nothing is fsynced either, so a save is durable only once the
+OS writes it back.
+
+A crash or a concurrent reader mid-save can therefore see the new head
+over the old tail (or, before the final truncate, a whole new file
+followed by old bytes, which loads as the new one). Loading refuses a
+file whose blocks do not match the stored checksum as torn or corrupt,
+rather than returning mixed weights. Files written before the checksum
+existed have no "crc32" and load unchecked.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +72,27 @@ def save_checkpoint(path, ckpt):
         opt_meta = {k: getattr(opt, k) for k in _OPT_KEYS}
         opt_meta["has_moments"] = bool(opt.m)
         moment_arrays = list(opt.m) + list(opt.v)
+    body = b"".join(a.astype(np.float32).tobytes() for a in arrays + moment_arrays)
     meta = {
         "arch": arch_to_dict(ckpt.arch),
         "epoch": ckpt.epoch,
         "rng_state": ckpt.rng_state,
         "optimizer": opt_meta,
         "blocks": [list(a.shape) for a in arrays],
+        "crc32": zlib.crc32(body),
     }
     payload = json.dumps(meta, sort_keys=True).encode()
-    with open(path, "wb") as f:
+    try:
+        f = open(path, "r+b")  # in place: see the module docstring
+    except FileNotFoundError:
+        f = open(path, "wb")
+    with f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(payload)))
         f.write(payload)
-        for a in arrays + moment_arrays:
-            f.write(a.astype(np.float32).tobytes())
+        f.write(body)
+        f.truncate()
 
 
 def _read_exact(f, n, what):
@@ -87,17 +111,28 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"checkpoint version {version} not supported (expected {VERSION})")
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length"))
-        meta = json.loads(_read_exact(f, meta_len, "metadata"))
+        payload = _read_exact(f, meta_len, "metadata")
+        try:
+            meta = json.loads(payload)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise CheckpointError(f"{path}: metadata is not JSON, the file is torn "
+                                  f"or corrupt ({e})") from e
         arch = arch_from_dict(meta["arch"])
         shapes, expected = [tuple(s) for s in meta["blocks"]], block_shapes(arch)
         if shapes != expected:
             raise CheckpointError(f"block manifest {shapes} does not match the "
                                   f"architecture's blocks {expected}")
 
+        crc = 0  # of every block's bytes, in file order
+
         def read_blocks(what):  # one float32 block per manifest shape, widened
-            return [np.frombuffer(_read_exact(f, 4 * int(np.prod(s)), f"{what} {s}"),
-                                  dtype=np.float32).astype(np.float64).reshape(s)
-                    for s in shapes]
+            nonlocal crc
+            out = []
+            for s in shapes:
+                raw = _read_exact(f, 4 * int(np.prod(s)), f"{what} {s}")
+                crc = zlib.crc32(raw, crc)
+                out.append(np.frombuffer(raw, dtype=np.float32).astype(np.float64).reshape(s))
+            return out
 
         arrays = read_blocks("block")
         opt_meta = meta.get("optimizer")
@@ -106,6 +141,9 @@ def load_checkpoint(path):
             opt = OptState(**{k: opt_meta[k] for k in _OPT_KEYS})
             if opt_meta["has_moments"]:
                 opt.m, opt.v = read_blocks("first moment"), read_blocks("second moment")
+    if "crc32" in meta and meta["crc32"] != crc:
+        raise CheckpointError(f"{path}: blocks do not match their checksum, the file "
+                              "is torn or corrupt")
     weights = WeightBundle.from_params([Tensor(a) for a in arrays], arch.n_layers)
     return Checkpoint(arch=arch, weights=weights, opt_state=opt,
                       epoch=int(meta["epoch"]), rng_state=meta.get("rng_state"))

@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 when a check suite fails, settling does not
 converge, or training or settling diverges to non-finite values, 2 on
-usage, configuration, data or i/o errors. `cban eval` settles its set in
-batches of 32, so its memory does not grow with the set. All outputs stay
-under the configured output directory. Set CBAN_NUM_THREADS before
-launching to cap the linear-algebra thread count.
+usage, configuration, data or i/o errors; an output directory that a file
+stands in the way of is refused before any work. `cban eval` settles its
+set in batches of 32, so its memory does not grow with the set. All
+outputs stay under the configured output directory. Set CBAN_NUM_THREADS
+before launching to cap the linear-algebra thread count.
 """
 
 from __future__ import annotations
@@ -152,10 +153,10 @@ def cmd_train(args):
         _check_counts(args, "eval_every", "keep_every")
         cfg = load_run_config(args.config)
         dataset = _build_dataset(cfg)
+        outdir = _check_outdir(cfg.output_dir)
     except (OSError, ValueError, KeyError) as e:
         return _fail(str(e))
     arch = cfg.arch
-    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     log_path = outdir / "train_log.csv"
     log_rows, header = [], []
@@ -172,7 +173,9 @@ def cmd_train(args):
         train_log.csv; the whole file is rewritten only when the row brings
         a column the header lacks (`accuracy` at the first evaluation).
         Either way the row is on disk before the epoch's checkpoint is
-        saved, and the epoch ends with checkpoint saves.
+        saved, and the epoch ends with checkpoint saves: latest.ckpt is
+        rewritten in place each epoch (see `cban.checkpoint`), and with
+        --keep-every a numbered copy is written alongside.
         """
         nonlocal header
         if held_out is not None and (epoch % every == every - 1
@@ -278,6 +281,21 @@ def _check_settle_options(args):
         raise ValueError("--theta must be positive and --max-iters at least 1")
 
 
+def _check_outdir(path):
+    """Refuse an output directory that a file stands in the way of.
+
+    Called before any work, so a refused run spends none. `complete` and
+    `eval` make the directory only once they have settled, so a run that
+    diverges leaves no empty directory behind.
+    """
+    outdir = Path(path)
+    nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"cannot write outputs under {outdir}: "
+                                 f"{nearest} is not a directory")
+    return outdir
+
+
 def _check_counts(args, *names):
     """Refuse a negative count option; 0 keeps its meaning of "off" or "all"."""
     for name in names:
@@ -296,6 +314,7 @@ def cmd_complete(args):
         arch = ckpt.arch
         values, mask, shape = _load_evidence(args, arch)
         state = initial_state(arch, EvidenceConstraint(mask=mask, values=values))
+        outdir = _check_outdir(args.outdir)
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
     try:
@@ -306,7 +325,6 @@ def cmd_complete(args):
             dream = unclamped_visible(state, ckpt.weights, arch)
     except ValueError as e:  # with valid arguments, only a non-finite state
         return _fail(f"settling diverged: {e}", code=1)
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_visible_image(outdir / "completed", state.activations[0].data, shape)
     _write_visible_image(outdir / "dream", dream.data, shape)
@@ -340,6 +358,7 @@ def cmd_eval(args):
         dataset = _library_dataset(arch, images, labels, _mask_from_args(args))
         examples = dataset.epoch_examples(np.random.default_rng(args.seed))
         check_ssim_extent(*images[0].shape[-2:])  # every scored image has this (h, w)
+        outdir = _check_outdir(args.outdir)
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
     outputs = []
@@ -366,7 +385,6 @@ def cmd_eval(args):
     report = metric_report(outputs, targets)
     rows = [["psnr_mean", report.psnr.mean], ["psnr_stderr", report.psnr.stderr],
             ["ssim_mean", report.ssim.mean], ["ssim_stderr", report.ssim.stderr]] + extra
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "metrics.csv", "w", newline="") as f:
         csv.writer(f).writerows([["metric", "value"]] + rows)
@@ -441,7 +459,10 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as e:  # an output the commands could not write
+        return _fail(str(e))
 
 
 def entry():

@@ -176,12 +176,13 @@ class TestCheckpoint:
 
     def test_older_metadata_loads_with_equal_weights_and_moments(self, tmp_path):
         # older checkpoints carry "symmetric": true in the arch and adam's
-        # constants among the optimizer settings
+        # constants among the optimizer settings, and no "crc32"
         new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
         save_checkpoint(new, make_checkpoint(with_moments=True))
         rewrite_metadata(new, old, lambda meta: (
             meta["arch"].update(symmetric=True),
-            meta["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)))
+            meta["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8),
+            meta.pop("crc32")))
         fresh, loaded = load_checkpoint(new), load_checkpoint(old)
         assert loaded.arch == fresh.arch and loaded.epoch == fresh.epoch
         assert loaded.opt_state.kind == "adam" and loaded.opt_state.step == 1
@@ -194,6 +195,92 @@ class TestCheckpoint:
         assert len(arrays(loaded)) == 3 * 3
         for a, b in zip(arrays(fresh), arrays(loaded)):
             np.testing.assert_array_equal(a, b)
+
+
+class TestCheckpointInPlace:
+    """A save rewrites an existing file in place; a checksum refuses a torn one."""
+
+    def test_save_over_longer_or_shorter_file_equals_a_fresh_save(self, tmp_path):
+        small, large = make_checkpoint(), make_checkpoint(with_moments=True)
+        fresh = tmp_path / "fresh.ckpt"
+        for ckpt, old in ((small, large), (large, small)):
+            save_checkpoint(fresh, ckpt)
+            path = tmp_path / "over.ckpt"
+            save_checkpoint(path, old)
+            save_checkpoint(path, ckpt)
+            assert path.read_bytes() == fresh.read_bytes()
+            fresh.unlink()
+
+    def test_save_rewrites_in_place_without_truncate_or_rename(self, tmp_path, monkeypatch):
+        # Guards the cost this format avoids: on ext4, truncating a file to
+        # zero and rewriting it (mode "w"), or renaming a new file over it,
+        # makes its close start a forced write-back, and `cban train` saves
+        # latest.ckpt every epoch. The file must keep its inode, and a save
+        # over it must never open it in a "w" mode.
+        import builtins
+        import io
+
+        path = tmp_path / "latest.ckpt"
+        save_checkpoint(path, make_checkpoint(with_moments=True))
+        inode = path.stat().st_ino
+        modes, real_open = [], builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                modes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a save renamed a file over the checkpoint")
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(os, "rename", refuse)
+        save_checkpoint(path, make_checkpoint())
+        assert modes and not any("w" in m for m in modes)
+        assert path.stat().st_ino == inode
+
+    @staticmethod
+    def spliced(tmp_path):
+        """The head of one save over the tail of another of the same layout."""
+        a = make_checkpoint()
+        b = dataclasses.replace(a, weights=init_weights(a.arch, seed=4))
+        pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(pa, a)
+        save_checkpoint(pb, b)
+        head, tail = pa.read_bytes(), pb.read_bytes()
+        cut = 64  # the weight matrix's last 6 values and the biases (zero at init)
+        path = tmp_path / "torn.ckpt"
+        path.write_bytes(head[:-cut] + tail[-cut:])
+        return path
+
+    def test_spliced_file_is_refused(self, tmp_path):
+        path = self.spliced(tmp_path)
+        with pytest.raises(CheckpointError, match="torn or corrupt") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("command", ["complete", "eval"])
+    def test_spliced_file_exits_2(self, tmp_path, capsys, command):
+        path = self.spliced(tmp_path)
+        extra = (["--input", str(tmp_path / "none.npz")] if command == "complete"
+                 else ["--data", str(tmp_path / "none.idx")])
+        assert main([command, "--ckpt", str(path), "--outdir",
+                     str(tmp_path / "x")] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "torn or corrupt" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_torn_metadata_is_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        raw = bytearray(path.read_bytes())
+        raw[17] = 0xFF  # inside the JSON metadata
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match="torn or corrupt"):
+            load_checkpoint(path)
 
 
 def rewrite_metadata(src, dst, edit):
@@ -1032,6 +1119,56 @@ class TestCmdEval:
             "error: image (8, 8) is smaller than the 11x11 window\n")
         assert calls == []
         assert not (tmp_path / "ev").exists()
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written exits 2 with one error line."""
+
+    def test_train_output_dir_is_a_file(self, tmp_path, capsys):
+        config = write_bar_config(tmp_path)
+        (tmp_path / "out").write_text("a file")
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write outputs under {tmp_path / 'out'}: "
+                       f"{tmp_path / 'out'} is not a directory\n")
+
+    def test_train_latest_ckpt_is_a_directory(self, tmp_path, capsys):
+        config = write_bar_config(tmp_path)
+        (tmp_path / "out" / "latest.ckpt").mkdir(parents=True)
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "latest.ckpt" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["complete", "eval"])
+    def test_outdir_is_a_file_exits_2_before_settling(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        import cban.dynamics
+        import cban.training
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("settled before the output directory was checked")
+
+        monkeypatch.setattr(cban.dynamics, "settle", refuse)
+        monkeypatch.setattr(cban.training, "complete", refuse)
+        arch = fban(144, [4])
+        save_checkpoint(tmp_path / "c.ckpt", Checkpoint(
+            arch=arch, weights=init_weights(arch, seed=0),
+            opt_state=None, epoch=0, rng_state=None))
+        if command == "complete":
+            mask = np.arange(144) < 72
+            np.savez(tmp_path / "ev.npz", values=np.where(mask, 0.5, 0.0), mask=mask)
+            extra = ["--input", str(tmp_path / "ev.npz")]
+        else:
+            save_idx(tmp_path / "imgs.idx", np.random.default_rng(5).integers(
+                0, 256, size=(3, 12, 12)).astype(np.uint8))
+            extra = ["--data", str(tmp_path / "imgs.idx"), "--mask", "bernoulli"]
+        outdir = tmp_path / "taken"
+        outdir.write_text("a file")
+        assert main([command, "--ckpt", str(tmp_path / "c.ckpt"),
+                     "--outdir", str(outdir)] + extra) == 2
+        assert capsys.readouterr().err == (f"error: cannot write outputs under {outdir}: "
+                                           f"{outdir} is not a directory\n")
 
 
 class TestCmdCheck:
