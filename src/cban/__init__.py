@@ -3,10 +3,12 @@
 Recurrent stacks of layers with symmetric bidirectional connections settle
 partial evidence into complete visible states by descending an energy
 function; training unrolls the settling sweeps and injects a loss after
-every iteration. The package carries its own float64 tensor type with a
-reverse-mode gradient tape, the settling dynamics and energy, the three
-training losses with their optimizers, task data (bars, IDX digits,
-coherent-noise masks), reconstruction metrics, and a small CLI.
+every iteration. Its gradient is one explicit reverse sweep over the
+unrolled layer updates (back-propagation through time), recorded as a
+single op on the package's own float64 gradient tape. The package also
+carries the settling dynamics and energy, the three training losses with
+their optimizers, task data (bars, IDX digits, coherent-noise masks),
+reconstruction metrics, and a small CLI.
 """
 
 import os as _os
@@ -40,17 +42,14 @@ from .dynamics import (  # noqa: E402
     activation,
     barrier,
     conv_layer,
-    detect_cycle,
     energy,
     fban,
     fc_layer,
     initial_state,
     inverse_activation,
-    layer_preactivation,
     norm_1inf,
     settle,
     sweep,
-    synchronous_step,
     update_layer,
 )
 from .training import (  # noqa: E402
@@ -98,9 +97,8 @@ __all__ = [
     "avg_pool2_adjoint", "conv2d_half", "reverse_kernel",
     "ArchSpec", "EvidenceConstraint", "LayerSpec", "LeakySigmoid", "NetState",
     "SettleReport", "Tanh", "WeightBundle", "activation", "barrier",
-    "conv_layer", "detect_cycle", "energy", "fban", "fc_layer",
-    "initial_state", "inverse_activation", "layer_preactivation", "norm_1inf",
-    "settle", "sweep", "synchronous_step", "update_layer",
+    "conv_layer", "energy", "fban", "fc_layer", "initial_state",
+    "inverse_activation", "norm_1inf", "settle", "sweep", "update_layer",
     "TrainConfig", "complete", "init_weights", "loss_per_item", "optimizer_step",
     "td1_forward", "train", "unclamped_visible",
     "BarTask", "BernoulliMask", "Example", "LabelOnly", "LabelPlus",

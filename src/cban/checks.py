@@ -21,15 +21,14 @@ from .dynamics import (
     NetState,
     Tanh,
     WeightBundle,
+    activation,
     conv_layer,
-    detect_cycle,
     energy,
     fban,
     initial_state,
     norm_1inf,
     settle,
     sweep_order,
-    synchronous_step,
     update_layer,
 )
 from .training import LOSS_KINDS, TrainConfig, init_weights, td1_forward
@@ -113,8 +112,9 @@ def _pooled_conv_arch():
 
 
 def _gradient_errors(rng, arch, w, loss_kind, max_sweeps, step):
-    """Relative error of each parameter block's tape gradient of the TD(1)
-    loss against central differences, on random examples."""
+    """Relative error of each parameter block's gradient of the TD(1) loss,
+    td1_forward's reverse sweep taken through a GradTape, against central
+    differences, on random examples."""
     examples = _random_examples(rng, int(rng.integers(1, 3)), arch.layers[0].size)
     sweeps = int(rng.integers(1, max_sweeps + 1))
     cfg = TrainConfig(epochs=1, loss=loss_kind, theta=1e-12, max_iters=sweeps,
@@ -156,7 +156,8 @@ def check_gradients(seed=0, per_loss=20, max_sweeps=5, step=1e-5, tol=1e-4):
     Each loss kind gets per_loss trials on random one-hidden-layer fc nets
     and _CONV_PER_LOSS trials on a tiny pooled conv net. Each then gets one
     more pooled conv trial per _CONV_VARIANTS entry, so that every branch
-    of the fused layer update (see tensor.tanh) is differentiated.
+    of a layer update's backward (training._slope_times and the clamp of
+    _td1_backward) is differentiated.
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -254,6 +255,35 @@ def check_settle_convergence(seed=0, trials=50, theta=1e-3, max_iters=500):
                        trials=trials, failures=failures)
 
 
+def _synchronous_step(x, W, b, kind):
+    """One parallel full-state update x <- f(x W + b) on a dense weight matrix.
+
+    This is the classical discrete-time iteration whose trajectories, for
+    symmetric W with nonnegative diagonal and a saturating activation,
+    always end in a fixed point or a period-2 cycle.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return activation(kind, x @ W + b).data
+
+
+def _detect_cycle(trailing_states, tol):
+    """Smallest period p >= 1 repeating across the window, or 0 if none.
+
+    States are compared elementwise: period p holds when every pair of
+    states p apart in the window differs by less than tol everywhere.
+    """
+    states = [np.asarray(s) for s in trailing_states]
+    n = len(states)
+    if n < 2:
+        raise ValueError("need at least two states to detect a cycle")
+    for p in range(1, n):
+        ok = all(np.max(np.abs(states[t] - states[t - p])) < tol
+                 for t in range(p, n))
+        if ok:
+            return p
+    return 0
+
+
 def check_synchronous_cycles(seed=0, trials=200, max_units=24, iters=3000,
                              tol=1e-8):
     """Parallel full-state updates end in period 1 or 2, never more."""
@@ -271,12 +301,12 @@ def check_synchronous_cycles(seed=0, trials=200, max_units=24, iters=3000,
         window = [x.copy()]
         period = 0
         for _ in range(iters):
-            x = synchronous_step(x, W, b, Tanh())
+            x = _synchronous_step(x, W, b, Tanh())
             window.append(x.copy())
             if len(window) > 8:
                 window.pop(0)
             if len(window) >= 5:
-                period = detect_cycle(window, tol=tol)
+                period = _detect_cycle(window, tol=tol)
                 if period:
                     break
         if period in (1, 2):

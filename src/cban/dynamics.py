@@ -25,13 +25,12 @@ sweep instead of 4L-6: 6 instead of 10 on a 4-layer net. sweep() and
 update_layer without a PairTerms compute every term afresh.
 
 The inverse activation and the barrier are ndarray functions off the tape,
-evaluated by both energy() and the TD(1) loss (training.loss_per_item).
+evaluated by both energy() and the TD(1) losses (training._loss).
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,14 +72,11 @@ __all__ = [
     "inverse_activation",
     "barrier",
     "initial_state",
-    "layer_preactivation",
     "update_layer",
     "sweep",
     "energy",
     "settle",
-    "detect_cycle",
     "norm_1inf",
-    "synchronous_step",
 ]
 
 
@@ -481,12 +477,6 @@ def _layer_terms(state, w, arch, l, terms):
     return out
 
 
-def layer_preactivation(state, w, arch, l, terms=None):
-    """Total input to layer l: neighbor contributions plus the layer bias,
-    and external-bias evidence on the visible layer (see _layer_terms)."""
-    return functools.reduce(operator.add, _layer_terms(state, w, arch, l, terms))
-
-
 def update_layer(state, w, arch, l, terms=None):
     """Activate layer l from its preactivation, then re-clamp any evidence.
 
@@ -639,24 +629,6 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
                                max_delta_trace=np.asarray(deltas))
 
 
-def detect_cycle(trailing_states, tol):
-    """Smallest period p >= 1 repeating across the window, or 0 if none.
-
-    States are compared elementwise: period p holds when every pair of
-    states p apart in the window differs by less than tol everywhere.
-    """
-    states = [np.asarray(s) for s in trailing_states]
-    n = len(states)
-    if n < 2:
-        raise ValueError("need at least two states to detect a cycle")
-    for p in range(1, n):
-        ok = all(np.max(np.abs(states[t] - states[t - p])) < tol
-                 for t in range(p, n))
-        if ok:
-            return p
-    return 0
-
-
 def _block_l1_in(block):
     """Per-unit (or per-channel) L1 of the weights a block's outputs receive."""
     if isinstance(block, ConvKernel):
@@ -679,14 +651,3 @@ def norm_1inf(w):
         per_layer_in[pair + 1] = per_layer_in[pair + 1] + _block_l1_in(block)
         per_layer_in[pair] = per_layer_in[pair] + _block_l1_in(w.down_weights(pair))
     return float(max(np.max(v) for v in per_layer_in))
-
-
-def synchronous_step(x, W, b, kind):
-    """One parallel full-state update x <- f(x W + b) on a dense weight matrix.
-
-    This is the classical discrete-time iteration whose trajectories, for
-    symmetric W with nonnegative diagonal and a saturating activation,
-    always end in a fixed point or a period-2 cycle.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return activation(kind, x @ W + b).data

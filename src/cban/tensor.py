@@ -1,13 +1,17 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-The ops: elementwise add and mul, and tensor_sum; matmul and
-the views transpose, reshape and broadcast_to; the activations tanh and
-leaky_sigmoid and the select where; conv2d_half and its reversed kernel
-(reverse_kernel); avg_pool2 and its transpose, avg_pool2_adjoint. A
-GradTape differentiates any scalar built from them with respect to any
-tensor that fed it. Another module may record an op of its own through
-_from_op, as training.loss_per_item does. Inverse activations and barriers
-are ndarray functions in dynamics, off the tape.
+The ops: elementwise add and mul; matmul and the views transpose, reshape
+and broadcast_to; the activations tanh and leaky_sigmoid and the select
+where; conv2d_half and its reversed kernel (reverse_kernel); avg_pool2 and
+its transpose, avg_pool2_adjoint. A GradTape differentiates any scalar
+built from them with respect to any tensor that fed it. Another module may
+record an op of its own through _from_op. training.td1_forward does: it
+runs its forward with the tape paused (_paused_tape) and records the whole
+TD(1) loss as one op, whose vjp is an explicit reverse sweep over the
+numpy kernels below. In a training step the tape therefore holds that one
+op; the per-op vjps here serve as the reference the tests compare it with.
+Inverse activations and barriers are ndarray functions in dynamics, off
+the tape.
 
 Convolution (forward, input gradient, weight gradient) is one matrix
 product per map plus kh*kw shifted copies or adds. The shift is applied to
@@ -21,9 +25,9 @@ Tensors are immutable values; every operation returns a fresh tensor. A
 batch dimension, when present, is leading and optional: feature maps are
 (channels, height, width) or (batch, channels, height, width), flat layers
 are (units,) or (batch, units). Construction rejects NaN/Inf outright so a
-numerical blow-up surfaces at the operation that produced it. The check
-reads each value once (through min and max). The ops that cannot make a
-non-finite value from finite inputs skip it:
+numerical blow-up surfaces at the operation that produced it, on the tape
+or off it. The check reads each value once (through min and max). The ops
+that cannot make a non-finite value from finite inputs skip it:
 - the views transpose, reshape, broadcast_to and reverse_kernel;
 - avg_pool2_adjoint, which spreads a quarter of each value;
 - where, which selects among its inputs;
@@ -53,6 +57,7 @@ changes), has its cotangents summed before its one vjp.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -66,7 +71,6 @@ __all__ = [
     "transpose",
     "reshape",
     "broadcast_to",
-    "tensor_sum",
     "tanh",
     "leaky_sigmoid",
     "where",
@@ -82,6 +86,22 @@ class DomainError(ValueError):
 
 
 _ACTIVE_TAPE = None
+
+
+@contextlib.contextmanager
+def _paused_tape():
+    """Run a block with no tape active.
+
+    The ops inside are computed and checked as usual but not recorded, so
+    the caller can record what they compute as one op of its own once the
+    block has ended.
+    """
+    global _ACTIVE_TAPE
+    tape, _ACTIVE_TAPE = _ACTIVE_TAPE, None
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPE = tape
 
 
 def _first_bad_index(good):

@@ -1,18 +1,30 @@
 """Losses, unrolled TD(1) training, and optimizers.
 
-Training runs the settling loop on a gradient tape and injects the loss
-after every sweep up to the stability iteration, so the network learns both
-to reach the target completion and to reach it quickly. One function,
-`loss_per_item`, computes all three losses. The energy-based ones (ΔE, ΔE+)
-compare the clamped state (visible units at their targets) with the matched
-unclamped state (visible units at the values the current hidden
-configuration would produce); squared error compares those unclamped values
-with the targets directly. ΔE+ applies the softplus to each item's ΔE, the
-sum over all its visible units, not to each unit's term.
+Training unrolls the settling loop and injects the loss after every sweep
+up to the stability iteration, so the network learns both to reach the
+target completion and to reach it quickly. One function, `_loss`, computes
+all three losses and their closed-form gradients on ndarrays; the public
+`loss_per_item` is the same function as one tape op. The energy-based ones
+(ΔE, ΔE+) compare the clamped state (visible units at their targets) with
+the matched unclamped state (visible units at the values the current
+hidden configuration would produce); squared error compares those
+unclamped values with the targets directly. ΔE+ applies the softplus to
+each item's ΔE, the sum over all its visible units, not to each unit's
+term. Each unit's ΔE term, f_inv(v~)(v~ - y) + B(y) - B(v~), is a
+Bregman divergence of the barrier B, and B' = f_inv, so its gradient in
+v~ is f_inv'(v~)(v~ - y).
 
-The loss is one tape op with a closed-form gradient. Each unit's ΔE term,
-f_inv(v~)(v~ - y) + B(y) - B(v~), is a Bregman divergence of the barrier
-B, and B' = f_inv, so its gradient in v~ is f_inv'(v~)(v~ - y).
+The TD(1) gradient is back-propagation through time written out for a
+symmetric bipartite stack (Werbos 1990). td1_forward runs the forward with
+the caller's tape paused, through the same update_layer, unclamped_visible
+and PairTerms as settle, keeping per activation op its output and where
+each pair term it read came from, but no term arrays. It records the loss
+on the tape as one op whose parents are the weights, and that op's vjp
+walks the records back (_td1_backward): each layer's preactivation
+cotangent is its output's cotangent times the activation's slope, zero on
+clamped units, and each pair term's summed cotangent goes once through the
+adjoint of the map that made it (_term_vjp), which for a symmetric pair is
+the other direction's map, together with the pair's weight gradient.
 """
 
 from __future__ import annotations
@@ -21,7 +33,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import GradTape, Tensor, _from_op, tensor_sum
+from .tensor import (
+    ConvKernel,
+    GradTape,
+    Tensor,
+    _check_finite,
+    _conv_vjp_np,
+    _conv_weight_grad_np,
+    _flip_kernel_np,
+    _from_op,
+    _paused_tape,
+    _pool2_np,
+    _spread2_np,
+)
 from .dynamics import (
     EvidenceConstraint,
     NetState,
@@ -138,6 +162,45 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _loss(loss_kind, act_kind, v, y, barrier_y):
+    """Per-item loss of unclamped visible values v against targets y, with
+    its closed-form vjp, on ndarrays (see loss_per_item).
+
+    Returns (loss per item, vjp), where vjp maps a cotangent per item to
+    the cotangent of v. barrier_y is barrier(act_kind, y); "se" does not
+    read it, and a caller whose targets stay fixed evaluates it once.
+    """
+    units = tuple(range(1, v.ndim))
+    per_unit = (-1,) + (1,) * len(units)  # an item's cotangent over its units
+    if loss_kind == "se":
+        d = v - y
+
+        def vjp(c):
+            gd = c.reshape(per_unit) * d
+            return gd + gd
+
+        return (d * d).sum(axis=units), vjp
+    tanh = isinstance(act_kind, Tanh)
+    if tanh:
+        inside = (v > -_TANH_CLIP) & (v < _TANH_CLIP)
+        v = np.clip(v, -_TANH_CLIP, _TANH_CLIP)
+    d = v - y
+    gap = (inverse_activation(act_kind, v) * d + barrier_y
+           - barrier(act_kind, v)).sum(axis=units)
+    plus = loss_kind == "delta_e_plus"
+
+    def vjp(c):
+        if plus:
+            c = c * _sigmoid(gap)
+        if tanh:
+            slope_d = np.where(inside, d / (1.0 - v * v), 0.0)
+        else:
+            slope_d = np.where(np.abs(v) > 1.0, d / act_kind.alpha, d)
+        return c.reshape(per_unit) * slope_d
+
+    return (_softplus(gap) if plus else gap), vjp
+
+
 def loss_per_item(loss_kind, act_kind, v_tilde, y):
     """One loss per item between unclamped visible values v~ and targets y.
 
@@ -162,36 +225,17 @@ def loss_per_item(loss_kind, act_kind, v_tilde, y):
     """
     if v_tilde.shape != y.shape:
         raise ValueError(f"shape mismatch: {v_tilde.shape} vs {y.shape}")
-    v = v_tilde.data
-    units = tuple(range(1, v.ndim))
-    per_unit = (-1,) + (1,) * len(units)  # an item's cotangent over its units
-    if loss_kind == "se":
-        d = v - y.data
+    barrier_y = None if loss_kind == "se" else barrier(act_kind, y.data)
+    value, vjp = _loss(loss_kind, act_kind, v_tilde.data, y.data, barrier_y)
+    return _from_op(value, (v_tilde,), lambda g: (vjp(g),))
 
-        def vjp(g):
-            gd = g.reshape(per_unit) * d
-            return (gd + gd,)
 
-        return _from_op((d * d).sum(axis=units), (v_tilde,), vjp)
-    tanh = isinstance(act_kind, Tanh)
-    if tanh:
-        inside = (v > -_TANH_CLIP) & (v < _TANH_CLIP)
-        v = np.clip(v, -_TANH_CLIP, _TANH_CLIP)
-    d = v - y.data
-    gap = (inverse_activation(act_kind, v) * d
-           + barrier(act_kind, y.data) - barrier(act_kind, v)).sum(axis=units)
-    plus = loss_kind == "delta_e_plus"
-
-    def vjp(g):
-        if plus:
-            g = g * _sigmoid(gap)
-        if tanh:
-            slope_d = np.where(inside, d / (1.0 - v * v), 0.0)
-        else:
-            slope_d = np.where(np.abs(v) > 1.0, d / act_kind.alpha, d)
-        return (g.reshape(per_unit) * slope_d,)
-
-    return _from_op(_softplus(gap) if plus else gap, (v_tilde,), vjp)
+def _slope_times(kind, y, g):
+    """g times the activation's slope, read off its output y: 1 - y^2 under
+    tanh; under the leaky sigmoid alpha where |y| > 1, else 1."""
+    if isinstance(kind, Tanh):
+        return g * (1.0 - y * y)
+    return g * np.where(np.abs(y) > 1.0, kind.alpha, 1.0)
 
 
 def _batch_evidence(examples, arch):
@@ -206,56 +250,104 @@ def _batch_evidence(examples, arch):
 def td1_forward(examples, w, arch, cfg):
     """Unrolled settling with the loss injected after every sweep.
 
-    Runs the batch in lockstep on the caller's gradient tape. After each
-    sweep's upward pass the hidden configuration defines the contrastive
-    pair for that iteration; the per-item loss stops accumulating once that
-    item's state change drops below theta. Items that never converge
-    contribute losses for all max_iters sweeps and are flagged in their
-    reports, whose energy_trace is empty: no energy is evaluated. Returns
-    (mean over items of summed per-sweep losses, reports).
+    Runs the batch in lockstep. After each sweep's upward pass the hidden
+    configuration defines the contrastive pair for that iteration; the
+    per-item loss stops accumulating once that item's state change drops
+    below theta. Items that never converge contribute losses for all
+    max_iters sweeps and are flagged in their reports, whose energy_trace
+    is empty: no energy is evaluated. Returns (mean over items of summed
+    per-sweep losses, reports).
 
     The sweeps and v~ share one PairTerms, as in settle, so each map is
     computed once per change of its source layer and skipped while that
     layer is at its zero start: 2L-1 maps per sweep from the first, 7 on a
     4-layer net. On a 2-layer net the visible update reuses v~'s down term,
-    which leaves 2. A term read twice sums both cotangents before its one
-    vjp.
+    which leaves 2.
+
+    The forward runs with the caller's tape paused, so its ops are checked
+    for finiteness as usual but not recorded. The loss is recorded on that
+    tape, if one is active, as one op whose parents are w.params(); its
+    vjp is _td1_backward. The loss bookkeeping is plain numpy: each
+    sweep's np.sum of its losses on active items, added to the running
+    total, which is scaled by 1/n at the end. The targets' barrier, which
+    the energy losses read, is evaluated once. The forward keeps one
+    record per layer's start state and per activation op, (layer, output,
+    loss cotangent, reads):
+    - a start state is a constant: reads is None, and an all-zero one
+      keeps no output, since the terms it feeds add exactly zero and are
+      left out of every reads;
+    - a layer update keeps its output;
+    - v~ keeps no output but its preactivation cotangent, which the loss
+      fixes in the forward: the loss's vjp at the item weights (1/n on
+      items still active) times the activation's slope;
+    - reads lists, per pair term the op read, (index of the record its
+      source value came from, whether this op is the term's first reader).
     """
     n = len(examples)
     if n == 0:
         raise ValueError("empty batch")
     targets, evidence = _batch_evidence(examples, arch)
-    y = Tensor(targets)
-    state = initial_state(arch, evidence, batch=n)
-    terms = PairTerms(arch.n_layers)
+    kind = arch.activation
+    barrier_y = None if cfg.loss == "se" else barrier(kind, targets)
+    n_layers = arch.n_layers
     # the sweep's upward half ends on the top layer, where the pair is read
-    order = sweep_order(arch.n_layers)
-    up, down = order[:arch.n_layers - 1], order[arch.n_layers - 1:]
+    order = sweep_order(n_layers)
+    up, down = order[:n_layers - 1], order[n_layers - 1:]
 
     total = None
     active = np.ones(n, dtype=bool)
     t_star = np.full(n, cfg.max_iters, dtype=int)
     converged = np.zeros(n, dtype=bool)
     delta_traces = []
-    for t in range(1, cfg.max_iters + 1):
-        prev = state.activations
-        for l in up:
-            state = update_layer(state, w, arch, l, terms)
-        v_tilde = unclamped_visible(state, w, arch, terms)
-        loss_vec = loss_per_item(cfg.loss, arch.activation, v_tilde, y)
-        contrib = tensor_sum(loss_vec * active.astype(float))
-        total = contrib if total is None else total + contrib
-        for l in down:
-            state = update_layer(state, w, arch, l, terms)
-        delta = _max_delta(prev, state.activations, batched=True)
-        delta_traces.append(delta)
-        newly = active & (delta < cfg.theta)
-        t_star[newly] = t
-        converged |= newly
-        active &= ~newly
-        if not active.any():
-            break
+    with _paused_tape():
+        state = initial_state(arch, evidence, batch=n)
+        terms = PairTerms(n_layers)
+        records = [(l, x.data if x.data.any() else None, None, None)
+                   for l, x in enumerate(state.activations)]
+        current = list(range(n_layers))  # the record of each layer's value
+        seen = set()  # (reader, source record) of the terms read so far
+
+        def reads(l):
+            out = []
+            for source in (l - 1, l + 1):
+                if 0 <= source < n_layers and records[current[source]][1] is not None:
+                    key = (l, current[source])
+                    out.append((current[source], key not in seen))
+                    seen.add(key)
+            return out
+
+        def updated(l):
+            records.append((l, state.activations[l].data, None, reads(l)))
+            current[l] = len(records) - 1
+
+        for t in range(1, cfg.max_iters + 1):
+            prev = state.activations
+            for l in up:
+                state = update_layer(state, w, arch, l, terms)
+                updated(l)
+            v_tilde = unclamped_visible(state, w, arch, terms).data
+            loss_vec, loss_vjp = _loss(cfg.loss, kind, v_tilde, targets, barrier_y)
+            _check_finite(loss_vec)
+            contrib = np.sum(loss_vec * active)
+            total = contrib if total is None else total + contrib
+            loss_gz = _slope_times(kind, v_tilde, loss_vjp(active * (1.0 / n)))
+            records.append((0, None, loss_gz, reads(0)))
+            for l in down:
+                state = update_layer(state, w, arch, l, terms)
+                updated(l)
+            delta = _max_delta(prev, state.activations, batched=True)
+            delta_traces.append(delta)
+            newly = active & (delta < cfg.theta)
+            t_star[newly] = t
+            converged |= newly
+            active &= ~newly
+            if not active.any():
+                break
     total = total * (1.0 / n)
+
+    def vjp(g):
+        return tuple(grad * g for grad in _td1_backward(records, w, arch, evidence))
+
     deltas = np.stack(delta_traces)  # (sweeps, items)
     reports = [
         SettleReport(
@@ -266,7 +358,94 @@ def td1_forward(examples, w, arch, cfg):
         )
         for i in range(n)
     ]
-    return total, reports
+    return _from_op(total, w.params(), vjp), reports
+
+
+def _td1_backward(records, w, arch, evidence):
+    """The TD(1) loss's gradient in w.params() order, by one reverse walk
+    over td1_forward's records.
+
+    Each record is dropped once the walk has passed it. A layer update's
+    output cotangent, zeroed on clamped units, times the activation's
+    slope is its preactivation cotangent; v~ brings its own. That
+    cotangent adds into the layer's bias gradient and into each term the
+    op read. At a term's first reader its summed cotangent goes through
+    _term_vjp once, which adds the weight gradient in place and hands the
+    source record its share. A record whose output fed no loss, such as
+    the last sweep's downward updates, gets no cotangent and is skipped.
+    """
+    grads = [np.zeros(p.shape) for p in w.params()]
+    bias_grads = grads[len(w.forward):]
+    clamped = evidence.mask if arch.evidence == "clamp" else None
+    kind = arch.activation
+    n_layers = arch.n_layers
+    g_out = {}  # record -> cotangent of its output
+    g_term = {}  # (reader, source record) -> summed cotangent of that term
+    for i in range(len(records) - 1, n_layers - 1, -1):
+        l, out, gz, reads = records[i]
+        records[i] = None
+        if gz is None:
+            g = g_out.pop(i, None)
+            if g is None:
+                continue
+            if l == 0 and clamped is not None:
+                g = np.where(clamped, 0.0, g)
+            gz = _slope_times(kind, out, g)
+        bias_grads[l] += gz.sum(axis=(0,) + tuple(range(2, gz.ndim)))
+        for src, first in reads:
+            acc = g_term.pop((l, src), None)
+            g_t = gz if acc is None else acc + gz
+            if not first:
+                g_term[(l, src)] = g_t
+                continue
+            source, x = records[src][:2]
+            constant = src < n_layers  # a start state gets no cotangent
+            gx = _term_vjp(g_t, x, w, arch, l, source, grads, need_input=not constant)
+            if constant:
+                continue
+            acc = g_out.get(src)
+            if acc is None:
+                g_out[src] = gx
+            else:
+                acc += gx
+    return grads
+
+
+def _term_vjp(g, x, w, arch, reader, source, grads, need_input):
+    """The backward map of the pair term (reader, source) at its summed
+    cotangent g, with x the source activations the term was made from.
+
+    Adds the pair's weight gradient into grads in place and returns the
+    cotangent of x, or None unless need_input. An up term (source below)
+    is matmul(x, W), or the conv of x, pooled first on a pooled pair; a
+    down term is its adjoint, matmul(x, W.T), or the conv of x with the
+    reversed kernel, spread by pooling's transpose. The conv backward is
+    _conv_vjp_np, the kernels of conv2d_half's own vjp.
+    """
+    pair = min(reader, source)
+    block = w.forward[pair]
+    up = source < reader
+    if not isinstance(block, ConvKernel):
+        wd = block.data
+        grads[pair] += x.T @ g if up else g.T @ x
+        if not need_input:
+            return None
+        return g @ wd.T if up else g @ wd
+    wd = block.weights.data
+    pooled = arch.layers[pair + 1].pool_before
+    if up:
+        if pooled:
+            x = _pool2_np(x)
+    else:
+        wd = _flip_kernel_np(wd)
+        if pooled:
+            g = _pool2_np(g)
+    if need_input:
+        gx, gw = _conv_vjp_np(x, wd, g)
+    else:
+        gx, gw = None, _conv_weight_grad_np(x, g, wd.shape[2], wd.shape[3])
+    grads[pair] += gw if up else _flip_kernel_np(gw)
+    return _spread2_np(gx) if gx is not None and up and pooled else gx
 
 
 @dataclass

@@ -1,10 +1,15 @@
-"""Shared test utilities: the central finite-difference gradient oracle."""
+"""Shared test utilities: the central finite-difference gradient oracle,
+the per-op tape reference of the TD(1) step, and memory tracing."""
 
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
 
-from cban.tensor import GradTape
+from cban.dynamics import _layer_terms, _max_delta, initial_state, sweep_order, update_layer
+from cban.tensor import GradTape, Tensor, tensor_sum
+from cban.training import _batch_evidence, loss_per_item, unclamped_visible
 
 
 def finite_difference(f, x, step=1e-5):
@@ -34,6 +39,47 @@ def tape_gradients(build, inputs):
     with GradTape() as tape:
         out = build(*inputs)
     return out, tape.gradient(out, list(inputs))
+
+
+def layer_preactivation(state, w, arch, l, terms=None):
+    """Total input to layer l: neighbor contributions plus the layer bias,
+    and external-bias evidence on the visible layer (see _layer_terms)."""
+    return functools.reduce(operator.add, _layer_terms(state, w, arch, l, terms))
+
+
+def td1_reference(examples, w, arch, cfg):
+    """td1_forward's loop on the per-op tape: cache-less update_layer and
+    unclamped_visible, loss_per_item, and the loss bookkeeping as tape ops.
+
+    Returns (loss, per-sweep deltas of shape (sweeps, items)). Under an
+    active GradTape every op is recorded, so the tape's gradient of the
+    loss is the reference for td1_forward's reverse sweep.
+    """
+    n = len(examples)
+    targets, evidence = _batch_evidence(examples, arch)
+    y = Tensor(targets)
+    state = initial_state(arch, evidence, batch=n)
+    order = sweep_order(arch.n_layers)
+    up, down = order[:arch.n_layers - 1], order[arch.n_layers - 1:]
+    total = None
+    active = np.ones(n, dtype=bool)
+    deltas = []
+    for _ in range(cfg.max_iters):
+        prev = state.activations
+        for l in up:
+            state = update_layer(state, w, arch, l)
+        loss_vec = loss_per_item(cfg.loss, arch.activation,
+                                 unclamped_visible(state, w, arch), y)
+        contrib = tensor_sum(loss_vec * active.astype(float))
+        total = contrib if total is None else total + contrib
+        for l in down:
+            state = update_layer(state, w, arch, l)
+        delta = _max_delta(prev, state.activations, batched=True)
+        deltas.append(delta)
+        active &= ~(delta < cfg.theta)
+        if not active.any():
+            break
+    return total * (1.0 / n), np.stack(deltas)
 
 
 def traced_bytes(fn):

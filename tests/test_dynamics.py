@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cban.checks import _detect_cycle, _synchronous_step
 from cban.tensor import ConvKernel, DomainError, Tensor
 from cban.training import init_weights
 from cban.dynamics import (
@@ -17,20 +18,18 @@ from cban.dynamics import (
     activation,
     barrier,
     conv_layer,
-    detect_cycle,
     energy,
     fban,
     fc_layer,
     initial_state,
     inverse_activation,
-    layer_preactivation,
     norm_1inf,
     settle,
     sweep,
     sweep_order,
-    synchronous_step,
     update_layer,
 )
+from helpers import layer_preactivation
 
 
 def random_fc_bundle(arch, rng, scale=0.3, bias_scale=0.0):
@@ -613,19 +612,19 @@ class TestPairMapAdjoint:
 class TestDetectCycle:
     def test_constant_sequence_period_one(self):
         s = [np.array([0.5, -0.5])] * 5
-        assert detect_cycle(s, tol=1e-9) == 1
+        assert _detect_cycle(s, tol=1e-9) == 1
 
     def test_alternating_sequence_period_two(self):
         a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert detect_cycle([a, b, a, b, a], tol=1e-9) == 2
+        assert _detect_cycle([a, b, a, b, a], tol=1e-9) == 2
 
     def test_no_cycle_returns_zero(self):
         s = [np.array([float(i)]) for i in range(6)]
-        assert detect_cycle(s, tol=1e-9) == 0
+        assert _detect_cycle(s, tol=1e-9) == 0
 
     def test_needs_two_states(self):
         with pytest.raises(ValueError):
-            detect_cycle([np.zeros(3)], tol=1e-3)
+            _detect_cycle([np.zeros(3)], tol=1e-3)
 
     def test_synchronous_symmetric_periods_are_one_or_two(self):
         rng = np.random.default_rng(18)
@@ -640,12 +639,12 @@ class TestDetectCycle:
             window = [x.copy()]
             period = 0
             for _ in range(3000):
-                x = synchronous_step(x, W, b, Tanh())
+                x = _synchronous_step(x, W, b, Tanh())
                 window.append(x.copy())
                 if len(window) > 8:
                     window.pop(0)
                 if len(window) >= 5:
-                    period = detect_cycle(window, tol=1e-8)
+                    period = _detect_cycle(window, tol=1e-8)
                     if period:
                         break
             assert period in (1, 2)

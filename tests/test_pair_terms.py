@@ -2,11 +2,14 @@
 
 settle and td1_forward keep one PairTerms per run, so each up or down map
 is computed once per change of its source layer. The references here are
-the plain loops they replace: sweep() for settle, and cache-less
-update_layer plus unclamped_visible for the unrolled TD(1) step.
+the plain loops they replace: sweep() for settle, and for the unrolled
+TD(1) step helpers.td1_reference, cache-less update_layer plus
+unclamped_visible with every op on the tape, whose tape gradient is also
+the reference for td1_forward's reverse sweep.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +17,12 @@ import pytest
 import cban.dynamics
 import cban.tensor
 import cban.training
+from cban.config import load_run_config
 from cban.data import Example
 from cban.dynamics import (
     ArchSpec,
     EvidenceConstraint,
+    LeakySigmoid,
     PairTerms,
     SettleReport,
     _max_delta,
@@ -31,15 +36,10 @@ from cban.dynamics import (
     update_layer,
 )
 from cban.tensor import GradTape, Tensor, tensor_sum
-from cban.training import (
-    TrainConfig,
-    _batch_evidence,
-    init_weights,
-    loss_per_item,
-    td1_forward,
-    unclamped_visible,
-)
-from helpers import relative_error
+from cban.training import TrainConfig, init_weights, td1_forward
+from helpers import relative_error, td1_reference
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 ARCHS = {
     "fc2": fban(25, [50]),  # the bar task's shape
@@ -48,6 +48,8 @@ ARCHS = {
                               conv_layer(4, 4, 4, pool_before=True),
                               conv_layer(3, 2, 2, pool_before=True)),
                       kernel_sizes=(3, 3, 3)),
+    # states reach |x| 1.5-1.7, so both slopes of the leaky sigmoid act
+    "fc3-leaky": fban(9, [7, 5], LeakySigmoid(0.2)),
 }
 
 
@@ -82,35 +84,6 @@ def _settle_reference(state, w, arch, theta, max_iters):
                                max_delta_trace=np.asarray(deltas))
 
 
-def _td1_reference(examples, w, arch, cfg):
-    """td1_forward's loop with cache-less update_layer and unclamped_visible."""
-    n = len(examples)
-    targets, evidence = _batch_evidence(examples, arch)
-    y = Tensor(targets)
-    state = initial_state(arch, evidence, batch=n)
-    order = sweep_order(arch.n_layers)
-    up, down = order[:arch.n_layers - 1], order[arch.n_layers - 1:]
-    total = None
-    active = np.ones(n, dtype=bool)
-    deltas = []
-    for _ in range(cfg.max_iters):
-        prev = state.activations
-        for l in up:
-            state = update_layer(state, w, arch, l)
-        loss_vec = loss_per_item(cfg.loss, arch.activation,
-                                 unclamped_visible(state, w, arch), y)
-        contrib = tensor_sum(loss_vec * active.astype(float))
-        total = contrib if total is None else total + contrib
-        for l in down:
-            state = update_layer(state, w, arch, l)
-        delta = _max_delta(prev, state.activations, batched=True)
-        deltas.append(delta)
-        active &= ~(delta < cfg.theta)
-        if not active.any():
-            break
-    return total * (1.0 / n), np.stack(deltas)
-
-
 def _examples(arch, rng, n=3):
     shape = arch.visible_shape
     return [Example(target=rng.uniform(-0.9, 0.9, size=shape), mask=_mask(shape))
@@ -136,25 +109,46 @@ class TestSameNumbersAsThePlainLoops:
         assert report.max_delta_trace.tobytes() == ref_report.max_delta_trace.tobytes()
         assert report.energy_trace.tobytes() == ref_report.energy_trace.tobytes()
 
-    @pytest.mark.parametrize("loss_kind", ["se", "delta_e_plus"])
+    @pytest.mark.parametrize("loss_kind", ["se", "delta_e", "delta_e_plus"])
     def test_td1_matches_a_loop_of_cacheless_updates(self, net, evidence, loss_kind):
         arch, w, rng = _net(net, evidence)
-        examples = _examples(arch, rng)
         # a theta some items reach before others, so the lockstep mask acts
-        cfg = TrainConfig(epochs=1, loss=loss_kind, theta=0.02, max_iters=6)
+        _assert_td1_matches_the_reference(
+            _examples(arch, rng), w, arch,
+            TrainConfig(epochs=1, loss=loss_kind, theta=0.02, max_iters=6))
 
-        def step(forward):
-            with GradTape() as tape:
-                loss, traces = forward(examples, w, arch, cfg)
-            return loss.data, traces, tape.gradient(loss, w.params())
 
-        loss, reports, grads = step(td1_forward)
-        ref_loss, ref_deltas, ref_grads = step(_td1_reference)
-        assert loss.tobytes() == ref_loss.tobytes()
-        deltas = np.stack([r.max_delta_trace for r in reports], axis=1)
-        assert deltas.tobytes() == ref_deltas.tobytes()
-        for g, ref in zip(grads, ref_grads):
-            assert relative_error(g, ref) <= 1e-12
+def _assert_td1_matches_the_reference(examples, w, arch, cfg):
+    """td1_forward against helpers.td1_reference on the tape: byte-equal
+    loss and deltas, gradients within 1e-12 relative. Returns the reports."""
+
+    def step(forward):
+        with GradTape() as tape:
+            loss, traces = forward(examples, w, arch, cfg)
+        return loss.data, traces, tape.gradient(loss, w.params())
+
+    loss, reports, grads = step(td1_forward)
+    ref_loss, ref_deltas, ref_grads = step(td1_reference)
+    assert loss.tobytes() == ref_loss.tobytes()
+    deltas = np.stack([r.max_delta_trace for r in reports], axis=1)
+    assert deltas.tobytes() == ref_deltas.tobytes()
+    for g, ref in zip(grads, ref_grads):
+        assert relative_error(g, ref) <= 1e-12
+    return reports
+
+
+def test_td1_matches_the_reference_at_the_cifar10_shape():
+    # the shipped CIFAR-10 stack (3 -> 40 -> 120 -> 440, two pooled pairs)
+    # with the cifar-td1 benchmark's kernel scale, batch 2, all 6 sweeps
+    arch = load_run_config(CONFIGS / "cifar10.json", check_paths=False).arch
+    rng = np.random.default_rng(6)
+    w = init_weights(arch, seed=0, conv_std=0.01)
+    w = w.with_params([Tensor(p.data + rng.normal(scale=0.01, size=p.shape))
+                       for p in w.params()])
+    reports = _assert_td1_matches_the_reference(
+        _examples(arch, rng, n=2), w, arch,
+        TrainConfig(epochs=1, loss="se", theta=1e-300, max_iters=6))
+    assert all(r.t_star == 6 and not r.converged for r in reports)
 
 
 class _NoSkip(PairTerms):
@@ -241,7 +235,7 @@ class TestZeroStartSkipping:
             return loss.data, tape.gradient(loss, w.params())
 
         loss, grads = step(td1_forward)
-        ref_loss, _ = step(_td1_reference)
+        ref_loss, _ = step(td1_reference)
         monkeypatch.setattr(cban.training, "PairTerms", _NoSkip)
         noskip_loss, noskip_grads = step(td1_forward)
         np.testing.assert_array_equal(loss, ref_loss)

@@ -31,7 +31,7 @@ from cban.training import (
     unclamped_visible,
 )
 from cban.data import BarTask
-from helpers import finite_difference, relative_error, traced_bytes
+from helpers import finite_difference, relative_error, td1_reference, traced_bytes
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -352,6 +352,32 @@ class TestTd1Forward:
             first, _ = td1_forward(examples, w, arch, tiny_cfg(max_iters=1, batch_size=2))
         assert np.isfinite(loss.item()) and loss.item() > first.item()
 
+    @pytest.mark.parametrize("net", ["fc", "pooled-conv"])
+    def test_records_one_tape_op_whose_parents_are_the_weights(self, net, monkeypatch):
+        import cban.tensor
+        from cban.checks import _pooled_conv_arch
+
+        made = []
+
+        class Recorded(cban.tensor._Node):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(cban.tensor, "_Node", Recorded)
+        arch = fban(4, [3]) if net == "fc" else _pooled_conv_arch()
+        w = init_weights(arch, seed=3, conv_std=0.3)
+        examples = ToyExamples(
+            [np.full(arch.visible_shape, 0.5)] * 2).epoch_examples(np.random.default_rng(0))
+        with GradTape() as tape:
+            loss, reports = td1_forward(examples, w, arch, tiny_cfg(max_iters=4))
+        assert all(r.t_star == 4 for r in reports)
+        # leaf nodes (the weights) have no tape; the loss is the only op
+        assert [node for node in made if node.tape is tape] == [loss._node]
+        assert loss._node.parents == tuple(tape._recorded(p) for p in w.params())
+
     @pytest.mark.parametrize("loss_kind", ["se", "delta_e", "delta_e_plus"])
     def test_gradient_matches_finite_differences(self, loss_kind):
         rng = np.random.default_rng(8)
@@ -610,6 +636,23 @@ class TestTapeMemory:
         # keeps less than one kernel, and each sweep adds less than one
         assert kept_2 < kernel_bytes
         assert (kept_6 - kept_2) / 4 < kernel_bytes
+
+    def test_reverse_sweep_peaks_no_higher_than_the_per_op_tape(self):
+        # a record that held its pair terms, or its pooled inputs, would
+        # keep more per sweep than the per-op tape does
+        examples = ToyExamples(self._targets(self.batch)).epoch_examples(
+            np.random.default_rng(0))
+        w = init_weights(self.arch, seed=0, conv_std=0.1)
+
+        def peak_of(forward):
+            def step():
+                with GradTape() as tape:
+                    loss, _ = forward(examples, w, self.arch, self._cfg())
+                return tape.gradient(loss, w.params())
+
+            return traced_bytes(step)[2]
+
+        assert peak_of(td1_forward) <= peak_of(td1_reference)
 
     def test_train_frees_each_step_before_the_next(self):
         def peak_of(steps):
