@@ -56,7 +56,6 @@ from .training import (  # noqa: E402
     TrainConfig,
     complete,
     init_weights,
-    loss_per_item,
     optimizer_step,
     td1_forward,
     train,
@@ -99,7 +98,7 @@ __all__ = [
     "SettleReport", "Tanh", "WeightBundle", "activation", "barrier",
     "conv_layer", "energy", "fban", "fc_layer", "initial_state",
     "inverse_activation", "norm_1inf", "settle", "sweep", "update_layer",
-    "TrainConfig", "complete", "init_weights", "loss_per_item", "optimizer_step",
+    "TrainConfig", "complete", "init_weights", "optimizer_step",
     "td1_forward", "train", "unclamped_visible",
     "BarTask", "BernoulliMask", "Example", "LabelOnly", "LabelPlus",
     "PerlinMask", "SquarePatches", "bar_eval_set", "bernoulli_mask",

@@ -185,14 +185,15 @@ def bar_consistency_count(values, mask, patterns):
     """How many of `patterns` agree with the evidence on all observed pixels.
 
     `patterns` is a list or an array of patterns of the evidence's shape,
-    such as gen_bar_patterns(); they are matched as one (n, 25) matrix
-    against the observed pixels.
+    such as gen_bar_patterns(). They are compared with the evidence as one
+    (n, 25) matrix of pixel disagreements; its boolean product with the
+    flat mask is True for each pattern that disagrees on some observed
+    pixel, and the rest are counted.
     """
-    patterns = np.asarray(patterns)
-    stack = patterns.reshape(len(patterns), -1)
+    stack = np.asarray(patterns).reshape(len(patterns), -1)
     observed = np.asarray(mask, dtype=bool).reshape(-1)
-    evidence = np.asarray(values).reshape(-1)[observed]
-    return int((stack[:, observed] == evidence).all(axis=1).sum())
+    disagrees = (stack != np.asarray(values).reshape(-1)) @ observed
+    return len(stack) - int(np.count_nonzero(disagrees))
 
 
 def gen_bar_evidence(pattern, rng, patterns, max_tries=100000):
@@ -201,15 +202,17 @@ def gen_bar_evidence(pattern, rng, patterns, max_tries=100000):
     Rejection sampling: draw an observed-pixel subset, keep it only if
     exactly one of `patterns` (the 20 of gen_bar_patterns()) matches it. A
     nearly full mask is always uniquely consistent, so the loop terminates.
+    Each attempt makes one rng.integers and one rng.choice call and one
+    bar_consistency_count call, on the flat mask, which is reshaped to 5x5
+    only once accepted.
     """
     for _ in range(max_tries):
         k = int(rng.integers(1, 25))  # always >= 1 observed, >= 1 unobserved
         idx = rng.choice(25, size=k, replace=False)
         mask = np.zeros(25, dtype=bool)
         mask[idx] = True
-        mask = mask.reshape(5, 5)
         if bar_consistency_count(pattern, mask, patterns) == 1:
-            return Example(target=pattern, mask=mask)
+            return Example(target=pattern, mask=mask.reshape(5, 5))
     raise RuntimeError("no uniquely-consistent evidence found")
 
 

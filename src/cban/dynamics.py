@@ -25,7 +25,11 @@ sweep instead of 4L-6: 6 instead of 10 on a 4-layer net. sweep() and
 update_layer without a PairTerms compute every term afresh.
 
 The inverse activation and the barrier are ndarray functions off the tape,
-evaluated by both energy() and the TD(1) losses (training._loss).
+evaluated by both energy() and the TD(1) losses (training._loss). Each is a
+public function that checks its input's domain and a private kernel with
+the maths (_inverse_activation, _barrier); a caller that already holds its
+values strictly inside (-1, 1), as the tanh losses do by clipping, calls
+the kernel.
 """
 
 from __future__ import annotations
@@ -509,13 +513,21 @@ def sweep(state, w, arch):
 
 def inverse_activation(kind, x):
     """Inverse of the activation on an ndarray, off the tape. tanh demands
-    |x| < 1 strictly: a value outside raises DomainError naming its index."""
+    |x| < 1 strictly: a value outside raises DomainError naming its index.
+    Validates, then computes with _inverse_activation."""
     x = np.asarray(x, dtype=np.float64)
     if isinstance(kind, Tanh):
         ok = np.abs(x) < 1.0
         if not ok.all():
             raise DomainError(
                 f"atanh domain violation (|x| >= 1) at index {_first_bad_index(ok)}")
+    return _inverse_activation(kind, x)
+
+
+def _inverse_activation(kind, x):
+    """inverse_activation's maths on a float64 array already in its domain,
+    unchecked."""
+    if isinstance(kind, Tanh):
         return np.arctanh(x)
     a = kind.alpha
     return np.where(x > 1.0, (x - 1.0) / a + 1.0, np.where(x < -1.0, (x + 1.0) / a - 1.0, x))
@@ -535,7 +547,8 @@ def barrier(kind, x):
     sigmoid it is x^2/2 inside [-1, 1] and a steeper quadratic outside; an
     overflow raises ValueError naming its index, as a tensor op does. The
     derivative is exactly the inverse activation, which is what makes
-    layer updates minimize the energy.
+    layer updates minimize the energy. Validates, then computes with
+    _barrier, and checks the leaky sigmoid's result for overflow.
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(kind, Tanh):
@@ -543,13 +556,21 @@ def barrier(kind, x):
         if not ok.all():
             raise DomainError(
                 f"barrier domain violation (|x| > 1) at index {_first_bad_index(ok)}")
+        return _barrier(kind, x)
+    out = _barrier(kind, x)
+    _check_finite(out)  # x * x overflows once |x| passes 1e154, long before x does
+    return out
+
+
+def _barrier(kind, x):
+    """barrier's maths on a float64 array already in its domain, unchecked:
+    under the leaky sigmoid the result can overflow to infinity."""
+    if isinstance(kind, Tanh):
         return 0.5 * _xlogx(1.0 + x) + 0.5 * _xlogx(1.0 - x)
     a = kind.alpha
     hi = (x * x + (1.0 - a) * (1.0 - 2.0 * x)) / (2.0 * a)
     lo = (x * x + (1.0 - a) * (1.0 + 2.0 * x)) / (2.0 * a)
-    out = np.where(x > 1.0, hi, np.where(x < -1.0, lo, 0.5 * x * x))
-    _check_finite(out)  # x * x overflows once |x| passes 1e154, long before x does
-    return out
+    return np.where(x > 1.0, hi, np.where(x < -1.0, lo, 0.5 * x * x))
 
 
 def energy(state, w, arch):

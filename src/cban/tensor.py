@@ -298,20 +298,27 @@ def _summed(a):
     """An activation's input: (its terms, their sum in one fresh buffer).
 
     `a` is one tensor (or array) or a list or tuple of them. The terms are
-    summed in order, ((t0 + t1) + t2) + ..., into a buffer of their
-    broadcast shape, and that sum is checked for finiteness once.
+    summed in order, ((t0 + t1) + t2) + ..., into a C-ordered buffer of
+    their broadcast shape, and that sum is checked for finiteness once.
+    One term is copied; otherwise np.add allocates the sum of the first two
+    and each later term is added into it in place, unless that term is
+    larger, when the sum moves to a new buffer of the broadcast shape.
     """
     terms = tuple(map(_as_tensor, a)) if isinstance(a, (list, tuple)) else (_as_tensor(a),)
     if not terms:
         raise ValueError("an activation needs at least one term")
     data = [t.data for t in terms]
-    z = np.empty(np.broadcast_shapes(*(d.shape for d in data)))
     if len(data) == 1:
-        np.copyto(z, data[0])
+        z = np.array(data[0], order="C")
     else:
-        np.add(data[0], data[1], out=z)
+        z = np.add(data[0], data[1], order="C")
+        if not isinstance(z, np.ndarray):  # two 0-d terms add to a scalar
+            z = np.array(z)
     for d in data[2:]:
-        np.add(z, d, out=z)
+        if np.broadcast_shapes(z.shape, d.shape) == z.shape:
+            np.add(z, d, out=z)
+        else:
+            z = np.add(z, d, order="C")
     _check_finite(z)
     return terms, z
 

@@ -2,17 +2,24 @@
 
 Training unrolls the settling loop and injects the loss after every sweep
 up to the stability iteration, so the network learns both to reach the
-target completion and to reach it quickly. One function, `_loss`, computes
-all three losses and their closed-form gradients on ndarrays; the public
-`loss_per_item` is the same function as one tape op. The energy-based ones
-(ΔE, ΔE+) compare the clamped state (visible units at their targets) with
-the matched unclamped state (visible units at the values the current
-hidden configuration would produce); squared error compares those
-unclamped values with the targets directly. ΔE+ applies the softplus to
-each item's ΔE, the sum over all its visible units, not to each unit's
-term. Each unit's ΔE term, f_inv(v~)(v~ - y) + B(y) - B(v~), is a
-Bregman divergence of the barrier B, and B' = f_inv, so its gradient in
-v~ is f_inv'(v~)(v~ - y).
+target completion and to reach it quickly. One function, `_loss`,
+computes all three losses and their closed-form gradients on ndarrays.
+The energy-based ones (ΔE, ΔE+) compare the clamped state (visible units
+at their targets) with the matched unclamped state (visible units at the
+values the current hidden configuration would produce); squared error
+compares those unclamped values with the targets directly. ΔE+ applies
+the softplus to each item's ΔE, the sum over all its visible units, not
+to each unit's term. Each unit's ΔE term, f_inv(v~)(v~ - y) + B(y) -
+B(v~), is a Bregman divergence of the barrier B, and B' = f_inv, so its
+gradient in v~ is f_inv'(v~)(v~ - y).
+
+Under tanh, f_inv and B need their input strictly inside (-1, 1). The
+targets are clipped to +/-0.999 (_batch_evidence), and their barrier is
+evaluated once per step by dynamics.barrier, which checks the domain.
+_loss clips v~ to +/-_TANH_CLIP, which guarantees it, so there it calls
+the unchecked kernels (_inverse_activation, _barrier). Under the leaky
+sigmoid nothing is clipped, and _loss calls the public functions, whose
+barrier checks its result for overflow.
 
 The TD(1) gradient is back-propagation through time written out for a
 symmetric bipartite stack (Werbos 1990). td1_forward runs the forward with
@@ -53,6 +60,8 @@ from .dynamics import (
     SettleReport,
     Tanh,
     WeightBundle,
+    _barrier,
+    _inverse_activation,
     _layer_terms,
     _max_delta,
     activation,
@@ -71,7 +80,6 @@ __all__ = [
     "TrainConfig",
     "OptState",
     "unclamped_visible",
-    "loss_per_item",
     "td1_forward",
     "init_opt_state",
     "optimizer_step",
@@ -163,12 +171,34 @@ def _sigmoid(x):
 
 
 def _loss(loss_kind, act_kind, v, y, barrier_y):
-    """Per-item loss of unclamped visible values v against targets y, with
-    its closed-form vjp, on ndarrays (see loss_per_item).
+    """One loss per item between unclamped visible values v (v~) and
+    targets y, with its closed-form vjp, on ndarrays.
+
+    Both are batched (n, ...) arrays; the loss differentiates v only, y is
+    the constant target. "se" sums the squared error. "delta_e" is the
+    energy gap between the clamped state (visible units at y) and the
+    unclamped one (at v), computed unit-locally as f_inv(v) * (v - y) +
+    barrier(y) - barrier(v), with v clipped to +/-_TANH_CLIP under tanh.
+    Under clamping this equals the full network energy difference, because
+    both states share the hidden configuration; under external-bias
+    evidence it is the gap of the evidence-free energy, since v
+    (unclamped_visible) leaves the evidence bias out. It is zero exactly
+    when v == y. "delta_e_plus" is the softplus of each item's gap, summed
+    over all its visible units: a soft hinge that only wants the gap
+    closed.
 
     Returns (loss per item, vjp), where vjp maps a cotangent per item to
-    the cotangent of v. barrier_y is barrier(act_kind, y); "se" does not
+    the cotangent of v: f_inv'(v) * (v - y) per unit, that is (v - y) /
+    (1 - v^2) under tanh, zero where the clip holds v, and (v - y) / alpha
+    where |v| > 1 under the leaky sigmoid, else v - y; under
+    "delta_e_plus" times the sigmoid of the item's gap. "se" gives g*d +
+    g*d for d = v - y. barrier_y is barrier(act_kind, y); "se" does not
     read it, and a caller whose targets stay fixed evaluates it once.
+
+    Under tanh the clip puts v strictly inside (-1, 1), so the unchecked
+    kernels run (see the module docstring); it is np.maximum then
+    np.minimum, np.clip's bits for the finite v an activation op hands
+    over. Under the leaky sigmoid the checking public functions run.
     """
     units = tuple(range(1, v.ndim))
     per_unit = (-1,) + (1,) * len(units)  # an item's cotangent over its units
@@ -183,10 +213,12 @@ def _loss(loss_kind, act_kind, v, y, barrier_y):
     tanh = isinstance(act_kind, Tanh)
     if tanh:
         inside = (v > -_TANH_CLIP) & (v < _TANH_CLIP)
-        v = np.clip(v, -_TANH_CLIP, _TANH_CLIP)
+        v = np.minimum(np.maximum(v, -_TANH_CLIP), _TANH_CLIP)
+        f_inv, barrier_v = _inverse_activation(act_kind, v), _barrier(act_kind, v)
+    else:
+        f_inv, barrier_v = inverse_activation(act_kind, v), barrier(act_kind, v)
     d = v - y
-    gap = (inverse_activation(act_kind, v) * d + barrier_y
-           - barrier(act_kind, v)).sum(axis=units)
+    gap = (f_inv * d + barrier_y - barrier_v).sum(axis=units)
     plus = loss_kind == "delta_e_plus"
 
     def vjp(c):
@@ -201,35 +233,6 @@ def _loss(loss_kind, act_kind, v, y, barrier_y):
     return (_softplus(gap) if plus else gap), vjp
 
 
-def loss_per_item(loss_kind, act_kind, v_tilde, y):
-    """One loss per item between unclamped visible values v~ and targets y.
-
-    Both are batched (n, ...) tensors, and the loss is one tape op that
-    differentiates v~ only: y is the constant target. "se" sums the
-    squared error. "delta_e" is the energy gap between the clamped state
-    (visible units at y) and the unclamped one (at v~), computed
-    unit-locally as f_inv(v~) * (v~ - y) + barrier(y) - barrier(v~), with
-    v~ clipped to +/-_TANH_CLIP under tanh. Under clamping this equals the
-    full network energy difference, because both states share the hidden
-    configuration; under external-bias evidence it is the gap of the
-    evidence-free energy, since v~ (unclamped_visible) leaves the evidence
-    bias out. It is zero exactly when v~ == y. "delta_e_plus" is the
-    softplus of each item's gap, summed over all its visible units: a soft
-    hinge that only wants the gap closed.
-
-    The gradient is closed-form (see the module docstring): f_inv'(v~) *
-    (v~ - y) per unit, that is (v~ - y) / (1 - v~^2) under tanh, zero where
-    the clip holds v~, and (v~ - y) / alpha where |v~| > 1 under the leaky
-    sigmoid, else v~ - y; under "delta_e_plus" times the sigmoid of the
-    item's gap. "se" gives g*d + g*d for d = v~ - y.
-    """
-    if v_tilde.shape != y.shape:
-        raise ValueError(f"shape mismatch: {v_tilde.shape} vs {y.shape}")
-    barrier_y = None if loss_kind == "se" else barrier(act_kind, y.data)
-    value, vjp = _loss(loss_kind, act_kind, v_tilde.data, y.data, barrier_y)
-    return _from_op(value, (v_tilde,), lambda g: (vjp(g),))
-
-
 def _slope_times(kind, y, g):
     """g times the activation's slope, read off its output y: 1 - y^2 under
     tanh; under the leaky sigmoid alpha where |y| > 1, else 1."""
@@ -239,9 +242,11 @@ def _slope_times(kind, y, g):
 
 
 def _batch_evidence(examples, arch):
+    """The batch's targets, stacked in the visible shape and clipped once to
+    +/-0.999, and its evidence: the masks, and the targets where observed."""
     vis_shape = arch.visible_shape
-    targets = np.stack([np.clip(e.target.reshape(vis_shape), -0.999, 0.999)
-                        for e in examples])
+    targets = np.clip(np.stack([e.target.reshape(vis_shape) for e in examples]),
+                      -0.999, 0.999)
     masks = np.stack([e.mask.reshape(vis_shape) for e in examples])
     values = np.where(masks, targets, 0.0)
     return targets, EvidenceConstraint(mask=masks, values=values)

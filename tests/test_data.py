@@ -32,6 +32,7 @@ from cban.data import (
 )
 from cban.dynamics import EvidenceConstraint
 from cban.imageio import activations_to_bytes, write_pgm, write_ppm
+from helpers import bar_consistency_count_reference, gen_bar_evidence_reference
 
 
 class TestExample:
@@ -116,18 +117,6 @@ def _reference_count(values, mask, patterns):
     return sum(np.array_equal(p[mask], values[mask]) for p in patterns)
 
 
-def _reference_mask(pattern, rng, patterns):
-    """The rejection loop of gen_bar_evidence over the reference count."""
-    while True:
-        k = int(rng.integers(1, 25))
-        idx = rng.choice(25, size=k, replace=False)
-        mask = np.zeros(25, dtype=bool)
-        mask[idx] = True
-        mask = mask.reshape(5, 5)
-        if _reference_count(pattern, mask, patterns) == 1:
-            return mask
-
-
 class TestBarMatchEquivalence:
     def test_count_equals_the_per_pattern_loop(self):
         rng = np.random.default_rng(11)
@@ -145,6 +134,7 @@ class TestBarMatchEquivalence:
             values = (patterns[rng.integers(20)] if i % 2 else
                       np.where(rng.random((5, 5)) < 0.4, 0.999, -0.999))
             expected = _reference_count(values, mask, as_list)
+            assert bar_consistency_count_reference(values, mask, patterns) == expected
             assert bar_consistency_count(values, mask, patterns) == expected
             assert bar_consistency_count(values, mask, as_list) == expected
             counts.add(expected)
@@ -156,7 +146,8 @@ class TestBarMatchEquivalence:
         for i in range(500):
             p = patterns[i % 20]
             ex = gen_bar_evidence(p, rng, patterns)
-            np.testing.assert_array_equal(ex.mask, _reference_mask(p, ref, list(patterns)))
+            np.testing.assert_array_equal(
+                ex.mask, gen_bar_evidence_reference(p, ref, list(patterns)).mask)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_eval_set_equals_the_reference_loop(self):
@@ -166,7 +157,33 @@ class TestBarMatchEquivalence:
         for ex in examples:
             p = patterns[int(ref.integers(20))]
             np.testing.assert_array_equal(ex.target, p)
-            np.testing.assert_array_equal(ex.mask, _reference_mask(p, ref, patterns))
+            np.testing.assert_array_equal(ex.mask,
+                                          gen_bar_evidence_reference(p, ref, patterns).mask)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_epochs_equal_the_reference_draw(self, seed):
+        # the random stream of training: 50 epochs of masks and targets
+        task = BarTask()
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            got = task.epoch_examples(rng)
+            want = [gen_bar_evidence_reference(p, ref, task.patterns) for p in task.patterns]
+            for g, w in zip(got, want, strict=True):
+                assert g.mask.shape == w.mask.shape == (5, 5)
+                assert g.mask.tobytes() == w.mask.tobytes()
+                assert g.target.tobytes() == w.target.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_cli_held_out_set_equals_the_reference_draw(self):
+        # the set `cban train` scores a bar run on
+        rng, ref = np.random.default_rng(7777), np.random.default_rng(7777)
+        examples = bar_eval_set(rng, 200)
+        patterns = gen_bar_patterns()
+        for ex in examples:
+            want = gen_bar_evidence_reference(patterns[int(ref.integers(20))], ref, patterns)
+            assert ex.mask.tobytes() == want.mask.tobytes()
+            assert ex.target.tobytes() == want.target.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
 

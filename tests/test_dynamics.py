@@ -84,6 +84,13 @@ class TestActivationFunctions:
         with pytest.raises(DomainError, match=r"atanh domain violation .* at index \(1,\)"):
             inverse_activation(Tanh(), np.array([0.5, 1.0]))
 
+    def test_inverse_tanh_domain_error_names_the_first_bad_index(self):
+        # |x| >= 1 is outside: -1.0 exactly is the first bad value
+        x = np.array([[0.5, -0.999999], [-1.0, 1.5]])
+        with pytest.raises(DomainError,
+                           match=r"^atanh domain violation \(\|x\| >= 1\) at index \(1, 0\)$"):
+            inverse_activation(Tanh(), x)
+
     def test_leaky_inverse_value(self):
         np.testing.assert_allclose(inverse_activation(LeakySigmoid(0.2), np.array([1.2])), [2.0])
 
@@ -122,6 +129,13 @@ class TestBarrier:
     def test_tanh_domain_error_names_index(self):
         with pytest.raises(DomainError, match=r"barrier domain violation .* at index \(1,\)"):
             barrier(Tanh(), np.array([0.0, 1.0000001]))
+
+    def test_tanh_domain_error_names_the_first_bad_index(self):
+        # |x| > 1 is outside: +/-1.0 exactly are inside
+        x = np.array([[1.0, -1.0], [0.5, -1.0000001], [2.0, 0.0]])
+        with pytest.raises(DomainError,
+                           match=r"^barrier domain violation \(\|x\| > 1\) at index \(1, 1\)$"):
+            barrier(Tanh(), x)
 
     def test_leaky_overflow_fails_naming_the_index(self):
         with np.errstate(over="ignore"), pytest.raises(

@@ -608,6 +608,20 @@ class TestFusedActivation:
         for t, a in zip(terms, arrays):
             np.testing.assert_array_equal(t.data, a)
 
+    @pytest.mark.parametrize("act", list(ACTS))
+    def test_a_later_larger_term_widens_the_sum(self, act):
+        f = self.ACTS[act]
+        rng = np.random.default_rng(45)
+        a, b = Tensor(rng.normal(size=(3, 1, 1))), Tensor(rng.normal(size=(1, 4, 1)))
+        c = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        fused = f([a, b, c])
+        assert fused.shape == (2, 3, 4, 4) and fused.data.flags.c_contiguous
+        assert fused.data.tobytes() == f((a + b) + c).data.tobytes()
+
+    def test_two_scalar_terms(self):
+        out = tanh([Tensor(0.25), Tensor(0.5)])
+        assert out.shape == () and out.data == np.tanh(0.75)
+
     def test_one_term_broadcast_to_a_shape(self):
         bias = Tensor(np.array([0.5, -0.25]))
         out = tanh([broadcast_to(bias, (3, 2))])

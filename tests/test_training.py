@@ -14,24 +14,36 @@ from cban.dynamics import (
     NetState,
     Tanh,
     WeightBundle,
+    barrier,
     conv_layer,
     energy,
     fban,
+    inverse_activation,
     norm_1inf,
     update_layer,
 )
 from cban.training import (
+    _TANH_CLIP,
     TrainConfig,
+    _loss,
+    _sigmoid,
+    _softplus,
     init_opt_state,
     init_weights,
-    loss_per_item,
     optimizer_step,
     td1_forward,
     train,
     unclamped_visible,
 )
 from cban.data import BarTask
-from helpers import finite_difference, relative_error, td1_reference, traced_bytes
+from helpers import (
+    cban_c_calls,
+    finite_difference,
+    loss_per_item,
+    relative_error,
+    td1_reference,
+    traced_bytes,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -238,7 +250,10 @@ class TestLossGradient:
         np.testing.assert_allclose(g[:, 2:4], self.C[:, None] * (v - self.Y)[:, 2:4],
                                    rtol=1e-15)
 
-    def test_a_bar_sweep_records_at_most_12_tape_ops(self, monkeypatch):
+    def test_a_bar_sweep_makes_at_most_7_ops(self, monkeypatch):
+        # counts ops made (_from_op calls), recorded or not: the forward runs
+        # on a paused tape, and test_records_one_tape_op_whose_parents_are_
+        # the_weights covers what is recorded
         import cban.tensor
         import cban.training
 
@@ -261,7 +276,94 @@ class TestLossGradient:
                 td1_forward(examples, w, cfg.arch,
                             replace(cfg.train, max_iters=sweeps, theta=1e-300))
             ops.append(count[0])
-        assert ops[1] - ops[0] <= 12
+        assert ops[1] - ops[0] <= 7
+
+    def test_a_bar_step_makes_no_more_c_calls_from_cban(self):
+        # 532 at three sweeps when this bound was set, 543 before _loss
+        # called the unchecked kernels and np.add made the activation sum's
+        # buffer; a change that adds calls to the bar path has to raise the
+        # bound on purpose. The first step also fills caches, so the second
+        # is counted.
+        cfg = load_run_config(CONFIGS / "bar.json")
+        w = init_weights(cfg.arch, seed=0)
+        examples = BarTask().epoch_examples(np.random.default_rng(0))
+        train_cfg = replace(cfg.train, max_iters=3, theta=1e-300)
+
+        def step():
+            with GradTape() as tape:
+                loss, _ = td1_forward(examples, w, cfg.arch, train_cfg)
+            return tape.gradient(loss, w.params())
+
+        step()
+        _, calls = cban_c_calls(step)
+        assert calls <= 532
+
+
+def _loss_reference(loss_kind, act_kind, v, y, barrier_y):
+    """training._loss as it was before it called the unchecked kernels:
+    np.clip, then the checking inverse_activation and barrier."""
+    units = tuple(range(1, v.ndim))
+    per_unit = (-1,) + (1,) * len(units)
+    if loss_kind == "se":
+        d = v - y
+
+        def se_vjp(c):
+            gd = c.reshape(per_unit) * d
+            return gd + gd
+
+        return (d * d).sum(axis=units), se_vjp
+    tanh = isinstance(act_kind, Tanh)
+    if tanh:
+        inside = (v > -_TANH_CLIP) & (v < _TANH_CLIP)
+        v = np.clip(v, -_TANH_CLIP, _TANH_CLIP)
+    d = v - y
+    gap = (inverse_activation(act_kind, v) * d + barrier_y
+           - barrier(act_kind, v)).sum(axis=units)
+    plus = loss_kind == "delta_e_plus"
+
+    def vjp(c):
+        if plus:
+            c = c * _sigmoid(gap)
+        if tanh:
+            slope_d = np.where(inside, d / (1.0 - v * v), 0.0)
+        else:
+            slope_d = np.where(np.abs(v) > 1.0, d / act_kind.alpha, d)
+        return c.reshape(per_unit) * slope_d
+
+    return (_softplus(gap) if plus else gap), vjp
+
+
+class TestLossKernelPath:
+    """Under tanh, _loss clips v~ and calls the unchecked kernels; the
+    values and vjp are the bytes of the checked functions'."""
+
+    KINDS = {"tanh": Tanh(), "leaky": LeakySigmoid(0.2)}
+    C = np.array([0.7, -1.3, 0.4])
+
+    @staticmethod
+    def _v():
+        # per row: inside the clip, at it, and beyond it up to past +/-1
+        c = _TANH_CLIP
+        return np.array([[0.3, -0.7, 0.0, 0.999, -0.5],
+                         [c, -c, np.nextafter(c, 0.0), -np.nextafter(c, 0.0), 0.9],
+                         [np.nextafter(c, 2.0), -np.nextafter(c, -2.0), 1.0, -1.5, 2.3]])
+
+    @pytest.mark.parametrize("loss_kind", ["se", "delta_e", "delta_e_plus"])
+    @pytest.mark.parametrize("act", ["tanh", "leaky"])
+    def test_values_and_vjp_equal_the_checked_reference(self, loss_kind, act):
+        kind = self.KINDS[act]
+        v = self._v()
+        y = np.random.default_rng(15).uniform(-0.999, 0.999, size=v.shape)
+        barrier_y = None if loss_kind == "se" else barrier(kind, y)
+        got, got_vjp = _loss(loss_kind, kind, v, y, barrier_y)
+        want, want_vjp = _loss_reference(loss_kind, kind, v, y, barrier_y)
+        assert got.tobytes() == want.tobytes()
+        assert got_vjp(self.C).tobytes() == want_vjp(self.C).tobytes()
+
+    def test_the_input_is_not_written(self):
+        v = self._v()
+        _loss("delta_e_plus", Tanh(), v, np.zeros_like(v), barrier(Tanh(), np.zeros_like(v)))
+        assert v.tobytes() == self._v().tobytes()
 
 
 def tiny_cfg(**kw):
