@@ -4,8 +4,9 @@ Recurrent stacks of layers with symmetric bidirectional connections settle
 partial evidence into complete visible states by descending an energy
 function; training unrolls the settling sweeps and injects a loss after
 every iteration. Its gradient is one explicit reverse sweep over the
-unrolled layer updates (back-propagation through time), recorded as a
-single op on the package's own float64 gradient tape. The package also
+unrolled layer updates (back-propagation through time), the only gradient
+the package takes: a GradTape records the TD(1) loss as its one op and
+runs that sweep. The layer ops compute forward only. The package also
 carries the settling dynamics and energy, the three training losses with
 their optimizers, task data (bars, IDX digits, coherent-noise masks),
 reconstruction metrics, and a small CLI.

@@ -3,7 +3,9 @@
 Each suite runs a batch of randomized instances against a property the
 library is supposed to guarantee and reports per-instance failures. The
 acceptance tests call these with their full trial counts; the CLI runs the
-same defaults.
+same defaults. The gradients suite is the finite-difference check of the
+TD(1) gradient, which a GradTape records and takes as one explicit
+reverse sweep; no other op of the package is differentiated.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def _gradient_trials(rng, per_loss):
 
 
 def check_gradients(seed=0, per_loss=20, max_sweeps=5, step=1e-5, tol=1e-4):
-    """Unrolled autodiff versus central finite differences, per loss kind.
+    """The TD(1) reverse sweep, the package's only gradient, versus central
+    finite differences, per loss kind.
 
     Each loss kind gets per_loss trials on random one-hidden-layer fc nets
     and _CONV_PER_LOSS trials on a tiny pooled conv net. Each then gets one

@@ -24,8 +24,8 @@ the first sweep of a run from zero hidden layers that is 2L-2 maps per
 sweep instead of 4L-6: 6 instead of 10 on a 4-layer net. sweep() and
 update_layer without a PairTerms compute every term afresh.
 
-The inverse activation and the barrier are ndarray functions off the tape,
-evaluated by both energy() and the TD(1) losses (training._loss). Each is a
+The inverse activation and the barrier are ndarray functions, evaluated
+by both energy() and the TD(1) losses (training._loss). Each is a
 public function that checks its input's domain and a private kernel with
 the maths (_inverse_activation, _barrier); a caller that already holds its
 values strictly inside (-1, 1), as the tanh losses do by clipping, calls
@@ -269,7 +269,7 @@ class WeightBundle:
         of the forward matrix, or the reversed forward kernel.
 
         Either is a strided view of the forward weights, so each down map
-        derives its own without a copy, on or off the tape.
+        derives its own without a copy.
         """
         w = self.forward[pair]
         if isinstance(w, ConvKernel):
@@ -512,8 +512,8 @@ def sweep(state, w, arch):
 
 
 def inverse_activation(kind, x):
-    """Inverse of the activation on an ndarray, off the tape. tanh demands
-    |x| < 1 strictly: a value outside raises DomainError naming its index.
+    """Inverse of the activation on an ndarray. tanh demands |x| < 1
+    strictly: a value outside raises DomainError naming its index.
     Validates, then computes with _inverse_activation."""
     x = np.asarray(x, dtype=np.float64)
     if isinstance(kind, Tanh):
@@ -539,8 +539,7 @@ def _xlogx(t):
 
 
 def barrier(kind, x):
-    """Integral of the inverse activation from 0 to x, on an ndarray, off
-    the tape.
+    """Integral of the inverse activation from 0 to x, on an ndarray.
 
     For tanh this is 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x) on [-1, 1]; a
     value with |x| > 1 raises DomainError naming its index. For the leaky

@@ -1,17 +1,15 @@
-"""Dense float64 tensors with a reverse-mode gradient tape.
+"""Dense float64 tensors, the forward ops of a layer update, and the tape
+that records the TD(1) loss.
 
-The ops: elementwise add and mul; matmul and the views transpose, reshape
-and broadcast_to; the activations tanh and leaky_sigmoid and the select
-where; conv2d_half and its reversed kernel (reverse_kernel); avg_pool2 and
-its transpose, avg_pool2_adjoint. A GradTape differentiates any scalar
-built from them with respect to any tensor that fed it. Another module may
-record an op of its own through _from_op. training.td1_forward does: it
-runs its forward with the tape paused (_paused_tape) and records the whole
-TD(1) loss as one op, whose vjp is an explicit reverse sweep over the
-numpy kernels below. In a training step the tape therefore holds that one
-op; the per-op vjps here serve as the reference the tests compare it with.
-Inverse activations and barriers are ndarray functions in dynamics, off
-the tape.
+The ops: matmul and the views transpose, reshape and broadcast_to; the
+activations tanh and leaky_sigmoid and the select where; conv2d_half and
+its reversed kernel (reverse_kernel); avg_pool2 and its transpose,
+avg_pool2_adjoint. They compute forward only. The one gradient the
+package takes, of the TD(1) loss, is an explicit reverse sweep
+(training._td1_backward) over the numpy kernels below, and a GradTape is
+the recorder of that loss: training.td1_forward records it as the tape's
+one op, whose parents are the weights, and GradTape.gradient runs the
+sweep. Inverse activations and barriers are ndarray functions in dynamics.
 
 Convolution (forward, input gradient, weight gradient) is one matrix
 product per map plus kh*kw shifted copies or adds. The shift is applied to
@@ -25,9 +23,9 @@ Tensors are immutable values; every operation returns a fresh tensor. A
 batch dimension, when present, is leading and optional: feature maps are
 (channels, height, width) or (batch, channels, height, width), flat layers
 are (units,) or (batch, units). Construction rejects NaN/Inf outright so a
-numerical blow-up surfaces at the operation that produced it, on the tape
-or off it. The check reads each value once (through min and max). The ops
-that cannot make a non-finite value from finite inputs skip it:
+numerical blow-up surfaces at the operation that produced it. The check
+reads each value once (through min and max). The ops that cannot make a
+non-finite value from finite inputs skip it:
 - the views transpose, reshape, broadcast_to and reverse_kernel;
 - avg_pool2_adjoint, which spreads a quarter of each value;
 - where, which selects among its inputs;
@@ -37,27 +35,14 @@ that cannot make a non-finite value from finite inputs skip it:
   op over one buffer, and a sum that overflows fails at this op even
   where tanh would saturate it.
 
-The tape keeps only what its backward reads. A recorded tensor points at a
-small graph node (its parents' nodes and its vjp), not at the tensors that
-made it, and each vjp closes over the arrays it reads and nothing else: add
-and where keep operand shapes, not operands. An intermediate that no
-vjp reads is therefore freed as soon as the caller drops it. The backward
-frees each cotangent and vjp once it has run, so a tape's gradient can be
-taken once.
-
 The downward weights of a symmetric net hold no data of their own:
 transpose and reverse_kernel return strided views of the forward weights,
-so deriving them copies nothing, on or off the tape, and their vjps hand
-back views of the cotangent. The backward copies no kernel either: the
-conv input gradient flips its kernel as a view, and each GEMM copies its
-operand into layout. A tensor read by many ops, such as a map's output
-read twice (dynamics.PairTerms reuses a pair term until its source layer
-changes), has its cotangents summed before its one vjp.
+so deriving them copies nothing. The conv input gradient flips its kernel
+as a view too, and each GEMM copies its operand into layout.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -88,22 +73,6 @@ class DomainError(ValueError):
 _ACTIVE_TAPE = None
 
 
-@contextlib.contextmanager
-def _paused_tape():
-    """Run a block with no tape active.
-
-    The ops inside are computed and checked as usual but not recorded, so
-    the caller can record what they compute as one op of its own once the
-    block has ended.
-    """
-    global _ACTIVE_TAPE
-    tape, _ACTIVE_TAPE = _ACTIVE_TAPE, None
-    try:
-        yield
-    finally:
-        _ACTIVE_TAPE = tape
-
-
 def _first_bad_index(good):
     """The index of the first False in a boolean array."""
     return tuple(int(i) for i in np.argwhere(~good)[0])
@@ -121,9 +90,9 @@ def _check_finite(arr):
 
 
 class Tensor:
-    """Immutable dense float64 array, optionally recorded on a GradTape."""
+    """Immutable dense float64 array."""
 
-    __slots__ = ("data", "_node")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
@@ -131,7 +100,6 @@ class Tensor:
             raise ValueError("tensors must have at least one element")
         _check_finite(arr)
         self.data = arr
-        self._node = None
 
     @property
     def shape(self):
@@ -148,45 +116,12 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def sum(self, axis=None):
-        return tensor_sum(self, axis=axis)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-    def __add__(self, other):
-        return _binary_elementwise(self, other, np.add, _add_vjp)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return _binary_elementwise(self, other, np.multiply, _mul_vjp)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-class _Node:
-    """One tensor's place in a tape's graph: its parents' nodes and its vjp.
-
-    A leaf (a tensor made off the tape) gets a node with no parents, no vjp
-    and no tape the first time an op on the tape uses it; the tape holds
-    that node, and a leaf node holding the tape back would make a cycle
-    that only the garbage collector frees.
-    """
-
-    __slots__ = ("parents", "vjp", "tape")
-
-    def __init__(self, parents, vjp, tape):
-        self.parents = parents
-        self.vjp = vjp
-        self.tape = tape
 
 
 def _unchecked(data):
@@ -194,47 +129,16 @@ def _unchecked(data):
     finiteness check or a copy."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out._node = None
     return out
 
 
-def _from_op(data, parents, vjp, check=True):
-    """The tensor an op made, recorded on the active tape if there is one.
+def _from_op(data, check=True):
+    """The tensor an op made.
 
     check=False skips the finiteness check, for ops whose finite inputs
     cannot give a non-finite float64 result (see the module docstring).
     """
-    out = Tensor(data) if check else _unchecked(data)
-    tape = _ACTIVE_TAPE
-    if tape is not None:
-        out._node = _Node(tuple(tape._node_of(p) for p in parents), vjp, tape)
-    return out
-
-
-def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to `shape`."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def _add_vjp(a, b):
-    sa, sb = a.shape, b.shape
-    return lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
-
-
-def _mul_vjp(a, b):
-    return lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
-
-
-def _binary_elementwise(a, b, fwd, make_vjp):
-    at = _as_tensor(a)
-    bt = _as_tensor(b)
-    data = fwd(at.data, bt.data)
-    return _from_op(data, (at, bt), make_vjp(at.data, bt.data))
+    return Tensor(data) if check else _unchecked(data)
 
 
 def matmul(a, b):
@@ -247,55 +151,27 @@ def matmul(a, b):
         raise ValueError(f"matmul expects a 1-d or 2-d left operand, got {a.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        ga = g @ bd.T
-        gb = np.outer(ad, g) if ad.ndim == 1 else ad.T @ g
-        return ga, gb
-
-    return _from_op(data, (a, b), vjp)
+    return _from_op(a.data @ b.data)
 
 
 def transpose(a):
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ValueError(f"transpose expects a 2-d tensor, got {a.shape}")
-    return _from_op(a.data.T, (a,), lambda g: (g.T,), check=False)
+    return _from_op(a.data.T, check=False)
 
 
 def reshape(a, shape):
-    a = _as_tensor(a)
-    old = a.shape
-    return _from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),),
-                    check=False)
+    return _from_op(_as_tensor(a).data.reshape(shape), check=False)
 
 
 def broadcast_to(a, shape):
     """a broadcast to `shape` as a read-only view: no copy is made."""
-    a = _as_tensor(a)
-    old = a.shape
-    return _from_op(np.broadcast_to(a.data, shape), (a,),
-                    lambda g: (_unbroadcast(g, old),), check=False)
-
-
-def tensor_sum(a, axis=None):
-    a = _as_tensor(a)
-    data = a.data.sum(axis=axis)
-    in_shape = a.shape
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).copy(),)
-        g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, in_shape).copy(),)
-
-    return _from_op(data, (a,), vjp)
+    return _from_op(np.broadcast_to(_as_tensor(a).data, shape), check=False)
 
 
 def _summed(a):
-    """An activation's input: (its terms, their sum in one fresh buffer).
+    """An activation's input: the sum of its terms in one fresh buffer.
 
     `a` is one tensor (or array) or a list or tuple of them. The terms are
     summed in order, ((t0 + t1) + t2) + ..., into a C-ordered buffer of
@@ -304,10 +180,10 @@ def _summed(a):
     and each later term is added into it in place, unless that term is
     larger, when the sum moves to a new buffer of the broadcast shape.
     """
-    terms = tuple(map(_as_tensor, a)) if isinstance(a, (list, tuple)) else (_as_tensor(a),)
+    terms = a if isinstance(a, (list, tuple)) else (a,)
     if not terms:
         raise ValueError("an activation needs at least one term")
-    data = [t.data for t in terms]
+    data = [_as_tensor(t).data for t in terms]
     if len(data) == 1:
         z = np.array(data[0], order="C")
     else:
@@ -320,30 +196,15 @@ def _summed(a):
         else:
             z = np.add(z, d, order="C")
     _check_finite(z)
-    return terms, z
-
-
-def _activated(y, terms, slope_times):
-    """The activation output y of terms, on the tape as one op.
-
-    Its vjp forms slope_times(g), g times the activation's slope, once and
-    hands each term that cotangent summed down to the term's shape.
-    """
-    shapes = [t.shape for t in terms]
-
-    def vjp(g):
-        gz = slope_times(g)
-        return tuple(_unbroadcast(gz, s) for s in shapes)
-
-    return _from_op(y, terms, vjp, check=False)
+    return z
 
 
 def tanh(a):
     """tanh of a tensor, or of the sum of a list of terms (see _summed),
-    computed in place: one buffer and one tape op."""
-    terms, y = _summed(a)
+    computed in place: one buffer and one op."""
+    y = _summed(a)
     np.tanh(y, out=y)
-    return _activated(y, terms, lambda g: g * (1.0 - y * y))
+    return _from_op(y, check=False)
 
 
 def leaky_sigmoid(a, alpha):
@@ -351,29 +212,17 @@ def leaky_sigmoid(a, alpha):
 
     Takes a tensor or a list of terms, as tanh does.
     """
-    terms, y = _summed(a)
+    y = _summed(a)
     hi, lo = y > 1.0, y < -1.0
     y[hi] = alpha * (y[hi] - 1.0) + 1.0
     y[lo] = alpha * (y[lo] + 1.0) - 1.0
-    outside = hi | lo
-    return _activated(y, terms, lambda g: g * np.where(outside, alpha, 1.0))
+    return _from_op(y, check=False)
 
 
 def where(mask, a, b):
-    """Elementwise select: mask is a fixed boolean array, not differentiated."""
+    """Elementwise select: mask is a fixed boolean array."""
     mask = np.asarray(mask, dtype=bool)
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    data = np.where(mask, a.data, b.data)
-    sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return (
-            _unbroadcast(np.where(mask, g, 0.0), sa),
-            _unbroadcast(np.where(mask, 0.0, g), sb),
-        )
-
-    return _from_op(data, (a, b), vjp, check=False)
+    return _from_op(np.where(mask, _as_tensor(a).data, _as_tensor(b).data), check=False)
 
 
 class ConvKernel:
@@ -420,12 +269,9 @@ def reverse_kernel(k):
     A kernel and its reverse implement transposed linear maps under
     half-padded convolution (see conv2d_half), which is how bidirectional
     symmetric connectivity is realized without storing reverse weights.
-    Forward and vjp are strided views, of the kernel and of the cotangent:
-    neither copies.
+    The result is a strided view of the kernel: nothing is copied.
     """
-    w = k.weights
-    return ConvKernel(_from_op(_flip_kernel_np(w.data), (w,),
-                               lambda g: (_flip_kernel_np(g),), check=False))
+    return ConvKernel(_from_op(_flip_kernel_np(k.weights.data), check=False))
 
 
 def _taps(ka, kb, H, W):
@@ -530,34 +376,26 @@ def conv2d_half(x, k):
     with zero padding of (extent - 1) / 2 on each side. Accepts an optional
     leading batch dimension.
 
-    Forward, input gradient and weight gradient are each one matrix product
-    plus kh*kw shifted copies or adds, expanding the side of the map with
-    fewer channels: with q output and r input channels, q > r builds the
-    im2col of x, (kh*kw*r, N*H*W), and multiplies the (q, kh*kw*r) weights
-    into it; q <= r multiplies the (kh*kw*q, r) weights into x first and
-    shift-adds the kh*kw output blocks. The expanded buffer therefore holds
-    kh*kw*min(q, r)*N*H*W floats. The input gradient is the convolution of
-    the output gradient with the reversed kernel, so it follows the same
-    rule with the roles of q and r swapped.
+    The map is one matrix product plus kh*kw shifted copies or adds,
+    expanding the side with fewer channels: with q output and r input
+    channels, q > r builds the im2col of x, (kh*kw*r, N*H*W), and
+    multiplies the (q, kh*kw*r) weights into it; q <= r multiplies the
+    (kh*kw*q, r) weights into x first and shift-adds the kh*kw output
+    blocks. The expanded buffer therefore holds kh*kw*min(q, r)*N*H*W
+    floats. Its input and weight gradients (_conv_vjp_np) follow the same
+    rule; the input gradient is the convolution of the output gradient with
+    the reversed kernel, so it swaps the roles of q and r.
     """
     x = _as_tensor(x)
     if x.ndim not in (3, 4):
         raise ValueError(f"conv input must be (c, H, W) or (batch, c, H, W), got {x.shape}")
-    batched = x.ndim == 4
     if x.shape[-3] != k.in_channels:
         raise ValueError(
             f"channel mismatch: input has {x.shape[-3]}, kernel expects {k.in_channels}"
         )
-    w = k.weights
-    xd = x.data if batched else x.data[None]
-    wd = w.data
-    out = _conv_half_np(xd, wd)
-
-    def vjp(g):
-        gx, gw = _conv_vjp_np(xd, wd, g if batched else g[None])
-        return (gx if batched else gx[0]), gw
-
-    return _from_op(out if batched else out[0], (x, w), vjp)
+    if x.ndim == 4:
+        return _from_op(_conv_half_np(x.data, k.weights.data))
+    return _from_op(_conv_half_np(x.data[None], k.weights.data)[0])
 
 
 def _pool2_np(d):
@@ -568,8 +406,13 @@ def _pool2_np(d):
 def _spread2_np(g):
     # a quarter of each value over its 2x2 block: the transpose of _pool2_np
     *lead, h, w = g.shape
-    quarter = np.broadcast_to(0.25 * g[..., :, None, :, None], (*lead, h, 2, w, 2))
-    return quarter.reshape(*lead, 2 * h, 2 * w)
+    quarter = 0.25 * g
+    out = np.empty((*lead, 2 * h, 2 * w))
+    out[..., 0::2, 0::2] = quarter
+    out[..., 0::2, 1::2] = quarter
+    out[..., 1::2, 0::2] = quarter
+    out[..., 1::2, 1::2] = quarter
+    return out
 
 
 def avg_pool2(x):
@@ -580,39 +423,45 @@ def avg_pool2(x):
     H, W = x.shape[-2], x.shape[-1]
     if H % 2 or W % 2:
         raise ValueError(f"avg_pool2 requires even spatial extents, got {(H, W)}")
-    return _from_op(_pool2_np(x.data), (x,), lambda g: (_spread2_np(g),))
+    return _from_op(_pool2_np(x.data))
 
 
 def avg_pool2_adjoint(x):
     """The transpose of avg_pool2: each value spread as a quarter over a 2x2 block.
 
     <y, avg_pool2(x)> == <avg_pool2_adjoint(y), x> for any x and y of
-    matching shapes; avg_pool2 is in turn this op's gradient map.
+    matching shapes.
     """
     x = _as_tensor(x)
     if x.ndim not in (3, 4):
         raise ValueError(f"adjoint input must be (c, h, w) or (batch, c, h, w), got {x.shape}")
-    return _from_op(_spread2_np(x.data), (x,), lambda g: (_pool2_np(g),), check=False)
+    return _from_op(_spread2_np(x.data), check=False)
+
+
+def _record(output, parents, backward):
+    """Record output as the active tape's one op, if a tape is active.
+
+    backward() returns d(output)/d(parent) for each parent, in order.
+    """
+    if _ACTIVE_TAPE is not None:
+        _ACTIVE_TAPE._record(output, parents, backward)
 
 
 class GradTape:
-    """Records tensor operations for reverse-mode differentiation.
+    """The recorder of one op: the TD(1) loss, as training.td1_forward
+    makes it.
 
     Single-owner: at most one tape is active at a time, entered with a
-    `with` block. Every operation executed inside the block is recorded;
-    `gradient` then returns d(output)/d(input) for a scalar output and any
-    tensors that participated.
-
-    The graph keeps only what the backward reads: the arrays each op's vjp
-    needs, the shapes of add and where operands, and the leaves (the
-    tensors made off the tape that recorded ops used). A tensor that many
-    ops read is kept once and its cotangents are summed before its own vjp
-    runs. `gradient` frees each cotangent and vjp as soon as it has run, so
-    it can be taken once.
+    `with` block, and a tape is entered once. A td1_forward run inside the
+    block records its loss as the tape's op, whose parents are the weights
+    and whose backward is the explicit reverse sweep over the unrolled
+    forward (training._td1_backward). No other op records. `gradient`
+    then runs that sweep, once, and returns d(loss)/d(input) for each
+    input, each of which must be one of the op's parents.
     """
 
     def __init__(self):
-        self._leaves = {}  # id -> (leaf, node); holding the leaf keeps its id unique
+        self._op = None  # (output, parents, backward)
         self._entered = False
         self._taken = False
 
@@ -631,72 +480,25 @@ class GradTape:
         _ACTIVE_TAPE = None
         return False
 
-    def _node_of(self, t):
-        """The node of a tensor an op records, made on first use for a leaf."""
-        node = t._node
-        if node is None:
-            entry = self._leaves.get(id(t))
-            if entry is None:
-                entry = self._leaves[id(t)] = (t, _Node((), None, None))
-            return entry[1]
-        if node.tape is not self:
-            raise RuntimeError("tensor recorded on a different tape")
-        return node
-
-    def _recorded(self, t):
-        """The node of a tensor on this tape, or None."""
-        if t._node is not None:
-            return t._node if t._node.tape is self else None
-        entry = self._leaves.get(id(t))
-        return None if entry is None else entry[1]
+    def _record(self, output, parents, backward):
+        if self._op is not None:
+            raise RuntimeError("a GradTape records one op")
+        self._op = (output, tuple(parents), backward)
 
     def gradient(self, output, inputs):
-        """Gradients of a recorded scalar with respect to recorded inputs.
+        """Gradients of the recorded output with respect to its parents.
 
-        Can be called once per tape: the backward frees the graph it reads.
+        Can be called once per tape: the backward frees what it reads.
         """
         if self._taken:
             raise RuntimeError("a GradTape's gradient can be taken only once")
-        if isinstance(output, ConvKernel):
-            output = output.weights
-        if output.size != 1:
-            raise ValueError(f"gradient output must be scalar, got shape {output.shape}")
-        root = output._node
-        if root is None or root.tape is not self:
+        if self._op is None or self._op[0] is not output:
             raise ValueError("output was not recorded on this tape")
-        targets = [t.weights if isinstance(t, ConvKernel) else t for t in inputs]
-        target_nodes = [self._recorded(t) for t in targets]
-        if any(n is None for n in target_nodes):
+        _, parents, backward = self._op
+        position = {id(p): i for i, p in enumerate(parents)}
+        if any(id(t) not in position for t in inputs):
             raise ValueError("an input was not recorded on this tape")
         self._taken = True
-
-        topo = []
-        visited = set()
-        stack = [(root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node.parents:  # a leaf has no vjp and nothing to visit
-                if p.vjp is not None and id(p) not in visited:
-                    stack.append((p, False))
-
-        keep = {id(n) for n in target_nodes}
-        grads = {id(root): np.ones_like(output.data)}
-        for node in reversed(topo):
-            g = grads.get(id(node)) if id(node) in keep else grads.pop(id(node), None)
-            vjp, node.vjp = node.vjp, None
-            if g is None:
-                continue
-            for parent, pg in zip(node.parents, vjp(g)):
-                if pg is None:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-        return [grads.get(id(n), np.zeros_like(t.data))
-                for t, n in zip(targets, target_nodes)]
+        self._op = None
+        grads = backward()
+        return [grads[position[id(t)]] for t in inputs]

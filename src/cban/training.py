@@ -22,12 +22,13 @@ sigmoid nothing is clipped, and _loss calls the public functions, whose
 barrier checks its result for overflow.
 
 The TD(1) gradient is back-propagation through time written out for a
-symmetric bipartite stack (Werbos 1990). td1_forward runs the forward with
-the caller's tape paused, through the same update_layer, unclamped_visible
-and PairTerms as settle, keeping per activation op its output and where
-each pair term it read came from, but no term arrays. It records the loss
-on the tape as one op whose parents are the weights, and that op's vjp
-walks the records back (_td1_backward): each layer's preactivation
+symmetric bipartite stack (Werbos 1990); it is the only gradient the
+package takes. td1_forward runs the forward through the same update_layer,
+unclamped_visible and PairTerms as settle, keeping per activation op its
+output and where each pair term it read came from, but no term arrays. It
+records the loss on the active GradTape as the tape's one op, whose
+parents are the weights, and whose backward walks the records back
+(_td1_backward): each layer's preactivation
 cotangent is its output's cotangent times the activation's slope, zero on
 clamped units, and each pair term's summed cotangent goes once through the
 adjoint of the map that made it (_term_vjp), which for a symmetric pair is
@@ -48,9 +49,8 @@ from .tensor import (
     _conv_vjp_np,
     _conv_weight_grad_np,
     _flip_kernel_np,
-    _from_op,
-    _paused_tape,
     _pool2_np,
+    _record,
     _spread2_np,
 )
 from .dynamics import (
@@ -237,7 +237,9 @@ def _slope_times(kind, y, g):
     """g times the activation's slope, read off its output y: 1 - y^2 under
     tanh; under the leaky sigmoid alpha where |y| > 1, else 1."""
     if isinstance(kind, Tanh):
-        return g * (1.0 - y * y)
+        s = y * y
+        np.subtract(1.0, s, out=s)
+        return np.multiply(g, s, out=s)
     return g * np.where(np.abs(y) > 1.0, kind.alpha, 1.0)
 
 
@@ -259,9 +261,10 @@ def td1_forward(examples, w, arch, cfg):
     configuration defines the contrastive pair for that iteration; the
     per-item loss stops accumulating once that item's state change drops
     below theta. Items that never converge contribute losses for all
-    max_iters sweeps and are flagged in their reports, whose energy_trace
-    is empty: no energy is evaluated. Returns (mean over items of summed
-    per-sweep losses, reports).
+    max_iters sweeps and are flagged in their reports. No energy is
+    evaluated, so every report shares one empty energy_trace, and each
+    max_delta_trace is a view of one (sweeps, items) array. Returns (mean
+    over items of summed per-sweep losses, reports).
 
     The sweeps and v~ share one PairTerms, as in settle, so each map is
     computed once per change of its source layer and skipped while that
@@ -269,10 +272,9 @@ def td1_forward(examples, w, arch, cfg):
     4-layer net. On a 2-layer net the visible update reuses v~'s down term,
     which leaves 2.
 
-    The forward runs with the caller's tape paused, so its ops are checked
-    for finiteness as usual but not recorded. The loss is recorded on that
-    tape, if one is active, as one op whose parents are w.params(); its
-    vjp is _td1_backward. The loss bookkeeping is plain numpy: each
+    The loss is recorded on the active GradTape, if there is one, as its
+    one op, whose parents are w.params() and whose backward is
+    _td1_backward. The loss bookkeeping is plain numpy: each
     sweep's np.sum of its losses on active items, added to the running
     total, which is scaled by 1/n at the end. The targets' barrier, which
     the energy losses read, is evaluated once. The forward keeps one
@@ -304,66 +306,56 @@ def td1_forward(examples, w, arch, cfg):
     t_star = np.full(n, cfg.max_iters, dtype=int)
     converged = np.zeros(n, dtype=bool)
     delta_traces = []
-    with _paused_tape():
-        state = initial_state(arch, evidence, batch=n)
-        terms = PairTerms(n_layers)
-        records = [(l, x.data if x.data.any() else None, None, None)
-                   for l, x in enumerate(state.activations)]
-        current = list(range(n_layers))  # the record of each layer's value
-        seen = set()  # (reader, source record) of the terms read so far
+    state = initial_state(arch, evidence, batch=n)
+    terms = PairTerms(n_layers)
+    records = [(l, x.data if x.data.any() else None, None, None)
+               for l, x in enumerate(state.activations)]
+    current = list(range(n_layers))  # the record of each layer's value
+    seen = set()  # (reader, source record) of the terms read so far
 
-        def reads(l):
-            out = []
-            for source in (l - 1, l + 1):
-                if 0 <= source < n_layers and records[current[source]][1] is not None:
-                    key = (l, current[source])
-                    out.append((current[source], key not in seen))
-                    seen.add(key)
-            return out
+    def reads(l):
+        out = []
+        for source in (l - 1, l + 1):
+            if 0 <= source < n_layers and records[current[source]][1] is not None:
+                key = (l, current[source])
+                out.append((current[source], key not in seen))
+                seen.add(key)
+        return out
 
-        def updated(l):
-            records.append((l, state.activations[l].data, None, reads(l)))
-            current[l] = len(records) - 1
+    def updated(l):
+        records.append((l, state.activations[l].data, None, reads(l)))
+        current[l] = len(records) - 1
 
-        for t in range(1, cfg.max_iters + 1):
-            prev = state.activations
-            for l in up:
-                state = update_layer(state, w, arch, l, terms)
-                updated(l)
-            v_tilde = unclamped_visible(state, w, arch, terms).data
-            loss_vec, loss_vjp = _loss(cfg.loss, kind, v_tilde, targets, barrier_y)
-            _check_finite(loss_vec)
-            contrib = np.sum(loss_vec * active)
-            total = contrib if total is None else total + contrib
-            loss_gz = _slope_times(kind, v_tilde, loss_vjp(active * (1.0 / n)))
-            records.append((0, None, loss_gz, reads(0)))
-            for l in down:
-                state = update_layer(state, w, arch, l, terms)
-                updated(l)
-            delta = _max_delta(prev, state.activations, batched=True)
-            delta_traces.append(delta)
-            newly = active & (delta < cfg.theta)
-            t_star[newly] = t
-            converged |= newly
-            active &= ~newly
-            if not active.any():
-                break
-    total = total * (1.0 / n)
-
-    def vjp(g):
-        return tuple(grad * g for grad in _td1_backward(records, w, arch, evidence))
-
-    deltas = np.stack(delta_traces)  # (sweeps, items)
-    reports = [
-        SettleReport(
-            t_star=int(t_star[i]),
-            converged=bool(converged[i]),
-            energy_trace=np.empty(0),
-            max_delta_trace=deltas[:, i].copy(),
-        )
-        for i in range(n)
-    ]
-    return _from_op(total, w.params(), vjp), reports
+    for t in range(1, cfg.max_iters + 1):
+        prev = state.activations
+        for l in up:
+            state = update_layer(state, w, arch, l, terms)
+            updated(l)
+        v_tilde = unclamped_visible(state, w, arch, terms).data
+        loss_vec, loss_vjp = _loss(cfg.loss, kind, v_tilde, targets, barrier_y)
+        _check_finite(loss_vec)
+        contrib = np.sum(loss_vec * active)
+        total = contrib if total is None else total + contrib
+        loss_gz = _slope_times(kind, v_tilde, loss_vjp(active * (1.0 / n)))
+        records.append((0, None, loss_gz, reads(0)))
+        for l in down:
+            state = update_layer(state, w, arch, l, terms)
+            updated(l)
+        delta = _max_delta(prev, state.activations, batched=True)
+        delta_traces.append(delta)
+        newly = active & (delta < cfg.theta)
+        t_star[newly] = t
+        converged |= newly
+        active &= ~newly
+        if not active.any():
+            break
+    loss = Tensor(total * (1.0 / n))
+    _record(loss, w.params(), lambda: _td1_backward(records, w, arch, evidence))
+    no_energy = np.empty(0)
+    reports = [SettleReport(t_star=t, converged=c, energy_trace=no_energy, max_delta_trace=d)
+               for t, c, d in zip(t_star.tolist(), converged.tolist(),
+                                  np.stack(delta_traces).T)]  # views of (sweeps, items)
+    return loss, reports
 
 
 def _td1_backward(records, w, arch, evidence):
@@ -425,7 +417,7 @@ def _term_vjp(g, x, w, arch, reader, source, grads, need_input):
     is matmul(x, W), or the conv of x, pooled first on a pooled pair; a
     down term is its adjoint, matmul(x, W.T), or the conv of x with the
     reversed kernel, spread by pooling's transpose. The conv backward is
-    _conv_vjp_np, the kernels of conv2d_half's own vjp.
+    _conv_vjp_np, the input and weight gradients of conv2d_half's map.
     """
     pair = min(reader, source)
     block = w.forward[pair]
@@ -532,8 +524,8 @@ def init_weights(arch, seed, conv_std=0.01):
 def _train_step(batch, w, opt, arch, cfg):
     """One TD(1) step; returns (opt, weights, loss value, t* per item).
 
-    The step's tape and graph go out of scope on return, so they are freed
-    before the next step's forward.
+    The step's tape and the forward's records go out of scope on return,
+    so they are freed before the next step's forward.
     """
     with GradTape() as tape:
         loss, reports = td1_forward(batch, w, arch, cfg)

@@ -1,11 +1,14 @@
 """Shared test utilities: the central finite-difference gradient oracle,
-the per-op tape reference of the TD(1) step, the bar draw's loop
-reference, memory tracing and C-call counting."""
+the cache-less reference of the TD(1) step and the frozen gradients of the
+per-op tape it once ran on, the bar draw's loop reference, memory tracing,
+and C-call and numpy-call counting."""
 
 import functools
+import json
 import operator
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -14,12 +17,15 @@ from cban.dynamics import (
     _layer_terms,
     _max_delta,
     barrier,
+    block_shapes,
     initial_state,
     sweep_order,
     update_layer,
 )
-from cban.tensor import GradTape, Tensor, _from_op, tensor_sum
+from cban.tensor import Tensor
 from cban.training import _batch_evidence, _loss, unclamped_visible
+
+FROZEN_TD1 = Path(__file__).with_name("td1_frozen_gradients.npz")
 
 
 def finite_difference(f, x, step=1e-5):
@@ -44,40 +50,32 @@ def relative_error(a, b):
     return np.max(np.abs(a - b)) / denom
 
 
-def tape_gradients(build, inputs):
-    """Run `build(*inputs)` under a fresh tape; return (value, grads)."""
-    with GradTape() as tape:
-        out = build(*inputs)
-    return out, tape.gradient(out, list(inputs))
-
-
 def layer_preactivation(state, w, arch, l, terms=None):
     """Total input to layer l: neighbor contributions plus the layer bias,
     and external-bias evidence on the visible layer (see _layer_terms)."""
-    return functools.reduce(operator.add, _layer_terms(state, w, arch, l, terms))
+    return Tensor(functools.reduce(operator.add,
+                                   [t.data for t in _layer_terms(state, w, arch, l, terms)]))
 
 
 def loss_per_item(loss_kind, act_kind, v_tilde, y):
-    """training._loss between tensors v~ and y, recorded as one tape op
-    that differentiates v~ only: y is the constant target."""
+    """training._loss between tensors v~ and y, as a tensor of per-item
+    losses."""
     if v_tilde.shape != y.shape:
         raise ValueError(f"shape mismatch: {v_tilde.shape} vs {y.shape}")
     barrier_y = None if loss_kind == "se" else barrier(act_kind, y.data)
-    value, vjp = _loss(loss_kind, act_kind, v_tilde.data, y.data, barrier_y)
-    return _from_op(value, (v_tilde,), lambda g: (vjp(g),))
+    return Tensor(_loss(loss_kind, act_kind, v_tilde.data, y.data, barrier_y)[0])
 
 
 def td1_reference(examples, w, arch, cfg):
-    """td1_forward's loop on the per-op tape: cache-less update_layer and
-    unclamped_visible, loss_per_item, and the loss bookkeeping as tape ops.
+    """td1_forward's loop without its pair-term cache: cache-less
+    update_layer and unclamped_visible, and _loss's values.
 
-    Returns (loss, per-sweep deltas of shape (sweeps, items)). Under an
-    active GradTape every op is recorded, so the tape's gradient of the
-    loss is the reference for td1_forward's reverse sweep.
+    Returns (loss, per-sweep deltas of shape (sweeps, items)), the
+    references for td1_forward's loss and deltas, byte for byte.
     """
     n = len(examples)
     targets, evidence = _batch_evidence(examples, arch)
-    y = Tensor(targets)
+    barrier_y = None if cfg.loss == "se" else barrier(arch.activation, targets)
     state = initial_state(arch, evidence, batch=n)
     order = sweep_order(arch.n_layers)
     up, down = order[:arch.n_layers - 1], order[arch.n_layers - 1:]
@@ -88,9 +86,9 @@ def td1_reference(examples, w, arch, cfg):
         prev = state.activations
         for l in up:
             state = update_layer(state, w, arch, l)
-        loss_vec = loss_per_item(cfg.loss, arch.activation,
-                                 unclamped_visible(state, w, arch), y)
-        contrib = tensor_sum(loss_vec * active.astype(float))
+        v_tilde = unclamped_visible(state, w, arch).data
+        loss_vec, _ = _loss(cfg.loss, arch.activation, v_tilde, targets, barrier_y)
+        contrib = np.sum(loss_vec * active)
         total = contrib if total is None else total + contrib
         for l in down:
             state = update_layer(state, w, arch, l)
@@ -100,6 +98,44 @@ def td1_reference(examples, w, arch, cfg):
         if not active.any():
             break
     return total * (1.0 / n), np.stack(deltas)
+
+
+def gradient_projections(grads, seed, directions):
+    """Per block, the inner products of its gradient with `directions`
+    standard normal arrays of its shape, drawn from default_rng([seed, block])."""
+    out = []
+    for block, g in enumerate(grads):
+        d = np.random.default_rng([seed, block]).standard_normal((directions, g.size))
+        out.append(d @ g.ravel())
+    return out
+
+
+def frozen_td1_gradients(case, arch):
+    """The per-op tape's gradient of the TD(1) loss for one test case.
+
+    The file holds, per case, the gradient of helpers.td1_reference as a
+    tape with one op per tensor operation took it, recorded at the commit
+    its "meta" entry names, with the numpy and BLAS it ran on. An entry
+    holds every block in full, or for a large net each block's
+    gradient_projections, drawn as "meta" says. Returns (arrays,
+    projection): projection is None for full blocks, else the keyword
+    arguments of gradient_projections that map a gradient onto arrays.
+    Raises LookupError naming the case when it has no entry, and
+    ValueError naming it when the entry's block shapes differ from
+    block_shapes(arch).
+    """
+    with np.load(FROZEN_TD1) as frozen:
+        meta = json.loads(str(frozen["meta"]))
+        entry = meta["cases"].get(case)
+        if entry is None:
+            raise LookupError(f"no frozen TD(1) gradient for case {case!r} in {FROZEN_TD1.name}")
+        arrays = [frozen[f"{case}/{b}"] for b in range(len(entry["shapes"]))]
+    projection = meta["projection"] if entry["kind"] == "projections" else None
+    shapes = [tuple(s) for s in entry["shapes"]] if projection else [a.shape for a in arrays]
+    if shapes != [tuple(s) for s in block_shapes(arch)]:
+        raise ValueError(f"frozen TD(1) gradient for case {case!r} has block shapes "
+                         f"{shapes}, but the net's are {block_shapes(arch)}")
+    return arrays, projection
 
 
 def traced_bytes(fn):
@@ -168,3 +204,44 @@ def cban_c_calls(fn):
     finally:
         sys.setprofile(previous)
     return out, count[0]
+
+
+class _CountingNumpy:
+    """numpy as a module sees it through the name `np`, with each call of a
+    function or ufunc it hands out counted. Classes (np.ndarray, np.float64)
+    and values (np.inf) pass through unwrapped, so isinstance checks and
+    constants behave as they do on numpy itself."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def numpy_calls(fn, modules):
+    """Call fn() with each module's name `np` bound to a counting stand-in;
+    return (its result, the numpy calls made through those names).
+
+    Unlike cban_c_calls this sees ufuncs (np.add, np.where, np.tanh) called
+    by name. It does not see array methods or arithmetic operators on
+    arrays, nor calls made inside numpy itself.
+    """
+    counting = _CountingNumpy()
+    saved = [module.np for module in modules]
+    for module in modules:
+        module.np = counting
+    try:
+        out = fn()
+    finally:
+        for module, real in zip(modules, saved):
+            module.np = real
+    return out, counting.calls

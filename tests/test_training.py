@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cban.config import load_run_config
-from cban.tensor import GradTape, Tensor, tensor_sum
+from cban.tensor import GradTape, Tensor
 from cban.dynamics import (
     ArchSpec,
     LeakySigmoid,
@@ -40,8 +40,8 @@ from helpers import (
     cban_c_calls,
     finite_difference,
     loss_per_item,
+    numpy_calls,
     relative_error,
-    td1_reference,
     traced_bytes,
 )
 
@@ -204,7 +204,7 @@ class TestLossDeltaEPlus:
 
 
 class TestLossGradient:
-    """loss_per_item is one tape op with a closed-form vjp."""
+    """_loss hands back a closed-form vjp of its per-item losses."""
 
     KINDS = {"tanh": Tanh(), "leaky": LeakySigmoid(0.2)}
     # per item: inside the clip, beyond +/-_TANH_CLIP, beyond +/-1 (leaky)
@@ -215,12 +215,8 @@ class TestLossGradient:
     C = np.array([0.7, -1.3])  # distinct per-item cotangents
 
     def _grad(self, loss_kind, kind, v):
-        y = Tensor(self.Y)
-        vt = Tensor(v)
-        with GradTape() as tape:
-            out = tensor_sum(loss_per_item(loss_kind, kind, vt, y) * self.C)
-        (g,) = tape.gradient(out, [vt])
-        return g
+        barrier_y = None if loss_kind == "se" else barrier(kind, self.Y)
+        return _loss(loss_kind, kind, v, self.Y, barrier_y)[1](self.C)
 
     @pytest.mark.parametrize("loss_kind", ["se", "delta_e", "delta_e_plus"])
     @pytest.mark.parametrize("act", ["tanh", "leaky"])
@@ -251,11 +247,10 @@ class TestLossGradient:
                                    rtol=1e-15)
 
     def test_a_bar_sweep_makes_at_most_7_ops(self, monkeypatch):
-        # counts ops made (_from_op calls), recorded or not: the forward runs
-        # on a paused tape, and test_records_one_tape_op_whose_parents_are_
-        # the_weights covers what is recorded
+        # counts the tensors the forward's ops make (_from_op calls); what
+        # the tape records is test_records_one_tape_op_whose_parents_are_
+        # the_weights's concern
         import cban.tensor
-        import cban.training
 
         count = [0]
         from_op = cban.tensor._from_op
@@ -264,8 +259,7 @@ class TestLossGradient:
             count[0] += 1
             return from_op(*args, **kwargs)
 
-        for module in (cban.tensor, cban.training):
-            monkeypatch.setattr(module, "_from_op", counting)
+        monkeypatch.setattr(cban.tensor, "_from_op", counting)
         cfg = load_run_config(CONFIGS / "bar.json")
         w = init_weights(cfg.arch, seed=0)
         examples = BarTask().epoch_examples(np.random.default_rng(0))
@@ -278,12 +272,10 @@ class TestLossGradient:
             ops.append(count[0])
         assert ops[1] - ops[0] <= 7
 
-    def test_a_bar_step_makes_no_more_c_calls_from_cban(self):
-        # 532 at three sweeps when this bound was set, 543 before _loss
-        # called the unchecked kernels and np.add made the activation sum's
-        # buffer; a change that adds calls to the bar path has to raise the
-        # bound on purpose. The first step also fills caches, so the second
-        # is counted.
+    @staticmethod
+    def _bar_step():
+        """A warm TD(1) step on the shipped bar config at three sweeps: the
+        first step fills caches, so the returned step is the second."""
         cfg = load_run_config(CONFIGS / "bar.json")
         w = init_weights(cfg.arch, seed=0)
         examples = BarTask().epoch_examples(np.random.default_rng(0))
@@ -295,8 +287,32 @@ class TestLossGradient:
             return tape.gradient(loss, w.params())
 
         step()
-        _, calls = cban_c_calls(step)
+        return step
+
+    def test_a_bar_step_makes_no_more_c_calls_from_cban(self):
+        # 532 at three sweeps when this bound was set, 543 before _loss
+        # called the unchecked kernels and np.add made the activation sum's
+        # buffer. The count sees builtins, numpy functions such as
+        # np.asarray and array methods called from cban's lines, but no
+        # ufunc call or arithmetic operator (see helpers.cban_c_calls);
+        # test_a_bar_step_makes_no_more_numpy_calls_from_cban counts those
+        # ufuncs. A change that adds calls it sees has to raise the bound
+        # on purpose.
+        _, calls = cban_c_calls(self._bar_step())
         assert calls <= 532
+
+    def test_a_bar_step_makes_no_more_numpy_calls_from_cban(self):
+        # every call through the name np in tensor, dynamics and training,
+        # ufuncs included: 141 when this bound was set, 148 before the tape
+        # kept only the TD(1) op. A change that adds numpy calls to the bar
+        # path has to raise the bound on purpose.
+        import cban.dynamics
+        import cban.tensor
+        import cban.training
+
+        step = self._bar_step()
+        _, calls = numpy_calls(step, (cban.tensor, cban.dynamics, cban.training))
+        assert calls <= 141
 
 
 def _loss_reference(loss_kind, act_kind, v, y, barrier_y):
@@ -456,19 +472,16 @@ class TestTd1Forward:
 
     @pytest.mark.parametrize("net", ["fc", "pooled-conv"])
     def test_records_one_tape_op_whose_parents_are_the_weights(self, net, monkeypatch):
-        import cban.tensor
         from cban.checks import _pooled_conv_arch
 
-        made = []
+        recorded = []
+        record = GradTape._record
 
-        class Recorded(cban.tensor._Node):
-            __slots__ = ()
+        def counting(tape, output, parents, backward):
+            recorded.append((tape, output, tuple(parents)))
+            return record(tape, output, parents, backward)
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(cban.tensor, "_Node", Recorded)
+        monkeypatch.setattr(GradTape, "_record", counting)
         arch = fban(4, [3]) if net == "fc" else _pooled_conv_arch()
         w = init_weights(arch, seed=3, conv_std=0.3)
         examples = ToyExamples(
@@ -476,9 +489,9 @@ class TestTd1Forward:
         with GradTape() as tape:
             loss, reports = td1_forward(examples, w, arch, tiny_cfg(max_iters=4))
         assert all(r.t_star == 4 for r in reports)
-        # leaf nodes (the weights) have no tape; the loss is the only op
-        assert [node for node in made if node.tape is tape] == [loss._node]
-        assert loss._node.parents == tuple(tape._recorded(p) for p in w.params())
+        # the loss is the only op; its parents are the weights themselves
+        assert len(recorded) == 1 and recorded[0][:2] == (tape, loss)
+        assert all(p is q for p, q in zip(recorded[0][2], w.params(), strict=True))
 
     @pytest.mark.parametrize("loss_kind", ["se", "delta_e", "delta_e_plus"])
     def test_gradient_matches_finite_differences(self, loss_kind):
@@ -680,8 +693,15 @@ class TestTrain:
         assert trained > untrained
 
 
+# tracemalloc peak of one recorded TD(1) step with its gradient in
+# TestTapeMemory's setting, on the per-op tape that recorded every tensor
+# operation of helpers.td1_reference (numpy 2.4.6, the lowest of three warm
+# runs in one process)
+_PER_OP_TAPE_PEAK = 2_348_052
+
+
 class TestTapeMemory:
-    """The tape keeps what the backward reads, and train() frees each step."""
+    """The records keep what the backward reads, and train() frees each step."""
 
     arch = ArchSpec(layers=(conv_layer(3, 16, 16, visible=True), conv_layer(8, 16, 16),
                             conv_layer(16, 8, 8, pool_before=True),
@@ -741,20 +761,17 @@ class TestTapeMemory:
 
     def test_reverse_sweep_peaks_no_higher_than_the_per_op_tape(self):
         # a record that held its pair terms, or its pooled inputs, would
-        # keep more per sweep than the per-op tape does
+        # keep more per sweep than the per-op tape did
         examples = ToyExamples(self._targets(self.batch)).epoch_examples(
             np.random.default_rng(0))
         w = init_weights(self.arch, seed=0, conv_std=0.1)
 
-        def peak_of(forward):
-            def step():
-                with GradTape() as tape:
-                    loss, _ = forward(examples, w, self.arch, self._cfg())
-                return tape.gradient(loss, w.params())
+        def step():
+            with GradTape() as tape:
+                loss, _ = td1_forward(examples, w, self.arch, self._cfg())
+            return tape.gradient(loss, w.params())
 
-            return traced_bytes(step)[2]
-
-        assert peak_of(td1_forward) <= peak_of(td1_reference)
+        assert traced_bytes(step)[2] <= _PER_OP_TAPE_PEAK
 
     def test_train_frees_each_step_before_the_next(self):
         def peak_of(steps):
