@@ -218,8 +218,8 @@ def check_layerwise_descent(seed=0, trials=200, max_units=64, slack=1e-9,
             mask = _random_mask(rng, sizes[0])
             evidence = EvidenceConstraint(
                 mask=mask, values=np.where(mask, rng.uniform(-0.9, 0.9, sizes[0]), 0.0))
-        state = NetState([Tensor(rng.uniform(-0.9, 0.9, size=spec.shape))
-                          for spec in arch.layers], evidence=evidence)
+        state = NetState([rng.uniform(-0.9, 0.9, size=spec.shape) for spec in arch.layers],
+                         evidence=evidence)
         e = energy(state, w, arch)
         for it in range(descent_sweeps):
             for l in sweep_order(arch.n_layers):
@@ -265,8 +265,7 @@ def _synchronous_step(x, W, b, kind):
     symmetric W with nonnegative diagonal and a saturating activation,
     always end in a fixed point or a period-2 cycle.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return activation(kind, x @ W + b).data
+    return activation(kind, x @ W + b)
 
 
 def _detect_cycle(trailing_states, tol):
@@ -342,7 +341,7 @@ def check_leaky_bound(seed=0, trials=200, alpha=0.2, product=0.9, theta=1e-6,
         w = WeightBundle(
             forward=[Tensor(t.data * (target / current)) for t in w.forward],
             biases=w.biases)
-        state = NetState([Tensor(rng.uniform(-1.0, 1.0, size=(n,))) for n in sizes])
+        state = NetState([rng.uniform(-1.0, 1.0, size=(n,)) for n in sizes])
         try:
             _, report = settle(state, w, arch, theta=theta, max_iters=max_iters,
                                record_energy=False)

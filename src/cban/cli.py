@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a check suite fails, settling does not
 converge, or training or settling diverges to non-finite values, 2 on
-usage, configuration, data or i/o errors; an output directory that a file
-stands in the way of is refused before any work. `cban eval` settles its
+usage, configuration, data or i/o errors and on a network too large to
+allocate; an output directory that a file stands in the way of is refused
+before any work. `cban eval` settles its
 set in batches of 32, so its memory does not grow with the set. All
 outputs stay under the configured output directory. Set CBAN_NUM_THREADS
 before launching to cap the linear-algebra thread count.
@@ -85,7 +86,7 @@ def _build_dataset(cfg):
     if cfg.task == "bar":
         return BarTask()
     if cfg.task == "mnist-supervised":
-        limit = int(cfg.data.get("limit", 0))
+        limit = cfg.data.get("limit", 0)
         if limit < 0:
             raise ValueError(f"data.limit must be 0 or more, got {limit}")
         images = _load_images(cfg.data["images"])[:limit or None]
@@ -157,7 +158,6 @@ def cmd_train(args):
     except (OSError, ValueError, KeyError) as e:
         return _fail(str(e))
     arch = cfg.arch
-    outdir.mkdir(parents=True, exist_ok=True)
     log_path = outdir / "train_log.csv"
     log_rows, header = [], []
     every = args.eval_every
@@ -175,9 +175,12 @@ def cmd_train(args):
         Either way the row is on disk before the epoch's checkpoint is
         saved, and the epoch ends with checkpoint saves: latest.ckpt is
         rewritten in place each epoch (see `cban.checkpoint`), and with
-        --keep-every a numbered copy is written alongside.
+        --keep-every a numbered copy is written alongside. The first
+        epoch makes the output directory.
         """
         nonlocal header
+        if not log_rows:
+            outdir.mkdir(parents=True, exist_ok=True)
         if held_out is not None and (epoch % every == every - 1
                                      or epoch == cfg.train.epochs - 1):
             row.update(_bar_accuracy(w, arch, cfg.train, held_out))
@@ -200,11 +203,14 @@ def cmd_train(args):
             w, _ = train(dataset, arch, cfg.train, on_epoch=on_epoch)
     except UnmaskableImage as e:  # masks are drawn per epoch, so found only here
         return _fail(str(e))
+    except MemoryError as e:  # a net too large to hold, refused before any output
+        return _fail(f"the network does not fit in memory: {e}")
     except ValueError as e:
         if "non-finite" not in str(e):
             raise
         return _fail(f"training diverged: {e}", code=1)
     if not log_rows:  # zero-epoch run still leaves a checkpoint behind
+        outdir.mkdir(parents=True, exist_ok=True)
         ckpt = Checkpoint(arch=arch, weights=w, opt_state=init_opt_state(cfg.train),
                           epoch=-1, rng_state=None)
         save_checkpoint(outdir / "latest.ckpt", ckpt)
@@ -284,9 +290,10 @@ def _check_settle_options(args):
 def _check_outdir(path):
     """Refuse an output directory that a file stands in the way of.
 
-    Called before any work, so a refused run spends none. `complete` and
-    `eval` make the directory only once they have settled, so a run that
-    diverges leaves no empty directory behind.
+    Called before any work, so a refused run spends none. `train` makes the
+    directory after its first epoch, and `complete` and `eval` once they
+    have settled, so a run that fails first leaves no empty directory
+    behind.
     """
     outdir = Path(path)
     nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
@@ -326,8 +333,8 @@ def cmd_complete(args):
     except ValueError as e:  # with valid arguments, only a non-finite state
         return _fail(f"settling diverged: {e}", code=1)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_visible_image(outdir / "completed", state.activations[0].data, shape)
-    _write_visible_image(outdir / "dream", dream.data, shape)
+    _write_visible_image(outdir / "completed", state.activations[0], shape)
+    _write_visible_image(outdir / "dream", dream, shape)
     with open(outdir / "trace.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["iteration", "energy", "max_delta"])

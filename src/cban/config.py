@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .data import BernoulliMask, LabelOnly, LabelPlus, PerlinMask, SquarePatches
@@ -47,11 +47,13 @@ def _activation_to_dict(kind):
 
 
 def _activation_from_dict(d):
-    if d["kind"] == "tanh":
+    where = "arch.activation"
+    kind = _get(_checked(d, "object", where), "kind", "str", where)
+    if kind == "tanh":
         return Tanh()
-    if d["kind"] == "leaky_sigmoid":
-        return LeakySigmoid(float(d["alpha"]))
-    raise ValueError(f"unknown activation kind {d['kind']!r}")
+    if kind == "leaky_sigmoid":
+        return LeakySigmoid(float(_get(d, "alpha", "float", where)))
+    raise ValueError(f"unknown activation kind {kind!r}")
 
 
 def arch_to_dict(arch):
@@ -73,6 +75,41 @@ def arch_to_dict(arch):
     }
 
 
+# the JSON values each kind of config value accepts, by the name of its
+# TrainConfig annotation where it has one; JSON true and false load as bool,
+# an int subclass, and are refused as numbers
+_FIELD_VALUES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "bool": ((bool,), "true or false"),
+    "list": ((list,), "a list"),
+    "object": ((dict,), "an object"),
+}
+
+_REQUIRED = object()
+
+
+def _checked(value, kind, name):
+    """value, refused unless it is a JSON value of `kind` (a _FIELD_VALUES
+    key); name is the value's dotted key, for the message."""
+    kinds, what = _FIELD_VALUES[kind]
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
+    return value
+
+
+def _get(d, key, kind, where, default=_REQUIRED):
+    """d[key] checked as `kind`, or default where d lacks the key; `where`
+    names d ("" at the top level), and a key without a default is required."""
+    name = f"{where}.{key}" if where else key
+    if key not in d:
+        if default is _REQUIRED:
+            raise ValueError(f"{name} is required")
+        return default
+    return _checked(d[key], kind, name)
+
+
 def _check_keys(d, allowed, where):
     """Refuse any key of d outside allowed, naming it and where it sits."""
     unknown = sorted(set(d) - set(allowed))
@@ -84,66 +121,63 @@ def _check_keys(d, allowed, where):
 def arch_from_dict(d):
     """An ArchSpec; a dict without "evidence" (older checkpoints) clamps, and
     "symmetric", which older files carry, may only be true."""
-    _check_keys(d, ("layers", "kernel_sizes", "activation", "symmetric", "evidence"), "arch")
+    _check_keys(_checked(d, "object", "arch"),
+                ("layers", "kernel_sizes", "activation", "symmetric", "evidence"), "arch")
     if d.get("symmetric", True) is not True:
         raise ValueError(f"arch.symmetric must be true, got {d['symmetric']!r}")
     layers = []
-    for ld in d["layers"]:
-        if ld["kind"] == "fc":
-            layers.append(fc_layer(int(ld["units"]), visible=ld.get("visible", False)))
-        elif ld["kind"] == "conv":
-            layers.append(conv_layer(int(ld["channels"]), int(ld["height"]),
-                                     int(ld["width"]),
-                                     pool_before=ld.get("pool_before", False),
-                                     visible=ld.get("visible", False)))
+    for i, ld in enumerate(_get(d, "layers", "list", "arch")):
+        where = f"arch.layers[{i}]"
+        kind = _get(_checked(ld, "object", where), "kind", "str", where)
+        visible = _get(ld, "visible", "bool", where, False)
+        pool_before = _get(ld, "pool_before", "bool", where, False)
+        if kind == "fc":
+            if pool_before:
+                raise ValueError(f"{where}.pool_before is only valid on conv layers")
+            layers.append(fc_layer(_get(ld, "units", "int", where), visible=visible))
+        elif kind == "conv":
+            layers.append(conv_layer(*(_get(ld, key, "int", where)
+                                       for key in ("channels", "height", "width")),
+                                     pool_before=pool_before, visible=visible))
         else:
-            raise ValueError(f"unknown layer kind {ld['kind']!r}")
+            raise ValueError(f"unknown layer kind {kind!r}")
+    sizes = _get(d, "kernel_sizes", "list", "arch", [])
     return ArchSpec(layers=tuple(layers),
-                    kernel_sizes=tuple(int(k) for k in d.get("kernel_sizes", ())),
+                    kernel_sizes=tuple(_checked(k, "int", f"arch.kernel_sizes[{i}]")
+                                       for i, k in enumerate(sizes)),
                     activation=_activation_from_dict(d.get("activation", {"kind": "tanh"})),
-                    evidence=d.get("evidence", "clamp"))
+                    evidence=_get(d, "evidence", "str", "arch", "clamp"))
 
 
-def mask_from_dict(d):
+def mask_from_dict(d, where="mask"):
     if d is None:
         return None
-    kind = d["kind"]
+    kind = _get(_checked(d, "object", where), "kind", "str", where)
+
+    def get(key, value_kind, default=_REQUIRED):
+        return _get(d, key, value_kind, where, default)
+
     if kind == "perlin":
-        return PerlinMask(frequency=int(d.get("frequency", 7)),
-                          obscured_fraction=float(d.get("obscured_fraction", 1 / 3)))
+        return PerlinMask(frequency=get("frequency", "int", 7),
+                          obscured_fraction=float(get("obscured_fraction", "float", 1 / 3)))
     if kind == "patches":
-        return SquarePatches(diameter_min=int(d.get("diameter_min", 3)),
-                             diameter_max=int(d.get("diameter_max", 6)),
-                             white_fraction=float(d.get("white_fraction", 0.25)))
+        return SquarePatches(diameter_min=get("diameter_min", "int", 3),
+                             diameter_max=get("diameter_max", "int", 6),
+                             white_fraction=float(get("white_fraction", "float", 0.25)))
     if kind == "bernoulli":
-        return BernoulliMask(p=float(d["p"]))
+        return BernoulliMask(p=float(get("p", "float")))
     if kind == "label_only":
         return LabelOnly()
     if kind == "label_plus":
-        return LabelPlus(inner=mask_from_dict(d["inner"]))
+        return LabelPlus(inner=mask_from_dict(get("inner", "object"), f"{where}.inner"))
     raise ValueError(f"unknown mask kind {kind!r}")
-
-
-# the JSON values each annotated TrainConfig field type accepts; JSON true
-# and false load as bool, an int subclass, and are refused as numbers
-_FIELD_VALUES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-}
 
 
 def train_from_dict(d):
     _check_keys(d, [f.name for f in fields(TrainConfig)], "train")
-    if "epochs" not in d:
-        raise ValueError("train.epochs is required")
-    for f in fields(TrainConfig):
-        if f.name in d and f.type in _FIELD_VALUES:
-            kinds, what = _FIELD_VALUES[f.type]
-            value = d[f.name]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(
-                    f"train.{f.name} must be {what}, got {type(value).__name__}")
+    for f in fields(TrainConfig):  # a field without a default is required
+        if f.type in _FIELD_VALUES:
+            _get(d, f.name, f.type, "train", _REQUIRED if f.default is MISSING else None)
     kwargs = dict(d)
     if "lr_schedule" in d:
         try:
@@ -155,18 +189,16 @@ def train_from_dict(d):
 
 
 def run_config_from_dict(d, base_dir=None, check_paths=True):
-    _check_keys(d, ("task", "seed", "output_dir", "arch", "train", "mask", "data"),
-                "top-level")
-    if "seed" not in d:
-        raise ValueError("config must carry an explicit seed")
-    seed = int(d["seed"])
-    train_dict = dict(d.get("train", {}))
+    _check_keys(_checked(d, "object", "the config"),
+                ("task", "seed", "output_dir", "arch", "train", "mask", "data"), "top-level")
+    seed = _get(d, "seed", "int", "")
+    train_dict = dict(_get(d, "train", "object", "", {}))
     train_dict.setdefault("seed", seed)
-    data = dict(d.get("data", {}))
-    if check_paths:
-        for key, value in data.items():
-            if not isinstance(value, str):
-                continue  # a setting such as "limit", not a path
+    data = dict(_get(d, "data", "object", "", {}))
+    for key, value in data.items():
+        # "limit" is a setting; every other entry is a path
+        _checked(value, "int" if key == "limit" else "str", f"data.{key}")
+        if check_paths and key != "limit":
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
@@ -174,12 +206,12 @@ def run_config_from_dict(d, base_dir=None, check_paths=True):
                 raise FileNotFoundError(f"data path {key!r} does not exist: {path}")
             data[key] = str(path)
     return RunConfig(
-        task=d["task"],
-        arch=arch_from_dict(d["arch"]),
+        task=_get(d, "task", "str", ""),
+        arch=arch_from_dict(_get(d, "arch", "object", "")),
         train=train_from_dict(train_dict),
         mask=mask_from_dict(d.get("mask")),
         data=data,
-        output_dir=str(d.get("output_dir", "out")),
+        output_dir=_get(d, "output_dir", "str", "", "out"),
         seed=seed,
     )
 

@@ -10,6 +10,10 @@ Layer indices are 0-based with layer 0 the visible layer. One iteration is
 a sweep 1, 2, ..., L-1, L-2, ..., 0 (2L-2 layer updates), ending on the
 visible layer so the read-out is current after every iteration.
 
+A state's layers are plain float64 ndarrays, and the weights are Tensors
+(see tensor). A layer update makes a fresh array and a new NetState, and
+writes none of its inputs.
+
 A layer's preactivation is the sum of its terms: the up map of the layer
 below, the down map of the layer above, the bias, and on the visible layer
 any external-bias evidence. A layer update is one activation op over that
@@ -44,18 +48,13 @@ from .tensor import (
     DomainError,
     _check_finite,
     _first_bad_index,
-    _unchecked,
     avg_pool2,
     avg_pool2_adjoint,
-    broadcast_to,
     conv2d_half,
     leaky_sigmoid,
     matmul,
-    reshape,
     reverse_kernel,
     tanh,
-    transpose,
-    where,
 )
 
 __all__ = [
@@ -101,8 +100,8 @@ class LeakySigmoid:
 
 
 def activation(kind, z):
-    """Elementwise activation of a Tensor (or array), or of the sum of a
-    list of them, as one op over one buffer; returns a Tensor."""
+    """Elementwise activation of an array, or of the sum of a list of
+    arrays, as one op over one buffer; returns a fresh array."""
     if isinstance(kind, Tanh):
         return tanh(z)
     return leaky_sigmoid(z, kind.alpha)
@@ -264,18 +263,6 @@ class WeightBundle:
         """Rebuild the bundle around replacement tensors from params() order."""
         return WeightBundle.from_params(tensors, len(self.biases))
 
-    def down_weights(self, pair):
-        """Weights for the map from layer pair+1 down to pair: the transpose
-        of the forward matrix, or the reversed forward kernel.
-
-        Either is a strided view of the forward weights, so each down map
-        derives its own without a copy.
-        """
-        w = self.forward[pair]
-        if isinstance(w, ConvKernel):
-            return reverse_kernel(w)
-        return transpose(w)
-
 
 @dataclass
 class EvidenceConstraint:
@@ -300,16 +287,10 @@ class EvidenceConstraint:
             raise ValueError("evidence values must be finite")
         self.values = np.where(self.mask, vals, 0.0)
 
-    @functools.cached_property
-    def tensor(self):
-        """values as a Tensor, built once on first use: values were checked
-        finite above, so the clamp and the external bias reuse it unchecked."""
-        return _unchecked(self.values)
-
 
 @dataclass
 class NetState:
-    """One activation tensor per layer plus the visible-layer evidence."""
+    """One plain float64 ndarray per layer plus the visible-layer evidence."""
 
     activations: list
     evidence: EvidenceConstraint | None = None
@@ -340,39 +321,37 @@ def _check_evidence_range(evidence, kind):
 def initial_state(arch, evidence=None, batch=None):
     """Start state at 0, with observed units at their evidence under clamping."""
     _check_evidence_range(evidence, arch.activation)
-    acts = []
-    for spec in arch.layers:
-        shape = spec.shape if batch is None else (batch,) + spec.shape
-        acts.append(_unchecked(np.zeros(shape)))
-    state = NetState(activations=acts, evidence=evidence)
+    acts = [np.zeros(spec.shape if batch is None else (batch,) + spec.shape)
+            for spec in arch.layers]
     if evidence is not None and arch.evidence == "clamp":
-        vis = state.activations[0]
-        state.activations[0] = where(evidence.mask, evidence.tensor, vis)
-    return state
+        acts[0] = np.where(evidence.mask, evidence.values, acts[0])
+    return NetState(activations=acts, evidence=evidence)
 
 
 def _up_map(x, w, arch, pair):
     """Map layer `pair` activation up into layer pair+1 (pooling included)."""
     block = w.forward[pair]
     if not isinstance(block, ConvKernel):
-        return matmul(x, block)
+        return matmul(x, block.data)
     return conv2d_half(avg_pool2(x) if arch.layers[pair + 1].pool_before else x, block)
 
 
 def _down_map(x, w, arch, pair):
     """Map layer pair+1 activation down into layer `pair`: the exact adjoint
-    of _up_map, pooling's transpose included."""
-    block = w.down_weights(pair)
+    of _up_map, pooling's transpose included. Its weights are a strided view
+    of the forward ones, the matrix's transpose or the reversed kernel, so
+    deriving them copies nothing."""
+    block = w.forward[pair]
     if not isinstance(block, ConvKernel):
-        return matmul(x, block)
-    y = conv2d_half(x, block)
+        return matmul(x, block.data.T)
+    y = conv2d_half(x, reverse_kernel(block))
     return avg_pool2_adjoint(y) if arch.layers[pair + 1].pool_before else y
 
 
 def _bias_term(b, spec):
     if spec.kind == "fc":
-        return b
-    return reshape(b, (spec.channels, 1, 1))
+        return b.data
+    return b.data.reshape(spec.channels, 1, 1)
 
 
 class PairTerms:
@@ -412,7 +391,7 @@ class PairTerms:
         due."""
         zero = self._zero.get(source)
         if zero is None:
-            zero = self._zero[source] = not x.data.any()
+            zero = self._zero[source] = not x.any()
         if zero:
             return None
         key = (reader, source)
@@ -474,10 +453,10 @@ def _layer_terms(state, w, arch, l, terms):
             if term is not None:
                 out.append(term)
     bias = _bias_term(w.biases[l], arch.layers[l])
-    out.append(bias if out else broadcast_to(bias, state.activations[l].shape))
+    out.append(bias if out else np.broadcast_to(bias, state.activations[l].shape))
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "external_bias":
-        out.append(ev.tensor)
+        out.append(ev.values)
     return out
 
 
@@ -493,7 +472,7 @@ def update_layer(state, w, arch, l, terms=None):
         terms.updated(l)
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "clamp":
-        x = where(ev.mask, ev.tensor, x)
+        x = np.where(ev.mask, ev.values, x)
     acts = list(state.activations)
     acts[l] = x
     return NetState(activations=acts, evidence=ev)
@@ -544,7 +523,7 @@ def barrier(kind, x):
     For tanh this is 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x) on [-1, 1]; a
     value with |x| > 1 raises DomainError naming its index. For the leaky
     sigmoid it is x^2/2 inside [-1, 1] and a steeper quadratic outside; an
-    overflow raises ValueError naming its index, as a tensor op does. The
+    overflow raises ValueError naming its index, as an op does. The
     derivative is exactly the inverse activation, which is what makes
     layer updates minimize the energy. Validates, then computes with
     _barrier, and checks the leaky sigmoid's result for overflow.
@@ -590,12 +569,12 @@ def energy(state, w, arch):
 
     total = 0.0
     for pair in range(arch.n_layers - 1):
-        total = total - summed(acts[pair + 1].data * _up_map(acts[pair], w, arch, pair).data)
+        total = total - summed(acts[pair + 1] * _up_map(acts[pair], w, arch, pair))
     for l, spec in enumerate(arch.layers):
-        rho = barrier(arch.activation, acts[l].data)
-        total = total + summed(rho - _bias_term(w.biases[l], spec).data * acts[l].data)
+        rho = barrier(arch.activation, acts[l])
+        total = total + summed(rho - _bias_term(w.biases[l], spec) * acts[l])
     if state.evidence is not None and arch.evidence == "external_bias":
-        total = total - summed(state.evidence.values * acts[0].data)
+        total = total - summed(state.evidence.values * acts[0])
     return total if batched else float(total)
 
 
@@ -603,7 +582,7 @@ def _max_delta(prev, new, batched):
     """Largest absolute activation change, per item when batched."""
     per = None
     for p, n in zip(prev, new):
-        d = np.subtract(n.data, p.data)
+        d = np.subtract(n, p)
         np.abs(d, out=d)
         d = d.max() if not batched else d.reshape(d.shape[0], -1).max(axis=1)
         per = d if per is None else np.maximum(per, d)
@@ -649,13 +628,6 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
                                max_delta_trace=np.asarray(deltas))
 
 
-def _block_l1_in(block):
-    """Per-unit (or per-channel) L1 of the weights a block's outputs receive."""
-    if isinstance(block, ConvKernel):
-        return np.abs(block.weights.data).sum(axis=(1, 2, 3))  # per out-channel
-    return np.abs(block.data).sum(axis=0)  # per column = per receiving unit
-
-
 def norm_1inf(w):
     """Max over units of the L1 norm of that unit's incoming weight row.
 
@@ -667,7 +639,10 @@ def norm_1inf(w):
     transpose but counted whole here, so the result is an upper bound.
     """
     per_layer_in = [0.0] * (len(w.forward) + 1)
-    for pair, block in enumerate(w.forward):
-        per_layer_in[pair + 1] = per_layer_in[pair + 1] + _block_l1_in(block)
-        per_layer_in[pair] = per_layer_in[pair] + _block_l1_in(w.down_weights(pair))
+    for pair, block in enumerate(w.params()[:len(w.forward)]):
+        a = np.abs(block.data)
+        # a matrix is (lower, upper) units, a kernel (upper, lower, k, k) channels
+        lower, upper = ((0,), (1,)) if a.ndim == 2 else ((1, 2, 3), (0, 2, 3))
+        per_layer_in[pair + 1] = per_layer_in[pair + 1] + a.sum(axis=lower)
+        per_layer_in[pair] = per_layer_in[pair] + a.sum(axis=upper)
     return float(max(np.max(v) for v in per_layer_in))

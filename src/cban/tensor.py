@@ -1,8 +1,7 @@
-"""Dense float64 tensors, the forward ops of a layer update, and the tape
-that records the TD(1) loss.
+"""The float64 ops of a layer update, the Tensor that holds the weights
+and the recorded loss, and the tape that records the TD(1) loss.
 
-The ops: matmul and the views transpose, reshape and broadcast_to; the
-activations tanh and leaky_sigmoid and the select where; conv2d_half and
+The ops: matmul; the activations tanh and leaky_sigmoid; conv2d_half and
 its reversed kernel (reverse_kernel); avg_pool2 and its transpose,
 avg_pool2_adjoint. They compute forward only. The one gradient the
 package takes, of the TD(1) loss, is an explicit reverse sweep
@@ -19,26 +18,28 @@ shift-add of its kh*kw output blocks. For q output and r input channels,
 the expanded buffer (the im2col, or the product's kh*kw blocks) holds
 kh*kw*min(q, r)*N*H*W floats.
 
-Tensors are immutable values; every operation returns a fresh tensor. A
-batch dimension, when present, is leading and optional: feature maps are
-(channels, height, width) or (batch, channels, height, width), flat layers
-are (units,) or (batch, units). Construction rejects NaN/Inf outright so a
-numerical blow-up surfaces at the operation that produced it. The check
-reads each value once (through min and max). The ops that cannot make a
-non-finite value from finite inputs skip it:
-- the views transpose, reshape, broadcast_to and reverse_kernel;
+Ops take ndarrays and check what they make. A batch dimension, when
+present, is leading and optional: feature maps are (channels, height,
+width) or (batch, channels, height, width), flat layers are (units,) or
+(batch, units). Every op but reverse_kernel returns a fresh array, and
+none writes its inputs. An op that can make a non-finite value from finite
+inputs rejects NaN/Inf in its result, so a numerical blow-up surfaces at
+the op that made it: matmul, conv2d_half and avg_pool2. The check reads
+each value once (through min and max). The other ops skip it:
+- reverse_kernel, a view of weights checked when they were made;
 - avg_pool2_adjoint, which spreads a quarter of each value;
-- where, which selects among its inputs;
 - tanh and leaky_sigmoid, whose output is finite wherever their input
-  is. They take a tensor or a list of terms, sum it into one fresh
+  is. They take an array or a list of terms, sum it into one fresh
   buffer, check that sum, and activate it in place: a layer update is one
   op over one buffer, and a sum that overflows fails at this op even
   where tanh would saturate it.
 
-The downward weights of a symmetric net hold no data of their own:
-transpose and reverse_kernel return strided views of the forward weights,
-so deriving them copies nothing. The conv input gradient flips its kernel
-as a view too, and each GEMM copies its operand into layout.
+A Tensor is a float64 array checked finite when it is made: the weight
+blocks and the recorded loss. The downward weights of a symmetric net hold
+no data of their own: the down map reads the forward matrix's transpose,
+and reverse_kernel returns a strided view of the forward kernel, so
+deriving them copies nothing. The conv input gradient flips its kernel as
+a view too, and each GEMM copies its operand into layout.
 """
 
 from __future__ import annotations
@@ -53,12 +54,8 @@ __all__ = [
     "ConvKernel",
     "GradTape",
     "matmul",
-    "transpose",
-    "reshape",
-    "broadcast_to",
     "tanh",
     "leaky_sigmoid",
-    "where",
     "conv2d_half",
     "reverse_kernel",
     "avg_pool2",
@@ -79,7 +76,7 @@ def _first_bad_index(good):
 
 
 def _check_finite(arr):
-    """Raise ValueError naming the first NaN or infinity in arr, if any."""
+    """arr, after raising ValueError naming its first NaN or infinity, if any."""
     # min and max propagate NaN and show any infinity, and unlike
     # isfinite they allocate no boolean copy of the array
     if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
@@ -87,10 +84,12 @@ def _check_finite(arr):
             f"non-finite value at index {_first_bad_index(np.isfinite(arr))} "
             f"in tensor of shape {arr.shape}"
         )
+    return arr
 
 
 class Tensor:
-    """Immutable dense float64 array."""
+    """A float64 array checked finite when it is made: a weight block or
+    the recorded TD(1) loss."""
 
     __slots__ = ("data",)
 
@@ -109,120 +108,66 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unchecked(data):
-    """A tensor around a float64 array known to be finite, made without the
-    finiteness check or a copy."""
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    return out
-
-
-def _from_op(data, check=True):
-    """The tensor an op made.
-
-    check=False skips the finiteness check, for ops whose finite inputs
-    cannot give a non-finite float64 result (see the module docstring).
-    """
-    return Tensor(data) if check else _unchecked(data)
 
 
 def matmul(a, b):
     """a @ b with a of shape (n,) or (batch, n) and b a 2-d matrix."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
     if b.ndim != 2:
         raise ValueError(f"matmul expects a 2-d right operand, got {b.shape}")
     if a.ndim not in (1, 2):
         raise ValueError(f"matmul expects a 1-d or 2-d left operand, got {a.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return _from_op(a.data @ b.data)
-
-
-def transpose(a):
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError(f"transpose expects a 2-d tensor, got {a.shape}")
-    return _from_op(a.data.T, check=False)
-
-
-def reshape(a, shape):
-    return _from_op(_as_tensor(a).data.reshape(shape), check=False)
-
-
-def broadcast_to(a, shape):
-    """a broadcast to `shape` as a read-only view: no copy is made."""
-    return _from_op(np.broadcast_to(_as_tensor(a).data, shape), check=False)
+    return _check_finite(a @ b)
 
 
 def _summed(a):
     """An activation's input: the sum of its terms in one fresh buffer.
 
-    `a` is one tensor (or array) or a list or tuple of them. The terms are
-    summed in order, ((t0 + t1) + t2) + ..., into a C-ordered buffer of
-    their broadcast shape, and that sum is checked for finiteness once.
-    One term is copied; otherwise np.add allocates the sum of the first two
-    and each later term is added into it in place, unless that term is
-    larger, when the sum moves to a new buffer of the broadcast shape.
+    `a` is one array or a list or tuple of them. The terms are summed in
+    order, ((t0 + t1) + t2) + ..., into a C-ordered float64 buffer of their
+    broadcast shape, and that sum is checked for finiteness once. One term
+    is copied; otherwise np.add allocates the sum of the first two and each
+    later term is added into it in place, unless that term is larger, when
+    the sum moves to a new buffer of the broadcast shape.
     """
     terms = a if isinstance(a, (list, tuple)) else (a,)
     if not terms:
         raise ValueError("an activation needs at least one term")
-    data = [_as_tensor(t).data for t in terms]
-    if len(data) == 1:
-        z = np.array(data[0], order="C")
+    if len(terms) == 1:
+        z = np.array(terms[0], dtype=np.float64, order="C")
     else:
-        z = np.add(data[0], data[1], order="C")
+        z = np.add(terms[0], terms[1], order="C")
         if not isinstance(z, np.ndarray):  # two 0-d terms add to a scalar
             z = np.array(z)
-    for d in data[2:]:
+    for d in terms[2:]:
         if np.broadcast_shapes(z.shape, d.shape) == z.shape:
             np.add(z, d, out=z)
         else:
             z = np.add(z, d, order="C")
-    _check_finite(z)
-    return z
+    return _check_finite(z)
 
 
 def tanh(a):
-    """tanh of a tensor, or of the sum of a list of terms (see _summed),
+    """tanh of an array, or of the sum of a list of terms (see _summed),
     computed in place: one buffer and one op."""
     y = _summed(a)
     np.tanh(y, out=y)
-    return _from_op(y, check=False)
+    return y
 
 
 def leaky_sigmoid(a, alpha):
     """Identity on [-1, 1], slope alpha outside, continuous at +/-1.
 
-    Takes a tensor or a list of terms, as tanh does.
+    Takes an array or a list of terms, as tanh does.
     """
     y = _summed(a)
     hi, lo = y > 1.0, y < -1.0
     y[hi] = alpha * (y[hi] - 1.0) + 1.0
     y[lo] = alpha * (y[lo] + 1.0) - 1.0
-    return _from_op(y, check=False)
-
-
-def where(mask, a, b):
-    """Elementwise select: mask is a fixed boolean array."""
-    mask = np.asarray(mask, dtype=bool)
-    return _from_op(np.where(mask, _as_tensor(a).data, _as_tensor(b).data), check=False)
+    return y
 
 
 class ConvKernel:
@@ -271,7 +216,9 @@ def reverse_kernel(k):
     symmetric connectivity is realized without storing reverse weights.
     The result is a strided view of the kernel: nothing is copied.
     """
-    return ConvKernel(_from_op(_flip_kernel_np(k.weights.data), check=False))
+    view = Tensor.__new__(Tensor)  # of checked weights: no check and no copy
+    view.data = _flip_kernel_np(k.weights.data)
+    return ConvKernel(view)
 
 
 def _taps(ka, kb, H, W):
@@ -386,7 +333,6 @@ def conv2d_half(x, k):
     rule; the input gradient is the convolution of the output gradient with
     the reversed kernel, so it swaps the roles of q and r.
     """
-    x = _as_tensor(x)
     if x.ndim not in (3, 4):
         raise ValueError(f"conv input must be (c, H, W) or (batch, c, H, W), got {x.shape}")
     if x.shape[-3] != k.in_channels:
@@ -394,8 +340,8 @@ def conv2d_half(x, k):
             f"channel mismatch: input has {x.shape[-3]}, kernel expects {k.in_channels}"
         )
     if x.ndim == 4:
-        return _from_op(_conv_half_np(x.data, k.weights.data))
-    return _from_op(_conv_half_np(x.data[None], k.weights.data)[0])
+        return _check_finite(_conv_half_np(x, k.weights.data))
+    return _check_finite(_conv_half_np(x[None], k.weights.data)[0])
 
 
 def _pool2_np(d):
@@ -417,13 +363,12 @@ def _spread2_np(g):
 
 def avg_pool2(x):
     """2x2 average pooling; spatial extents must be even."""
-    x = _as_tensor(x)
     if x.ndim not in (3, 4):
         raise ValueError(f"pool input must be (c, H, W) or (batch, c, H, W), got {x.shape}")
     H, W = x.shape[-2], x.shape[-1]
     if H % 2 or W % 2:
         raise ValueError(f"avg_pool2 requires even spatial extents, got {(H, W)}")
-    return _from_op(_pool2_np(x.data))
+    return _check_finite(_pool2_np(x))
 
 
 def avg_pool2_adjoint(x):
@@ -432,10 +377,9 @@ def avg_pool2_adjoint(x):
     <y, avg_pool2(x)> == <avg_pool2_adjoint(y), x> for any x and y of
     matching shapes.
     """
-    x = _as_tensor(x)
     if x.ndim not in (3, 4):
         raise ValueError(f"adjoint input must be (c, h, w) or (batch, c, h, w), got {x.shape}")
-    return _from_op(_spread2_np(x.data), check=False)
+    return _spread2_np(x)
 
 
 def _record(output, parents, backward):

@@ -25,8 +25,9 @@ The TD(1) gradient is back-propagation through time written out for a
 symmetric bipartite stack (Werbos 1990); it is the only gradient the
 package takes. td1_forward runs the forward through the same update_layer,
 unclamped_visible and PairTerms as settle, keeping per activation op its
-output and where each pair term it read came from, but no term arrays. It
-records the loss on the active GradTape as the tape's one op, whose
+output, the plain ndarray the update made, and where each pair term it
+read came from, but no term arrays. The loss is the one Tensor it makes.
+It records the loss on the active GradTape as the tape's one op, whose
 parents are the weights, and whose backward walks the records back
 (_td1_backward): each layer's preactivation
 cotangent is its output's cotangent times the activation's slope, zero on
@@ -264,7 +265,7 @@ def td1_forward(examples, w, arch, cfg):
     max_iters sweeps and are flagged in their reports. No energy is
     evaluated, so every report shares one empty energy_trace, and each
     max_delta_trace is a view of one (sweeps, items) array. Returns (mean
-    over items of summed per-sweep losses, reports).
+    over items of summed per-sweep losses, as a Tensor, reports).
 
     The sweeps and v~ share one PairTerms, as in settle, so each map is
     computed once per change of its source layer and skipped while that
@@ -308,7 +309,7 @@ def td1_forward(examples, w, arch, cfg):
     delta_traces = []
     state = initial_state(arch, evidence, batch=n)
     terms = PairTerms(n_layers)
-    records = [(l, x.data if x.data.any() else None, None, None)
+    records = [(l, x if x.any() else None, None, None)
                for l, x in enumerate(state.activations)]
     current = list(range(n_layers))  # the record of each layer's value
     seen = set()  # (reader, source record) of the terms read so far
@@ -323,7 +324,7 @@ def td1_forward(examples, w, arch, cfg):
         return out
 
     def updated(l):
-        records.append((l, state.activations[l].data, None, reads(l)))
+        records.append((l, state.activations[l], None, reads(l)))
         current[l] = len(records) - 1
 
     for t in range(1, cfg.max_iters + 1):
@@ -331,7 +332,7 @@ def td1_forward(examples, w, arch, cfg):
         for l in up:
             state = update_layer(state, w, arch, l, terms)
             updated(l)
-        v_tilde = unclamped_visible(state, w, arch, terms).data
+        v_tilde = unclamped_visible(state, w, arch, terms)
         loss_vec, loss_vjp = _loss(cfg.loss, kind, v_tilde, targets, barrier_y)
         _check_finite(loss_vec)
         contrib = np.sum(loss_vec * active)
@@ -572,7 +573,7 @@ def train(dataset, arch, cfg, on_epoch=None):
 
 
 def complete(examples, w, arch, theta=0.01, max_iters=100):
-    """Settle a batch of evidence states; returns (visible outputs, reports).
+    """Settle a batch of evidence states; returns (visible outputs, report).
 
     Under clamping, outputs keep observed positions at their evidence
     values and unobserved positions carry the settled completion; under
@@ -582,4 +583,4 @@ def complete(examples, w, arch, theta=0.01, max_iters=100):
     # passed unbound, so the start state is freed once settle moves past it
     state, report = settle(initial_state(arch, evidence, batch=len(examples)), w, arch,
                            theta=theta, max_iters=max_iters, record_energy=False)
-    return state.activations[0].data.copy(), report
+    return state.activations[0], report

@@ -1,7 +1,7 @@
 """Shared test utilities: the central finite-difference gradient oracle,
 the cache-less reference of the TD(1) step and the frozen gradients of the
 per-op tape it once ran on, the bar draw's loop reference, memory tracing,
-and C-call and numpy-call counting."""
+and C-call, numpy-call and Tensor counting."""
 
 import functools
 import json
@@ -53,17 +53,16 @@ def relative_error(a, b):
 def layer_preactivation(state, w, arch, l, terms=None):
     """Total input to layer l: neighbor contributions plus the layer bias,
     and external-bias evidence on the visible layer (see _layer_terms)."""
-    return Tensor(functools.reduce(operator.add,
-                                   [t.data for t in _layer_terms(state, w, arch, l, terms)]))
+    return functools.reduce(operator.add, _layer_terms(state, w, arch, l, terms))
 
 
 def loss_per_item(loss_kind, act_kind, v_tilde, y):
-    """training._loss between tensors v~ and y, as a tensor of per-item
+    """training._loss between arrays v~ and y, as an array of per-item
     losses."""
     if v_tilde.shape != y.shape:
         raise ValueError(f"shape mismatch: {v_tilde.shape} vs {y.shape}")
-    barrier_y = None if loss_kind == "se" else barrier(act_kind, y.data)
-    return Tensor(_loss(loss_kind, act_kind, v_tilde.data, y.data, barrier_y)[0])
+    barrier_y = None if loss_kind == "se" else barrier(act_kind, y)
+    return _loss(loss_kind, act_kind, v_tilde, y, barrier_y)[0]
 
 
 def td1_reference(examples, w, arch, cfg):
@@ -86,7 +85,7 @@ def td1_reference(examples, w, arch, cfg):
         prev = state.activations
         for l in up:
             state = update_layer(state, w, arch, l)
-        v_tilde = unclamped_visible(state, w, arch).data
+        v_tilde = unclamped_visible(state, w, arch)
         loss_vec, _ = _loss(cfg.loss, arch.activation, v_tilde, targets, barrier_y)
         contrib = np.sum(loss_vec * active)
         total = contrib if total is None else total + contrib
@@ -195,6 +194,35 @@ def cban_c_calls(fn):
 
     def profile(frame, event, arg):
         if event == "c_call" and frame.f_globals.get("__name__", "").startswith("cban"):
+            count[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(previous)
+    return out, count[0]
+
+
+def tensors_made(fn):
+    """Call fn(); return (its result, the Tensors made while it ran).
+
+    A Tensor is made through Tensor.__init__, which checks its data, or by
+    a direct call of Tensor.__new__ (object.__new__), which skips it. A
+    profile hook counts the calls of __init__, and the calls of
+    object.__new__ made from code in the cban package. Patching
+    Tensor.__new__ would not do: CPython keeps the patched constructor
+    slot once the patch is undone, and the class then refuses its data.
+    """
+    count = [0]
+    init = Tensor.__init__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is init:
+            count[0] += 1
+        elif (event == "c_call" and arg is object.__new__
+              and frame.f_globals.get("__name__", "").startswith("cban")):
             count[0] += 1
 
     previous = sys.getprofile()

@@ -701,6 +701,68 @@ class TestCmdTrain:
         assert_bad_train_value_exits_2(tmp_path, capsys, key, value, message)
 
 
+def _set(*path_and_value):
+    """An edit of a config dict that sets the value at a key path."""
+    *path, key, value = path_and_value
+
+    def edit(cfg):
+        for step in path:
+            cfg = cfg[step]
+        cfg[key] = value
+
+    return edit
+
+
+# (edit of the shipped bar config, or a whole config; the error line's message)
+MALFORMED_CONFIGS = {
+    "arch is a list": (_set("arch", [{}]), "arch must be an object, got list"),
+    "layers is a number": (_set("arch", "layers", 5), "arch.layers must be a list, got int"),
+    "a layer is a string": (_set("arch", "layers", 1, "fc"),
+                            "arch.layers[1] must be an object, got str"),
+    "units is null": (_set("arch", "layers", 1, "units", None),
+                      "arch.layers[1].units must be an integer, got NoneType"),
+    "units is 1e400": (_set("arch", "layers", 1, "units", float("inf")),
+                       "arch.layers[1].units must be an integer, got float"),
+    "activation is a string": (_set("arch", "activation", "tanh"),
+                               "arch.activation must be an object, got str"),
+    "kernel_sizes is a number": (_set("arch", "kernel_sizes", 3),
+                                 "arch.kernel_sizes must be a list, got int"),
+    "mask is a string": (_set("mask", "perlin"), "mask must be an object, got str"),
+    "the top level is a list": ([], "the config must be an object, got list"),
+    "seed is null": (_set("seed", None), "seed must be an integer, got NoneType"),
+    "data is a list": (_set("data", ["x"]), "data must be an object, got list"),
+    "output_dir is null": (_set("output_dir", None),
+                           "output_dir must be a string, got NoneType"),
+    "seed is fractional": (_set("seed", 1.5), "seed must be an integer, got float"),
+    "seed is true": (_set("seed", True), "seed must be an integer, got bool"),
+    "pool_before is a string": (_set("arch", "layers", 1, "pool_before", "false"),
+                                "arch.layers[1].pool_before must be true or false, got str"),
+    "visible is a string": (_set("arch", "layers", 0, "visible", "false"),
+                            "arch.layers[0].visible must be true or false, got str"),
+    # 200 TB of weights: refused when the first block cannot be allocated
+    "units is 10**12": (_set("arch", "layers", 1, "units", 10**12),
+                        "the network does not fit in memory: "),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
+def test_malformed_config_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, case):
+    edit, message = MALFORMED_CONFIGS[case]
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "bar.json").read_text())
+    cfg["output_dir"] = "out"
+    if callable(edit):
+        edit(cfg)
+    else:
+        cfg = edit
+    (tmp_path / "bar.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)  # a relative or null output_dir would land here
+    assert main(["train", "--config", "bar.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bar.json"]
+
+
 class TestCmdComplete:
     def _trained_ckpt(self, tmp_path):
         config = write_bar_config(tmp_path, epochs=2)

@@ -44,21 +44,20 @@ def random_fc_bundle(arch, rng, scale=0.3, bias_scale=0.0):
 
 
 def random_state(arch, rng, lo=-0.9, hi=0.9):
-    return NetState([Tensor(rng.uniform(lo, hi, size=spec.shape))
-                     for spec in arch.layers])
+    return NetState([rng.uniform(lo, hi, size=spec.shape) for spec in arch.layers])
 
 
 class TestActivationFunctions:
     def test_tanh_zero(self):
-        assert activation(Tanh(), np.array([0.0])).data[0] == 0.0
+        assert activation(Tanh(), np.array([0.0]))[0] == 0.0
 
     def test_leaky_boundary_continuity(self):
         k = LeakySigmoid(0.2)
-        np.testing.assert_allclose(activation(k, np.array([1.0, -1.0])).data, [1.0, -1.0])
+        np.testing.assert_allclose(activation(k, np.array([1.0, -1.0])), [1.0, -1.0])
 
     def test_leaky_outside_values(self):
         k = LeakySigmoid(0.2)
-        np.testing.assert_allclose(activation(k, np.array([2.0, -3.0])).data, [1.2, -1.4])
+        np.testing.assert_allclose(activation(k, np.array([2.0, -3.0])), [1.2, -1.4])
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
@@ -69,11 +68,11 @@ class TestActivationFunctions:
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.95, 0.95, size=50)
-        got = activation(Tanh(), inverse_activation(Tanh(), x)).data
+        got = activation(Tanh(), inverse_activation(Tanh(), x))
         np.testing.assert_allclose(got, x, atol=1e-12)
         k = LeakySigmoid(0.2)
         y = rng.uniform(-3, 3, size=50)
-        np.testing.assert_allclose(activation(k, inverse_activation(k, y)).data, y, atol=1e-12)
+        np.testing.assert_allclose(activation(k, inverse_activation(k, y)), y, atol=1e-12)
 
     def test_inverse_is_an_ndarray_off_the_tape(self):
         for kind in (Tanh(), LeakySigmoid(0.2)):
@@ -221,10 +220,10 @@ class TestPreactivation:
         rng = np.random.default_rng(1)
         arch = fban(4, [3])
         w = random_fc_bundle(arch, rng)
-        state = NetState([Tensor(np.zeros(4)), Tensor(np.zeros(3))])
+        state = NetState([np.zeros(4), np.zeros(3)])
         for l in range(2):
             np.testing.assert_array_equal(
-                layer_preactivation(state, w, arch, l).data,
+                layer_preactivation(state, w, arch, l),
                 np.zeros(arch.layers[l].units),
             )
 
@@ -232,25 +231,25 @@ class TestPreactivation:
         arch = fban(2, [1])
         w = WeightBundle(forward=[Tensor([[1.0], [-1.0]])],
                          biases=[Tensor(np.zeros(2)), Tensor(np.zeros(1))])
-        state = NetState([Tensor([0.5, 0.5]), Tensor([0.0])])
-        np.testing.assert_allclose(layer_preactivation(state, w, arch, 1).data, [0.0])
+        state = NetState([np.array([0.5, 0.5]), np.array([0.0])])
+        np.testing.assert_allclose(layer_preactivation(state, w, arch, 1), [0.0])
 
     def test_matches_manual_computation_three_layers(self):
         rng = np.random.default_rng(2)
         arch = fban(5, [4, 3])
         w = random_fc_bundle(arch, rng, bias_scale=0.2)
         state = random_state(arch, rng)
-        x0, x1, x2 = [a.data for a in state.activations]
+        x0, x1, x2 = state.activations
         W0, W1 = [t.data for t in w.forward]
         b = [t.data for t in w.biases]
         # end layers get one neighbor contribution, the middle layer two
         np.testing.assert_allclose(
-            layer_preactivation(state, w, arch, 0).data, x1 @ W0.T + b[0], atol=1e-14)
+            layer_preactivation(state, w, arch, 0), x1 @ W0.T + b[0], atol=1e-14)
         np.testing.assert_allclose(
-            layer_preactivation(state, w, arch, 1).data, x0 @ W0 + x2 @ W1.T + b[1],
+            layer_preactivation(state, w, arch, 1), x0 @ W0 + x2 @ W1.T + b[1],
             atol=1e-14)
         np.testing.assert_allclose(
-            layer_preactivation(state, w, arch, 2).data, x1 @ W1 + b[2], atol=1e-14)
+            layer_preactivation(state, w, arch, 2), x1 @ W1 + b[2], atol=1e-14)
 
     def test_index_out_of_range(self):
         arch = fban(2, [2])
@@ -270,15 +269,15 @@ class TestUpdateAndSweep:
         ev = EvidenceConstraint(mask=mask, values=values)
         state = initial_state(arch, ev)
         state = update_layer(state, w, arch, 0)
-        np.testing.assert_array_equal(state.activations[0].data[mask], 0.8)
+        np.testing.assert_array_equal(state.activations[0][mask], 0.8)
 
     def test_zero_weights_zero_hidden(self):
         arch = fban(3, [4])
         w = WeightBundle(forward=[Tensor(np.zeros((3, 4)))],
                          biases=[Tensor(np.zeros(3)), Tensor(np.zeros(4))])
-        state = NetState([Tensor([0.3, -0.2, 0.9]), Tensor(np.full(4, 0.5))])
+        state = NetState([np.array([0.3, -0.2, 0.9]), np.full(4, 0.5)])
         state = update_layer(state, w, arch, 1)
-        np.testing.assert_array_equal(state.activations[1].data, np.zeros(4))
+        np.testing.assert_array_equal(state.activations[1], np.zeros(4))
 
     def test_sweep_order_lengths(self):
         assert len(sweep_order(5)) == 8
@@ -293,7 +292,7 @@ class TestUpdateAndSweep:
                                theta=1e-12, max_iters=500)
         assert report.converged
         after = sweep(state, w, arch)
-        delta = max(np.max(np.abs(a.data - b.data))
+        delta = max(np.max(np.abs(a - b))
                     for a, b in zip(state.activations, after.activations))
         assert delta < 1e-10
 
@@ -304,9 +303,9 @@ class TestUpdateAndSweep:
         mask = np.array([True, False, False, False])
         ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.9, 0.0))
         state = initial_state(arch, ev)
-        pre_with = layer_preactivation(state, w, arch, 0).data
+        pre_with = layer_preactivation(state, w, arch, 0)
         state_free = NetState(list(state.activations), evidence=None)
-        pre_without = layer_preactivation(state_free, w, arch, 0).data
+        pre_without = layer_preactivation(state_free, w, arch, 0)
         np.testing.assert_allclose(pre_with - pre_without, ev.values)
 
     def test_external_bias_leaves_observed_units_free(self):
@@ -316,11 +315,11 @@ class TestUpdateAndSweep:
         mask = np.array([True, True, False, False, True])
         ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.5, 0.0))
         state = initial_state(arch, ev)
-        np.testing.assert_array_equal(state.activations[0].data, np.zeros(5))
+        np.testing.assert_array_equal(state.activations[0], np.zeros(5))
         state = update_layer(update_layer(state, w, arch, 1), w, arch, 0)
         pre = layer_preactivation(state, w, arch, 0)
-        np.testing.assert_array_equal(state.activations[0].data, np.tanh(pre.data))
-        assert np.all(state.activations[0].data[mask] != 0.5)
+        np.testing.assert_array_equal(state.activations[0], np.tanh(pre))
+        assert np.all(state.activations[0][mask] != 0.5)
 
     def test_unknown_evidence_rule_rejected(self):
         with pytest.raises(ValueError, match="evidence"):
@@ -335,9 +334,9 @@ class TestUpdateAndSweep:
         ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.7, 0.0))
         state, report = settle(initial_state(arch, ev), w, arch, theta=1e-8,
                                max_iters=300)
-        np.testing.assert_array_equal(state.activations[0].data[:3], 0.7)
+        np.testing.assert_array_equal(state.activations[0][:3], 0.7)
         # output copy is free to move away from its start value
-        assert np.max(np.abs(state.activations[0].data[3:])) > 0
+        assert np.max(np.abs(state.activations[0][3:])) > 0
 
 
 class TestEnergy:
@@ -345,14 +344,14 @@ class TestEnergy:
         arch = fban(4, [3])
         w = WeightBundle(forward=[Tensor(np.zeros((4, 3)))],
                          biases=[Tensor(np.zeros(4)), Tensor(np.zeros(3))])
-        state = NetState([Tensor(np.zeros(4)), Tensor(np.zeros(3))])
+        state = NetState([np.zeros(4), np.zeros(3)])
         assert energy(state, w, arch) == 0.0
 
     def test_two_unit_closed_form(self):
         arch = fban(1, [1])
         w = WeightBundle(forward=[Tensor([[1.0]])],
                          biases=[Tensor([0.0]), Tensor([0.0])])
-        state = NetState([Tensor([0.5]), Tensor([0.5])])
+        state = NetState([np.array([0.5]), np.array([0.5])])
         rho = 0.5 * 1.5 * np.log(1.5) + 0.5 * 0.5 * np.log(0.5)
         expected = -0.25 + 2 * rho
         got = energy(state, w, arch)
@@ -372,11 +371,11 @@ class TestEnergy:
         w = random_fc_bundle(arch, rng, bias_scale=0.1)
         xs = rng.uniform(-0.9, 0.9, size=(5, 6))
         hs = rng.uniform(-0.9, 0.9, size=(5, 4))
-        batched = NetState([Tensor(xs), Tensor(hs)])
+        batched = NetState([xs, hs])
         evec = energy(batched, w, arch)
         assert evec.shape == (5,)
         for i in range(5):
-            single = NetState([Tensor(xs[i]), Tensor(hs[i])])
+            single = NetState([xs[i], hs[i]])
             assert abs(evec[i] - energy(single, w, arch)) < 1e-12
 
     def test_external_bias_term_per_item(self):
@@ -387,15 +386,15 @@ class TestEnergy:
         hs = rng.uniform(-0.9, 0.9, size=(3, 4))
         mask = rng.random((3, 6)) < 0.5
         ev = EvidenceConstraint(mask=mask, values=np.where(mask, 0.4, 0.0))
-        with_ev = energy(NetState([Tensor(xs), Tensor(hs)], evidence=ev), w, arch)
-        without = energy(NetState([Tensor(xs), Tensor(hs)]), w, arch)
+        with_ev = energy(NetState([xs, hs], evidence=ev), w, arch)
+        without = energy(NetState([xs, hs]), w, arch)
         np.testing.assert_allclose(without - with_ev, (ev.values * xs).sum(axis=1),
                                    atol=1e-12)
         # clamped evidence adds no term
         clamp = dataclasses.replace(arch, evidence="clamp")
         np.testing.assert_array_equal(
-            energy(NetState([Tensor(xs), Tensor(hs)], evidence=ev), w, clamp),
-            energy(NetState([Tensor(xs), Tensor(hs)]), w, clamp))
+            energy(NetState([xs, hs], evidence=ev), w, clamp),
+            energy(NetState([xs, hs]), w, clamp))
 
 
 class TestSettle:
@@ -444,7 +443,7 @@ class TestSettle:
         arch = fban(2, [2], activation_kind=LeakySigmoid(0.9))
         w = WeightBundle(forward=[Tensor(np.full((2, 2), 1e150))],
                          biases=[Tensor(np.zeros(2)), Tensor(np.zeros(2))])
-        state = NetState([Tensor([0.5, 0.5]), Tensor([0.5, 0.5])])
+        state = NetState([np.array([0.5, 0.5]), np.array([0.5, 0.5])])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValueError, match="diverged during iteration"):
@@ -463,8 +462,8 @@ class TestSettle:
             evi = EvidenceConstraint(mask=masks[i], values=values[i])
             si, _ = settle(initial_state(arch, evi), w, arch, theta=1e-9,
                            max_iters=500, record_energy=False)
-            np.testing.assert_allclose(state.activations[0].data[i],
-                                       si.activations[0].data, atol=1e-7)
+            np.testing.assert_allclose(state.activations[0][i],
+                                       si.activations[0], atol=1e-7)
 
     def test_fixed_point_stationarity(self):
         # at convergence every unit's recomputed update reproduces its value
@@ -477,8 +476,8 @@ class TestSettle:
         assert report.converged
         for l in range(arch.n_layers):
             pre = layer_preactivation(state, w, arch, l)
-            recomputed = np.tanh(pre.data)
-            assert np.max(np.abs(recomputed - state.activations[l].data)) < theta
+            recomputed = np.tanh(pre)
+            assert np.max(np.abs(recomputed - state.activations[l])) < theta
 
     def test_clamp_conditioning(self):
         # settling minimizes energy over the unclamped coordinates only
@@ -494,10 +493,10 @@ class TestSettle:
         free = [(0, i) for i in range(8) if not mask[i]] + [(1, j) for j in range(5)]
         for layer, idx in free:
             for delta in (1e-3, -1e-3):
-                acts = [Tensor(a.data.copy()) for a in state.activations]
-                bumped = acts[layer].data.copy()
+                acts = [a.copy() for a in state.activations]
+                bumped = acts[layer].copy()
                 bumped[idx] += delta
-                acts[layer] = Tensor(bumped)
+                acts[layer] = bumped
                 e1 = energy(NetState(acts, evidence=ev), w, arch)
                 assert e1 >= e0 - 1e-6
 
@@ -614,12 +613,12 @@ class TestPairMapAdjoint:
         w = init_weights(arch, seed=1, conv_std=0.3)
         rng = np.random.default_rng(2)
         lead = () if batch is None else (batch,)
-        x = Tensor(rng.normal(size=lead + lo.shape))
-        y = Tensor(rng.normal(size=lead + hi.shape))
+        x = rng.normal(size=lead + lo.shape)
+        y = rng.normal(size=lead + hi.shape)
         state = NetState([x, y])
-        up = layer_preactivation(state, w, arch, 1).data
-        down = layer_preactivation(state, w, arch, 0).data
-        lhs, rhs = float(np.sum(y.data * up)), float(np.sum(down * x.data))
+        up = layer_preactivation(state, w, arch, 1)
+        down = layer_preactivation(state, w, arch, 0)
+        lhs, rhs = float(np.sum(y * up)), float(np.sum(down * x))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -711,13 +710,13 @@ class TestNorm1Inf:
         k = np.abs(w.forward[0].weights.data)
         # a batch of unit vectors probes each map; summing |outputs| over the
         # batch gives the L1 of the weights each receiving unit sees
-        up = layer_preactivation(NetState([Tensor(np.eye(64).reshape(64, 1, 8, 8)),
-                                           Tensor(np.zeros((64, 2, 4, 4)))]), w, arch, 1)
-        down = layer_preactivation(NetState([Tensor(np.zeros((32, 1, 8, 8))),
-                                             Tensor(np.eye(32).reshape(32, 2, 4, 4))]),
+        up = layer_preactivation(NetState([np.eye(64).reshape(64, 1, 8, 8),
+                                           np.zeros((64, 2, 4, 4))]), w, arch, 1)
+        down = layer_preactivation(NetState([np.zeros((32, 1, 8, 8)),
+                                             np.eye(32).reshape(32, 2, 4, 4)]),
                                    w, arch, 0)
-        upper = np.abs(up.data).sum(axis=0).max()
-        lower = np.abs(down.data).sum(axis=0).max()
+        upper = np.abs(up).sum(axis=0).max()
+        lower = np.abs(down).sum(axis=0).max()
         assert abs(upper - k.sum(axis=(1, 2, 3)).max()) < 1e-12
         assert abs(lower - 0.25 * k.sum(axis=(0, 2, 3)).max()) < 1e-12
         assert norm_1inf(w) >= max(upper, lower)

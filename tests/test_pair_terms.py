@@ -111,7 +111,7 @@ class TestSameNumbersAsThePlainLoops:
         assert report.t_star == ref_report.t_star and report.t_star > 2
         assert report.converged == ref_report.converged
         for a, b in zip(got.activations, ref.activations):
-            assert a.data.tobytes() == b.data.tobytes()
+            assert a.tobytes() == b.tobytes()
         assert report.max_delta_trace.tobytes() == ref_report.max_delta_trace.tobytes()
         assert report.energy_trace.tobytes() == ref_report.energy_trace.tobytes()
 
@@ -203,7 +203,7 @@ class TestZeroStartSkipping:
             ref = sweep(ref, w, arch)
         for a, b, spec in zip(got.activations, ref.activations, arch.layers):
             assert a.shape == (20,) + spec.shape
-            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("loss_kind", ["se", "delta_e_plus"])
     def test_td1_forward(self, case, loss_kind, monkeypatch):
@@ -333,7 +333,7 @@ class TestUpdatesStayTraceable:
         assert updates == 3 * sweep_order(arch.n_layers)
 
 
-_NONZERO = Tensor([1.0])  # a source layer away from its zero start
+_NONZERO = np.array([1.0])  # a source layer away from its zero start
 
 
 class TestPairTerms:
@@ -371,7 +371,7 @@ class TestPairTerms:
             state = update_layer(state, w, arch, int(l), terms)
             ref = update_layer(ref, w, arch, int(l))
             for a, b in zip(state.activations, ref.activations):
-                assert a.data.tobytes() == b.data.tobytes()
+                assert a.tobytes() == b.tobytes()
 
 
 class TestFinitenessPassesPerUpdate:

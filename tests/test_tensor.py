@@ -1,5 +1,5 @@
-"""Tensor construction, the forward ops and their kernels' gradients, and
-the tape that records the TD(1) loss."""
+"""The weight Tensor, the forward ops on ndarrays and their kernels'
+gradients, and the tape that records the TD(1) loss."""
 
 import ast
 import json
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import cban.dynamics
 import cban.tensor
 from cban.data import Example
 from cban.dynamics import LeakySigmoid, Tanh, WeightBundle, fban
@@ -25,15 +26,11 @@ from cban.tensor import (
     _spread2_np,
     avg_pool2,
     avg_pool2_adjoint,
-    broadcast_to,
     conv2d_half,
     leaky_sigmoid,
     matmul,
-    reshape,
     reverse_kernel,
     tanh,
-    transpose,
-    where,
 )
 from cban.training import (LOSS_KINDS, TrainConfig, _slope_times, _term_vjp, init_weights,
                            td1_forward)
@@ -113,11 +110,11 @@ class TestTensorBasics:
     def test_operation_producing_nan_raises(self):
         import warnings
 
-        big = Tensor([1e308])
+        big = np.array([1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValueError, match="non-finite"):
-                matmul(big, Tensor([[10.0]]))
+                matmul(big, np.array([[10.0]]))
 
     def test_error_names_offending_index(self):
         arr = np.zeros((2, 3))
@@ -129,25 +126,25 @@ class TestTensorBasics:
 class TestConv2dHalf:
     def test_zero_input_gives_zero_output(self):
         k = ConvKernel(np.random.default_rng(0).normal(size=(1, 1, 3, 3)))
-        out = conv2d_half(Tensor(np.zeros((1, 3, 3))), k)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 3, 3)))
+        out = conv2d_half(np.zeros((1, 3, 3)), k)
+        np.testing.assert_array_equal(out, np.zeros((1, 3, 3)))
 
     def test_identity_kernel(self):
         x = np.arange(9, dtype=float).reshape(1, 3, 3)
-        out = conv2d_half(Tensor(x), ConvKernel(np.ones((1, 1, 1, 1))))
-        np.testing.assert_array_equal(out.data, x)
+        out = conv2d_half(x, ConvKernel(np.ones((1, 1, 1, 1))))
+        np.testing.assert_array_equal(out, x)
 
     def test_all_ones_kernel_sliding_sum(self):
         # hand-computed sliding-window sums with zero padding
         x = np.array([[[1.0, 2, 3], [4, 5, 6], [7, 8, 9]]])
-        out = conv2d_half(Tensor(x), ConvKernel(np.ones((1, 1, 3, 3))))
-        assert out.data[0, 1, 1] == 45.0
-        assert out.data[0, 0, 0] == 12.0
+        out = conv2d_half(x, ConvKernel(np.ones((1, 1, 3, 3))))
+        assert out[0, 1, 1] == 45.0
+        assert out[0, 0, 0] == 12.0
 
     def test_channel_mismatch_raises(self):
         k = ConvKernel(np.ones((1, 2, 3, 3)))
         with pytest.raises(ValueError, match="channel mismatch"):
-            conv2d_half(Tensor(np.zeros((1, 4, 4))), k)
+            conv2d_half(np.zeros((1, 4, 4)), k)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -162,9 +159,9 @@ class TestConv2dHalf:
         w = rng.normal(size=(q, r) + extent)
         ref = loop_conv(x, w)
         if batched:
-            out = conv2d_half(Tensor(x), ConvKernel(w)).data
+            out = conv2d_half(x, ConvKernel(w))
         else:
-            out, ref = conv2d_half(Tensor(x[0]), ConvKernel(w)).data, ref[0]
+            out, ref = conv2d_half(x[0], ConvKernel(w)), ref[0]
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("batched", [False, True])
@@ -176,8 +173,8 @@ class TestConv2dHalf:
         x = rng.normal(size=(n, r, 2, 3))
         w = rng.normal(size=(q, r, 7, 7))
         g = rng.normal(size=(n, q, 2, 3))
-        out = conv2d_half(Tensor(x if batched else x[0]), ConvKernel(w))
-        np.testing.assert_allclose(out.data.reshape(n, q, 2, 3), loop_conv(x, w),
+        out = conv2d_half(x if batched else x[0], ConvKernel(w))
+        np.testing.assert_allclose(out.reshape(n, q, 2, 3), loop_conv(x, w),
                                    rtol=0, atol=1e-12)
         _, ref_gx, ref_gw = einsum_conv_maps(x, w, g)
         gx, gw = _conv_vjp_np(x, w, g)
@@ -191,7 +188,7 @@ class TestConv2dHalf:
         x = rng.normal(size=(1, r, H, W))
         w = rng.normal(size=(q, r, k, k))
         g = rng.normal(size=(1, q, H, W))
-        out = conv2d_half(Tensor(x), ConvKernel(w)).data
+        out = conv2d_half(x, ConvKernel(w))
         gx, gw = _conv_vjp_np(x, w, g)
         ref, ref_gx, ref_gw = einsum_conv_maps(x, w, g)
         for new, want in ((out, ref), (gx, ref_gx), (gw, ref_gw),
@@ -202,9 +199,9 @@ class TestConv2dHalf:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 2, 5, 6))
         k = ConvKernel(rng.normal(size=(3, 2, 3, 3)))
-        batched = conv2d_half(Tensor(x), k).data
+        batched = conv2d_half(x, k)
         for i in range(4):
-            single = conv2d_half(Tensor(x[i]), k).data
+            single = conv2d_half(x[i], k)
             np.testing.assert_allclose(batched[i], single, rtol=0, atol=1e-14)
 
 
@@ -245,8 +242,8 @@ class TestReverseKernel:
             x = rng.normal(size=(c1, H, W))
             y = rng.normal(size=(c2, H, W))
             k = ConvKernel(rng.normal(size=(c2, c1, ext, ext)))
-            lhs = float(np.sum(y * conv2d_half(Tensor(x), k).data))
-            rhs = float(np.sum(x * conv2d_half(Tensor(y), reverse_kernel(k)).data))
+            lhs = float(np.sum(y * conv2d_half(x, k)))
+            rhs = float(np.sum(x * conv2d_half(y, reverse_kernel(k))))
             assert relative_error(np.array(lhs), np.array(rhs)) < 1e-12
 
 
@@ -257,41 +254,51 @@ class TestDownWeightViews:
         k = ConvKernel(np.random.default_rng(3).normal(size=(4, 2, 3, 3)))
         assert np.shares_memory(reverse_kernel(k).weights.data, k.weights.data)
 
-    def test_transpose_shares_the_matrix(self):
-        a = Tensor(np.random.default_rng(3).normal(size=(5, 3)))
-        t = transpose(a)
-        assert np.shares_memory(t.data, a.data)
-        np.testing.assert_array_equal(t.data, a.data.T)
+    def test_transpose_shares_the_matrix(self, monkeypatch):
+        # the down map of an fc pair multiplies by the forward matrix's transpose
+        arch = fban(5, [3])
+        w = init_weights(arch, seed=3)
+        seen = []
+
+        def recording(x, m):
+            seen.append(m)
+            return matmul(x, m)
+
+        monkeypatch.setattr(cban.dynamics, "matmul", recording)
+        cban.dynamics._down_map(np.ones(3), w, arch, 0)
+        W = w.forward[0].data
+        assert np.shares_memory(seen[0], W)
+        np.testing.assert_array_equal(seen[0], W.T)
 
 
 class TestPooling:
     def test_constant_preserved(self):
-        out = avg_pool2(Tensor(np.full((2, 4, 4), 3.25)))
-        np.testing.assert_array_equal(out.data, np.full((2, 2, 2), 3.25))
+        out = avg_pool2(np.full((2, 4, 4), 3.25))
+        np.testing.assert_array_equal(out, np.full((2, 2, 2), 3.25))
 
     def test_block_mean(self):
-        out = avg_pool2(Tensor([[[1.0, 2.0], [3.0, 4.0]]]))
-        np.testing.assert_array_equal(out.data, [[[2.5]]])
+        out = avg_pool2(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        np.testing.assert_array_equal(out, [[[2.5]]])
 
     def test_random_block_mean(self):
         x = np.random.default_rng(5).normal(size=(3, 2, 6, 8))
         blocks = x.reshape(3, 2, 3, 2, 4, 2).mean(axis=(-3, -1))
-        np.testing.assert_array_equal(avg_pool2(Tensor(x)).data, blocks)
+        np.testing.assert_array_equal(avg_pool2(x), blocks)
 
     def test_zeros(self):
-        out = avg_pool2(Tensor(np.zeros((1, 6, 8))))
-        np.testing.assert_array_equal(out.data, np.zeros((1, 3, 4)))
+        out = avg_pool2(np.zeros((1, 6, 8)))
+        np.testing.assert_array_equal(out, np.zeros((1, 3, 4)))
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            avg_pool2(Tensor(np.zeros((1, 3, 4))))
+            avg_pool2(np.zeros((1, 3, 4)))
 
     def test_upsample_replicates(self):
-        out = avg_pool2_adjoint(Tensor([[[5.0]]]))
-        np.testing.assert_array_equal(out.data, np.full((1, 2, 2), 1.25))
+        out = avg_pool2_adjoint(np.array([[[5.0]]]))
+        np.testing.assert_array_equal(out, np.full((1, 2, 2), 1.25))
 
     def test_upsample_quadrants(self):
-        out = avg_pool2_adjoint(Tensor([[[1.0, 2.0], [3.0, 4.0]]])).data
+        out = avg_pool2_adjoint(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         np.testing.assert_array_equal(out[0, :2, :2], np.full((2, 2), 0.25))
         np.testing.assert_array_equal(out[0, :2, 2:], np.full((2, 2), 0.5))
         np.testing.assert_array_equal(out[0, 2:, :2], np.full((2, 2), 0.75))
@@ -300,8 +307,8 @@ class TestPooling:
     def test_pool_after_adjoint_is_a_quarter(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 5, 7))
-        back = avg_pool2(avg_pool2_adjoint(Tensor(x)))
-        np.testing.assert_allclose(back.data, 0.25 * x, rtol=0, atol=1e-15)
+        back = avg_pool2(avg_pool2_adjoint(x))
+        np.testing.assert_allclose(back, 0.25 * x, rtol=0, atol=1e-15)
 
     def test_adjoint_is_exact_transpose(self):
         # <y, pool(x)> == <adjoint(y), x>, unbatched and batched
@@ -309,13 +316,13 @@ class TestPooling:
         for shape in ((2, 6, 4), (3, 2, 4, 6)):
             x = rng.normal(size=shape)
             y = rng.normal(size=shape[:-2] + (shape[-2] // 2, shape[-1] // 2))
-            lhs = float(np.sum(y * avg_pool2(Tensor(x)).data))
-            rhs = float(np.sum(avg_pool2_adjoint(Tensor(y)).data * x))
+            lhs = float(np.sum(y * avg_pool2(x)))
+            rhs = float(np.sum(avg_pool2_adjoint(y) * x))
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_adjoint_rejects_flat_input(self):
         with pytest.raises(ValueError, match="adjoint input"):
-            avg_pool2_adjoint(Tensor(np.zeros(4)))
+            avg_pool2_adjoint(np.zeros(4))
 
 
 def test_every_public_op_is_used_outside_tensor():
@@ -333,8 +340,8 @@ def test_every_public_op_is_used_outside_tensor():
 
 class TestElementwiseOps:
     def test_leaky_sigmoid_values(self):
-        out = leaky_sigmoid(Tensor([1.0, -1.0, 2.0, -3.0]), alpha=0.2)
-        np.testing.assert_allclose(out.data, [1.0, -1.0, 1.2, -1.4], atol=1e-15)
+        out = leaky_sigmoid(np.array([1.0, -1.0, 2.0, -3.0]), alpha=0.2)
+        np.testing.assert_allclose(out, [1.0, -1.0, 1.2, -1.4], atol=1e-15)
 
 
 def _td1_loss():
@@ -524,15 +531,15 @@ class TestGradientsAgainstFiniteDifferences:
         # and through a chain d<c, S(P(x))>/dx = S(P(c))
         rng = np.random.default_rng(13)
         for chain, shape, backward in (
-                (lambda a: avg_pool2(Tensor(a)), (2, 4, 4), _spread2_np),
-                (lambda a: avg_pool2_adjoint(Tensor(a)), (2, 2, 2), _pool2_np),
-                (lambda a: avg_pool2_adjoint(avg_pool2(Tensor(a))), (2, 4, 4),
+                (avg_pool2, (2, 4, 4), _spread2_np),
+                (avg_pool2_adjoint, (2, 2, 2), _pool2_np),
+                (lambda a: avg_pool2_adjoint(avg_pool2(a)), (2, 4, 4),
                  lambda c: _spread2_np(_pool2_np(c))),
-                (lambda a: avg_pool2(avg_pool2_adjoint(Tensor(a))), (2, 2, 2),
+                (lambda a: avg_pool2(avg_pool2_adjoint(a)), (2, 2, 2),
                  lambda c: _pool2_np(_spread2_np(c)))):
             x = rng.normal(size=shape)
             c = rng.normal(size=chain(x).shape)
-            fd = finite_difference(lambda a: float(np.sum(chain(a).data * c)), x)
+            fd = finite_difference(lambda a: float(np.sum(chain(a) * c)), x)
             assert relative_error(backward(c), fd) < 1e-6
 
     def test_matmul_and_transpose(self):
@@ -542,15 +549,14 @@ class TestGradientsAgainstFiniteDifferences:
         arch = fban(3, [2])
         w = init_weights(arch, seed=0)
         W = w.forward[0].data
-        terms = ((1, 0, 3, lambda x, m: matmul(Tensor(x), Tensor(m))),
-                 (0, 1, 2, lambda x, m: matmul(Tensor(x), transpose(Tensor(m)))))
+        terms = ((1, 0, 3, matmul), (0, 1, 2, lambda x, m: matmul(x, m.T)))
         for reader, source, units, term in terms:
             x = rng.normal(size=(4, units))
             g = rng.normal(size=term(x, W).shape)
             grads = [np.zeros(p.shape) for p in w.params()]
             gx = _term_vjp(g, x, w, arch, reader, source, grads, need_input=True)
-            fd_x = finite_difference(lambda a: float(np.sum(term(a, W).data * g)), x.copy())
-            fd_w = finite_difference(lambda a: float(np.sum(term(x, a).data * g)), W.copy())
+            fd_x = finite_difference(lambda a: float(np.sum(term(a, W) * g)), x.copy())
+            fd_w = finite_difference(lambda a: float(np.sum(term(x, a) * g)), W.copy())
             assert relative_error(gx, fd_x) < 1e-6
             assert relative_error(grads[0], fd_w) < 1e-6
             assert not any(np.any(b) for b in grads[1:])
@@ -560,9 +566,9 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(16)
         x = rng.uniform(-3.0, 3.0, size=(7,))
         x = x[np.abs(np.abs(x) - 1.0) > 1e-2]  # keep clear of the kinks
-        y = leaky_sigmoid(Tensor(x), 0.2).data
+        y = leaky_sigmoid(x, 0.2)
         got = _slope_times(LeakySigmoid(0.2), y, x) + y
-        fd = finite_difference(lambda a: float(np.sum(leaky_sigmoid(Tensor(a), 0.2).data * a)),
+        fd = finite_difference(lambda a: float(np.sum(leaky_sigmoid(a, 0.2) * a)),
                                x.copy())
         assert relative_error(got, fd) < 1e-6
 
@@ -618,8 +624,8 @@ class TestFusedActivation:
     def test_same_values_as_the_chain_of_ops(self, act):
         f = self.ACTS[act]
         a, b, bias, ev = self._terms(np.random.default_rng(40), 1.0)
-        fused = f([Tensor(a), Tensor(b), Tensor(bias), Tensor(ev)])
-        assert fused.data.tobytes() == f(((a + b) + bias) + ev).data.tobytes()
+        fused = f([a, b, bias, ev])
+        assert fused.tobytes() == f(((a + b) + bias) + ev).tobytes()
 
     @pytest.mark.parametrize("act", list(ACTS))
     def test_gradient_against_finite_differences(self, act):
@@ -630,14 +636,14 @@ class TestFusedActivation:
         z = ((terms[0] + terms[1]) + terms[2]) + terms[3]
         assert np.min(np.abs(np.abs(z) - 1.0)) > 1e-3  # clear of the leaky kinks
         weights = rng.normal(size=z.shape)
-        got = _slope_times(kind, f(list(map(Tensor, terms))).data, weights)
-        fd = finite_difference(lambda a: float(np.sum(f(a).data * weights)), z.copy())
+        got = _slope_times(kind, f(terms), weights)
+        fd = finite_difference(lambda a: float(np.sum(f(a) * weights)), z.copy())
         assert relative_error(got, fd) < 1e-6
 
     @pytest.mark.parametrize("act", list(ACTS))
     def test_a_sum_that_overflows_fails_at_this_op(self, act):
         # tanh would saturate inf to 1.0: the sum is checked before activation
-        big = Tensor([0.0, 1e308])
+        big = np.array([0.0, 1e308])
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=r"non-finite value at index \(1,\)"):
                 self.ACTS[act]([big, big])
@@ -645,17 +651,17 @@ class TestFusedActivation:
     @pytest.mark.parametrize("act", list(ACTS))
     def test_a_nan_term_fails_at_this_op(self, act):
         with pytest.raises(ValueError, match=r"non-finite value at index \(0, 2\)"):
-            self.ACTS[act]([Tensor(np.zeros((2, 3))), np.array([[0.0, 0.0, np.nan]] * 2)])
+            self.ACTS[act]([np.zeros((2, 3)), np.array([[0.0, 0.0, np.nan]] * 2)])
 
     @pytest.mark.parametrize("act", list(ACTS))
     def test_inputs_are_not_written(self, act):
         rng = np.random.default_rng(44)
         arrays = self._terms(rng, 2.0)
-        terms = [Tensor(a.copy()) for a in arrays]
+        terms = [a.copy() for a in arrays]
         self.ACTS[act](terms)
         self.ACTS[act](terms[0])
         for t, a in zip(terms, arrays):
-            np.testing.assert_array_equal(t.data, a)
+            np.testing.assert_array_equal(t, a)
 
     @pytest.mark.parametrize("act", list(ACTS))
     def test_a_later_larger_term_widens_the_sum(self, act):
@@ -663,23 +669,23 @@ class TestFusedActivation:
         rng = np.random.default_rng(45)
         a, b = rng.normal(size=(3, 1, 1)), rng.normal(size=(1, 4, 1))
         c = rng.normal(size=(2, 3, 4, 4))
-        fused = f([Tensor(a), Tensor(b), Tensor(c)])
-        assert fused.shape == (2, 3, 4, 4) and fused.data.flags.c_contiguous
-        assert fused.data.tobytes() == f((a + b) + c).data.tobytes()
+        fused = f([a, b, c])
+        assert fused.shape == (2, 3, 4, 4) and fused.flags.c_contiguous
+        assert fused.tobytes() == f((a + b) + c).tobytes()
 
     def test_two_scalar_terms(self):
-        out = tanh([Tensor(0.25), Tensor(0.5)])
-        assert out.shape == () and out.data == np.tanh(0.75)
+        out = tanh([np.array(0.25), np.array(0.5)])
+        assert out.shape == () and out == np.tanh(0.75)
 
     def test_one_term_broadcast_to_a_shape(self):
-        bias = Tensor(np.array([0.5, -0.25]))
-        out = tanh([broadcast_to(bias, (3, 2))])
-        np.testing.assert_array_equal(out.data, np.tanh(np.tile([0.5, -0.25], (3, 1))))
+        # a read-only view, as a layer update's lone bias term is
+        out = tanh([np.broadcast_to(np.array([0.5, -0.25]), (3, 2))])
+        np.testing.assert_array_equal(out, np.tanh(np.tile([0.5, -0.25], (3, 1))))
 
 
 class TestFinitenessPasses:
-    """Ops that cannot make a non-finite value from checked inputs skip the
-    check; every other op, and construction from user data, keeps it."""
+    """Ops that cannot make a non-finite value from finite inputs skip the
+    check; every other op, and a Tensor's construction, keeps it."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -693,35 +699,31 @@ class TestFinitenessPasses:
         monkeypatch.setattr(cban.tensor, "_check_finite", counted)
         return count
 
-    def test_views_selects_and_spreads_skip_it(self, passes):
+    def test_views_and_spreads_skip_it(self, passes):
         rng = np.random.default_rng(43)
-        m, x = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(2, 3, 4, 4)))
+        x = rng.normal(size=(2, 3, 4, 4))
         k = ConvKernel(rng.normal(size=(3, 2, 3, 3)))
         passes[0] = 0
-        transpose(m)
-        reshape(m, (4, 3))
-        broadcast_to(m, (2, 3, 4))
         reverse_kernel(k)
-        where(x.data > 0, x, x)
         avg_pool2_adjoint(x)
         assert passes[0] == 0
 
     @pytest.mark.parametrize("act", list(TestFusedActivation.ACTS))
     def test_an_activation_checks_its_sum_once(self, act, passes):
-        a = Tensor(np.ones((2, 3)))
+        a = np.ones((2, 3))
         passes[0] = 0
         TestFusedActivation.ACTS[act](a)
         assert passes[0] == 1
         TestFusedActivation.ACTS[act]([a, a, np.zeros(3)])
-        # and the array term once, as it becomes a tensor
-        assert passes[0] == 3
+        assert passes[0] == 2
 
     def test_other_ops_and_construction_keep_it(self, passes):
         k = ConvKernel(np.ones((3, 2, 3, 3)))
+        x = np.ones((2, 4, 4))
         passes[0] = 0
-        x = Tensor(np.ones((2, 4, 4)))
+        Tensor(x)
         assert passes[0] == 1
-        matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))  # two operands, one op
+        matmul(np.ones(3), np.ones((3, 2)))  # two operands, one result
         avg_pool2(x)
         conv2d_half(x, k)
-        assert passes[0] == 6
+        assert passes[0] == 4
