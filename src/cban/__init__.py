@@ -12,16 +12,21 @@ block or the recorded loss. The package also carries the settling
 dynamics and energy, the three training losses with their optimizers,
 task data (bars, IDX digits, coherent-noise masks), reconstruction
 metrics, and a small CLI.
+
+CBAN_NUM_THREADS is the largest number of row shards a batched run of a
+conv net is split into, each swept on its own thread (see dynamics); by
+default it is the number of cores the process may run on. Flat nets and
+unbatched states run on one thread.
 """
 
 import os as _os
 
-# Best-effort thread cap for the BLAS backing numpy; must run before numpy
-# itself is imported to take effect.
-_threads = _os.environ.get("CBAN_NUM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+# Every batch shard runs its own GEMMs, so the BLAS backing numpy gets one
+# thread per caller: OpenBLAS, OpenMP and MKL are pinned to one thread
+# unless the environment already sets them. This takes effect only when it
+# runs before numpy is first imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 from .tensor import (  # noqa: E402
     ConvKernel,

@@ -6,8 +6,11 @@ usage, configuration, data or i/o errors and on a network too large to
 allocate; an output directory that a file stands in the way of is refused
 before any work. `cban eval` settles its
 set in batches of 32, so its memory does not grow with the set. All
-outputs stay under the configured output directory. Set CBAN_NUM_THREADS
-before launching to cap the linear-algebra thread count.
+outputs stay under the configured output directory. CBAN_NUM_THREADS is
+the number of threads a batch of a conv net is split across, one row shard
+each (by default the number of usable cores); BLAS runs one thread per
+shard unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS say
+otherwise. Flat nets run on one thread.
 """
 
 from __future__ import annotations
@@ -85,14 +88,16 @@ def _build_dataset(cfg):
 
     if cfg.task == "bar":
         return BarTask()
+    needs = ("images", "labels") if cfg.task == "mnist-supervised" else ("folder",)
+    for key in needs:
+        if key not in cfg.data:
+            raise ValueError(f"data.{key} is required")
     if cfg.task == "mnist-supervised":
         limit = cfg.data.get("limit", 0)
         if limit < 0:
             raise ValueError(f"data.limit must be 0 or more, got {limit}")
         images = _load_images(cfg.data["images"])[:limit or None]
         labels = load_idx(cfg.data["labels"])[:limit or None]
-    elif "folder" not in cfg.data:
-        raise ValueError("completion task needs data.folder")
     else:
         images, labels = _load_images(cfg.data["folder"]), None
     return _library_dataset(cfg.arch, images, labels, cfg.mask)

@@ -50,8 +50,10 @@ def _activation_from_dict(d):
     where = "arch.activation"
     kind = _get(_checked(d, "object", where), "kind", "str", where)
     if kind == "tanh":
+        _check_keys(d, ("kind",), where)
         return Tanh()
     if kind == "leaky_sigmoid":
+        _check_keys(d, ("kind", "alpha"), where)
         return LeakySigmoid(float(_get(d, "alpha", "float", where)))
     raise ValueError(f"unknown activation kind {kind!r}")
 
@@ -111,11 +113,29 @@ def _get(d, key, kind, where, default=_REQUIRED):
 
 
 def _check_keys(d, allowed, where):
-    """Refuse any key of d outside allowed, naming it and where it sits."""
+    """Refuse any key of d outside allowed, naming it by its dotted key;
+    `where` names d ("" at the top level)."""
     unknown = sorted(set(d) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown {where} key(s) {unknown}; "
+        names = ", ".join(f"{where}.{key}" if where else key for key in unknown)
+        raise ValueError(f"unknown config key{'s' if len(unknown) > 1 else ''} {names}; "
                          f"expected some of {sorted(allowed)}")
+
+
+# the keys a layer of each kind may carry
+_LAYER_KEYS = {
+    "fc": ("kind", "units", "visible", "pool_before"),
+    "conv": ("kind", "channels", "height", "width", "visible", "pool_before"),
+}
+
+# the keys a mask of each kind may carry
+_MASK_KEYS = {
+    "perlin": ("kind", "frequency", "obscured_fraction"),
+    "patches": ("kind", "diameter_min", "diameter_max", "white_fraction"),
+    "bernoulli": ("kind", "p"),
+    "label_only": ("kind",),
+    "label_plus": ("kind", "inner"),
+}
 
 
 def arch_from_dict(d):
@@ -129,18 +149,19 @@ def arch_from_dict(d):
     for i, ld in enumerate(_get(d, "layers", "list", "arch")):
         where = f"arch.layers[{i}]"
         kind = _get(_checked(ld, "object", where), "kind", "str", where)
+        if kind not in _LAYER_KEYS:
+            raise ValueError(f"unknown layer kind {kind!r}")
+        _check_keys(ld, _LAYER_KEYS[kind], where)
         visible = _get(ld, "visible", "bool", where, False)
         pool_before = _get(ld, "pool_before", "bool", where, False)
         if kind == "fc":
             if pool_before:
                 raise ValueError(f"{where}.pool_before is only valid on conv layers")
             layers.append(fc_layer(_get(ld, "units", "int", where), visible=visible))
-        elif kind == "conv":
+        else:
             layers.append(conv_layer(*(_get(ld, key, "int", where)
                                        for key in ("channels", "height", "width")),
                                      pool_before=pool_before, visible=visible))
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
     sizes = _get(d, "kernel_sizes", "list", "arch", [])
     return ArchSpec(layers=tuple(layers),
                     kernel_sizes=tuple(_checked(k, "int", f"arch.kernel_sizes[{i}]")
@@ -153,6 +174,9 @@ def mask_from_dict(d, where="mask"):
     if d is None:
         return None
     kind = _get(_checked(d, "object", where), "kind", "str", where)
+    if kind not in _MASK_KEYS:
+        raise ValueError(f"unknown mask kind {kind!r}")
+    _check_keys(d, _MASK_KEYS[kind], where)
 
     def get(key, value_kind, default=_REQUIRED):
         return _get(d, key, value_kind, where, default)
@@ -168,9 +192,7 @@ def mask_from_dict(d, where="mask"):
         return BernoulliMask(p=float(get("p", "float")))
     if kind == "label_only":
         return LabelOnly()
-    if kind == "label_plus":
-        return LabelPlus(inner=mask_from_dict(get("inner", "object"), f"{where}.inner"))
-    raise ValueError(f"unknown mask kind {kind!r}")
+    return LabelPlus(inner=mask_from_dict(get("inner", "object"), f"{where}.inner"))
 
 
 def train_from_dict(d):
@@ -190,7 +212,7 @@ def train_from_dict(d):
 
 def run_config_from_dict(d, base_dir=None, check_paths=True):
     _check_keys(_checked(d, "object", "the config"),
-                ("task", "seed", "output_dir", "arch", "train", "mask", "data"), "top-level")
+                ("task", "seed", "output_dir", "arch", "train", "mask", "data"), "")
     seed = _get(d, "seed", "int", "")
     train_dict = dict(_get(d, "train", "object", "", {}))
     train_dict.setdefault("seed", seed)

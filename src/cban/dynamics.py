@@ -28,6 +28,19 @@ the first sweep of a run from zero hidden layers that is 2L-2 maps per
 sweep instead of 4L-6: 6 instead of 10 on a 4-layer net. sweep() and
 update_layer without a PairTerms compute every term afresh.
 
+settle and the unrolled TD(1) step run their sweeps through one lockstep
+runner, _Lockstep. A batched run of a conv net splits its batch into
+min(_workers, batch) contiguous row shards, each with its own state rows,
+evidence rows and PairTerms: a layer update reads only its own item's
+units, so a shard settles exactly as its rows of the whole batch do. Shard
+0 sweeps on the calling thread and the others on a persistent thread pool,
+and _Lockstep joins after every sweep, so the caller decides convergence
+and t_star for the whole batch, as one unsharded run would (lockstep).
+_workers is CBAN_NUM_THREADS, by default the number of usable cores; the
+package pins BLAS to one thread (see cban), so each shard's GEMMs run on
+its own core. Flat nets, unbatched states and batches of one sweep
+unsharded on the calling thread.
+
 The inverse activation and the barrier are ndarray functions, evaluated
 by both energy() and the TD(1) losses (training._loss). Each is a
 public function that checks its input's domain and a private kernel with
@@ -38,7 +51,10 @@ the kernel.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -589,6 +605,146 @@ def _max_delta(prev, new, batched):
     return per if batched else float(per)
 
 
+def _workers_setting():
+    """CBAN_NUM_THREADS as a count of batch shards; by default the number of
+    cores this process may run on."""
+    value = os.environ.get("CBAN_NUM_THREADS", "").strip()
+    if not value:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if not value.isdigit() or int(value) < 1:
+        raise ValueError(f"CBAN_NUM_THREADS must be a positive integer, got {value!r}")
+    return int(value)
+
+
+# the most row shards a batched run of a conv net is split into
+_workers = _workers_setting()
+# the threads of shards 1, 2, ...: one single-thread executor per shard
+# index, made when a run first needs it and kept for the next runs
+_pool = []
+
+
+def _shard_pool(shards):
+    """The executors of shards 1 to shards-1, in order: shard i always
+    sweeps on the same thread, which keeps its buffers in one allocator
+    arena from sweep to sweep."""
+    while len(_pool) < shards - 1:
+        _pool.append(concurrent.futures.ThreadPoolExecutor(
+            1, thread_name_prefix=f"cban-shard-{len(_pool) + 1}"))
+    return _pool[:shards - 1]
+
+
+def _forget_pool():
+    global _pool
+    _pool = []
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads: it makes its own
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _joined(results):
+    """Per-shard results joined in row order: arrays are concatenated,
+    tuples joined entry by entry."""
+    if isinstance(results[0], tuple):
+        return tuple(map(_joined, zip(*results)))
+    return np.concatenate(results)
+
+
+class _Lockstep:
+    """The lockstep runner of settle's and td1_forward's sweeps: one run's
+    shards, stepped together.
+
+    make(rows, state) makes the runner of one shard, where rows is a slice
+    of the batch, or None for the whole batch, and state is the shard's
+    start state. A runner keeps its current state as `state` and replaces it
+    only once a sweep is done. A batched run of a conv net is split into
+    min(_workers, batch) contiguous row shards, whose start states are views
+    of the caller's rows with their evidence rows; any other run is one
+    shard, made from the caller's state itself and run on the calling
+    thread alone.
+    """
+
+    def __init__(self, arch, state, make):
+        self.make = make
+        self.evidence = ev = state.evidence
+        acts = state.activations
+        k = 1
+        if arch.layers[0].kind == "conv" and state.batched(arch):
+            n = acts[0].shape[0]
+            k = min(_workers, n)
+        if k < 2:
+            self.shards = [make(None, state)]
+        else:
+            self.shards = []
+            for i in range(k):
+                rows = slice(n * i // k, n * (i + 1) // k)
+                rows_ev = (None if ev is None
+                           else EvidenceConstraint(ev.mask[rows], ev.values[rows]))
+                self.shards.append(make(rows, NetState([a[rows] for a in acts], rows_ev)))
+        self.first, self.rest = self.shards[0], self.shards[1:]
+
+    def run(self, fn, merge=_joined):
+        """fn(runner) for every shard; shard 0 runs on this thread, the others
+        on the pool, and all of them end before this returns or raises.
+
+        Returns fn's result for a single shard, else merge(the results in
+        row order). If a shard raises, the step fails as the unsharded run
+        does: a ValueError is replayed by fn on one runner of the whole
+        batch, made from the shards' current states, which raises the
+        error the first failing op of the whole batch raises. The shards'
+        values are the whole batch's, so the same op fails on the same
+        item, named by its index in the batch.
+        """
+        if not self.rest:
+            return fn(self.first)
+        # each shard runs in a copy of this thread's context, so numpy's
+        # errstate holds on every shard as it does here
+        futures = [thread.submit(contextvars.copy_context().run, fn, shard)
+                   for thread, shard in zip(_shard_pool(len(self.shards)), self.rest)]
+        try:
+            results, error = [fn(self.first)], None
+        except Exception as e:  # raised below, once every shard has ended
+            results, error = None, e
+        concurrent.futures.wait(futures)
+        for future in futures:
+            error = error or future.exception()
+        if error is None:
+            return merge(results + [future.result() for future in futures])
+        if isinstance(error, ValueError):
+            fn(self.make(None, self.state()))
+        raise error
+
+    def state(self):
+        """The run's current state: its one shard's, or the shards' rows
+        joined in order."""
+        if not self.rest:
+            return self.first.state
+        layers = zip(*(shard.state.activations for shard in self.shards))
+        return NetState([np.concatenate(a) for a in layers], self.evidence)
+
+
+class _SettleRun:
+    """settle's runner of one shard: its state and its PairTerms."""
+
+    def __init__(self, state, w, arch):
+        self.state, self.w, self.arch = state, w, arch
+        self.batched = state.batched(arch)
+        self.order = sweep_order(arch.n_layers)
+        self.terms = PairTerms(arch.n_layers)
+
+    def sweep(self):
+        """One sweep; returns the largest activation change, per item when
+        batched."""
+        state = self.state
+        for l in self.order:
+            state = update_layer(state, self.w, self.arch, l, self.terms)
+        prev, self.state = self.state.activations, state
+        return _max_delta(prev, state.activations, self.batched)
+
+
 def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
     """Sweep until the largest activation change in one iteration is < theta.
 
@@ -597,35 +753,35 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
     minimizes the energy over its layer, so a run that stops at max_iters
     without converging has still lowered or kept its energy at every sweep.
     The sweeps are those of sweep(), with the pair terms of one PairTerms
-    for the whole run: each up or down map is computed once per change of
-    its source layer and skipped while that layer is at an all-zero start,
-    so 2L-2 maps per sweep from the first sweep of a run from zero hidden
-    layers, and each term is dropped right after its last read.
+    per shard for the whole run: each up or down map is computed once per
+    change of its source layer and skipped while that layer is at an
+    all-zero start, so 2L-2 maps per sweep from the first sweep of a run
+    from zero hidden layers, and each term is dropped right after its last
+    read. A batched state of a conv net is swept on row shards in lockstep
+    (see _Lockstep), each shard's energy evaluated on its own rows; every
+    number, t_star and the traces are those of the unsharded run, byte for
+    byte, and so is the error of a state that diverges.
     """
     if not theta > 0:
         raise ValueError("theta must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    batched = state.batched(arch)
-    order = sweep_order(arch.n_layers)
-    terms = PairTerms(arch.n_layers)
+    run = _Lockstep(arch, state, lambda rows, s: _SettleRun(s, w, arch))
+    state = None  # the runners hold the start state until their first sweep ends
     energies, deltas = [], []
     for t in range(1, max_iters + 1):
-        prev = state.activations
         try:
-            for l in order:
-                state = update_layer(state, w, arch, l, terms)
+            d = run.run(_SettleRun.sweep)
         except ValueError as e:
             raise ValueError(f"state diverged during iteration {t}: {e}") from e
-        d = _max_delta(prev, state.activations, batched)
         deltas.append(d)
         if record_energy:
-            energies.append(energy(state, w, arch))
+            energies.append(run.run(lambda shard: energy(shard.state, w, arch)))
         if float(np.max(d)) < theta:
             break
-    return state, SettleReport(t_star=t, converged=float(np.max(d)) < theta,
-                               energy_trace=np.asarray(energies),
-                               max_delta_trace=np.asarray(deltas))
+    return run.state(), SettleReport(t_star=t, converged=float(np.max(d)) < theta,
+                                     energy_trace=np.asarray(energies),
+                                     max_delta_trace=np.asarray(deltas))
 
 
 def norm_1inf(w):

@@ -16,7 +16,9 @@ whichever side of the map has fewer channels: im2col of the input when the
 map has more output than input channels, otherwise the product first and a
 shift-add of its kh*kw output blocks. For q output and r input channels,
 the expanded buffer (the im2col, or the product's kh*kw blocks) holds
-kh*kw*min(q, r)*N*H*W floats.
+kh*kw*min(q, r)*N*H*W floats. The GEMM's N*H*W columns are padded with
+zeros to a multiple of 8 (_COLUMN_BLOCK), so an item's values do not depend
+on how many items share the product.
 
 Ops take ndarrays and check what they make. A batch dimension, when
 present, is leading and optional: feature maps are (channels, height,
@@ -246,20 +248,45 @@ def _taps(ka, kb, H, W):
             yield u * kb + v, (..., dst_i, dst_j), (..., src_i, src_j)
 
 
+# A conv GEMM's columns are the batch's positions, n*H*W of them. OpenBLAS
+# computes every column in a whole block of its kernels the same way, however
+# many columns there are, but the columns past the last whole block go
+# through narrower kernels, which can round differently. So the laid-out
+# operands end in zero columns up to a multiple of _COLUMN_BLOCK: an item's
+# values then depend neither on the batch's size nor on the item's place in
+# it, and a row shard of a batch (see dynamics._Lockstep) computes its items
+# exactly as the whole batch does. A batch whose n*H*W is already a multiple
+# of the block is laid out as before, with no padding.
+_COLUMN_BLOCK = 8
+
+
+def _padded(cols):
+    """cols rounded up to a whole number of column blocks."""
+    return -(-cols // _COLUMN_BLOCK) * _COLUMN_BLOCK
+
+
 def _channels_first(x):
-    """(n, c, H, W) -> contiguous (c, n*H*W)."""
+    """(n, c, H, W) -> contiguous (c, n*H*W), ending in zero columns up to
+    whole column blocks."""
     n, c, h, w = x.shape
-    return x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+    cols = n * h * w
+    if _padded(cols) == cols:
+        return x.transpose(1, 0, 2, 3).reshape(c, cols)
+    out = np.zeros((c, _padded(cols)))
+    out[:, :cols].reshape(c, n, h, w)[...] = x.transpose(1, 0, 2, 3)
+    return out
 
 
 def _im2col(x, ka, kb):
-    """(n, c, H, W) -> (ka*kb*c, n*H*W): row (tap, channel) holds the shifted map."""
+    """(n, c, H, W) -> (ka*kb*c, n*H*W): row (tap, channel) holds the shifted
+    map, ending in zero columns up to whole column blocks."""
     n, c, h, w = x.shape
-    cols = np.zeros((ka * kb, c, n, h, w))
+    cols = np.zeros((ka * kb, c, _padded(n * h * w)))
+    maps = cols[:, :, :n * h * w].reshape(ka * kb, c, n, h, w)
     xt = x.transpose(1, 0, 2, 3)
     for t, dst, src in _taps(ka, kb, h, w):
-        cols[t][dst] = xt[src]
-    return cols.reshape(ka * kb * c, n * h * w)
+        maps[t][dst] = xt[src]
+    return cols.reshape(ka * kb * c, -1)
 
 
 def _conv_half_np(x, w, x_laid=None):
@@ -270,13 +297,14 @@ def _conv_half_np(x, w, x_laid=None):
     # when q > r, else its channels-first copy.
     n, r, h, wd = x.shape
     q, _, ka, kb = w.shape
+    cols = n * h * wd  # the columns past these are padding
     if q > r:
-        cols = _im2col(x, ka, kb) if x_laid is None else x_laid
-        out = w.transpose(0, 2, 3, 1).reshape(q, ka * kb * r) @ cols
-        return np.ascontiguousarray(out.reshape(q, n, h, wd).transpose(1, 0, 2, 3))
+        laid = _im2col(x, ka, kb) if x_laid is None else x_laid
+        out = w.transpose(0, 2, 3, 1).reshape(q, ka * kb * r) @ laid
+        return np.ascontiguousarray(out[:, :cols].reshape(q, n, h, wd).transpose(1, 0, 2, 3))
     xc = _channels_first(x) if x_laid is None else x_laid
     y = w.transpose(2, 3, 0, 1).reshape(ka * kb * q, r) @ xc
-    y = y.reshape(ka * kb, q, n, h, wd).transpose(0, 2, 1, 3, 4)
+    y = y[:, :cols].reshape(ka * kb, q, n, h, wd).transpose(0, 2, 1, 3, 4)
     out = np.zeros((n, q, h, wd))
     for t, dst, src in _taps(ka, kb, h, wd):
         out[dst] += y[t][src]

@@ -23,13 +23,16 @@ barrier checks its result for overflow.
 
 The TD(1) gradient is back-propagation through time written out for a
 symmetric bipartite stack (Werbos 1990); it is the only gradient the
-package takes. td1_forward runs the forward through the same update_layer,
-unclamped_visible and PairTerms as settle, keeping per activation op its
-output, the plain ndarray the update made, and where each pair term it
-read came from, but no term arrays. The loss is the one Tensor it makes.
-It records the loss on the active GradTape as the tape's one op, whose
-parents are the weights, and whose backward walks the records back
-(_td1_backward): each layer's preactivation
+package takes. td1_forward runs the forward through settle's lockstep runner
+(dynamics._Lockstep) and the same update_layer, unclamped_visible and
+PairTerms, keeping per activation op its output, the plain ndarray the
+update made, and where each pair term it read came from, but no term
+arrays. A batch of a conv net runs on row shards in lockstep, each shard
+with its own records; a flat net's batch is one shard. The loss is the
+one Tensor it makes. It records the loss on the active GradTape as the
+tape's one op, whose parents are the weights, and whose backward walks
+each shard's records back, the shards in parallel, and sums their
+gradients (_td1_backward): each layer's preactivation
 cotangent is its output's cotangent times the activation's slope, zero on
 clamped units, and each pair term's summed cotangent goes once through the
 adjoint of the map that made it (_term_vjp), which for a symmetric pair is
@@ -61,6 +64,7 @@ from .dynamics import (
     SettleReport,
     Tanh,
     WeightBundle,
+    _Lockstep,
     _barrier,
     _inverse_activation,
     _layer_terms,
@@ -255,6 +259,79 @@ def _batch_evidence(examples, arch):
     return targets, EvidenceConstraint(mask=masks, values=values)
 
 
+class _TD1Run:
+    """td1_forward's runner of one shard: its state, its PairTerms and the
+    records of its updates.
+
+    rows is the shard's slice of the batch, or None for the whole batch;
+    targets, barrier_y and the active mask a sweep gets are the whole
+    batch's, and the runner reads its rows of them. item_weight is 1/n for
+    the whole batch's n items.
+    """
+
+    def __init__(self, state, w, arch, cfg, targets, barrier_y, item_weight, rows):
+        self.state, self.w, self.arch, self.cfg = state, w, arch, cfg
+        self.evidence = state.evidence
+        self.rows, self.item_weight = rows, item_weight
+        if rows is not None:
+            targets = targets[rows]
+            barrier_y = None if barrier_y is None else barrier_y[rows]
+        self.targets, self.barrier_y = targets, barrier_y
+        self.n_layers = n_layers = arch.n_layers
+        # the sweep's upward half ends on the top layer, where the pair is read
+        order = sweep_order(n_layers)
+        self.up, self.down = order[:n_layers - 1], order[n_layers - 1:]
+        self.terms = PairTerms(n_layers)
+        self.records = [(l, x if x.any() else None, None, None)
+                        for l, x in enumerate(state.activations)]
+        self.current = list(range(n_layers))  # the record of each layer's value
+        self.seen = set()  # (reader, source record) of the terms read so far
+
+    def _reads(self, l):
+        out = []
+        for source in (l - 1, l + 1):
+            if 0 <= source < self.n_layers and self.records[self.current[source]][1] is not None:
+                key = (l, self.current[source])
+                out.append((key[1], key not in self.seen))
+                self.seen.add(key)
+        return out
+
+    def _updated(self, l, state):
+        self.records.append((l, state.activations[l], None, self._reads(l)))
+        self.current[l] = len(self.records) - 1
+
+    def sweep(self, active):
+        """One sweep with the loss injected after its upward half; returns
+        (loss per item, largest activation change per item) of the shard's
+        rows. active is the whole batch's mask of items still active."""
+        state, w, arch, terms = self.state, self.w, self.arch, self.terms
+        kind = arch.activation
+        for l in self.up:
+            state = update_layer(state, w, arch, l, terms)
+            self._updated(l, state)
+        v_tilde = unclamped_visible(state, w, arch, terms)
+        loss_vec, loss_vjp = _loss(self.cfg.loss, kind, v_tilde, self.targets, self.barrier_y)
+        _check_finite(loss_vec)
+        if self.rows is not None:
+            active = active[self.rows]
+        loss_gz = _slope_times(kind, v_tilde, loss_vjp(active * self.item_weight))
+        self.records.append((0, None, loss_gz, self._reads(0)))
+        for l in self.down:
+            state = update_layer(state, w, arch, l, terms)
+            self._updated(l, state)
+        prev, self.state = self.state.activations, state
+        return loss_vec, _max_delta(prev, state.activations, batched=True)
+
+
+def _summed_grads(per_shard):
+    """The shards' gradients, summed block by block in shard order."""
+    total = per_shard[0]
+    for grads in per_shard[1:]:
+        for g, h in zip(total, grads):
+            g += h
+    return total
+
+
 def td1_forward(examples, w, arch, cfg):
     """Unrolled settling with the loss injected after every sweep.
 
@@ -267,20 +344,26 @@ def td1_forward(examples, w, arch, cfg):
     max_delta_trace is a view of one (sweeps, items) array. Returns (mean
     over items of summed per-sweep losses, as a Tensor, reports).
 
-    The sweeps and v~ share one PairTerms, as in settle, so each map is
-    computed once per change of its source layer and skipped while that
-    layer is at its zero start: 2L-1 maps per sweep from the first, 7 on a
-    4-layer net. On a 2-layer net the visible update reuses v~'s down term,
-    which leaves 2.
+    The sweeps run through settle's lockstep runner (dynamics._Lockstep): a batch of
+    a conv net sweeps on row shards in lockstep, each with its own state,
+    PairTerms and records, and after every sweep the shards' per-item
+    losses and changes are joined in row order, so the loss, t_star and
+    the traces are those of one unsharded run, byte for byte. The sweeps
+    and v~ share a shard's PairTerms, as in settle, so each map is computed
+    once per change of its source layer and skipped while that layer is at
+    its zero start: 2L-1 maps per sweep from the first, 7 on a 4-layer net.
+    On a 2-layer net the visible update reuses v~'s down term, which leaves
+    2.
 
     The loss is recorded on the active GradTape, if there is one, as its
-    one op, whose parents are w.params() and whose backward is
-    _td1_backward. The loss bookkeeping is plain numpy: each
-    sweep's np.sum of its losses on active items, added to the running
-    total, which is scaled by 1/n at the end. The targets' barrier, which
-    the energy losses read, is evaluated once. The forward keeps one
-    record per layer's start state and per activation op, (layer, output,
-    loss cotangent, reads):
+    one op, whose parents are w.params() and whose backward runs
+    _td1_backward over each shard's records, the shards in parallel as
+    their sweeps ran, and sums their gradients in shard order. The loss
+    bookkeeping is plain numpy: each sweep's np.sum of its losses on active
+    items, added to the running total, which is scaled by 1/n at the end.
+    The targets' barrier, which the energy losses read, is evaluated once.
+    The forward keeps one record per layer's start state and per
+    activation op, (layer, output, loss cotangent, reads):
     - a start state is a constant: reads is None, and an all-zero one
       keeps no output, since the terms it feeds add exactly zero and are
       left out of every reads;
@@ -295,54 +378,19 @@ def td1_forward(examples, w, arch, cfg):
     if n == 0:
         raise ValueError("empty batch")
     targets, evidence = _batch_evidence(examples, arch)
-    kind = arch.activation
-    barrier_y = None if cfg.loss == "se" else barrier(kind, targets)
-    n_layers = arch.n_layers
-    # the sweep's upward half ends on the top layer, where the pair is read
-    order = sweep_order(n_layers)
-    up, down = order[:n_layers - 1], order[n_layers - 1:]
-
+    barrier_y = None if cfg.loss == "se" else barrier(arch.activation, targets)
+    run = _Lockstep(arch, initial_state(arch, evidence, batch=n),
+                    lambda rows, state: _TD1Run(state, w, arch, cfg, targets, barrier_y,
+                                                1.0 / n, rows))
     total = None
     active = np.ones(n, dtype=bool)
     t_star = np.full(n, cfg.max_iters, dtype=int)
     converged = np.zeros(n, dtype=bool)
     delta_traces = []
-    state = initial_state(arch, evidence, batch=n)
-    terms = PairTerms(n_layers)
-    records = [(l, x if x.any() else None, None, None)
-               for l, x in enumerate(state.activations)]
-    current = list(range(n_layers))  # the record of each layer's value
-    seen = set()  # (reader, source record) of the terms read so far
-
-    def reads(l):
-        out = []
-        for source in (l - 1, l + 1):
-            if 0 <= source < n_layers and records[current[source]][1] is not None:
-                key = (l, current[source])
-                out.append((current[source], key not in seen))
-                seen.add(key)
-        return out
-
-    def updated(l):
-        records.append((l, state.activations[l], None, reads(l)))
-        current[l] = len(records) - 1
-
     for t in range(1, cfg.max_iters + 1):
-        prev = state.activations
-        for l in up:
-            state = update_layer(state, w, arch, l, terms)
-            updated(l)
-        v_tilde = unclamped_visible(state, w, arch, terms)
-        loss_vec, loss_vjp = _loss(cfg.loss, kind, v_tilde, targets, barrier_y)
-        _check_finite(loss_vec)
+        loss_vec, delta = run.run(lambda shard: shard.sweep(active))
         contrib = np.sum(loss_vec * active)
         total = contrib if total is None else total + contrib
-        loss_gz = _slope_times(kind, v_tilde, loss_vjp(active * (1.0 / n)))
-        records.append((0, None, loss_gz, reads(0)))
-        for l in down:
-            state = update_layer(state, w, arch, l, terms)
-            updated(l)
-        delta = _max_delta(prev, state.activations, batched=True)
         delta_traces.append(delta)
         newly = active & (delta < cfg.theta)
         t_star[newly] = t
@@ -350,8 +398,14 @@ def td1_forward(examples, w, arch, cfg):
         active &= ~newly
         if not active.any():
             break
+    for shard in run.shards:
+        # the backward reads the records and the evidence only, and frees
+        # each record once it has passed it
+        shard.state = shard.terms = None
     loss = Tensor(total * (1.0 / n))
-    _record(loss, w.params(), lambda: _td1_backward(records, w, arch, evidence))
+    _record(loss, w.params(), lambda: run.run(
+        lambda shard: _td1_backward(shard.records, w, arch, shard.evidence),
+        merge=_summed_grads))
     no_energy = np.empty(0)
     reports = [SettleReport(t_star=t, converged=c, energy_trace=no_energy, max_delta_trace=d)
                for t, c, d in zip(t_star.tolist(), converged.tolist(),

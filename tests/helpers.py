@@ -7,11 +7,13 @@ import functools
 import json
 import operator
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+import cban.dynamics
 from cban.data import Example
 from cban.dynamics import (
     _layer_terms,
@@ -205,8 +207,16 @@ def cban_c_calls(fn):
     return out, count[0]
 
 
+def _drop_shard_threads():
+    """Shut down the batch-shard threads; the next sharded run starts new ones."""
+    for executor in cban.dynamics._pool:
+        executor.shutdown()
+    cban.dynamics._pool.clear()
+
+
 def tensors_made(fn):
-    """Call fn(); return (its result, the Tensors made while it ran).
+    """Call fn(); return (its result, the Tensors made while it ran, in this
+    thread and in the batch-shard threads).
 
     A Tensor is made through Tensor.__init__, which checks its data, or by
     a direct call of Tensor.__new__ (object.__new__), which skips it. A
@@ -214,24 +224,31 @@ def tensors_made(fn):
     object.__new__ made from code in the cban package. Patching
     Tensor.__new__ would not do: CPython keeps the patched constructor
     slot once the patch is undone, and the class then refuses its data.
+    A thread takes the hook only when it starts, so the shard threads are
+    shut down before the call and after it, and the ones it starts run
+    with the hook.
     """
-    count = [0]
+    made = []  # one entry per Tensor; list.append is atomic across threads
     init = Tensor.__init__.__code__
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is init:
-            count[0] += 1
+            made.append(None)
         elif (event == "c_call" and arg is object.__new__
               and frame.f_globals.get("__name__", "").startswith("cban")):
-            count[0] += 1
+            made.append(None)
 
-    previous = sys.getprofile()
+    previous, previous_threads = sys.getprofile(), threading.getprofile()
+    _drop_shard_threads()
+    threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         out = fn()
     finally:
         sys.setprofile(previous)
-    return out, count[0]
+        threading.setprofile(previous_threads)
+        _drop_shard_threads()
+    return out, len(made)
 
 
 class _CountingNumpy:

@@ -501,6 +501,16 @@ class TestCmdTrain:
         rows = (tmp_path / "out" / "train_log.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + 1 epoch
 
+    @pytest.mark.parametrize("key", ["images", "labels"])
+    def test_supervised_config_without_its_data_exits_2(self, tmp_path, capsys, key):
+        path = self._supervised_config(tmp_path, limit=3)
+        cfg = json.loads(path.read_text())
+        del cfg["data"][key]
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: data.{key} is required\n"
+        assert not (tmp_path / "out").exists()
+
     def test_negative_data_limit_exits_2(self, tmp_path, capsys):
         path = self._supervised_config(tmp_path, limit=-5)
         assert main(["train", "--config", str(path)]) == 2
@@ -742,6 +752,20 @@ MALFORMED_CONFIGS = {
     # 200 TB of weights: refused when the first block cannot be allocated
     "units is 10**12": (_set("arch", "layers", 1, "units", 10**12),
                         "the network does not fit in memory: "),
+    "a layer key is misspelt": (_set("arch", "layers", 1, "pool_befor", True),
+                                "unknown config key arch.layers[1].pool_befor; "),
+    "a conv key on an fc layer": (_set("arch", "layers", 1, "channels", 7),
+                                  "unknown config key arch.layers[1].channels; "),
+    "an activation key is misspelt": (_set("arch", "activation", "alhpa", 3),
+                                      "unknown config key arch.activation.alhpa; "),
+    "a mask key is misspelt": (_set("mask", {"kind": "perlin", "frequncy": 3}),
+                               "unknown config key mask.frequncy; "),
+    "an inner mask key is misspelt": (
+        _set("mask", {"kind": "label_plus", "inner": {"kind": "bernoulli", "p": 0.5, "q": 1}}),
+        "unknown config key mask.inner.q; "),
+    "two unknown keys": (_set("arch", "layers", 0, {"kind": "fc", "units": 25, "visible": True,
+                                                    "b": 1, "a": 2}),
+                         "unknown config keys arch.layers[0].a, arch.layers[0].b; "),
 }
 
 

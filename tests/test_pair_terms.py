@@ -10,6 +10,8 @@ data (helpers.frozen_td1_gradients).
 """
 
 import dataclasses
+import threading
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,33 @@ def _settle_reference(state, w, arch, theta, max_iters):
     return state, SettleReport(t_star=t, converged=float(np.max(d)) < theta,
                                energy_trace=np.asarray(energies),
                                max_delta_trace=np.asarray(deltas))
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Pin runs to one batch shard: the counts below are per whole batch."""
+    monkeypatch.setattr(cban.dynamics, "_workers", 1)
+
+
+def _two_workers(monkeypatch):
+    monkeypatch.setattr(cban.dynamics, "_workers", 2)
+
+
+def _count_maps(monkeypatch):
+    """Count the up and down maps of every thread; returns the one-entry
+    list that holds the count."""
+    count = [0]
+    lock = threading.Lock()
+    for name in ("_up_map", "_down_map"):
+        real = getattr(cban.dynamics, name)
+
+        def counted(*args, real=real):
+            with lock:
+                count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cban.dynamics, name, counted)
+    return count
 
 
 def _examples(arch, rng, n=3):
@@ -177,6 +206,7 @@ ZERO_STARTS = {
 }
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("case", list(ZERO_STARTS))
 class TestZeroStartSkipping:
     """Skipping the maps of layers at their zero start changes no number.
@@ -228,22 +258,52 @@ class TestZeroStartSkipping:
         for g, ref in zip(grads, noskip_grads):
             np.testing.assert_array_equal(g, ref)
 
+    def test_settle_per_shard(self, case, monkeypatch):
+        # each of two shards skips what the whole batch skips: the same
+        # states from exactly twice the whole batch's maps (none on fc nets)
+        arch, w, _, start = self._setup(case)
+        maps = _count_maps(monkeypatch)
 
+        def run():
+            maps[0] = 0
+            state, _ = settle(start, w, arch, theta=1e-300, max_iters=3, record_energy=False)
+            return state, maps[0]
+
+        one, one_maps = run()
+        _two_workers(monkeypatch)
+        two, two_maps = run()
+        for a, b in zip(one.activations, two.activations):
+            assert a.tobytes() == b.tobytes()
+        assert two_maps == (2 if arch.layers[0].kind == "conv" else 1) * one_maps
+
+    def test_td1_forward_per_shard(self, case, monkeypatch):
+        arch, w, rng, _ = self._setup(case)
+        examples = _examples(arch, rng, n=4)
+        cfg = TrainConfig(epochs=1, loss="delta_e_plus", theta=0.02, max_iters=4)
+        maps = _count_maps(monkeypatch)
+
+        def run():
+            maps[0] = 0
+            with GradTape() as tape:
+                loss, _ = td1_forward(examples, w, arch, cfg)
+            return loss.data, tape.gradient(loss, w.params()), maps[0]
+
+        loss, grads, one_maps = run()
+        _two_workers(monkeypatch)
+        two_loss, two_grads, two_maps = run()
+        assert two_loss.tobytes() == loss.tobytes()
+        for g, h in zip(grads, two_grads):
+            assert relative_error(g, h) <= 1e-12
+        assert two_maps == (2 if arch.layers[0].kind == "conv" else 1) * one_maps
+
+
+@pytest.mark.usefixtures("one_worker")
 class TestMapsPerSweep:
     """Each map is computed once per change of its source layer."""
 
     @pytest.fixture
     def maps(self, monkeypatch):
-        count = [0]
-        for name in ("_up_map", "_down_map"):
-            real = getattr(cban.dynamics, name)
-
-            def counted(*args, real=real):
-                count[0] += 1
-                return real(*args)
-
-            monkeypatch.setattr(cban.dynamics, name, counted)
-        return count
+        return _count_maps(monkeypatch)
 
     @staticmethod
     def _per_sweep(maps, run, sweeps=3):
@@ -255,10 +315,12 @@ class TestMapsPerSweep:
             totals.append(maps[0])
         return [totals[0]] + list(np.diff(totals))
 
-    def _settle_maps(self, maps, net):
+    def _settle_maps(self, maps, net, batch=None):
         arch, w, _ = _net(net, "clamp")
-        mask = _mask(arch.visible_shape)
-        start = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask))
+        shape = arch.visible_shape if batch is None else (batch,) + arch.visible_shape
+        mask = _mask(shape)
+        start = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask),
+                              batch=batch)
 
         def run(k):
             _, report = settle(start, w, arch, theta=1e-300, max_iters=k,
@@ -291,6 +353,20 @@ class TestMapsPerSweep:
         # the visible update reads v~'s down term
         assert self._td1_maps(maps, "fc2") == [2, 2, 2]
 
+    def test_settle_on_a_4_layer_net_per_shard(self, maps, monkeypatch):
+        # a batch of 2 makes the same 6 maps per sweep as one item; on two
+        # shards each shard makes them
+        assert self._settle_maps(maps, "conv4", batch=2) == [6, 6, 6]
+        _two_workers(monkeypatch)
+        assert self._settle_maps(maps, "conv4", batch=2) == [12, 12, 12]
+
+    def test_td1_per_shard(self, maps, monkeypatch):
+        # two examples on two shards: twice the 7 maps of a 4-layer net; a
+        # flat net is never split
+        _two_workers(monkeypatch)
+        assert self._td1_maps(maps, "conv4") == [14, 14, 14]
+        assert self._td1_maps(maps, "fc2") == [2, 2, 2]
+
     def test_sweep_keeps_computing_every_term(self, maps):
         arch, w, _ = _net("conv4", "clamp")
         mask = _mask(arch.visible_shape)
@@ -299,22 +375,28 @@ class TestMapsPerSweep:
         assert maps[0] == 10
 
 
+@pytest.mark.usefixtures("one_worker")
 class TestUpdatesStayTraceable:
     """settle and td1_forward call the public update_layer, 2L-2 times per
-    sweep and in sweep order, through the bindings a tracer wraps."""
+    sweep and in sweep order, through the bindings a tracer wraps; on
+    shards, each shard's thread makes every one of them."""
 
     @pytest.fixture
-    def updates(self, monkeypatch):
-        seen = []
+    def by_thread(self, monkeypatch):
+        seen = defaultdict(list)
         real = cban.dynamics.update_layer
 
         def counted(state, w, arch, l, *rest):
-            seen.append(l)
+            seen[threading.get_ident()].append(l)
             return real(state, w, arch, l, *rest)
 
         for module in (cban.dynamics, cban.training):
             monkeypatch.setattr(module, "update_layer", counted)
         return seen
+
+    @pytest.fixture
+    def updates(self, by_thread):
+        return by_thread[threading.get_ident()]
 
     @pytest.mark.parametrize("net", ["fc2", "conv4"])
     def test_settle(self, updates, net):
@@ -331,6 +413,24 @@ class TestUpdatesStayTraceable:
         td1_forward(_examples(arch, rng, n=2), w, arch,
                     TrainConfig(epochs=1, theta=1e-300, max_iters=3))
         assert updates == 3 * sweep_order(arch.n_layers)
+
+    @pytest.mark.parametrize("net", ["fc2", "conv4"])
+    def test_per_shard(self, by_thread, net, monkeypatch):
+        # a batch of 2 on two shards: a conv net's updates run on two
+        # threads, each in sweep order; a flat net's on this thread alone
+        _two_workers(monkeypatch)
+        arch, w, rng = _net(net, "clamp")
+        shape = (2,) + arch.visible_shape
+        mask = _mask(shape)
+        start = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask), batch=2)
+        settle(start, w, arch, theta=1e-300, max_iters=3)
+        td1_forward(_examples(arch, rng, n=2), w, arch,
+                    TrainConfig(epochs=1, theta=1e-300, max_iters=3))
+        shards = 2 if net == "conv4" else 1
+        assert len(by_thread) == shards
+        assert threading.get_ident() in by_thread
+        for seen in by_thread.values():
+            assert seen == 6 * sweep_order(arch.n_layers)
 
 
 _NONZERO = np.array([1.0])  # a source layer away from its zero start

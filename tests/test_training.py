@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -723,7 +724,12 @@ class TestLayerStatesAreArrays:
     """Layer states are plain float64 ndarrays. settle and td1_forward make
     no Tensor but the recorded loss and reverse_kernel's views of the
     forward kernels, and settle, td1_forward and complete write none of
-    their inputs."""
+    their inputs. The counts are per whole batch, on one shard; on two
+    shards each shard takes its own kernel views."""
+
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        monkeypatch.setattr(cban.dynamics, "_workers", 1)
 
     @staticmethod
     def _setup(net, evidence, batch=3):
@@ -742,10 +748,12 @@ class TestLayerStatesAreArrays:
     @pytest.fixture
     def kernel_views(self, monkeypatch):
         count = [0]
+        lock = threading.Lock()
         real = cban.dynamics.reverse_kernel
 
         def counting(k):
-            count[0] += 1
+            with lock:
+                count[0] += 1
             return real(k)
 
         monkeypatch.setattr(cban.dynamics, "reverse_kernel", counting)
@@ -765,6 +773,26 @@ class TestLayerStatesAreArrays:
         assert made == 1 + kernel_views[0]
         _, made = tensors_made(lambda: tape.gradient(loss, w.params()))
         assert made == 0
+
+    def test_on_two_shards_each_shard_makes_its_kernel_views(self, net, evidence,
+                                                             kernel_views, monkeypatch):
+        arch, w, examples, start, cfg = self._setup(net, evidence)
+        views = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cban.dynamics, "_workers", workers)
+            kernel_views[0] = 0
+            _, made = tensors_made(lambda: settle(start, w, arch, theta=1e-300, max_iters=3))
+            assert made == kernel_views[0]
+            settle_views = kernel_views[0]
+            kernel_views[0] = 0
+            with GradTape() as tape:
+                (loss, _), made = tensors_made(lambda: td1_forward(examples, w, arch, cfg))
+            assert made == 1 + kernel_views[0]
+            _, made = tensors_made(lambda: tape.gradient(loss, w.params()))
+            assert made == 0
+            views.append((settle_views, kernel_views[0]))
+        shards = 2 if net == "conv" else 1
+        assert views[1] == (shards * views[0][0], shards * views[0][1])
 
     def test_inputs_are_left_unwritten(self, net, evidence):
         arch, w, examples, start, cfg = self._setup(net, evidence)
