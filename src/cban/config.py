@@ -202,11 +202,18 @@ def train_from_dict(d):
             _get(d, f.name, f.type, "train", _REQUIRED if f.default is MISSING else None)
     kwargs = dict(d)
     if "lr_schedule" in d:
-        try:
-            kwargs["lr_schedule"] = tuple((int(e), float(m)) for e, m in d["lr_schedule"])
-        except (TypeError, ValueError):
+        schedule = d["lr_schedule"]
+        if not (isinstance(schedule, list)
+                and all(isinstance(pair, list) and len(pair) == 2 for pair in schedule)):
             raise ValueError("train.lr_schedule must be a list of [epoch, multiplier] "
-                             f"pairs, got {d['lr_schedule']!r}") from None
+                             f"pairs, got {schedule!r}")
+        pairs = []
+        for i, (epoch, mult) in enumerate(schedule):
+            where = f"train.lr_schedule[{i}]"
+            if _checked(epoch, "int", f"{where}[0]") < 0:
+                raise ValueError(f"{where}[0] must be >= 0, got {epoch}")
+            pairs.append((epoch, float(_checked(mult, "float", f"{where}[1]"))))
+        kwargs["lr_schedule"] = tuple(pairs)
     return TrainConfig(**kwargs)
 
 

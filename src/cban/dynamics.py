@@ -17,21 +17,26 @@ writes none of its inputs.
 A layer's preactivation is the sum of its terms: the up map of the layer
 below, the down map of the layer above, the bias, and on the visible layer
 any external-bias evidence. A layer update is one activation op over that
-list, summed into one buffer and activated in place. A pair term only
-changes when its source layer does. settle and the unrolled TD(1) step
-therefore keep one PairTerms per run: the downward update of layer l
-reuses the up term of its upward update, the next sweep's upward update of
-l reuses the down term of this sweep's downward update, and every other
-term is dropped right after its one read. A term whose source layer is
-still at an all-zero start is skipped, since it adds exactly zero. From
-the first sweep of a run from zero hidden layers that is 2L-2 maps per
-sweep instead of 4L-6: 6 instead of 10 on a 4-layer net. sweep() and
-update_layer without a PairTerms compute every term afresh.
+list, summed into one buffer and activated in place.
+
+A pair term only changes when its source layer does, and a layer reads
+only its two neighbors, so sweep_order fixes which terms an update can
+reuse. settle and the unrolled TD(1) step sweep through one runner per
+shard, _ShardRun, which holds one term per layer. The upward update of an
+interior layer l maps x[l-1] afresh and reads the down term its last
+downward update mapped, as x[l+1] has not changed since; it holds its up
+term, which its downward update reads while mapping x[l+1] afresh, and
+that down term is held for the next sweep. The top and visible layers map
+their one term. The first sweep maps the down terms from the start state
+instead, and skips the maps of a source layer still at an all-zero start,
+which add exactly zero. From the first sweep of a run from zero hidden
+layers that is 2L-2 maps per sweep instead of 4L-6: 6 instead of 10 on a
+4-layer net. sweep() and update_layer without terms map every term afresh.
 
 settle and the unrolled TD(1) step run their sweeps through one lockstep
 runner, _Lockstep. A batched run of a conv net splits its batch into
 min(_workers, batch) contiguous row shards, each with its own state rows,
-evidence rows and PairTerms: a layer update reads only its own item's
+evidence rows and _ShardRun: a layer update reads only its own item's
 units, so a shard settles exactly as its rows of the whole batch do. Shard
 0 sweeps on the calling thread and the others on a persistent thread pool,
 and _Lockstep joins after every sweep, so the caller decides convergence
@@ -53,7 +58,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextvars
-import functools
 import os
 from dataclasses import dataclass, field
 
@@ -82,7 +86,6 @@ __all__ = [
     "EvidenceConstraint",
     "NetState",
     "SettleReport",
-    "PairTerms",
     "fc_layer",
     "conv_layer",
     "fban",
@@ -370,106 +373,28 @@ def _bias_term(b, spec):
     return b.data.reshape(spec.channels, 1, 1)
 
 
-class PairTerms:
-    """The pair terms of one run of layer updates, each computed once per
-    change of its source layer.
-
-    A term is the map of a source layer's activations into an adjacent
-    reader layer's preactivation: up(x[l-1]) is the term (l, l-1) and
-    down(x[l+1]) the term (l, l+1). A run updates its layers in sweep
-    order, which walks up and down the stack, and every state it passes
-    with this object is the result of the update before. Two rules keep
-    each held term exact and short-lived:
-    - a term is dropped as soon as its source layer is updated;
-    - a term is held only while its reader is due for an update before its
-      source: otherwise its last read has already happened.
-    So between updates each layer holds at most one term. Updates in
-    another order stay exact but reuse less.
-
-    A source layer that is exactly zero at its first read, as hidden layers
-    are at the start of a run, maps to exactly zero; its terms are skipped
-    until that layer is updated.
-    """
-
-    def __init__(self, n_layers):
-        self._steps = _walk_steps(n_layers)
-        self._at = 0  # walk position of the next update
-        self._terms = {}
-        self._zero = {}  # source layer -> still at an all-zero start
-
-    def _due(self, reader, source):
-        steps = self._steps[self._at]
-        return steps[reader] < steps[source]
-
-    def read(self, reader, source, x, compute):
-        """The term (reader, source) of source activations x: None while the
-        source is at its zero start, else held, or compute() and hold it if
-        due."""
-        zero = self._zero.get(source)
-        if zero is None:
-            zero = self._zero[source] = not x.any()
-        if zero:
-            return None
-        key = (reader, source)
-        term = self._terms.get(key)
-        if term is None:
-            term = compute()
-            if self._due(reader, source):
-                self._terms[key] = term
-        return term
-
-    def updated(self, l):
-        """Layer l is updated: drop the terms it leaves stale or dead."""
-        self._at = (self._at + self._steps[self._at][l] + 1) % len(self._steps)
-        self._zero[l] = False
-        self._terms = {key: term for key, term in self._terms.items()
-                       if key[1] != l and self._due(*key)}
-
-
-@functools.lru_cache(maxsize=None)
-def _walk_steps(n_layers):
-    """From each position of the sweep_order walk, the number of updates
-    before each layer's next one."""
-    walk = sweep_order(n_layers)
-    n = len(walk)
-    return tuple({layer: next(s for s in range(n) if walk[(at + s) % n] == layer)
-                  for layer in range(n_layers)} for at in range(n))
-
-
-def _pair_term(state, w, arch, reader, source, terms):
-    """The map of layer `source`'s activations into layer `reader`, or None
-    where a PairTerms skips it."""
-    x = state.activations[source]
-
-    def compute():
-        return _up_map(x, w, arch, source) if source < reader else _down_map(x, w, arch, reader)
-
-    return compute() if terms is None else terms.read(reader, source, x, compute)
-
-
-def _layer_terms(state, w, arch, l, terms):
+def _layer_terms(state, w, arch, l, terms=None):
     """The terms of layer l's preactivation, in the order they are summed.
 
     The neighbor contributions come first, the one from below before the
     one from above; end layers have one, interior layers two. fc pairs use
     the weight matrix and its transpose; conv pairs use the forward kernel
-    upward and its reversed kernel downward. The layer bias follows, and
-    under external-bias evidence the visible layer also receives the
-    state's evidence values; a state without evidence receives none. With
-    a PairTerms the neighbor contributions are read from it (see
-    PairTerms); if it skips them all, the bias is broadcast to the layer's
-    shape.
+    upward and its reversed kernel downward. terms, if given, are the
+    neighbor contributions already in hand, in that order, with any that
+    adds exactly zero left out; if they are all left out, the bias is
+    broadcast to the layer's shape. The layer bias follows, and under
+    external-bias evidence the visible layer also receives the state's
+    evidence values; a state without evidence receives none.
     """
     if not 0 <= l < arch.n_layers:
         raise IndexError(f"layer index {l} out of range for {arch.n_layers} layers")
-    out = []
-    for source in (l - 1, l + 1):
-        if 0 <= source < arch.n_layers:
-            term = _pair_term(state, w, arch, l, source, terms)
-            if term is not None:
-                out.append(term)
+    if terms is None:
+        x = state.activations
+        terms = [_up_map(x[l - 1], w, arch, l - 1)] if l else []
+        if l < arch.n_layers - 1:
+            terms.append(_down_map(x[l + 1], w, arch, l))
     bias = _bias_term(w.biases[l], arch.layers[l])
-    out.append(bias if out else np.broadcast_to(bias, state.activations[l].shape))
+    out = [*terms, bias if terms else np.broadcast_to(bias, state.activations[l].shape)]
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "external_bias":
         out.append(ev.values)
@@ -479,13 +404,11 @@ def _layer_terms(state, w, arch, l, terms):
 def update_layer(state, w, arch, l, terms=None):
     """Activate layer l from its preactivation, then re-clamp any evidence.
 
-    The preactivation's terms are summed and activated as one op. With a
-    PairTerms they reuse its held terms, and the terms that layer l's
-    change leaves stale or dead are dropped.
+    The preactivation's terms are summed and activated as one op. terms
+    are the neighbor contributions already in hand (see _layer_terms);
+    without them every one is mapped from the state.
     """
     x = activation(arch.activation, _layer_terms(state, w, arch, l, terms))
-    if terms is not None:
-        terms.updated(l)
     ev = state.evidence
     if l == 0 and ev is not None and arch.evidence == "clamp":
         x = np.where(ev.mask, ev.values, x)
@@ -726,21 +649,90 @@ class _Lockstep:
         return NetState([np.concatenate(a) for a in layers], self.evidence)
 
 
-class _SettleRun:
-    """settle's runner of one shard: its state and its PairTerms."""
+class _ShardRun:
+    """One shard's sweeps: its state, and one held pair term per layer.
+
+    held[l] is the term layer l's next update reads instead of mapping it
+    (see _update), or None; zero marks the layers still at an all-zero
+    start. A sweep runs the upward half 1..L-1, then the hook
+    after_up(state), then the downward half L-2..0, and after every update
+    the hook updated(l, state, reads). Both hooks do nothing here;
+    td1_forward's runner computes v~ and the loss in the first and records
+    each update in the second.
+    """
 
     def __init__(self, state, w, arch):
         self.state, self.w, self.arch = state, w, arch
         self.batched = state.batched(arch)
-        self.order = sweep_order(arch.n_layers)
-        self.terms = PairTerms(arch.n_layers)
+        n = arch.n_layers
+        order = sweep_order(n)
+        self.up, self.down = order[:n - 1], order[n - 1:]
+        self.top = n - 1
+        # the layers still at an all-zero start: maps from them are skipped
+        self.zero = [not x.any() for x in state.activations]
+        self.held = [None] * n
+
+    def term(self, state, reader, source):
+        """The map of layer source into layer reader, or None while source
+        is at an all-zero start."""
+        if self.zero[source]:
+            return None
+        x = state.activations[source]
+        if source < reader:
+            return _up_map(x, self.w, self.arch, source)
+        return _down_map(x, self.w, self.arch, reader)
+
+    def visible_term(self, state):
+        """The visible layer's down term, mapped after the upward half. On a
+        2-layer net x[1] is the top, which the downward half leaves as it
+        is, so the visible update reads this term too."""
+        term = self.term(state, 0, 1)
+        if self.top == 1:
+            self.held[0] = term
+        return term
+
+    def _update(self, state, l, upward):
+        """Layer l's update in the upward or the downward half of a sweep.
+
+        The neighbor the sweep has changed since l's last update is mapped
+        afresh: the one below on the way up, the one above on the way down.
+        An interior layer's other neighbor is as l's last update found it,
+        so l reads the term it held from then instead; the first sweep's
+        upward updates hold none yet and map that down term from the start
+        state. An interior layer then holds the term it mapped, for its
+        next update. The visible layer reads a term visible_term held
+        instead of mapping it. reads lists, per term read, (source layer,
+        whether it was mapped for this update).
+        """
+        held = self.held
+        kept, held[l] = held[l], None
+        reused = None if kept is None else l + 1 if upward or not l else l - 1
+        below = kept if reused == l - 1 else self.term(state, l, l - 1) if l else None
+        above = kept if reused == l + 1 else self.term(state, l, l + 1) if l < self.top else None
+        state = update_layer(state, self.w, self.arch, l,
+                             [t for t in (below, above) if t is not None])
+        self.zero[l] = False
+        if 0 < l < self.top:
+            held[l] = below if upward else above
+        self.updated(l, state, [(s, s != reused) for s, t in ((l - 1, below), (l + 1, above))
+                                if t is not None])
+        return state
+
+    def after_up(self, state):
+        pass
+
+    def updated(self, l, state, reads):
+        pass
 
     def sweep(self):
         """One sweep; returns the largest activation change, per item when
         batched."""
         state = self.state
-        for l in self.order:
-            state = update_layer(state, self.w, self.arch, l, self.terms)
+        for l in self.up:
+            state = self._update(state, l, True)
+        self.after_up(state)
+        for l in self.down:
+            state = self._update(state, l, False)
         prev, self.state = self.state.activations, state
         return _max_delta(prev, state.activations, self.batched)
 
@@ -752,26 +744,27 @@ def settle(state, w, arch, theta=0.01, max_iters=100, record_energy=True):
     t_star and per-iteration energy and delta traces. Every layer update
     minimizes the energy over its layer, so a run that stops at max_iters
     without converging has still lowered or kept its energy at every sweep.
-    The sweeps are those of sweep(), with the pair terms of one PairTerms
-    per shard for the whole run: each up or down map is computed once per
-    change of its source layer and skipped while that layer is at an
-    all-zero start, so 2L-2 maps per sweep from the first sweep of a run
-    from zero hidden layers, and each term is dropped right after its last
-    read. A batched state of a conv net is swept on row shards in lockstep
-    (see _Lockstep), each shard's energy evaluated on its own rows; every
-    number, t_star and the traces are those of the unsharded run, byte for
-    byte, and so is the error of a state that diverges.
+    The sweeps are those of sweep(), run by one _ShardRun per shard, which
+    holds one pair term per layer between updates, as sweep_order fixes:
+    each up or down map is computed once per change of its source layer
+    and skipped while that layer is at an all-zero start, so 2L-2 maps per
+    sweep from the first sweep of a run from zero hidden layers, and each
+    term is dropped right after its last read. A batched state of a conv
+    net is swept on row shards in lockstep (see _Lockstep), each shard's
+    energy evaluated on its own rows; every number, t_star and the traces
+    are those of the unsharded run, byte for byte, and so is the error of
+    a state that diverges.
     """
     if not theta > 0:
         raise ValueError("theta must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    run = _Lockstep(arch, state, lambda rows, s: _SettleRun(s, w, arch))
+    run = _Lockstep(arch, state, lambda rows, s: _ShardRun(s, w, arch))
     state = None  # the runners hold the start state until their first sweep ends
     energies, deltas = [], []
     for t in range(1, max_iters + 1):
         try:
-            d = run.run(_SettleRun.sweep)
+            d = run.run(_ShardRun.sweep)
         except ValueError as e:
             raise ValueError(f"state diverged during iteration {t}: {e}") from e
         deltas.append(d)

@@ -23,16 +23,19 @@ barrier checks its result for overflow.
 
 The TD(1) gradient is back-propagation through time written out for a
 symmetric bipartite stack (Werbos 1990); it is the only gradient the
-package takes. td1_forward runs the forward through settle's lockstep runner
-(dynamics._Lockstep) and the same update_layer, unclamped_visible and
-PairTerms, keeping per activation op its output, the plain ndarray the
-update made, and where each pair term it read came from, but no term
-arrays. A batch of a conv net runs on row shards in lockstep, each shard
-with its own records; a flat net's batch is one shard. The loss is the
-one Tensor it makes. It records the loss on the active GradTape as the
-tape's one op, whose parents are the weights, and whose backward walks
-each shard's records back, the shards in parallel, and sums their
-gradients (_td1_backward): each layer's preactivation
+package takes. td1_forward sweeps through settle's lockstep runner
+(dynamics._Lockstep) and settle's shard runner (dynamics._ShardRun), and
+so through its held pair terms and update_layer, with a hook after the
+upward half that computes v~ by unclamped_visible and the loss. It keeps
+per activation op its output, the plain ndarray the update made, and
+where each pair term it read came from, but no term arrays; whether the
+op is a term's first reader is whether the runner mapped the term for it
+or reused a held one. A batch of a conv net runs on row shards in
+lockstep, each shard with its own records; a flat net's batch is one
+shard. The loss is the one Tensor it makes. It records the loss on the
+active GradTape as the tape's one op, whose parents are the weights, and
+whose backward walks each shard's records back, the shards in parallel,
+and sums their gradients (_td1_backward): each layer's preactivation
 cotangent is its output's cotangent times the activation's slope, zero on
 clamped units, and each pair term's summed cotangent goes once through the
 adjoint of the map that made it (_term_vjp), which for a symmetric pair is
@@ -60,23 +63,21 @@ from .tensor import (
 from .dynamics import (
     EvidenceConstraint,
     NetState,
-    PairTerms,
     SettleReport,
     Tanh,
     WeightBundle,
     _Lockstep,
+    _ShardRun,
     _barrier,
     _inverse_activation,
     _layer_terms,
-    _max_delta,
     activation,
     barrier,
     block_shapes,
     initial_state,
     inverse_activation,
     settle,
-    sweep_order,
-    update_layer,
+    update_layer,  # noqa: F401  (bench/tests/test_spans.py wraps this binding)
 )
 
 __all__ = [
@@ -156,9 +157,10 @@ def unclamped_visible(state, w, arch, terms=None):
     The visible preactivation is computed on the state's activations with
     its evidence dropped, from the adjacent hidden layer plus bias, and
     activated: no evidence is re-applied and no evidence bias mixed in.
-    With a PairTerms the down term is read from it, so on a 2-layer net the
-    visible update that follows reuses it. The terms are summed and
-    activated as one op, as in update_layer.
+    terms, if given, is the down term of the adjacent hidden layer already
+    in hand, in a list, as td1_forward's runner maps it (see
+    dynamics._layer_terms). The terms are summed and activated as one op,
+    as in update_layer.
     """
     return activation(arch.activation,
                       _layer_terms(NetState(state.activations), w, arch, 0, terms))
@@ -259,9 +261,10 @@ def _batch_evidence(examples, arch):
     return targets, EvidenceConstraint(mask=masks, values=values)
 
 
-class _TD1Run:
-    """td1_forward's runner of one shard: its state, its PairTerms and the
-    records of its updates.
+class _TD1Run(_ShardRun):
+    """td1_forward's runner of one shard: settle's shard runner, whose hook
+    after the upward half computes v~ and the loss, plus the records of
+    the shard's activation ops.
 
     rows is the shard's slice of the batch, or None for the whole batch;
     targets, barrier_y and the active mask a sweep gets are the whole
@@ -270,57 +273,38 @@ class _TD1Run:
     """
 
     def __init__(self, state, w, arch, cfg, targets, barrier_y, item_weight, rows):
-        self.state, self.w, self.arch, self.cfg = state, w, arch, cfg
-        self.evidence = state.evidence
+        super().__init__(state, w, arch)
+        self.cfg, self.evidence = cfg, state.evidence
         self.rows, self.item_weight = rows, item_weight
         if rows is not None:
             targets = targets[rows]
             barrier_y = None if barrier_y is None else barrier_y[rows]
         self.targets, self.barrier_y = targets, barrier_y
-        self.n_layers = n_layers = arch.n_layers
-        # the sweep's upward half ends on the top layer, where the pair is read
-        order = sweep_order(n_layers)
-        self.up, self.down = order[:n_layers - 1], order[n_layers - 1:]
-        self.terms = PairTerms(n_layers)
-        self.records = [(l, x if x.any() else None, None, None)
-                        for l, x in enumerate(state.activations)]
-        self.current = list(range(n_layers))  # the record of each layer's value
-        self.seen = set()  # (reader, source record) of the terms read so far
+        self.records = [(l, None if zero else x, None, None)
+                        for l, (x, zero) in enumerate(zip(state.activations, self.zero))]
+        self.current = list(range(arch.n_layers))  # the record of each layer's value
 
-    def _reads(self, l):
-        out = []
-        for source in (l - 1, l + 1):
-            if 0 <= source < self.n_layers and self.records[self.current[source]][1] is not None:
-                key = (l, self.current[source])
-                out.append((key[1], key not in self.seen))
-                self.seen.add(key)
-        return out
-
-    def _updated(self, l, state):
-        self.records.append((l, state.activations[l], None, self._reads(l)))
+    def updated(self, l, state, reads):
+        self.records.append((l, state.activations[l], None,
+                             [(self.current[s], mapped) for s, mapped in reads]))
         self.current[l] = len(self.records) - 1
+
+    def after_up(self, state):
+        kind = self.arch.activation
+        v_tilde = unclamped_visible(state, self.w, self.arch, [self.visible_term(state)])
+        loss_vec, loss_vjp = _loss(self.cfg.loss, kind, v_tilde, self.targets, self.barrier_y)
+        _check_finite(loss_vec)
+        loss_gz = _slope_times(kind, v_tilde, loss_vjp(self.active * self.item_weight))
+        self.records.append((0, None, loss_gz, [(self.current[1], True)]))
+        self.loss_vec = loss_vec
 
     def sweep(self, active):
         """One sweep with the loss injected after its upward half; returns
         (loss per item, largest activation change per item) of the shard's
         rows. active is the whole batch's mask of items still active."""
-        state, w, arch, terms = self.state, self.w, self.arch, self.terms
-        kind = arch.activation
-        for l in self.up:
-            state = update_layer(state, w, arch, l, terms)
-            self._updated(l, state)
-        v_tilde = unclamped_visible(state, w, arch, terms)
-        loss_vec, loss_vjp = _loss(self.cfg.loss, kind, v_tilde, self.targets, self.barrier_y)
-        _check_finite(loss_vec)
-        if self.rows is not None:
-            active = active[self.rows]
-        loss_gz = _slope_times(kind, v_tilde, loss_vjp(active * self.item_weight))
-        self.records.append((0, None, loss_gz, self._reads(0)))
-        for l in self.down:
-            state = update_layer(state, w, arch, l, terms)
-            self._updated(l, state)
-        prev, self.state = self.state.activations, state
-        return loss_vec, _max_delta(prev, state.activations, batched=True)
+        self.active = active if self.rows is None else active[self.rows]
+        delta = super().sweep()
+        return self.loss_vec, delta
 
 
 def _summed_grads(per_shard):
@@ -344,16 +328,18 @@ def td1_forward(examples, w, arch, cfg):
     max_delta_trace is a view of one (sweeps, items) array. Returns (mean
     over items of summed per-sweep losses, as a Tensor, reports).
 
-    The sweeps run through settle's lockstep runner (dynamics._Lockstep): a batch of
-    a conv net sweeps on row shards in lockstep, each with its own state,
-    PairTerms and records, and after every sweep the shards' per-item
-    losses and changes are joined in row order, so the loss, t_star and
-    the traces are those of one unsharded run, byte for byte. The sweeps
-    and v~ share a shard's PairTerms, as in settle, so each map is computed
-    once per change of its source layer and skipped while that layer is at
-    its zero start: 2L-1 maps per sweep from the first, 7 on a 4-layer net.
-    On a 2-layer net the visible update reuses v~'s down term, which leaves
-    2.
+    The sweeps run through settle's lockstep runner (dynamics._Lockstep):
+    a batch of a conv net sweeps on row shards in lockstep, each with its
+    own runner, state and records, and after every sweep the shards'
+    per-item losses and changes are joined in row order, so the loss,
+    t_star and the traces are those of one unsharded run, byte for byte.
+    A shard's runner is settle's (dynamics._ShardRun) with v~ and the loss
+    computed after the upward half, so the sweeps hold one pair term per
+    layer as in settle: each map is computed once per change of its source
+    layer and skipped while that layer is at its zero start, and v~ maps
+    one more down term, 2L-1 maps per sweep from the first, 7 on a 4-layer
+    net. On a 2-layer net the top does not change between v~ and the
+    visible update, which reuses v~'s down term and leaves 2.
 
     The loss is recorded on the active GradTape, if there is one, as its
     one op, whose parents are w.params() and whose backward runs
@@ -372,7 +358,8 @@ def td1_forward(examples, w, arch, cfg):
       fixes in the forward: the loss's vjp at the item weights (1/n on
       items still active) times the activation's slope;
     - reads lists, per pair term the op read, (index of the record its
-      source value came from, whether this op is the term's first reader).
+      source value came from, whether the runner mapped the term for this
+      op, which makes it the term's first reader, or reused a held one).
     """
     n = len(examples)
     if n == 0:
@@ -401,7 +388,7 @@ def td1_forward(examples, w, arch, cfg):
     for shard in run.shards:
         # the backward reads the records and the evidence only, and frees
         # each record once it has passed it
-        shard.state = shard.terms = None
+        shard.state = shard.held = None
     loss = Tensor(total * (1.0 / n))
     _record(loss, w.params(), lambda: run.run(
         lambda shard: _td1_backward(shard.records, w, arch, shard.evidence),

@@ -68,8 +68,8 @@ def loss_per_item(loss_kind, act_kind, v_tilde, y):
 
 
 def td1_reference(examples, w, arch, cfg):
-    """td1_forward's loop without its pair-term cache: cache-less
-    update_layer and unclamped_visible, and _loss's values.
+    """td1_forward's loop without its held pair terms: update_layer and
+    unclamped_visible mapping every term afresh, and _loss's values.
 
     Returns (loss, per-sweep deltas of shape (sweeps, items)), the
     references for td1_forward's loss and deltas, byte for byte.

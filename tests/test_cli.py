@@ -766,6 +766,18 @@ MALFORMED_CONFIGS = {
     "two unknown keys": (_set("arch", "layers", 0, {"kind": "fc", "units": 25, "visible": True,
                                                     "b": 1, "a": 2}),
                          "unknown config keys arch.layers[0].a, arch.layers[0].b; "),
+    "a schedule entry is strings": (_set("train", "lr_schedule", [["3", "0.1"]]),
+                                    "train.lr_schedule[0][0] must be an integer, got str"),
+    "a schedule epoch is true": (_set("train", "lr_schedule", [[True, 0.5]]),
+                                 "train.lr_schedule[0][0] must be an integer, got bool"),
+    "a schedule epoch is fractional": (_set("train", "lr_schedule", [[600, 0.1], [2.7, 0.5]]),
+                                       "train.lr_schedule[1][0] must be an integer, got float"),
+    "a schedule epoch is negative": (_set("train", "lr_schedule", [[-1, 0.5]]),
+                                     "train.lr_schedule[0][0] must be >= 0, got -1"),
+    "a schedule multiplier is a string": (_set("train", "lr_schedule", [[3, "0.1"]]),
+                                          "train.lr_schedule[0][1] must be a number, got str"),
+    "a schedule multiplier is null": (_set("train", "lr_schedule", [[3, None]]),
+                                      "train.lr_schedule[0][1] must be a number, got NoneType"),
 }
 
 

@@ -1,12 +1,15 @@
 """Pair-term reuse in settle and TD(1): the same numbers from fewer maps.
 
-settle and td1_forward keep one PairTerms per run, so each up or down map
-is computed once per change of its source layer. The references here are
-the plain loops they replace: sweep() for settle, and for the unrolled
-TD(1) step helpers.td1_reference, cache-less update_layer plus
-unclamped_visible. td1_forward's gradient, its reverse sweep, is compared
-with the gradients a per-op tape took of that reference, frozen as test
-data (helpers.frozen_td1_gradients).
+settle and td1_forward sweep each shard through one runner,
+dynamics._ShardRun, which holds one pair term per layer between updates,
+so each up or down map is computed once per change of its source layer.
+The references here are the plain loops they replace: sweep() for
+settle, and for the unrolled TD(1) step helpers.td1_reference, update_layer
+and unclamped_visible mapping every term afresh. td1_forward's gradient,
+its reverse sweep, is compared with the gradients a per-op tape took of
+that reference, frozen as test data (helpers.frozen_td1_gradients). The
+runner's held terms are checked after every update against fresh maps of
+the current state.
 """
 
 import dataclasses
@@ -26,9 +29,11 @@ from cban.dynamics import (
     ArchSpec,
     EvidenceConstraint,
     LeakySigmoid,
-    PairTerms,
     SettleReport,
+    _down_map,
     _max_delta,
+    _ShardRun,
+    _up_map,
     conv_layer,
     energy,
     fban,
@@ -36,7 +41,6 @@ from cban.dynamics import (
     settle,
     sweep,
     sweep_order,
-    update_layer,
 )
 from cban.tensor import GradTape, Tensor
 from cban.training import TrainConfig, init_weights, td1_forward
@@ -186,12 +190,14 @@ def test_td1_matches_the_reference_at_the_cifar10_shape():
     assert all(r.t_star == 6 and not r.converged for r in reports)
 
 
-class _NoSkip(PairTerms):
-    """PairTerms that computes the maps of zero-start layers too."""
+class _NoSkip(cban.training._TD1Run):
+    """td1_forward's runner that takes no start as all zero: it maps the
+    zero-start layers too, and their start records keep their values."""
 
-    def read(self, reader, source, x, compute):
-        self._zero[source] = False
-        return super().read(reader, source, x, compute)
+    def __init__(self, state, *args):
+        super().__init__(state, *args)
+        self.zero = [False] * len(self.zero)
+        self.records = [(l, x, None, None) for l, x in enumerate(state.activations)]
 
 
 # a net and evidence for each way a map can be skipped at the zero start
@@ -251,7 +257,7 @@ class TestZeroStartSkipping:
 
         loss, grads = step()
         ref_loss, _ = td1_reference(examples, w, arch, cfg)
-        monkeypatch.setattr(cban.training, "PairTerms", _NoSkip)
+        monkeypatch.setattr(cban.training, "_TD1Run", _NoSkip)
         noskip_loss, noskip_grads = step()
         np.testing.assert_array_equal(loss, ref_loss)
         np.testing.assert_array_equal(loss, noskip_loss)
@@ -390,8 +396,8 @@ class TestUpdatesStayTraceable:
             seen[threading.get_ident()].append(l)
             return real(state, w, arch, l, *rest)
 
-        for module in (cban.dynamics, cban.training):
-            monkeypatch.setattr(module, "update_layer", counted)
+        # both sweep through dynamics._ShardRun, in dynamics' namespace
+        monkeypatch.setattr(cban.dynamics, "update_layer", counted)
         return seen
 
     @pytest.fixture
@@ -433,45 +439,62 @@ class TestUpdatesStayTraceable:
             assert seen == 6 * sweep_order(arch.n_layers)
 
 
-_NONZERO = np.array([1.0])  # a source layer away from its zero start
+class _SlotChecks(_ShardRun):
+    """A runner that checks its held terms after every update.
+
+    An interior layer whose last update was upward holds its up term, one
+    whose last update was downward its down term, and one not updated yet
+    nothing: each held term equals a fresh map of its source's current
+    value, so none is stale. The top layer holds nothing, and the visible
+    layer only v~'s term on a 2-layer net, until its update.
+    """
+
+    def __init__(self, state, w, arch):
+        super().__init__(state, w, arch)
+        self.last = {}  # interior layer -> direction of its last update
+        self.upward = True
+        self.checked = 0
+
+    def after_up(self, state):
+        self.visible_term(state)
+        assert (self.held[0] is not None) == (self.top == 1)
+        self.upward = False
+
+    def updated(self, l, state, reads):
+        self.last[l] = self.upward
+        self.upward = self.upward or l == 0
+        x = state.activations
+        for k, term in enumerate(self.held):
+            if k == 0 and not self.upward:
+                continue  # v~'s term, checked by after_up
+            if not 0 < k < self.top or k not in self.last:
+                assert term is None
+            elif self.last[k]:
+                assert term.tobytes() == _up_map(x[k - 1], self.w, self.arch, k - 1).tobytes()
+            else:
+                assert term.tobytes() == _down_map(x[k + 1], self.w, self.arch, k).tobytes()
+        self.checked += 1
 
 
 class TestPairTerms:
-    @staticmethod
-    def _update(terms, l, n_layers):
-        for source in (l - 1, l + 1):
-            if 0 <= source < n_layers:
-                terms.read(l, source, _NONZERO, object)
-        terms.updated(l)
+    """One held term per layer: the runner's slots after every update."""
 
     @pytest.mark.parametrize("n_layers", [2, 3, 4, 5])
     def test_between_updates_each_layer_holds_at_most_one_term(self, n_layers):
-        terms = PairTerms(n_layers)
-        order = sweep_order(n_layers)
-        for _ in range(3):
-            for l in order[:n_layers - 1]:
-                self._update(terms, l, n_layers)
-            # v~'s read: held only when the visible update comes next
-            terms.read(0, 1, _NONZERO, object)
-            assert ((0, 1) in terms._terms) == (n_layers == 2)
-            for l in order[n_layers - 1:]:
-                self._update(terms, l, n_layers)
-                readers = [reader for reader, _ in terms._terms]
-                assert len(readers) == len(set(readers))
-        # what a sweep leaves for the next: each interior layer's down term
-        assert sorted(terms._terms) == [(l, l + 1) for l in range(1, n_layers - 1)]
-
-    @pytest.mark.parametrize("evidence", ["clamp", "external_bias"])
-    def test_updates_out_of_sweep_order_stay_exact(self, evidence):
-        arch, w, rng = _net("conv4", evidence)
+        arch = fban(4, [5, 3, 6, 2][:n_layers - 1])
+        w = init_weights(arch, seed=1)
+        w = w.with_params([Tensor(p.data + 0.3) for p in w.params()])
         mask = _mask((2,) + arch.visible_shape)
-        state = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask), batch=2)
-        ref, terms = state, PairTerms(arch.n_layers)
-        for l in rng.integers(0, arch.n_layers, size=40):
-            state = update_layer(state, w, arch, int(l), terms)
-            ref = update_layer(ref, w, arch, int(l))
-            for a, b in zip(state.activations, ref.activations):
-                assert a.tobytes() == b.tobytes()
+        run = _SlotChecks(initial_state(arch, EvidenceConstraint(mask, 0.5 * mask), batch=2),
+                          w, arch)
+        for _ in range(3):
+            run.sweep()
+            # what a sweep leaves for the next: each interior layer's down term
+            x = run.state.activations
+            assert run.held[0] is None and run.held[-1] is None
+            for k in range(1, n_layers - 1):
+                assert run.held[k].tobytes() == _down_map(x[k + 1], w, arch, k).tobytes()
+        assert run.checked == 3 * (2 * n_layers - 2)
 
 
 class TestFinitenessPassesPerUpdate:
@@ -484,11 +507,18 @@ class TestFinitenessPassesPerUpdate:
         arch, w, _ = _net("conv4", evidence)
         mask = _mask((2,) + arch.visible_shape)
         state = initial_state(arch, EvidenceConstraint(mask=mask, values=0.5 * mask), batch=2)
-        terms = PairTerms(arch.n_layers)
-        order = sweep_order(arch.n_layers)
-        for l in order:  # a first sweep, so no layer is at its zero start
-            state = update_layer(state, w, arch, l, terms)
         counts = {"passes": 0, "maps": 0}
+        seen = []
+
+        class Counted(_ShardRun):
+            def updated(self, l, state, reads):
+                if l == 1:
+                    seen.append(counts["maps"])
+                    assert counts["passes"] <= counts["maps"] + 1
+                counts.update(passes=0, maps=0)
+
+        run = Counted(state, w, arch)
+        run.sweep()  # a first sweep, so no layer is at its zero start
         real_check = cban.tensor._check_finite
 
         def check(arr):
@@ -502,13 +532,9 @@ class TestFinitenessPassesPerUpdate:
                 return real(*args)
 
             monkeypatch.setattr(cban.dynamics, name, counted)
-        seen = []
-        for l in order:
-            counts.update(passes=0, maps=0)
-            state = update_layer(state, w, arch, l, terms)
-            if l == 1:
-                seen.append(counts["maps"])
-                assert counts["passes"] <= counts["maps"] + 1
+        seen.clear()
+        counts.update(passes=0, maps=0)
+        run.sweep()
         # the upward update reuses the down term, the downward one the up term
         assert seen == [1, 1]
 
