@@ -23,7 +23,6 @@ from .dynamics import (
     NetState,
     Tanh,
     WeightBundle,
-    activation,
     conv_layer,
     energy,
     fban,
@@ -40,7 +39,6 @@ __all__ = [
     "check_gradients",
     "check_layerwise_descent",
     "check_settle_convergence",
-    "check_synchronous_cycles",
     "check_leaky_bound",
     "SUITES",
     "run_suite",
@@ -258,68 +256,6 @@ def check_settle_convergence(seed=0, trials=50, theta=1e-3, max_iters=500):
                        trials=trials, failures=failures)
 
 
-def _synchronous_step(x, W, b, kind):
-    """One parallel full-state update x <- f(x W + b) on a dense weight matrix.
-
-    This is the classical discrete-time iteration whose trajectories, for
-    symmetric W with nonnegative diagonal and a saturating activation,
-    always end in a fixed point or a period-2 cycle.
-    """
-    return activation(kind, x @ W + b)
-
-
-def _detect_cycle(trailing_states, tol):
-    """Smallest period p >= 1 repeating across the window, or 0 if none.
-
-    States are compared elementwise: period p holds when every pair of
-    states p apart in the window differs by less than tol everywhere.
-    """
-    states = [np.asarray(s) for s in trailing_states]
-    n = len(states)
-    if n < 2:
-        raise ValueError("need at least two states to detect a cycle")
-    for p in range(1, n):
-        ok = all(np.max(np.abs(states[t] - states[t - p])) < tol
-                 for t in range(p, n))
-        if ok:
-            return p
-    return 0
-
-
-def check_synchronous_cycles(seed=0, trials=200, max_units=24, iters=3000,
-                             tol=1e-8):
-    """Parallel full-state updates end in period 1 or 2, never more."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    periods = {1: 0, 2: 0}
-    for trial in range(trials):
-        n = int(rng.integers(2, max_units + 1))
-        scale = float(rng.choice([0.5, 1.5, 3.0, 6.0]))
-        A = rng.normal(scale=scale / np.sqrt(n), size=(n, n))
-        W = (A + A.T) / 2
-        np.fill_diagonal(W, np.abs(np.diag(W)))
-        b = rng.normal(scale=0.3, size=n)
-        x = rng.uniform(-1.0, 1.0, size=n)
-        window = [x.copy()]
-        period = 0
-        for _ in range(iters):
-            x = _synchronous_step(x, W, b, Tanh())
-            window.append(x.copy())
-            if len(window) > 8:
-                window.pop(0)
-            if len(window) >= 5:
-                period = _detect_cycle(window, tol=tol)
-                if period:
-                    break
-        if period in (1, 2):
-            periods[period] += 1
-        else:
-            failures.append(f"trial {trial}: period {period} (n={n}, scale={scale})")
-    return CheckResult(name="synchronous-two-cycle-bound", passed=not failures,
-                       trials=trials, failures=failures,
-                       stats={"fixed_points": periods[1], "two_cycles": periods[2]})
-
-
 def check_leaky_bound(seed=0, trials=200, alpha=0.2, product=0.9, theta=1e-6,
                       max_iters=500, expect_convergent=True):
     """Contraction bound: alpha * norm < 1 forces a fixed point.
@@ -359,14 +295,6 @@ def check_leaky_bound(seed=0, trials=200, alpha=0.2, product=0.9, theta=1e-6,
                        failures=failures, stats={"non_convergent": non_convergent})
 
 
-def _energy_suite(seed):
-    return [check_layerwise_descent(seed=seed)]
-
-
-def _convergence_suite(seed):
-    return [check_settle_convergence(seed=seed), check_synchronous_cycles(seed=seed)]
-
-
 def _bound_suite(seed):
     return [check_leaky_bound(seed=seed, product=0.9, expect_convergent=True),
             check_leaky_bound(seed=seed + 1, product=5.0, max_iters=100,
@@ -375,8 +303,8 @@ def _bound_suite(seed):
 
 SUITES = {
     "gradients": lambda seed: [check_gradients(seed=seed)],
-    "energy": _energy_suite,
-    "convergence": _convergence_suite,
+    "energy": lambda seed: [check_layerwise_descent(seed=seed)],
+    "convergence": lambda seed: [check_settle_convergence(seed=seed)],
     "bound": _bound_suite,
 }
 

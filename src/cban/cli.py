@@ -34,75 +34,6 @@ def _fail(msg, code=2):
     return code
 
 
-def _load_images(path):
-    """(c, h, w) images from a folder of PGM/PPM files or an IDX image file."""
-    from .data import load_idx, load_image_folder
-
-    if Path(path).is_dir():
-        return load_image_folder(path)
-    return load_idx(path)[:, None]
-
-
-def _library_dataset(arch, images, labels, mask):
-    """The dataset that lays (c, h, w) images out on this visible layer.
-
-    Labels select the supervised layout: the first channel's rows plus one
-    label row, Perlin-masked unless a mask is given. Otherwise a mask is
-    required, and a visible layer with twice the images' channels is the
-    replicated layout: the masked image is clamped into the input copy and
-    the clean image is the output copy's target. Images whose visible
-    states do not fit the visible layer are refused.
-    """
-    from .data import (
-        ImageFolderCompletion,
-        LabelPlus,
-        PerlinMask,
-        ReplicatedCompletion,
-        SupervisedDigits,
-    )
-
-    vis = arch.visible_shape
-    image_shapes = {np.shape(img) for img in images}
-    if labels is not None:
-        mask = mask if mask is not None else LabelPlus(PerlinMask())
-        dataset = SupervisedDigits(np.asarray(images)[:, 0], labels, mask)
-        states = {(h + 1, w) for _, h, w in image_shapes}
-    elif mask is None:
-        raise ValueError("image completion needs a mask spec")
-    elif len(vis) == 3 and vis[0] == 2 * images[0].shape[0]:
-        dataset = ReplicatedCompletion(images, mask)
-        states = {(2 * c, h, w) for c, h, w in image_shapes}
-    else:
-        dataset = ImageFolderCompletion(images, mask)
-        states = image_shapes
-    for shape in states:
-        if int(np.prod(shape)) != int(np.prod(vis)):
-            raise ValueError(
-                f"the images give visible states of shape {shape}; "
-                f"the network's visible layer has shape {vis}")
-    return dataset
-
-
-def _build_dataset(cfg):
-    from .data import BarTask, load_idx
-
-    if cfg.task == "bar":
-        return BarTask()
-    needs = ("images", "labels") if cfg.task == "mnist-supervised" else ("folder",)
-    for key in needs:
-        if key not in cfg.data:
-            raise ValueError(f"data.{key} is required")
-    if cfg.task == "mnist-supervised":
-        limit = cfg.data.get("limit", 0)
-        if limit < 0:
-            raise ValueError(f"data.limit must be 0 or more, got {limit}")
-        images = _load_images(cfg.data["images"])[:limit or None]
-        labels = load_idx(cfg.data["labels"])[:limit or None]
-    else:
-        images, labels = _load_images(cfg.data["folder"]), None
-    return _library_dataset(cfg.arch, images, labels, cfg.mask)
-
-
 def _bar_accuracy(w, arch, train_cfg, examples):
     """Completion accuracy of weights `w` on the held-out bar examples.
 
@@ -152,13 +83,13 @@ def _write_samples(outdir, w, arch, cfg, dataset):
 def cmd_train(args):
     from .checkpoint import Checkpoint, save_checkpoint
     from .config import load_run_config
-    from .data import UnmaskableImage, bar_eval_set
+    from .data import UnmaskableImage, bar_eval_set, build_dataset
     from .training import init_opt_state, train
 
     try:
         _check_counts(args, "eval_every", "keep_every")
         cfg = load_run_config(args.config)
-        dataset = _build_dataset(cfg)
+        dataset = build_dataset(cfg.arch, cfg.data, cfg.mask)
         outdir = _check_outdir(cfg.output_dir)
     except (OSError, ValueError, KeyError) as e:
         return _fail(str(e))
@@ -353,7 +284,7 @@ def cmd_complete(args):
 
 def cmd_eval(args):
     from .checkpoint import CheckpointError, load_checkpoint
-    from .data import ReplicatedCompletion, SupervisedDigits, load_idx
+    from .data import CompletionData, ReplicatedCompletion, SupervisedData, build_dataset
     from .metrics import check_ssim_extent, label_accuracy, metric_report
     from .training import complete
 
@@ -362,14 +293,11 @@ def cmd_eval(args):
         _check_counts(args, "limit")
         ckpt = load_checkpoint(args.ckpt)
         arch = ckpt.arch
-        limit = args.limit or None
-        images = _load_images(args.data)[:limit]
-        if not len(images):
-            raise ValueError(f"{args.data} holds no images")
-        labels = load_idx(args.labels)[:limit] if args.labels else None
-        dataset = _library_dataset(arch, images, labels, _mask_from_args(args))
+        data = (SupervisedData(args.data, args.labels, args.limit) if args.labels
+                else CompletionData(args.data))
+        dataset = build_dataset(arch, data, _mask_from_args(args), args.limit)
         examples = dataset.epoch_examples(np.random.default_rng(args.seed))
-        check_ssim_extent(*images[0].shape[-2:])  # every scored image has this (h, w)
+        check_ssim_extent(*dataset.images[0].shape[-2:])  # every scored image has this (h, w)
         outdir = _check_outdir(args.outdir)
     except (OSError, CheckpointError, ValueError, KeyError) as e:
         return _fail(str(e))
@@ -386,9 +314,10 @@ def cmd_eval(args):
     outputs = [o.reshape(e.target.shape) for o, e in zip(outputs, examples)]
     targets = [e.target for e in examples]
     extra = []
-    if isinstance(dataset, SupervisedDigits):
+    if isinstance(data, SupervisedData):
         # image rows above the label row
-        extra.append(["label_accuracy", label_accuracy([o[-1] for o in outputs], labels)])
+        extra.append(["label_accuracy",
+                      label_accuracy([o[-1] for o in outputs], dataset.labels)])
         outputs, targets = [o[:-1] for o in outputs], [t[:-1] for t in targets]
     elif isinstance(dataset, ReplicatedCompletion):
         # the output copy, after the clamped input copy

@@ -1,12 +1,33 @@
-"""Run configuration files: parsing and validation."""
+"""Run configuration files: parsing and validation.
+
+One reader reads each config object from the signature of the callable
+that makes it: a key is a parameter name, the parameter's annotation is
+the JSON type of its value, and a parameter without a default is
+required. Other keys are refused, and errors name values by dotted key
+(`arch.layers[1].units`). An object annotated with a _KINDS key names its
+callable by its "kind" key; _READERS reads every other annotation.
+
+The task fixes what `data` reads as and which mask kinds it takes
+(TASKS). Data paths resolve against the config file's folder and must
+exist, unless check_paths is false.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields, replace
+from inspect import signature
 from pathlib import Path
 
-from .data import BernoulliMask, LabelOnly, LabelPlus, PerlinMask, SquarePatches
+from .data import (
+    BernoulliMask,
+    CompletionData,
+    LabelOnly,
+    LabelPlus,
+    PerlinMask,
+    SquarePatches,
+    SupervisedData,
+)
 from .dynamics import ArchSpec, LeakySigmoid, Tanh, conv_layer, fc_layer
 from .training import TrainConfig
 
@@ -20,8 +41,6 @@ __all__ = [
     "train_from_dict",
 ]
 
-TASKS = ("bar", "mnist-supervised", "completion")
-
 
 @dataclass
 class RunConfig:
@@ -30,32 +49,10 @@ class RunConfig:
     task: str
     arch: ArchSpec
     train: TrainConfig
-    mask: object | None
-    data: dict
+    mask: Mask | None
+    data: SupervisedData | CompletionData | None
     output_dir: str
     seed: int
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-
-
-def _activation_to_dict(kind):
-    if isinstance(kind, Tanh):
-        return {"kind": "tanh"}
-    return {"kind": "leaky_sigmoid", "alpha": kind.alpha}
-
-
-def _activation_from_dict(d):
-    where = "arch.activation"
-    kind = _get(_checked(d, "object", where), "kind", "str", where)
-    if kind == "tanh":
-        _check_keys(d, ("kind",), where)
-        return Tanh()
-    if kind == "leaky_sigmoid":
-        _check_keys(d, ("kind", "alpha"), where)
-        return LeakySigmoid(float(_get(d, "alpha", "float", where)))
-    raise ValueError(f"unknown activation kind {kind!r}")
 
 
 def arch_to_dict(arch):
@@ -72,14 +69,14 @@ def arch_to_dict(arch):
     return {
         "layers": layers,
         "kernel_sizes": list(arch.kernel_sizes),
-        "activation": _activation_to_dict(arch.activation),
+        "activation": ({"kind": "tanh"} if isinstance(arch.activation, Tanh)
+                       else {"kind": "leaky_sigmoid", "alpha": arch.activation.alpha}),
         "evidence": arch.evidence,
     }
 
 
-# the JSON values each kind of config value accepts, by the name of its
-# TrainConfig annotation where it has one; JSON true and false load as bool,
-# an int subclass, and are refused as numbers
+# the JSON values each kind of value accepts; JSON true and false load as
+# bool, an int subclass, and are refused as numbers
 _FIELD_VALUES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
@@ -88,8 +85,6 @@ _FIELD_VALUES = {
     "list": ((list,), "a list"),
     "object": ((dict,), "an object"),
 }
-
-_REQUIRED = object()
 
 
 def _checked(value, kind, name):
@@ -101,146 +96,150 @@ def _checked(value, kind, name):
     return value
 
 
-def _get(d, key, kind, where, default=_REQUIRED):
-    """d[key] checked as `kind`, or default where d lacks the key; `where`
-    names d ("" at the top level), and a key without a default is required."""
-    name = f"{where}.{key}" if where else key
-    if key not in d:
-        if default is _REQUIRED:
-            raise ValueError(f"{name} is required")
-        return default
-    return _checked(d[key], kind, name)
-
-
 def _check_keys(d, allowed, where):
     """Refuse any key of d outside allowed, naming it by its dotted key;
     `where` names d ("" at the top level)."""
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         names = ", ".join(f"{where}.{key}" if where else key for key in unknown)
+        expected = f"some of {sorted(allowed)}" if allowed else "none"
         raise ValueError(f"unknown config key{'s' if len(unknown) > 1 else ''} {names}; "
-                         f"expected some of {sorted(allowed)}")
+                         f"expected {expected}")
 
 
-# the keys a layer of each kind may carry
-_LAYER_KEYS = {
-    "fc": ("kind", "units", "visible", "pool_before"),
-    "conv": ("kind", "channels", "height", "width", "visible", "pool_before"),
-}
-
-# the keys a mask of each kind may carry
-_MASK_KEYS = {
-    "perlin": ("kind", "frequency", "obscured_fraction"),
-    "patches": ("kind", "diameter_min", "diameter_max", "white_fraction"),
-    "bernoulli": ("kind", "p"),
-    "label_only": ("kind",),
-    "label_plus": ("kind", "inner"),
-}
+def _field(d, key, annotation, where):
+    """d[key] read as `annotation`, and required; `where` names d ("" at
+    the top level)."""
+    name = f"{where}.{key}" if where else key
+    if key not in d:
+        raise ValueError(f"{name} is required")
+    return _read(d[key], annotation, name)
 
 
-def arch_from_dict(d):
+def _read_object(make, d, where, tag=()):
+    """make(**d), each value read as the annotation of its parameter; `tag`
+    lists the keys d carries besides make's parameters."""
+    params = signature(make).parameters.values()
+    _check_keys(_checked(d, "object", where), [*tag, *(p.name for p in params)], where)
+    return make(**{p.name: _field(d, p.name, p.annotation, where)
+                   for p in params if p.name in d or p.default is p.empty})
+
+
+def _read(value, annotation, name):
+    """A JSON value read as a parameter annotated `annotation`; name is its
+    dotted key."""
+    if annotation in _KINDS:
+        noun, kinds = _KINDS[annotation]
+        kind = _field(_checked(value, "object", name), "kind", "str", name)
+        if kind not in kinds:
+            raise ValueError(f"unknown {noun} kind {kind!r} at {name}.kind; "
+                             f"expected one of {sorted(kinds)}")
+        return _read_object(kinds[kind], value, name, tag=("kind",))
+    return _READERS[annotation](value, name)
+
+
+def _sequence(item):
+    """The reader of a JSON list of values read as `item`, as a tuple."""
+    return lambda value, name: tuple(_read(v, item, f"{name}[{i}]")
+                                     for i, v in enumerate(_checked(value, "list", name)))
+
+
+def _read_schedule(value, name):
+    """(epoch, multiplier) pairs from a list of [epoch, multiplier] lists."""
+    if not (isinstance(value, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
+        raise ValueError(f"{name} must be a list of [epoch, multiplier] pairs, got {value!r}")
+    pairs = []
+    for i, (epoch, mult) in enumerate(value):
+        if _read(epoch, "int", f"{name}[{i}][0]") < 0:
+            raise ValueError(f"{name}[{i}][0] must be >= 0, got {epoch}")
+        pairs.append((epoch, _read(mult, "float", f"{name}[{i}][1]")))
+    return tuple(pairs)
+
+
+def arch_from_dict(d, where="arch"):
     """An ArchSpec; a dict without "evidence" (older checkpoints) clamps, and
     "symmetric", which older files carry, may only be true."""
-    _check_keys(_checked(d, "object", "arch"),
-                ("layers", "kernel_sizes", "activation", "symmetric", "evidence"), "arch")
-    if d.get("symmetric", True) is not True:
-        raise ValueError(f"arch.symmetric must be true, got {d['symmetric']!r}")
-    layers = []
-    for i, ld in enumerate(_get(d, "layers", "list", "arch")):
-        where = f"arch.layers[{i}]"
-        kind = _get(_checked(ld, "object", where), "kind", "str", where)
-        if kind not in _LAYER_KEYS:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        _check_keys(ld, _LAYER_KEYS[kind], where)
-        visible = _get(ld, "visible", "bool", where, False)
-        pool_before = _get(ld, "pool_before", "bool", where, False)
-        if kind == "fc":
-            if pool_before:
-                raise ValueError(f"{where}.pool_before is only valid on conv layers")
-            layers.append(fc_layer(_get(ld, "units", "int", where), visible=visible))
-        else:
-            layers.append(conv_layer(*(_get(ld, key, "int", where)
-                                       for key in ("channels", "height", "width")),
-                                     pool_before=pool_before, visible=visible))
-    sizes = _get(d, "kernel_sizes", "list", "arch", [])
-    return ArchSpec(layers=tuple(layers),
-                    kernel_sizes=tuple(_checked(k, "int", f"arch.kernel_sizes[{i}]")
-                                       for i, k in enumerate(sizes)),
-                    activation=_activation_from_dict(d.get("activation", {"kind": "tanh"})),
-                    evidence=_get(d, "evidence", "str", "arch", "clamp"))
+    d = dict(_checked(d, "object", where))
+    symmetric = d.pop("symmetric", True)
+    if symmetric is not True:
+        raise ValueError(f"{where}.symmetric must be true, got {symmetric!r}")
+    return _read_object(ArchSpec, d, where)
 
 
-def mask_from_dict(d, where="mask"):
-    if d is None:
-        return None
-    kind = _get(_checked(d, "object", where), "kind", "str", where)
-    if kind not in _MASK_KEYS:
-        raise ValueError(f"unknown mask kind {kind!r}")
-    _check_keys(d, _MASK_KEYS[kind], where)
-
-    def get(key, value_kind, default=_REQUIRED):
-        return _get(d, key, value_kind, where, default)
-
-    if kind == "perlin":
-        return PerlinMask(frequency=get("frequency", "int", 7),
-                          obscured_fraction=float(get("obscured_fraction", "float", 1 / 3)))
-    if kind == "patches":
-        return SquarePatches(diameter_min=get("diameter_min", "int", 3),
-                             diameter_max=get("diameter_max", "int", 6),
-                             white_fraction=float(get("white_fraction", "float", 0.25)))
-    if kind == "bernoulli":
-        return BernoulliMask(p=float(get("p", "float")))
-    if kind == "label_only":
-        return LabelOnly()
-    return LabelPlus(inner=mask_from_dict(get("inner", "object"), f"{where}.inner"))
+def mask_from_dict(d):
+    """A mask spec of any kind, or None for none."""
+    return None if d is None else _read(d, "Mask", "mask")
 
 
 def train_from_dict(d):
-    _check_keys(d, [f.name for f in fields(TrainConfig)], "train")
-    for f in fields(TrainConfig):  # a field without a default is required
-        if f.type in _FIELD_VALUES:
-            _get(d, f.name, f.type, "train", _REQUIRED if f.default is MISSING else None)
-    kwargs = dict(d)
-    if "lr_schedule" in d:
-        schedule = d["lr_schedule"]
-        if not (isinstance(schedule, list)
-                and all(isinstance(pair, list) and len(pair) == 2 for pair in schedule)):
-            raise ValueError("train.lr_schedule must be a list of [epoch, multiplier] "
-                             f"pairs, got {schedule!r}")
-        pairs = []
-        for i, (epoch, mult) in enumerate(schedule):
-            where = f"train.lr_schedule[{i}]"
-            if _checked(epoch, "int", f"{where}[0]") < 0:
-                raise ValueError(f"{where}[0] must be >= 0, got {epoch}")
-            pairs.append((epoch, float(_checked(mult, "float", f"{where}[1]"))))
-        kwargs["lr_schedule"] = tuple(pairs)
-    return TrainConfig(**kwargs)
+    return _read_object(TrainConfig, d, "train")
+
+
+# the reader of each annotation outside _KINDS: reader(value, dotted key)
+_READERS = {
+    "int": lambda value, name: _checked(value, "int", name),
+    "float": lambda value, name: float(_checked(value, "float", name)),
+    "str": lambda value, name: _checked(value, "str", name),
+    "bool": lambda value, name: _checked(value, "bool", name),
+    "tuple[int, ...]": _sequence("int"),
+    "tuple[LayerSpec, ...]": _sequence("LayerSpec"),
+    "tuple[tuple[int, float], ...]": _read_schedule,
+    "ArchSpec": arch_from_dict,
+}
+
+_PIXEL_MASKS = {"perlin": PerlinMask, "patches": SquarePatches, "bernoulli": BernoulliMask}
+
+# per annotation of an object with a "kind" key: what its kinds are kinds
+# of, for messages, and the callable each kind names
+_KINDS = {
+    "LayerSpec": ("layer", {"fc": fc_layer, "conv": conv_layer}),
+    "Activation": ("activation", {"tanh": Tanh, "leaky_sigmoid": LeakySigmoid}),
+    "PixelMask": ("pixel mask", _PIXEL_MASKS),
+    "Mask": ("mask", {**_PIXEL_MASKS, "label_only": LabelOnly, "label_plus": LabelPlus}),
+}
+
+# per task: what makes its data spec (the bar task's takes no entries and
+# makes None), and the annotation its mask reads as
+TASKS = {
+    "bar": (lambda: None, "Mask"),
+    "mnist-supervised": (SupervisedData, "Mask"),
+    "completion": (CompletionData, "PixelMask"),
+}
+
+
+def _data_path(value, key, base_dir):
+    """The path of data entry `key`, relative to base_dir, refused unless
+    it exists."""
+    path = Path(value)
+    if base_dir is not None and not path.is_absolute():
+        path = Path(base_dir) / path
+    if not path.exists():
+        raise FileNotFoundError(f"data path {key!r} does not exist: {path}")
+    return str(path)
 
 
 def run_config_from_dict(d, base_dir=None, check_paths=True):
-    _check_keys(_checked(d, "object", "the config"),
-                ("task", "seed", "output_dir", "arch", "train", "mask", "data"), "")
-    seed = _get(d, "seed", "int", "")
-    train_dict = dict(_get(d, "train", "object", "", {}))
-    train_dict.setdefault("seed", seed)
-    data = dict(_get(d, "data", "object", "", {}))
-    for key, value in data.items():
-        # "limit" is a setting; every other entry is a path
-        _checked(value, "int" if key == "limit" else "str", f"data.{key}")
-        if check_paths and key != "limit":
-            path = Path(value)
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            if not path.exists():
-                raise FileNotFoundError(f"data path {key!r} does not exist: {path}")
-            data[key] = str(path)
+    """A RunConfig; train.seed defaults to the top-level seed."""
+    _check_keys(_checked(d, "object", "the config"), [f.name for f in fields(RunConfig)], "")
+    seed = _field(d, "seed", "int", "")
+    task = _field(d, "task", "str", "")
+    if task not in TASKS:
+        raise ValueError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    make_data, mask_annotation = TASKS[task]
+    data = _read_object(make_data, d.get("data", {}), "data")
+    if check_paths and data is not None:
+        data = replace(data, **{f.name: _data_path(getattr(data, f.name), f.name, base_dir)
+                                for f in fields(data) if f.type == "str"})
+    train = _checked(d.get("train", {}), "object", "train")
+    mask = d.get("mask")
     return RunConfig(
-        task=_get(d, "task", "str", ""),
-        arch=arch_from_dict(_get(d, "arch", "object", "")),
-        train=train_from_dict(train_dict),
-        mask=mask_from_dict(d.get("mask")),
+        task=task,
+        arch=_field(d, "arch", "ArchSpec", ""),
+        train=train_from_dict({"seed": seed, **train}),
+        mask=None if mask is None else _read(mask, mask_annotation, "mask"),
         data=data,
-        output_dir=_get(d, "output_dir", "str", "", "out"),
+        output_dir=_read(d.get("output_dir", "out"), "str", "output_dir"),
         seed=seed,
     )
 
@@ -251,4 +250,3 @@ def load_run_config(path, check_paths=True):
     with open(path) as f:
         d = json.load(f)
     return run_config_from_dict(d, base_dir=path.parent, check_paths=check_paths)
-

@@ -1,4 +1,5 @@
-"""Task data: the bar task, IDX digit files, label coding, and masking.
+"""Task data: the bar task, IDX digit files, label coding, masking, and
+the dataset a run's data spec names (build_dataset).
 
 Masks follow one convention everywhere: boolean arrays with True marking
 observed (evidence) positions and False marking positions the network must
@@ -46,6 +47,9 @@ __all__ = [
     "ImageFolderCompletion",
     "ReplicatedCompletion",
     "replicated_example",
+    "SupervisedData",
+    "CompletionData",
+    "build_dataset",
 ]
 
 ON = 0.999
@@ -108,6 +112,9 @@ class BernoulliMask:
             raise ValueError("p must lie in (0, 1)")
 
 
+PixelMask = PerlinMask | SquarePatches | BernoulliMask
+
+
 @dataclass(frozen=True)
 class LabelOnly:
     """Supervised layout: only the label row is hidden."""
@@ -117,7 +124,10 @@ class LabelOnly:
 class LabelPlus:
     """Supervised layout: label row hidden plus pixels per the inner spec."""
 
-    inner: object
+    inner: PixelMask
+
+
+Mask = PixelMask | LabelOnly | LabelPlus
 
 
 def generate_mask(spec, image, rng):
@@ -472,15 +482,10 @@ def replicated_example(input_image, output_target):
     return Example(target=target, mask=mask)
 
 
-class ReplicatedCompletion:
+class ReplicatedCompletion(ImageFolderCompletion):
     """Replicated-visible completion: the observation (masked image, zeros at
     missing pixels) is clamped into the input copy while the output copy
     settles freely toward the clean target."""
-
-    def __init__(self, images, mask_spec):
-        self.images = [np.asarray(img, dtype=np.float64) for img in images]
-        _refuse_unmaskable(mask_spec, [img.mean(axis=0) for img in self.images])
-        self.mask_spec = mask_spec
 
     def epoch_examples(self, rng):
         out = []
@@ -488,3 +493,75 @@ class ReplicatedCompletion:
             mask = channel_mask(self.mask_spec, img, rng)
             out.append(replicated_example(np.where(mask, img, 0.0), img))
         return out
+
+
+# ---------------------------------------------------------------------------
+# run data: what a run config's `data` names, and the dataset built from it
+
+@dataclass(frozen=True)
+class SupervisedData:
+    """Digit images with labels: an IDX image file or an image folder, an
+    IDX label file, and how many of them to use (0: all)."""
+
+    images: str
+    labels: str
+    limit: int = 0
+
+    def __post_init__(self):
+        if self.limit < 0:
+            raise ValueError(f"data.limit must be 0 or more, got {self.limit}")
+
+
+@dataclass(frozen=True)
+class CompletionData:
+    """Images to complete: a folder of PGM/PPM images or an IDX image file."""
+
+    folder: str
+
+
+def _load_images(path, limit=0):
+    """The first `limit` (0: all) (c, h, w) images of a folder of PGM/PPM
+    files or of an IDX image file; a path that holds none is refused."""
+    images = load_image_folder(path) if Path(path).is_dir() else load_idx(path)[:, None]
+    images = images[:limit or None]
+    if not len(images):
+        raise ValueError(f"{path} holds no images")
+    return images
+
+
+def build_dataset(arch, data, mask, limit=0):
+    """The dataset a data spec names, laid out on arch's visible layer.
+
+    None names the bar task. SupervisedData is the supervised layout: the
+    first channel's rows plus one label row, Perlin-masked unless a mask
+    is given. CompletionData needs a mask; a visible layer with twice the
+    images' channels is the replicated layout, where the masked image is
+    clamped into the input copy and the clean image is the output copy's
+    target. `limit` keeps the first `limit` images of a CompletionData
+    set. Images whose visible states do not fit the layer are refused.
+    """
+    if data is None:
+        return BarTask()
+    vis = arch.visible_shape
+    if isinstance(data, SupervisedData):
+        images = _load_images(data.images, data.limit)
+        labels = load_idx(data.labels)[:data.limit or None]
+        dataset = SupervisedDigits(np.asarray(images)[:, 0], labels,
+                                   mask if mask is not None else LabelPlus(PerlinMask()))
+        states = {(h + 1, w) for _, h, w in map(np.shape, images)}
+    else:
+        images = _load_images(data.folder, limit)
+        if mask is None:
+            raise ValueError("image completion needs a mask spec")
+        if len(vis) == 3 and vis[0] == 2 * images[0].shape[0]:
+            dataset = ReplicatedCompletion(images, mask)
+            states = {(2 * c, h, w) for c, h, w in map(np.shape, images)}
+        else:
+            dataset = ImageFolderCompletion(images, mask)
+            states = set(map(np.shape, images))
+    for shape in states:
+        if int(np.prod(shape)) != int(np.prod(vis)):
+            raise ValueError(
+                f"the images give visible states of shape {shape}; "
+                f"the network's visible layer has shape {vis}")
+    return dataset

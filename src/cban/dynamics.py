@@ -118,6 +118,9 @@ class LeakySigmoid:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
 
 
+Activation = Tanh | LeakySigmoid
+
+
 def activation(kind, z):
     """Elementwise activation of an array, or of the sum of a list of
     arrays, as one op over one buffer; returns a fresh array."""
@@ -154,13 +157,15 @@ class LayerSpec:
         return int(np.prod(self.shape))
 
 
-def fc_layer(units, visible=False):
+def fc_layer(units: int, visible: bool = False, pool_before: bool = False):
+    """An fc layer; config files may carry pool_before, which ArchSpec refuses when true."""
     if units < 1:
         raise ValueError("fc layer needs at least one unit")
-    return LayerSpec(kind="fc", units=units, visible=visible)
+    return LayerSpec(kind="fc", units=units, pool_before=pool_before, visible=visible)
 
 
-def conv_layer(channels, height, width, pool_before=False, visible=False):
+def conv_layer(channels: int, height: int, width: int, pool_before: bool = False,
+               visible: bool = False):
     if min(channels, height, width) < 1:
         raise ValueError("conv layer extents must be >= 1")
     return LayerSpec(kind="conv", channels=channels, height=height, width=width,
@@ -184,9 +189,9 @@ class ArchSpec:
     -<values, x_visible> to the energy.
     """
 
-    layers: tuple
-    activation: object = field(default_factory=Tanh)
-    kernel_sizes: tuple = ()
+    layers: tuple[LayerSpec, ...]
+    activation: Activation = field(default_factory=Tanh)
+    kernel_sizes: tuple[int, ...] = ()
     evidence: str = "clamp"
 
     def __post_init__(self):

@@ -112,7 +112,8 @@ class TrainConfig:
     loss: str = "delta_e_plus"
     optimizer: str = "sgd-l2"
     lr: float = 0.01
-    lr_schedule: tuple = ()  # (epoch, multiplier) pairs, applied from that epoch on
+    # (epoch, multiplier) pairs, applied from that epoch on
+    lr_schedule: tuple[tuple[int, float], ...] = ()
     theta: float = 0.01
     max_iters: int = 100
     batch_size: int = 20

@@ -582,6 +582,50 @@ class TestCmdTrain:
         assert capsys.readouterr().err == (
             "error: each of 1000 patch masks hid the whole 4x4 image\n")
 
+    @pytest.mark.parametrize("mask", [
+        {"kind": "label_only"},
+        {"kind": "label_plus", "inner": {"kind": "perlin"}},
+    ])
+    def test_label_mask_on_a_completion_task_exits_2(self, tmp_path, capsys, mask):
+        # a completion image has no label row for a label mask to hide
+        path = self._white_4x4_config(tmp_path, mask)
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown pixel mask kind {mask['kind']!r} at mask.kind; "
+            "expected one of ['bernoulli', 'patches', 'perlin']\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_label_mask_inside_label_plus_exits_2(self, tmp_path, capsys):
+        path = self._supervised_config(tmp_path, limit=3)
+        cfg = json.loads(path.read_text())
+        cfg["mask"] = {"kind": "label_plus", "inner": {"kind": "label_only"}}
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown pixel mask kind 'label_only' at mask.inner.kind; "
+            "expected one of ['bernoulli', 'patches', 'perlin']\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_supervised_data_keys_on_a_completion_task_exit_2(self, tmp_path, capsys):
+        path = self._white_4x4_config(tmp_path, {"kind": "bernoulli", "p": 0.5})
+        cfg = json.loads(path.read_text())
+        cfg["data"].update(labels=cfg["data"]["folder"], limit=1)
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config keys data.labels, data.limit; expected some of ['folder']\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_image_set_exits_2(self, tmp_path, capsys):
+        save_idx(tmp_path / "empty.idx", np.zeros((0, 4, 4), dtype=np.uint8))
+        path = self._white_4x4_config(tmp_path, {"kind": "bernoulli", "p": 0.5})
+        cfg = json.loads(path.read_text())
+        cfg["data"]["folder"] = str(tmp_path / "empty.idx")
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'empty.idx'} holds no images\n"
+        assert not (tmp_path / "o").exists()
+
     def test_keep_every_writes_numbered_checkpoints(self, tmp_path):
         config = write_bar_config(tmp_path, epochs=4)
         assert main(["train", "--config", str(config), "--keep-every", "2"]) == 0
@@ -778,6 +822,9 @@ MALFORMED_CONFIGS = {
                                           "train.lr_schedule[0][1] must be a number, got str"),
     "a schedule multiplier is null": (_set("train", "lr_schedule", [[3, None]]),
                                       "train.lr_schedule[0][1] must be a number, got NoneType"),
+    # the bar task draws its own data
+    "a data entry on the bar task": (_set("data", {"images": "x.idx"}),
+                                     "unknown config key data.images; "),
 }
 
 
@@ -1131,8 +1178,7 @@ class TestCmdEval:
         assert abs(float(rows["psnr_mean"]) - expected) < 1e-9
 
     def test_external_bias_checkpoint_scored_unclamped(self, tmp_path):
-        from cban.cli import _library_dataset, _load_images
-        from cban.data import BernoulliMask
+        from cban.data import BernoulliMask, CompletionData, build_dataset
         from cban.metrics import psnr
         from cban.tensor import Tensor
 
@@ -1153,8 +1199,8 @@ class TestCmdEval:
         assert code == 0
         rows = dict(line.split(",") for line in
                     (outdir / "metrics.csv").read_text().strip().splitlines()[1:])
-        dataset = _library_dataset(arch, _load_images(tmp_path / "imgs.idx"), None,
-                                   BernoulliMask(0.5))
+        dataset = build_dataset(arch, CompletionData(str(tmp_path / "imgs.idx")),
+                                BernoulliMask(0.5))
         examples = dataset.epoch_examples(np.random.default_rng(0))
         free = [np.where(e.mask, np.tanh(np.clip(e.target, -0.999, 0.999)), 0.0)
                 for e in examples]
@@ -1293,7 +1339,7 @@ class TestCmdCheck:
         assert main(["check", "--suite", "convergence", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "[pass]" in out
-        assert "synchronous-two-cycle-bound" in out
+        assert "clamped-settle-convergence" in out
 
 
 class TestModuleEntryPoint:

@@ -1,11 +1,10 @@
-"""Settling dynamics: activations, energy, convergence, cycles."""
+"""Settling dynamics: activations, energy, convergence."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from cban.checks import _detect_cycle, _synchronous_step
 from cban.tensor import ConvKernel, DomainError, Tensor
 from cban.training import init_weights
 from cban.dynamics import (
@@ -620,49 +619,6 @@ class TestPairMapAdjoint:
         down = layer_preactivation(state, w, arch, 0)
         lhs, rhs = float(np.sum(y * up)), float(np.sum(down * x))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
-class TestDetectCycle:
-    def test_constant_sequence_period_one(self):
-        s = [np.array([0.5, -0.5])] * 5
-        assert _detect_cycle(s, tol=1e-9) == 1
-
-    def test_alternating_sequence_period_two(self):
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert _detect_cycle([a, b, a, b, a], tol=1e-9) == 2
-
-    def test_no_cycle_returns_zero(self):
-        s = [np.array([float(i)]) for i in range(6)]
-        assert _detect_cycle(s, tol=1e-9) == 0
-
-    def test_needs_two_states(self):
-        with pytest.raises(ValueError):
-            _detect_cycle([np.zeros(3)], tol=1e-3)
-
-    def test_synchronous_symmetric_periods_are_one_or_two(self):
-        rng = np.random.default_rng(18)
-        seen = set()
-        for _ in range(60):
-            n = int(rng.integers(2, 12))
-            A = rng.normal(scale=3.0 / np.sqrt(n), size=(n, n))
-            W = (A + A.T) / 2
-            np.fill_diagonal(W, np.abs(np.diag(W)))
-            b = rng.normal(scale=0.2, size=n)
-            x = rng.uniform(-1, 1, size=n)
-            window = [x.copy()]
-            period = 0
-            for _ in range(3000):
-                x = _synchronous_step(x, W, b, Tanh())
-                window.append(x.copy())
-                if len(window) > 8:
-                    window.pop(0)
-                if len(window) >= 5:
-                    period = _detect_cycle(window, tol=1e-8)
-                    if period:
-                        break
-            assert period in (1, 2)
-            seen.add(period)
-        assert seen == {1, 2}  # both outcomes actually occur at this scale
 
 
 class TestNorm1Inf:
