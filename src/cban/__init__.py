@@ -7,11 +7,11 @@ every iteration. Its gradient is one explicit reverse sweep over the
 unrolled layer updates (back-propagation through time), the only gradient
 the package takes: a GradTape records the TD(1) loss as its one op and
 runs that sweep. The layer ops compute forward only, on plain float64
-ndarrays: layer states are ndarrays, and a Tensor holds only a weight
-block or the recorded loss. The package also carries the settling
-dynamics and energy, the three training losses with their optimizers,
-task data (bars, IDX digits, coherent-noise masks), reconstruction
-metrics, and a small CLI.
+ndarrays: layer states are ndarrays, and a Tensor holds only a net's
+weights, one vector, or the recorded loss. The package also carries the
+settling dynamics and energy, the three training losses with their
+optimizers, task data (bars, IDX digits, coherent-noise masks),
+reconstruction metrics, and a small CLI.
 
 CBAN_NUM_THREADS is the largest number of row shards a batched run of a
 conv net is split into, each swept on its own thread (see dynamics); by

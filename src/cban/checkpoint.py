@@ -3,10 +3,11 @@
 Container layout (little-endian): the 8-byte magic "CBANCKPT", a u32
 format version, a u32-length-prefixed JSON metadata block (architecture,
 epoch, rng state, optimizer settings, block manifest, and "crc32", the
-zlib CRC-32 of all block bytes in file order), then the raw float32
-parameter blocks in declaration order, followed by the optimizer's first-
-and second-moment blocks when present. Weights are stored 32-bit to keep
-files small; loading widens back to the 64-bit training precision.
+zlib CRC-32 of the body), then the body: the raw float32 parameter
+vector, its blocks in block_shapes order, followed by the optimizer's
+first- and second-moment vectors of the same layout when present.
+Weights are stored 32-bit to keep files small; loading widens back to the
+64-bit training precision.
 
 A save over an existing file rewrites it in place and then truncates it
 to the new length; it neither truncates the file to zero first nor
@@ -20,7 +21,7 @@ OS writes it back.
 A crash or a concurrent reader mid-save can therefore see the new head
 over the old tail (or, before the final truncate, a whole new file
 followed by old bytes, which loads as the new one). Loading refuses a
-file whose blocks do not match the stored checksum as torn or corrupt,
+file whose body does not match the stored checksum as torn or corrupt,
 rather than returning mixed weights. Files written before the checksum
 existed have no "crc32" and load unchecked.
 """
@@ -64,21 +65,21 @@ _OPT_KEYS = ("kind", "lr", "step")  # loading ignores older files' adam beta1/be
 
 
 def save_checkpoint(path, ckpt):
-    arrays = [p.data for p in ckpt.weights.params()]
+    vectors = [ckpt.weights.flat.data]
     opt = ckpt.opt_state
     opt_meta = None
-    moment_arrays = []
     if opt is not None:
         opt_meta = {k: getattr(opt, k) for k in _OPT_KEYS}
-        opt_meta["has_moments"] = bool(opt.m)
-        moment_arrays = list(opt.m) + list(opt.v)
-    body = b"".join(a.astype(np.float32).tobytes() for a in arrays + moment_arrays)
+        opt_meta["has_moments"] = opt.m is not None
+        if opt.m is not None:
+            vectors += [opt.m, opt.v]
+    body = b"".join(a.astype(np.float32).tobytes() for a in vectors)
     meta = {
         "arch": arch_to_dict(ckpt.arch),
         "epoch": ckpt.epoch,
         "rng_state": ckpt.rng_state,
         "optimizer": opt_meta,
-        "blocks": [list(a.shape) for a in arrays],
+        "blocks": [list(s) for s in ckpt.weights.shapes],
         "crc32": zlib.crc32(body),
     }
     payload = json.dumps(meta, sort_keys=True).encode()
@@ -123,28 +124,26 @@ def load_checkpoint(path):
             raise CheckpointError(f"block manifest {shapes} does not match the "
                                   f"architecture's blocks {expected}")
 
-        crc = 0  # of every block's bytes, in file order
+        crc = 0  # of the body's bytes, in file order
+        size = sum(int(np.prod(s)) for s in shapes)
 
-        def read_blocks(what):  # one float32 block per manifest shape, widened
+        def read_vector(what):  # one float32 vector of every block, widened
             nonlocal crc
-            out = []
-            for s in shapes:
-                raw = _read_exact(f, 4 * int(np.prod(s)), f"{what} {s}")
-                crc = zlib.crc32(raw, crc)
-                out.append(np.frombuffer(raw, dtype=np.float32).astype(np.float64).reshape(s))
-            return out
+            raw = _read_exact(f, 4 * size, what)
+            crc = zlib.crc32(raw, crc)
+            return np.frombuffer(raw, dtype=np.float32).astype(np.float64)
 
-        arrays = read_blocks("block")
+        flat = read_vector("parameters")
         opt_meta = meta.get("optimizer")
         opt = None
         if opt_meta is not None:
             opt = OptState(**{k: opt_meta[k] for k in _OPT_KEYS})
             if opt_meta["has_moments"]:
-                opt.m, opt.v = read_blocks("first moment"), read_blocks("second moment")
+                opt.m, opt.v = read_vector("first moment"), read_vector("second moment")
     if "crc32" in meta and meta["crc32"] != crc:
-        raise CheckpointError(f"{path}: blocks do not match their checksum, the file "
+        raise CheckpointError(f"{path}: body does not match its checksum, the file "
                               "is torn or corrupt")
-    weights = WeightBundle.from_params([Tensor(a) for a in arrays], arch.n_layers)
+    weights = WeightBundle(Tensor(flat), shapes)
     return Checkpoint(arch=arch, weights=weights, opt_state=opt,
                       epoch=int(meta["epoch"]), rng_state=meta.get("rng_state"))
 

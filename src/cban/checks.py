@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import GradTape, Tensor
+from .tensor import GradTape
 from .data import Example
 from .dynamics import (
     ArchSpec,
@@ -121,10 +121,10 @@ def _gradient_errors(rng, arch, w, loss_kind, max_sweeps, step):
                       batch_size=len(examples), seed=0)
     with GradTape() as tape:
         loss, _ = td1_forward(examples, w, arch, cfg)
-    grads = tape.gradient(loss, w.params())
+    (grad,) = tape.gradient(loss, w.params())
     errors = []
-    for g, p in zip(grads, w.params()):
-        x = p.data  # perturbed in place by the fd helper
+    # each block of w.flat is perturbed in place by the fd helper
+    for g, x in zip(w.blocks(grad), w.blocks(w.flat.data)):
         fd = _fd_gradient(lambda: td1_forward(examples, w, arch, cfg)[0].item(), x, step)
         scale = max(np.max(np.abs(g)), np.max(np.abs(fd)), 1e-12)
         errors.append(np.max(np.abs(g - fd)) / scale)
@@ -176,10 +176,9 @@ def _random_fban(rng, max_units=64, max_hidden_layers=2, scale=0.1, activation=N
     depth = int(rng.integers(1, max_hidden_layers + 1))
     sizes = [int(s) for s in rng.integers(2, max_units + 1, size=depth + 1)]
     arch = fban(sizes[0], sizes[1:], activation_kind=activation or Tanh())
-    forward = [Tensor(rng.normal(scale=scale, size=(lo, hi)))
-               for lo, hi in zip(sizes[:-1], sizes[1:])]
-    biases = [Tensor(rng.normal(scale=0.05, size=(n,))) for n in sizes]
-    return arch, WeightBundle(forward=forward, biases=biases), sizes
+    forward = [rng.normal(scale=scale, size=(lo, hi)) for lo, hi in zip(sizes[:-1], sizes[1:])]
+    biases = [rng.normal(scale=0.05, size=(n,)) for n in sizes]
+    return arch, WeightBundle.from_blocks(forward + biases), sizes
 
 
 # pooled-conv trials of the descent check, one per kernel scale
@@ -274,9 +273,7 @@ def check_leaky_bound(seed=0, trials=200, alpha=0.2, product=0.9, theta=1e-6,
                                       activation=LeakySigmoid(alpha))
         target = product / alpha
         current = norm_1inf(w)
-        w = WeightBundle(
-            forward=[Tensor(t.data * (target / current)) for t in w.forward],
-            biases=w.biases)
+        w = WeightBundle.from_blocks([t * (target / current) for t in w.forward] + w.biases)
         state = NetState([rng.uniform(-1.0, 1.0, size=(n,)) for n in sizes])
         try:
             _, report = settle(state, w, arch, theta=theta, max_iters=max_iters,

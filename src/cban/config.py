@@ -37,7 +37,6 @@ __all__ = [
     "run_config_from_dict",
     "arch_to_dict",
     "arch_from_dict",
-    "mask_from_dict",
     "train_from_dict",
 ]
 
@@ -165,11 +164,6 @@ def arch_from_dict(d, where="arch"):
     if symmetric is not True:
         raise ValueError(f"{where}.symmetric must be true, got {symmetric!r}")
     return _read_object(ArchSpec, d, where)
-
-
-def mask_from_dict(d):
-    """A mask spec of any kind, or None for none."""
-    return None if d is None else _read(d, "Mask", "mask")
 
 
 def train_from_dict(d):

@@ -33,7 +33,6 @@ __all__ = [
     "BarTask",
     "bar_eval_set",
     "load_idx",
-    "save_idx",
     "encode_label",
     "decode_label",
     "perlin_mask",
@@ -275,17 +274,6 @@ def load_idx(path):
     return bytes_to_activations(data)
 
 
-def save_idx(path, array):
-    """Write a uint8 array (1-d labels or 3-d images) in IDX format."""
-    arr = np.ascontiguousarray(array, dtype=np.uint8)
-    if arr.ndim not in (1, 3):
-        raise ValueError("IDX writer handles 1-d or 3-d uint8 arrays")
-    with open(path, "wb") as f:
-        f.write(bytes([0, 0, _IDX_IMAGE_TYPE, arr.ndim]))
-        f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        f.write(arr.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # label coding
 
@@ -453,9 +441,12 @@ def load_image_folder(path):
 
 
 class ImageFolderCompletion:
-    """Fixed images, fresh masks each epoch, masks shared across channels."""
+    """Fixed images, fresh masks each epoch, masks shared across channels.
+    mask_spec must be a pixel mask: a label mask is refused."""
 
     def __init__(self, images, mask_spec):
+        if not isinstance(mask_spec, PixelMask):
+            raise ValueError(f"image completion needs a pixel mask, got {mask_spec!r}")
         self.images = [np.asarray(img, dtype=np.float64) for img in images]
         _refuse_unmaskable(mask_spec, [img.mean(axis=0) for img in self.images])
         self.mask_spec = mask_spec

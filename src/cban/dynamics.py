@@ -10,9 +10,10 @@ Layer indices are 0-based with layer 0 the visible layer. One iteration is
 a sweep 1, 2, ..., L-1, L-2, ..., 0 (2L-2 layer updates), ending on the
 visible layer so the read-out is current after every iteration.
 
-A state's layers are plain float64 ndarrays, and the weights are Tensors
-(see tensor). A layer update makes a fresh array and a new NetState, and
-writes none of its inputs.
+A state's layers are plain float64 ndarrays, and a net's weights are one
+Tensor (see tensor), whose blocks are ndarray views (WeightBundle). A
+layer update makes a fresh array and a new NetState, and writes none of
+its inputs.
 
 A layer's preactivation is the sum of its terms: the up map of the layer
 below, the down map of the layer above, the bias, and on the visible layer
@@ -58,6 +59,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextvars
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -66,6 +69,7 @@ import numpy as np
 from .tensor import (
     ConvKernel,
     DomainError,
+    Tensor,
     _check_finite,
     _first_bad_index,
     avg_pool2,
@@ -239,7 +243,8 @@ class ArchSpec:
 
 
 def block_shapes(arch):
-    """The shape of each parameter block, in WeightBundle.params() order.
+    """The shape of each parameter block, in the order WeightBundle.flat
+    holds them.
 
     One forward block per adjacent pair, then one bias per layer. A matrix
     maps (lower units, upper units); a kernel is (upper channels, lower
@@ -257,35 +262,52 @@ def fban(visible_units, hidden_units, activation_kind=None):
     return ArchSpec(layers=tuple(layers), activation=activation_kind or Tanh())
 
 
-@dataclass
 class WeightBundle:
-    """Forward weights per adjacent pair plus one bias tensor per layer.
+    """A net's weights: one float64 Tensor, flat, holding the blocks of
+    block_shapes in order, L-1 forward blocks then L biases for L layers.
 
-    The downward weights are always derived from the forward ones (matrix
-    transpose / kernel reversal) and are never parameters. Matrices map
-    (lower units, upper units); biases are per-unit for fc layers and
-    per-channel for conv layers.
+    WeightBundle(flat, shapes) holds flat as blocks of these shapes, and
+    from_blocks copies a list of blocks into a new vector. forward[pair]
+    is a view of flat, the matrix mapping (lower units, upper units) or a
+    ConvKernel over the kernel, and biases[l] a view, per unit or per
+    channel. The downward maps derive their weights from these views and
+    are never parameters. params() is [flat], and with_params([flat]) the
+    bundle around a replacement vector.
     """
 
-    forward: list
-    biases: list
+    __slots__ = ("flat", "shapes", "forward", "biases")
 
-    def params(self):
-        """Trainable tensors, in declaration order (forward, then biases)."""
-        return ([w.weights if isinstance(w, ConvKernel) else w for w in self.forward]
-                + list(self.biases))
+    def __init__(self, flat, shapes):
+        n_pairs = len(shapes) // 2
+        if len(shapes) % 2 == 0 or any(len(s) != 1 for s in shapes[n_pairs:]):
+            raise ValueError(f"expected L-1 forward blocks, then L 1-d biases, got {shapes}")
+        self.flat, self.shapes = flat, tuple(shapes)
+        views = self.blocks(flat.data)
+        self.forward = [v if v.ndim == 2 else ConvKernel(v) for v in views[:n_pairs]]
+        self.biases = views[n_pairs:]
 
     @classmethod
-    def from_params(cls, tensors, n_layers):
-        """The bundle of a net with n_layers layers, from tensors in params()
-        order (see block_shapes); 4-d blocks are convolution kernels."""
-        tensors = list(tensors)
-        return cls(forward=[ConvKernel(t) if t.ndim == 4 else t for t in tensors[:-n_layers]],
-                   biases=tensors[-n_layers:])
+    def from_blocks(cls, blocks):
+        """The bundle of a list of blocks, copied in order into a new vector."""
+        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        return cls(Tensor(np.concatenate([b.ravel() for b in blocks])), [b.shape for b in blocks])
+
+    def blocks(self, vector):
+        """Views of an ndarray of flat's layout, one per block, in order."""
+        sizes = [math.prod(s) for s in self.shapes]
+        if vector.shape != (sum(sizes),):
+            raise ValueError(f"expected a vector of shape ({sum(sizes)},), got {vector.shape}")
+        return [vector[end - size:end].reshape(shape)
+                for shape, size, end in zip(self.shapes, sizes, itertools.accumulate(sizes))]
+
+    def params(self):
+        """The trainable Tensors: the one parameter vector, in a list."""
+        return [self.flat]
 
     def with_params(self, tensors):
-        """Rebuild the bundle around replacement tensors from params() order."""
-        return WeightBundle.from_params(tensors, len(self.biases))
+        """The bundle around a replacement parameter vector, [flat]."""
+        (flat,) = tensors
+        return WeightBundle(flat if isinstance(flat, Tensor) else Tensor(flat), self.shapes)
 
 
 @dataclass
@@ -356,7 +378,7 @@ def _up_map(x, w, arch, pair):
     """Map layer `pair` activation up into layer pair+1 (pooling included)."""
     block = w.forward[pair]
     if not isinstance(block, ConvKernel):
-        return matmul(x, block.data)
+        return matmul(x, block)
     return conv2d_half(avg_pool2(x) if arch.layers[pair + 1].pool_before else x, block)
 
 
@@ -367,15 +389,13 @@ def _down_map(x, w, arch, pair):
     deriving them copies nothing."""
     block = w.forward[pair]
     if not isinstance(block, ConvKernel):
-        return matmul(x, block.data.T)
+        return matmul(x, block.T)
     y = conv2d_half(x, reverse_kernel(block))
     return avg_pool2_adjoint(y) if arch.layers[pair + 1].pool_before else y
 
 
 def _bias_term(b, spec):
-    if spec.kind == "fc":
-        return b.data
-    return b.data.reshape(spec.channels, 1, 1)
+    return b if spec.kind == "fc" else b.reshape(spec.channels, 1, 1)
 
 
 def _layer_terms(state, w, arch, l, terms=None):
@@ -793,8 +813,8 @@ def norm_1inf(w):
     transpose but counted whole here, so the result is an upper bound.
     """
     per_layer_in = [0.0] * (len(w.forward) + 1)
-    for pair, block in enumerate(w.params()[:len(w.forward)]):
-        a = np.abs(block.data)
+    for pair, block in enumerate(w.blocks(w.flat.data)[:len(w.forward)]):
+        a = np.abs(block)
         # a matrix is (lower, upper) units, a kernel (upper, lower, k, k) channels
         lower, upper = ((0,), (1,)) if a.ndim == 2 else ((1, 2, 3), (0, 2, 3))
         per_layer_in[pair + 1] = per_layer_in[pair + 1] + a.sum(axis=lower)

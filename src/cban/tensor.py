@@ -1,5 +1,5 @@
-"""The float64 ops of a layer update, the Tensor that holds the weights
-and the recorded loss, and the tape that records the TD(1) loss.
+"""The float64 ops of a layer update, the Tensor that holds the weights'
+vector and the recorded loss, and the tape that records the TD(1) loss.
 
 The ops: matmul; the activations tanh and leaky_sigmoid; conv2d_half and
 its reversed kernel (reverse_kernel); avg_pool2 and its transpose,
@@ -7,8 +7,9 @@ avg_pool2_adjoint. They compute forward only. The one gradient the
 package takes, of the TD(1) loss, is an explicit reverse sweep
 (training._td1_backward) over the numpy kernels below, and a GradTape is
 the recorder of that loss: training.td1_forward records it as the tape's
-one op, whose parents are the weights, and GradTape.gradient runs the
-sweep. Inverse activations and barriers are ndarray functions in dynamics.
+one op, whose one parent is the weights' vector, and GradTape.gradient
+runs the sweep. Inverse activations and barriers are ndarray functions in
+dynamics.
 
 Convolution (forward, input gradient, weight gradient) is one matrix
 product per map plus kh*kw shifted copies or adds. The shift is applied to
@@ -28,7 +29,7 @@ none writes its inputs. An op that can make a non-finite value from finite
 inputs rejects NaN/Inf in its result, so a numerical blow-up surfaces at
 the op that made it: matmul, conv2d_half and avg_pool2. The check reads
 each value once (through min and max). The other ops skip it:
-- reverse_kernel, a view of weights checked when they were made;
+- reverse_kernel, a view of its kernel;
 - avg_pool2_adjoint, which spreads a quarter of each value;
 - tanh and leaky_sigmoid, whose output is finite wherever their input
   is. They take an array or a list of terms, sum it into one fresh
@@ -36,12 +37,14 @@ each value once (through min and max). The other ops skip it:
   op over one buffer, and a sum that overflows fails at this op even
   where tanh would saturate it.
 
-A Tensor is a float64 array checked finite when it is made: the weight
-blocks and the recorded loss. The downward weights of a symmetric net hold
-no data of their own: the down map reads the forward matrix's transpose,
-and reverse_kernel returns a strided view of the forward kernel, so
-deriving them copies nothing. The conv input gradient flips its kernel as
-a view too, and each GEMM copies its operand into layout.
+A Tensor is a float64 array checked finite when it is made: a net's
+weights, one vector (dynamics.WeightBundle.flat), and the recorded loss.
+A weight block is an ndarray view of that vector, and a ConvKernel wraps
+one. The downward weights of a symmetric net hold no data of their own:
+the down map reads the forward matrix's transpose, and reverse_kernel
+returns a strided view of the forward kernel, so deriving them copies
+nothing. The conv input gradient flips its kernel as a view too, and each
+GEMM copies its operand into layout.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ def _check_finite(arr):
 
 
 class Tensor:
-    """A float64 array checked finite when it is made: a weight block or
-    the recorded TD(1) loss."""
+    """A float64 array checked finite when it is made: a net's parameter
+    vector or the recorded TD(1) loss."""
 
     __slots__ = ("data",)
 
@@ -105,10 +108,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def item(self):
         return float(self.data)
@@ -173,7 +172,7 @@ def leaky_sigmoid(a, alpha):
 
 
 class ConvKernel:
-    """Convolution weights of shape (out_channels, in_channels, kh, kw).
+    """Convolution weights, an ndarray (out_channels, in_channels, kh, kw).
 
     Kernel extents must be odd: half padding preserves spatial dimensions
     only for odd kernels.
@@ -182,7 +181,7 @@ class ConvKernel:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = weights if isinstance(weights, Tensor) else Tensor(weights)
+        w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 4:
             raise ValueError(f"kernel must be 4-d (q, r, kh, kw), got {w.shape}")
         if w.shape[2] % 2 == 0 or w.shape[3] % 2 == 0:
@@ -218,9 +217,7 @@ def reverse_kernel(k):
     symmetric connectivity is realized without storing reverse weights.
     The result is a strided view of the kernel: nothing is copied.
     """
-    view = Tensor.__new__(Tensor)  # of checked weights: no check and no copy
-    view.data = _flip_kernel_np(k.weights.data)
-    return ConvKernel(view)
+    return ConvKernel(_flip_kernel_np(k.weights))
 
 
 def _taps(ka, kb, H, W):
@@ -368,8 +365,8 @@ def conv2d_half(x, k):
             f"channel mismatch: input has {x.shape[-3]}, kernel expects {k.in_channels}"
         )
     if x.ndim == 4:
-        return _check_finite(_conv_half_np(x, k.weights.data))
-    return _check_finite(_conv_half_np(x[None], k.weights.data)[0])
+        return _check_finite(_conv_half_np(x, k.weights))
+    return _check_finite(_conv_half_np(x[None], k.weights)[0])
 
 
 def _pool2_np(d):
@@ -425,11 +422,11 @@ class GradTape:
 
     Single-owner: at most one tape is active at a time, entered with a
     `with` block, and a tape is entered once. A td1_forward run inside the
-    block records its loss as the tape's op, whose parents are the weights
-    and whose backward is the explicit reverse sweep over the unrolled
-    forward (training._td1_backward). No other op records. `gradient`
-    then runs that sweep, once, and returns d(loss)/d(input) for each
-    input, each of which must be one of the op's parents.
+    block records its loss as the tape's op, whose one parent is the
+    weights' vector and whose backward is the explicit reverse sweep over
+    the unrolled forward (training._td1_backward). No other op records.
+    `gradient` then runs that sweep, once, and returns d(loss)/d(input)
+    for each input, each of which must be one of the op's parents.
     """
 
     def __init__(self):

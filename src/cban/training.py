@@ -33,9 +33,10 @@ op is a term's first reader is whether the runner mapped the term for it
 or reused a held one. A batch of a conv net runs on row shards in
 lockstep, each shard with its own records; a flat net's batch is one
 shard. The loss is the one Tensor it makes. It records the loss on the
-active GradTape as the tape's one op, whose parents are the weights, and
-whose backward walks each shard's records back, the shards in parallel,
-and sums their gradients (_td1_backward): each layer's preactivation
+active GradTape as the tape's one op, whose one parent is the weights'
+vector (dynamics.WeightBundle.flat), and whose backward walks each
+shard's records back into one gradient vector, the shards in parallel,
+and sums the vectors (_td1_backward): each layer's preactivation
 cotangent is its output's cotangent times the activation's slope, zero on
 clamped units, and each pair term's summed cotangent goes once through the
 adjoint of the map that made it (_term_vjp), which for a symmetric pair is
@@ -44,7 +45,7 @@ the other direction's map, together with the pair's weight gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -308,12 +309,11 @@ class _TD1Run(_ShardRun):
         return self.loss_vec, delta
 
 
-def _summed_grads(per_shard):
-    """The shards' gradients, summed block by block in shard order."""
-    total = per_shard[0]
-    for grads in per_shard[1:]:
-        for g, h in zip(total, grads):
-            g += h
+def _summed(vectors):
+    """The shards' gradient vectors, summed in shard order into the first."""
+    total = vectors[0]
+    for g in vectors[1:]:
+        total += g
     return total
 
 
@@ -343,7 +343,7 @@ def td1_forward(examples, w, arch, cfg):
     visible update, which reuses v~'s down term and leaves 2.
 
     The loss is recorded on the active GradTape, if there is one, as its
-    one op, whose parents are w.params() and whose backward runs
+    one op, whose one parent is w.flat and whose backward runs
     _td1_backward over each shard's records, the shards in parallel as
     their sweeps ran, and sums their gradients in shard order. The loss
     bookkeeping is plain numpy: each sweep's np.sum of its losses on active
@@ -391,9 +391,9 @@ def td1_forward(examples, w, arch, cfg):
         # each record once it has passed it
         shard.state = shard.held = None
     loss = Tensor(total * (1.0 / n))
-    _record(loss, w.params(), lambda: run.run(
+    _record(loss, w.params(), lambda: [run.run(
         lambda shard: _td1_backward(shard.records, w, arch, shard.evidence),
-        merge=_summed_grads))
+        merge=_summed)])
     no_energy = np.empty(0)
     reports = [SettleReport(t_star=t, converged=c, energy_trace=no_energy, max_delta_trace=d)
                for t, c, d in zip(t_star.tolist(), converged.tolist(),
@@ -402,8 +402,8 @@ def td1_forward(examples, w, arch, cfg):
 
 
 def _td1_backward(records, w, arch, evidence):
-    """The TD(1) loss's gradient in w.params() order, by one reverse walk
-    over td1_forward's records.
+    """The TD(1) loss's gradient, a vector of w.flat's layout, by one
+    reverse walk over td1_forward's records.
 
     Each record is dropped once the walk has passed it. A layer update's
     output cotangent, zeroed on clamped units, times the activation's
@@ -413,8 +413,10 @@ def _td1_backward(records, w, arch, evidence):
     _term_vjp once, which adds the weight gradient in place and hands the
     source record its share. A record whose output fed no loss, such as
     the last sweep's downward updates, gets no cotangent and is skipped.
+    Every gradient adds into its block's view of one zero vector.
     """
-    grads = [np.zeros(p.shape) for p in w.params()]
+    grad = np.zeros(w.flat.shape)
+    grads = w.blocks(grad)
     bias_grads = grads[len(w.forward):]
     clamped = evidence.mask if arch.evidence == "clamp" else None
     kind = arch.activation
@@ -448,15 +450,16 @@ def _td1_backward(records, w, arch, evidence):
                 g_out[src] = gx
             else:
                 acc += gx
-    return grads
+    return grad
 
 
 def _term_vjp(g, x, w, arch, reader, source, grads, need_input):
     """The backward map of the pair term (reader, source) at its summed
     cotangent g, with x the source activations the term was made from.
 
-    Adds the pair's weight gradient into grads in place and returns the
-    cotangent of x, or None unless need_input. An up term (source below)
+    Adds the pair's weight gradient in place into grads[pair], its view of
+    the gradient vector, and returns the cotangent of x, or None unless
+    need_input. An up term (source below)
     is matmul(x, W), or the conv of x, pooled first on a pooled pair; a
     down term is its adjoint, matmul(x, W.T), or the conv of x with the
     reversed kernel, spread by pooling's transpose. The conv backward is
@@ -466,12 +469,11 @@ def _term_vjp(g, x, w, arch, reader, source, grads, need_input):
     block = w.forward[pair]
     up = source < reader
     if not isinstance(block, ConvKernel):
-        wd = block.data
         grads[pair] += x.T @ g if up else g.T @ x
         if not need_input:
             return None
-        return g @ wd.T if up else g @ wd
-    wd = block.weights.data
+        return g @ block.T if up else g @ block
+    wd = block.weights
     pooled = arch.layers[pair + 1].pool_before
     if up:
         if pooled:
@@ -490,13 +492,15 @@ def _term_vjp(g, x, w, arch, reader, source, grads, need_input):
 
 @dataclass
 class OptState:
-    """Optimizer bookkeeping carried between steps."""
+    """Optimizer bookkeeping carried between steps: under adam, the first
+    and second moments, vectors of the parameter vector's layout, or None
+    until the first step."""
 
     kind: str
     lr: float
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def init_opt_state(cfg):
@@ -506,39 +510,35 @@ def init_opt_state(cfg):
 def optimizer_step(opt, w, grads):
     """One parameter update; returns a fresh (OptState, WeightBundle).
 
-    sgd-l2 / sgd-linf renormalize each parameter block's gradient to unit
-    L2 / max norm before the step (blocks with zero gradient are stepped
-    as-is); adam is the standard bias-corrected moment update, with
-    beta1 0.9, beta2 0.999 and eps 1e-8. Only the tensors in w.params()
-    move, and the downward weights are derived from them, so every step
-    keeps the net symmetric.
+    grads is [g], g the gradient of the parameter vector w.flat, as
+    GradTape.gradient returns it for w.params(). sgd-l2 / sgd-linf
+    renormalize each block's gradient to unit L2 / max norm before the
+    step (blocks with zero gradient are stepped as-is), on the blocks'
+    views of a copy of g; adam is the standard bias-corrected moment
+    update on the whole vector, with beta1 0.9, beta2 0.999 and eps 1e-8.
+    Only w.flat moves, and the downward weights are derived from it, so
+    every step keeps the net symmetric.
     """
-    params = w.params()
-    if len(grads) != len(params):
-        raise ValueError(f"got {len(grads)} gradients for {len(params)} blocks")
-    new_params = []
+    p = w.flat.data
+    if len(grads) != 1 or np.shape(grads[0]) != p.shape:
+        raise ValueError(f"expected [g], one gradient of shape {p.shape}, got "
+                         f"{len(grads)} of shapes {[np.shape(g) for g in grads]}")
+    g = np.asarray(grads[0], dtype=np.float64)
     if opt.kind in ("sgd-l2", "sgd-linf"):
-        for p, g in zip(params, grads):
-            norm = np.linalg.norm(g) if opt.kind == "sgd-l2" else np.max(np.abs(g))
+        g = g.copy()
+        for block in w.blocks(g):
+            norm = np.linalg.norm(block) if opt.kind == "sgd-l2" else np.max(np.abs(block))
             if norm > 0:
-                g = g / norm
-            new_params.append(Tensor(p.data - opt.lr * g))
-        return replace(opt, step=opt.step + 1), w.with_params(new_params)
+                block /= norm
+        return replace(opt, step=opt.step + 1), w.with_params([Tensor(p - opt.lr * g)])
     # adam
-    if not opt.m:
-        opt = replace(opt, m=[np.zeros_like(p.data) for p in params],
-                      v=[np.zeros_like(p.data) for p in params])
     t = opt.step + 1
-    new_m, new_v = [], []
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
-        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * g
-        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * g * g
-        m_hat = m / (1 - _ADAM_BETA1 ** t)
-        v_hat = v / (1 - _ADAM_BETA2 ** t)
-        new_params.append(Tensor(p.data - opt.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)))
-        new_m.append(m)
-        new_v.append(v)
-    return replace(opt, step=t, m=new_m, v=new_v), w.with_params(new_params)
+    m = _ADAM_BETA1 * (np.zeros_like(p) if opt.m is None else opt.m) + (1 - _ADAM_BETA1) * g
+    v = _ADAM_BETA2 * (np.zeros_like(p) if opt.v is None else opt.v) + (1 - _ADAM_BETA2) * g * g
+    m_hat = m / (1 - _ADAM_BETA1 ** t)
+    v_hat = v / (1 - _ADAM_BETA2 ** t)
+    new = Tensor(p - opt.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS))
+    return replace(opt, step=t, m=m, v=v), w.with_params([new])
 
 
 def _fc_init_std(n_lo, n_hi):
@@ -548,7 +548,7 @@ def _fc_init_std(n_lo, n_hi):
 def init_weights(arch, seed, conv_std=0.01):
     """Gaussian weights, zero biases, deterministic in the seed.
 
-    One block is drawn per block_shapes(arch) entry, in params() order.
+    One block is drawn per block_shapes(arch) entry, in order.
     Matrices (n_a, n_b) use std 0.1 / sqrt(n_a/2 + n_b/2 + 1); convolution
     kernels use conv_std; biases are zero.
     """
@@ -560,8 +560,7 @@ def init_weights(arch, seed, conv_std=0.01):
         std = conv_std if len(shape) == 4 else _fc_init_std(*shape)
         return rng.normal(scale=std, size=shape)
 
-    return WeightBundle.from_params([Tensor(draw(s)) for s in block_shapes(arch)],
-                                    arch.n_layers)
+    return WeightBundle.from_blocks([draw(s) for s in block_shapes(arch)])
 
 
 def _train_step(batch, w, opt, arch, cfg):

@@ -1,11 +1,12 @@
 """Shared test utilities: the central finite-difference gradient oracle,
 the cache-less reference of the TD(1) step and the frozen gradients of the
-per-op tape it once ran on, the bar draw's loop reference, memory tracing,
-and C-call, numpy-call and Tensor counting."""
+per-op tape it once ran on, the bar draw's loop reference, an IDX writer,
+memory tracing, and C-call, numpy-call and Tensor counting."""
 
 import functools
 import json
 import operator
+import struct
 import sys
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import cban.dynamics
-from cban.data import Example
+from cban.data import _IDX_IMAGE_TYPE, Example
 from cban.dynamics import (
     _layer_terms,
     _max_delta,
@@ -137,6 +138,18 @@ def frozen_td1_gradients(case, arch):
         raise ValueError(f"frozen TD(1) gradient for case {case!r} has block shapes "
                          f"{shapes}, but the net's are {block_shapes(arch)}")
     return arrays, projection
+
+
+def save_idx(path, array):
+    """Write a uint8 array (1-d labels or 3-d images) in IDX format, as
+    data.load_idx reads it."""
+    arr = np.ascontiguousarray(array, dtype=np.uint8)
+    if arr.ndim not in (1, 3):
+        raise ValueError("IDX writer handles 1-d or 3-d uint8 arrays")
+    with open(path, "wb") as f:
+        f.write(bytes([0, 0, _IDX_IMAGE_TYPE, arr.ndim]))
+        f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
+        f.write(arr.tobytes())
 
 
 def traced_bytes(fn):

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,14 @@ from cban.config import (
     arch_from_dict,
     arch_to_dict,
     load_run_config,
-    mask_from_dict,
+    run_config_from_dict,
     train_from_dict,
 )
-from cban.data import BernoulliMask, LabelOnly, LabelPlus, PerlinMask, SquarePatches, save_idx
+from cban.data import BernoulliMask, LabelOnly, LabelPlus, PerlinMask, SquarePatches
 from cban.dynamics import LeakySigmoid, fban
 from cban.imageio import read_ppm, write_pgm
 from cban.training import TrainConfig, init_opt_state, init_weights, optimizer_step
+from helpers import save_idx
 
 
 SHIPPED_CONFIGS = ("bar.json", "bar_deep.json", "mnist_supervised.json",
@@ -61,10 +63,14 @@ class TestConfigRoundTrips:
             ({"kind": "label_plus", "inner": {"kind": "perlin"}}, LabelPlus(PerlinMask())),
             (None, None),
         ]
+        def mask_read(d):  # as a bar run config reads its mask
+            return run_config_from_dict({"task": "bar", "seed": 0, "train": {"epochs": 1},
+                                         "arch": arch_to_dict(fban(4, [2])), "mask": d}).mask
+
         for d, spec in cases:
-            assert mask_from_dict(d) == spec
+            assert mask_read(d) == spec
         with pytest.raises(ValueError, match="unknown mask kind"):
-            mask_from_dict({"kind": "stripes"})
+            mask_read({"kind": "stripes"})
 
     def test_train_round_trip(self):
         d = {"epochs": 5, "loss": "se", "optimizer": "adam", "lr": 0.005,
@@ -124,6 +130,31 @@ class TestCheckpoint:
             save_checkpoint(p2, load_checkpoint(p1))
             assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("net", ["fc", "conv"])
+    def test_body_is_the_float32_blocks_then_the_moments(self, tmp_path, net):
+        from cban.dynamics import ArchSpec, block_shapes, conv_layer
+        from cban.tensor import ConvKernel
+
+        arch = fban(6, [4, 3]) if net == "fc" else ArchSpec(
+            layers=(conv_layer(2, 4, 4, visible=True), conv_layer(3, 4, 4),
+                    conv_layer(5, 2, 2, pool_before=True)), kernel_sizes=(3, 1))
+        ckpt = make_checkpoint(arch, with_moments=True)
+        path = tmp_path / "b.ckpt"
+        save_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[12:16])
+        meta = json.loads(raw[16:16 + n])
+        w, opt = ckpt.weights, ckpt.opt_state
+        blocks = [k.weights if isinstance(k, ConvKernel) else k for k in w.forward] + w.biases
+        assert [tuple(s) for s in meta["blocks"]] == [b.shape for b in blocks] \
+            == block_shapes(arch)
+        # each block in order, then the first moment's blocks, then the second's
+        body = b"".join(a.astype(np.float32).tobytes()
+                        for a in blocks + w.blocks(opt.m) + w.blocks(opt.v))
+        assert len(body) == 3 * 4 * w.flat.shape[0]
+        assert raw[16 + n:] == body
+        assert meta["crc32"] == zlib.crc32(body)
+
     def test_weights_round_trip_within_float32(self, tmp_path):
         ckpt = make_checkpoint()
         path = tmp_path / "w.ckpt"
@@ -143,7 +174,7 @@ class TestCheckpoint:
         assert loaded.rng_state == ckpt.rng_state
         assert loaded.opt_state.kind == "adam"
         assert loaded.opt_state.step == ckpt.opt_state.step
-        assert len(loaded.opt_state.m) == len(ckpt.opt_state.m)
+        assert loaded.opt_state.m.shape == ckpt.opt_state.m.shape == ckpt.weights.flat.shape
 
     def test_corrupted_magic_rejected(self, tmp_path):
         ckpt = make_checkpoint()
@@ -189,10 +220,8 @@ class TestCheckpoint:
         assert loaded.opt_state.lr == fresh.opt_state.lr
 
         def arrays(ckpt):
-            return ([p.data for p in ckpt.weights.params()]
-                    + ckpt.opt_state.m + ckpt.opt_state.v)
+            return [ckpt.weights.flat.data, ckpt.opt_state.m, ckpt.opt_state.v]
 
-        assert len(arrays(loaded)) == 3 * 3
         for a, b in zip(arrays(fresh), arrays(loaded)):
             np.testing.assert_array_equal(a, b)
 
@@ -904,13 +933,11 @@ class TestCmdComplete:
     def test_external_bias_checkpoint_settles_without_clamping(self, tmp_path):
         from cban.dynamics import WeightBundle
         from cban.imageio import bytes_to_activations, read_pgm
-        from cban.tensor import Tensor
 
         # no couplings: each visible unit settles at tanh(b + evidence), so
         # an observed value of 0.9 reads tanh(0.9), not 0.9
         arch = dataclasses.replace(fban(25, [4]), evidence="external_bias")
-        w = WeightBundle(forward=[Tensor(np.zeros((25, 4)))],
-                         biases=[Tensor(np.zeros(25)), Tensor(np.zeros(4))])
+        w = WeightBundle.from_blocks([np.zeros((25, 4)), np.zeros(25), np.zeros(4)])
         save_checkpoint(tmp_path / "eb.ckpt", Checkpoint(
             arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
@@ -935,19 +962,18 @@ class TestCmdComplete:
         assert code == 2
         assert "visible layer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("blocks", [
+    @pytest.mark.parametrize("hidden, blocks", [
         # a 4 -> 3 net whose weight block is stored transposed
-        [np.zeros((3, 4)), np.zeros(4), np.zeros(3)],
-        # a 4 -> 3 -> 2 net with fewer blocks than it has pairs
-        [np.zeros((4, 3))],
+        ([3], [np.zeros((3, 4)), np.zeros(4), np.zeros(3)]),
+        # a 4 -> 3 -> 2 net with the blocks of a 4 -> 3 net, fewer than it has
+        ([3, 2], [np.zeros((4, 3)), np.zeros(4), np.zeros(3)]),
     ])
-    def test_block_manifest_mismatch_exits_2(self, tmp_path, capsys, blocks):
+    def test_block_manifest_mismatch_exits_2(self, tmp_path, capsys, hidden, blocks):
         from cban.dynamics import WeightBundle
-        from cban.tensor import Tensor
 
-        arch = fban(4, [3] if len(blocks) == 3 else [3, 2])
-        # params() lists these blocks in order, so they become the manifest
-        w = WeightBundle(forward=[], biases=[Tensor(b) for b in blocks])
+        arch = fban(4, hidden)
+        # the bundle's shapes are these blocks', so they become the manifest
+        w = WeightBundle.from_blocks(blocks)
         save_checkpoint(tmp_path / "bad.ckpt", Checkpoint(
             arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
@@ -991,12 +1017,10 @@ class TestCmdComplete:
 
     def test_diverging_net_exits_1_without_outputs(self, tmp_path, capsys):
         from cban.dynamics import WeightBundle
-        from cban.tensor import Tensor
 
         # weights of 10.0 drive a leaky sigmoid's unbounded tails to overflow
         arch = fban(4, [4], activation_kind=LeakySigmoid(0.5))
-        w = WeightBundle(forward=[Tensor(np.full((4, 4), 10.0))],
-                         biases=[Tensor(np.full(4, 10.0)), Tensor(np.full(4, 10.0))])
+        w = WeightBundle.from_blocks([np.full((4, 4), 10.0), np.full(4, 10.0), np.full(4, 10.0)])
         save_checkpoint(tmp_path / "div.ckpt", Checkpoint(
             arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
@@ -1019,12 +1043,10 @@ class TestCmdComplete:
         # two sweeps cannot bring a random net's state change below 1e-12
         rng = np.random.default_rng(2)
         from cban.dynamics import WeightBundle
-        from cban.tensor import Tensor
 
         arch = fban(25, [25])
-        w = WeightBundle(
-            forward=[Tensor(rng.normal(scale=1.2, size=(25, 25)))],
-            biases=[Tensor(np.zeros(25)), Tensor(np.zeros(25))])
+        w = WeightBundle.from_blocks([rng.normal(scale=1.2, size=(25, 25)),
+                                      np.zeros(25), np.zeros(25)])
         ckpt = Checkpoint(arch=arch, weights=w, opt_state=None,
                           epoch=0, rng_state=None)
         path = tmp_path / "rand.ckpt"
@@ -1054,14 +1076,13 @@ class TestCmdEval:
 
     def test_diverging_net_exits_1_without_outputs(self, tmp_path, capsys):
         from cban.dynamics import WeightBundle
-        from cban.tensor import Tensor
 
         # weights of 10.0 drive a leaky sigmoid's unbounded tails to overflow
         save_idx(tmp_path / "imgs.idx", np.random.default_rng(5).integers(
             0, 256, size=(3, 12, 12)).astype(np.uint8))
         arch = fban(144, [4], activation_kind=LeakySigmoid(0.5))
-        w = WeightBundle(forward=[Tensor(np.full((144, 4), 10.0))],
-                         biases=[Tensor(np.full(144, 10.0)), Tensor(np.full(4, 10.0))])
+        w = WeightBundle.from_blocks([np.full((144, 4), 10.0),
+                                      np.full(144, 10.0), np.full(4, 10.0)])
         save_checkpoint(tmp_path / "div.ckpt", Checkpoint(
             arch=arch, weights=w, opt_state=None, epoch=0, rng_state=None))
         outdir = tmp_path / "ev"
@@ -1142,7 +1163,6 @@ class TestCmdEval:
     def _replicated_run(self, tmp_path, image_size):
         from cban.dynamics import ArchSpec, WeightBundle, conv_layer
         from cban.imageio import write_ppm
-        from cban.tensor import ConvKernel, Tensor
 
         rng = np.random.default_rng(4)
         folder = tmp_path / "imgs"
@@ -1154,8 +1174,7 @@ class TestCmdEval:
                                 conv_layer(4, 12, 12)),
                         kernel_sizes=(3,))
         # zero weights leave the free output copy at exactly 0
-        w = WeightBundle(forward=[ConvKernel(Tensor(np.zeros((4, 6, 3, 3))))],
-                         biases=[Tensor(np.zeros(6)), Tensor(np.zeros(4))])
+        w = WeightBundle.from_blocks([np.zeros((4, 6, 3, 3)), np.zeros(6), np.zeros(4)])
         save_checkpoint(tmp_path / "r.ckpt", Checkpoint(
             arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))
@@ -1179,16 +1198,15 @@ class TestCmdEval:
 
     def test_external_bias_checkpoint_scored_unclamped(self, tmp_path):
         from cban.data import BernoulliMask, CompletionData, build_dataset
+        from cban.dynamics import WeightBundle
         from cban.metrics import psnr
-        from cban.tensor import Tensor
 
         rng = np.random.default_rng(2)
         save_idx(tmp_path / "imgs.idx",
                  rng.integers(0, 256, size=(3, 12, 12)).astype(np.uint8))
         # zero weights: each visible unit settles at tanh of its evidence
         arch = dataclasses.replace(fban(144, [4]), evidence="external_bias")
-        w = init_weights(arch, seed=0)
-        w.forward[0] = Tensor(np.zeros((144, 4)))
+        w = WeightBundle.from_blocks([np.zeros((144, 4)), *init_weights(arch, seed=0).biases])
         save_checkpoint(tmp_path / "eb.ckpt", Checkpoint(
             arch=arch, weights=w, opt_state=None, epoch=0,
             rng_state=None))

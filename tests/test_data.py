@@ -1,5 +1,7 @@
 """Task generators: bar patterns, IDX files, label coding, masks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,12 +29,11 @@ from cban.data import (
     make_supervised_example,
     perlin_mask,
     replicated_example,
-    save_idx,
     square_patch_mask,
 )
 from cban.dynamics import EvidenceConstraint
 from cban.imageio import activations_to_bytes, write_pgm, write_ppm
-from helpers import bar_consistency_count_reference, gen_bar_evidence_reference
+from helpers import bar_consistency_count_reference, gen_bar_evidence_reference, save_idx
 
 
 class TestExample:
@@ -456,6 +457,32 @@ class TestUnmaskableImages:
         kind([np.full((1, 6, 6), 0.999)], SquarePatches(diameter_min=5))
         # a square side clips to the shorter extent, so 4x6 is never hidden whole
         kind([np.full((1, 4, 6), 0.999)], SquarePatches(diameter_min=6))
+
+
+class TestCompletionMaskSpecs:
+    """A completion dataset draws pixel masks, so it refuses a label mask
+    when it is made, not at its first epoch."""
+
+    @pytest.mark.parametrize("kind", [ImageFolderCompletion, ReplicatedCompletion])
+    @pytest.mark.parametrize("spec", [LabelOnly(), LabelPlus(PerlinMask())])
+    def test_label_masks_are_refused(self, kind, spec):
+        with pytest.raises(ValueError, match=re.escape(f"pixel mask, got {spec!r}")):
+            kind([np.full((1, 4, 4), 0.5)], spec)
+
+    @pytest.mark.parametrize("kind", [ImageFolderCompletion, ReplicatedCompletion])
+    def test_a_pixel_mask_is_taken(self, kind):
+        data = kind([np.full((1, 4, 4), 0.5)], BernoulliMask(0.5))
+        (example,) = data.epoch_examples(np.random.default_rng(0))
+        assert example.mask.dtype == bool
+
+    def test_build_dataset_refuses_them(self, tmp_path):
+        from cban.data import CompletionData, build_dataset
+        from cban.dynamics import fban
+
+        save_idx(tmp_path / "imgs.idx", np.zeros((2, 4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"pixel mask, got LabelOnly\(\)"):
+            build_dataset(fban(16, [4]), CompletionData(str(tmp_path / "imgs.idx")),
+                          LabelOnly())
 
 
 class TestReplicatedExample:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cban.tensor import ConvKernel, DomainError, Tensor
+from cban.tensor import DomainError
 from cban.training import init_weights
 from cban.dynamics import (
     ArchSpec,
@@ -35,11 +35,10 @@ def random_fc_bundle(arch, rng, scale=0.3, bias_scale=0.0):
     forward, biases = [], []
     sizes = [spec.units for spec in arch.layers]
     for lo, hi in zip(sizes[:-1], sizes[1:]):
-        forward.append(Tensor(rng.normal(scale=scale, size=(lo, hi))))
+        forward.append(rng.normal(scale=scale, size=(lo, hi)))
     for n in sizes:
-        b = rng.normal(scale=bias_scale, size=(n,)) if bias_scale else np.zeros(n)
-        biases.append(Tensor(b))
-    return WeightBundle(forward=forward, biases=biases)
+        biases.append(rng.normal(scale=bias_scale, size=(n,)) if bias_scale else np.zeros(n))
+    return WeightBundle.from_blocks(forward + biases)
 
 
 def random_state(arch, rng, lo=-0.9, hi=0.9):
@@ -228,8 +227,7 @@ class TestPreactivation:
 
     def test_two_layer_hand_example(self):
         arch = fban(2, [1])
-        w = WeightBundle(forward=[Tensor([[1.0], [-1.0]])],
-                         biases=[Tensor(np.zeros(2)), Tensor(np.zeros(1))])
+        w = WeightBundle.from_blocks([[[1.0], [-1.0]], np.zeros(2), np.zeros(1)])
         state = NetState([np.array([0.5, 0.5]), np.array([0.0])])
         np.testing.assert_allclose(layer_preactivation(state, w, arch, 1), [0.0])
 
@@ -239,8 +237,8 @@ class TestPreactivation:
         w = random_fc_bundle(arch, rng, bias_scale=0.2)
         state = random_state(arch, rng)
         x0, x1, x2 = state.activations
-        W0, W1 = [t.data for t in w.forward]
-        b = [t.data for t in w.biases]
+        W0, W1 = w.forward
+        b = w.biases
         # end layers get one neighbor contribution, the middle layer two
         np.testing.assert_allclose(
             layer_preactivation(state, w, arch, 0), x1 @ W0.T + b[0], atol=1e-14)
@@ -272,8 +270,7 @@ class TestUpdateAndSweep:
 
     def test_zero_weights_zero_hidden(self):
         arch = fban(3, [4])
-        w = WeightBundle(forward=[Tensor(np.zeros((3, 4)))],
-                         biases=[Tensor(np.zeros(3)), Tensor(np.zeros(4))])
+        w = WeightBundle.from_blocks([np.zeros((3, 4)), np.zeros(3), np.zeros(4)])
         state = NetState([np.array([0.3, -0.2, 0.9]), np.full(4, 0.5)])
         state = update_layer(state, w, arch, 1)
         np.testing.assert_array_equal(state.activations[1], np.zeros(4))
@@ -341,15 +338,13 @@ class TestUpdateAndSweep:
 class TestEnergy:
     def test_zero_state_zero_energy(self):
         arch = fban(4, [3])
-        w = WeightBundle(forward=[Tensor(np.zeros((4, 3)))],
-                         biases=[Tensor(np.zeros(4)), Tensor(np.zeros(3))])
+        w = WeightBundle.from_blocks([np.zeros((4, 3)), np.zeros(4), np.zeros(3)])
         state = NetState([np.zeros(4), np.zeros(3)])
         assert energy(state, w, arch) == 0.0
 
     def test_two_unit_closed_form(self):
         arch = fban(1, [1])
-        w = WeightBundle(forward=[Tensor([[1.0]])],
-                         biases=[Tensor([0.0]), Tensor([0.0])])
+        w = WeightBundle.from_blocks([[[1.0]], [0.0], [0.0]])
         state = NetState([np.array([0.5]), np.array([0.5])])
         rho = 0.5 * 1.5 * np.log(1.5) + 0.5 * 0.5 * np.log(0.5)
         expected = -0.25 + 2 * rho
@@ -440,8 +435,7 @@ class TestSettle:
         import warnings
 
         arch = fban(2, [2], activation_kind=LeakySigmoid(0.9))
-        w = WeightBundle(forward=[Tensor(np.full((2, 2), 1e150))],
-                         biases=[Tensor(np.zeros(2)), Tensor(np.zeros(2))])
+        w = WeightBundle.from_blocks([np.full((2, 2), 1e150), np.zeros(2), np.zeros(2)])
         state = NetState([np.array([0.5, 0.5]), np.array([0.5, 0.5])])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -549,10 +543,9 @@ class TestLayerwiseEnergyDescent:
             arch = ArchSpec(layers=(conv_layer(c1, 6, 6, visible=True),
                                     conv_layer(c2, 6, 6)),
                             kernel_sizes=(3,))
-            w = WeightBundle(
-                forward=[ConvKernel(rng.normal(scale=0.2, size=(c2, c1, 3, 3)))],
-                biases=[Tensor(rng.normal(scale=0.1, size=(c1,))),
-                        Tensor(rng.normal(scale=0.1, size=(c2,)))])
+            w = WeightBundle.from_blocks([rng.normal(scale=0.2, size=(c2, c1, 3, 3)),
+                                          rng.normal(scale=0.1, size=(c1,)),
+                                          rng.normal(scale=0.1, size=(c2,))])
             state = random_state(arch, rng)
             e = energy(state, w, arch)
             for _ in range(5):
@@ -571,14 +564,13 @@ class TestLayerwiseEnergyDescent:
                                 conv_layer(3, 8, 8),
                                 conv_layer(5, 4, 4, pool_before=True)),
                         kernel_sizes=(3, 3))
-        zero_biases = [Tensor(np.zeros(1)), Tensor(np.zeros(3)), Tensor(np.zeros(5))]
+        zero_biases = [np.zeros(1), np.zeros(3), np.zeros(5)]
         rises = []
         for std in (0.08, 0.3, 1.0):
             for t in range(40):
-                w = WeightBundle(
-                    forward=[ConvKernel(rng.normal(scale=std, size=(3, 1, 3, 3))),
-                             ConvKernel(rng.normal(scale=std, size=(5, 3, 3, 3)))],
-                    biases=zero_biases)
+                w = WeightBundle.from_blocks([rng.normal(scale=std, size=(3, 1, 3, 3)),
+                                              rng.normal(scale=std, size=(5, 3, 3, 3))]
+                                             + zero_biases)
                 state = random_state(arch, rng)
                 e = energy(state, w, arch)
                 for _ in range(5):
@@ -624,28 +616,23 @@ class TestPairMapAdjoint:
 class TestNorm1Inf:
     def test_zero_weights(self):
         arch = fban(3, [2])
-        w = WeightBundle(forward=[Tensor(np.zeros((3, 2)))],
-                         biases=[Tensor(np.zeros(3)), Tensor(np.zeros(2))])
+        w = WeightBundle.from_blocks([np.zeros((3, 2)), np.zeros(3), np.zeros(2)])
         assert norm_1inf(w) == 0.0
 
     def test_rowwise_example(self):
-        w = WeightBundle(forward=[Tensor([[1.0, -2.0], [0.5, 0.5]])],
-                         biases=[Tensor(np.zeros(2)), Tensor(np.zeros(2))])
+        w = WeightBundle.from_blocks([[[1.0, -2.0], [0.5, 0.5]], np.zeros(2), np.zeros(2)])
         assert norm_1inf(w) == 3.0
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(19)
         W = rng.normal(size=(4, 5))
-        w1 = WeightBundle(forward=[Tensor(W)],
-                          biases=[Tensor(np.zeros(4)), Tensor(np.zeros(5))])
-        w2 = WeightBundle(forward=[Tensor(2.5 * W)],
-                          biases=[Tensor(np.zeros(4)), Tensor(np.zeros(5))])
+        w1 = WeightBundle.from_blocks([W, np.zeros(4), np.zeros(5)])
+        w2 = WeightBundle.from_blocks([2.5 * W, np.zeros(4), np.zeros(5)])
         assert abs(norm_1inf(w2) - 2.5 * norm_1inf(w1)) < 1e-12
 
     def test_interior_layer_sums_both_sides(self):
-        w = WeightBundle(
-            forward=[Tensor([[1.0], [1.0]]), Tensor([[2.0, -2.0]])],
-            biases=[Tensor(np.zeros(2)), Tensor(np.zeros(1)), Tensor(np.zeros(2))])
+        w = WeightBundle.from_blocks([[[1.0], [1.0]], [[2.0, -2.0]],
+                                      np.zeros(2), np.zeros(1), np.zeros(2)])
         # middle unit: |1|+|1| from below plus |2|+|-2| from above = 6
         assert norm_1inf(w) == 6.0
 
@@ -653,8 +640,7 @@ class TestNorm1Inf:
         k = np.zeros((2, 1, 3, 3))
         k[0] = 0.1
         k[1] = -0.2
-        w = WeightBundle(forward=[ConvKernel(k)],
-                         biases=[Tensor(np.zeros(1)), Tensor(np.zeros(2))])
+        w = WeightBundle.from_blocks([k, np.zeros(1), np.zeros(2)])
         # upper channel 1 receives 9 * 0.2; lower channel receives 9*(0.1+0.2)
         assert abs(norm_1inf(w) - 2.7) < 1e-12
 
@@ -663,7 +649,7 @@ class TestNorm1Inf:
                                 conv_layer(2, 4, 4, pool_before=True)),
                         kernel_sizes=(3,))
         w = init_weights(arch, seed=5, conv_std=0.3)
-        k = np.abs(w.forward[0].weights.data)
+        k = np.abs(w.forward[0].weights)
         # a batch of unit vectors probes each map; summing |outputs| over the
         # batch gives the L1 of the weights each receiving unit sees
         up = layer_preactivation(NetState([np.eye(64).reshape(64, 1, 8, 8),
@@ -688,8 +674,7 @@ class TestLeakyContraction:
             w = random_fc_bundle(arch, rng, scale=1.0, bias_scale=0.1)
             target = 0.9 / alpha
             scale = target / norm_1inf(w)
-            w = WeightBundle(forward=[Tensor(t.data * scale) for t in w.forward],
-                             biases=w.biases)
+            w = WeightBundle.from_blocks([t * scale for t in w.forward] + w.biases)
             assert abs(alpha * norm_1inf(w) - 0.9) < 1e-9
             _, report = settle(random_state(arch, rng), w, arch, theta=1e-6,
                                max_iters=500, record_energy=False)

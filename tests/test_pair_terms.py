@@ -163,7 +163,8 @@ def _assert_td1_matches_the_reference(case, examples, w, arch, cfg):
     frozen for this case. Returns the reports."""
     with GradTape() as tape:
         loss, reports = td1_forward(examples, w, arch, cfg)
-    grads = tape.gradient(loss, w.params())
+    (grad,) = tape.gradient(loss, w.params())
+    grads = w.blocks(grad)
     ref_loss, ref_deltas = td1_reference(examples, w, arch, cfg)
     assert loss.data.tobytes() == ref_loss.tobytes()
     deltas = np.stack([r.max_delta_trace for r in reports], axis=1)
@@ -171,7 +172,7 @@ def _assert_td1_matches_the_reference(case, examples, w, arch, cfg):
     frozen, projection = frozen_td1_gradients(case, arch)
     if projection is not None:
         grads = gradient_projections(grads, **projection)
-    for g, ref in zip(grads, frozen):
+    for g, ref in zip(grads, frozen, strict=True):
         assert relative_error(g, ref) <= 1e-12
     return reports
 

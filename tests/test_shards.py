@@ -138,7 +138,7 @@ class TestTwoWorkersMatchOne:
         for a, b in zip(reps1, reps2):
             assert (a.t_star, a.converged) == (b.t_star, b.converged)
             assert a.max_delta_trace.tobytes() == b.max_delta_trace.tobytes()
-        for a, b in zip(g1, g2):
+        for a, b in zip(w.blocks(g1[0]), w.blocks(g2[0]), strict=True):
             assert relative_error(a, b) <= 1e-12
 
 

@@ -208,12 +208,12 @@ class TestConv2dHalf:
 class TestReverseKernel:
     def test_one_by_one_self_symmetric(self):
         k = ConvKernel(np.array([[[[2.5]]]]))
-        np.testing.assert_array_equal(reverse_kernel(k).weights.data, [[[[2.5]]]])
+        np.testing.assert_array_equal(reverse_kernel(k).weights, [[[[2.5]]]])
 
     def test_corner_flip(self):
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 0, 0] = 1.0
-        rev = reverse_kernel(ConvKernel(w)).weights.data
+        rev = reverse_kernel(ConvKernel(w)).weights
         expected = np.zeros((1, 1, 3, 3))
         expected[0, 0, 2, 2] = 1.0
         np.testing.assert_array_equal(rev, expected)
@@ -222,14 +222,14 @@ class TestReverseKernel:
         k = ConvKernel(np.array([[[[3.0]]], [[[7.0]]]]))  # (2,1,1,1)
         rev = reverse_kernel(k)
         assert rev.shape == (1, 2, 1, 1)
-        np.testing.assert_array_equal(rev.weights.data, [[[[3.0]], [[7.0]]]])
+        np.testing.assert_array_equal(rev.weights, [[[[3.0]], [[7.0]]]])
 
     @pytest.mark.parametrize("extent", [1, 3, 5])
     def test_involution(self, extent):
         rng = np.random.default_rng(extent)
         k = ConvKernel(rng.normal(size=(3, 2, extent, extent)))
         twice = reverse_kernel(reverse_kernel(k))
-        np.testing.assert_array_equal(twice.weights.data, k.weights.data)
+        np.testing.assert_array_equal(twice.weights, k.weights)
 
     def test_transpose_identity(self):
         # <y, conv(x, k)> == <x, conv(y, reverse(k))>: the testable content
@@ -252,7 +252,7 @@ class TestDownWeightViews:
 
     def test_reverse_kernel_shares_the_kernel(self):
         k = ConvKernel(np.random.default_rng(3).normal(size=(4, 2, 3, 3)))
-        assert np.shares_memory(reverse_kernel(k).weights.data, k.weights.data)
+        assert np.shares_memory(reverse_kernel(k).weights, k.weights)
 
     def test_transpose_shares_the_matrix(self, monkeypatch):
         # the down map of an fc pair multiplies by the forward matrix's transpose
@@ -266,7 +266,7 @@ class TestDownWeightViews:
 
         monkeypatch.setattr(cban.dynamics, "matmul", recording)
         cban.dynamics._down_map(np.ones(3), w, arch, 0)
-        W = w.forward[0].data
+        W = w.forward[0]
         assert np.shares_memory(seen[0], W)
         np.testing.assert_array_equal(seen[0], W.T)
 
@@ -355,35 +355,28 @@ def _td1_loss():
 
 def _td1_gradients(examples, w, arch, cfg):
     """td1_forward's gradient through a GradTape, and central differences
-    of its loss, per block in w.params() order: (grads, fd)."""
+    of its loss, per block of w.flat: (grads, fd)."""
     with GradTape() as tape:
         loss, _ = td1_forward(examples, w, arch, cfg)
-    grads = tape.gradient(loss, w.params())
-    fd = []
-    for i, p in enumerate(w.params()):
-        def scalar(a, i=i):
-            moved = [q.data for q in w.params()]
-            moved[i] = a
-            return td1_forward(examples, w.with_params([Tensor(m) for m in moved]),
-                               arch, cfg)[0].item()
-
-        fd.append(finite_difference(scalar, p.data.copy()))
-    return grads, fd
+    (grad,) = tape.gradient(loss, w.params())
+    fd = finite_difference(
+        lambda a: td1_forward(examples, w.with_params([Tensor(a)]), arch, cfg)[0].item(),
+        w.flat.data.copy())
+    return w.blocks(grad), w.blocks(fd)
 
 
 class TestGradTape:
     """The tape records the one op td1_forward makes and refuses misuse."""
 
-    def test_gradient_follows_the_order_of_the_inputs(self):
+    def test_gradient_is_one_vector_of_the_parameters_layout(self):
         forward, w = _td1_loss()
-        params = w.params()
         grads = []
-        for order in (params, params[::-1]):
+        for _ in range(2):
             with GradTape() as tape:
                 loss = forward()
-            grads.append(tape.gradient(loss, order))
-        for a, b in zip(grads[0], grads[1][::-1]):
-            assert a.tobytes() == b.tobytes()
+            grads.append(tape.gradient(loss, w.params()))
+        assert [g.shape for g in grads[0]] == [w.flat.shape]
+        assert grads[0][0].tobytes() == grads[1][0].tobytes()
 
     def test_value_not_on_tape_rejected(self):
         forward, w = _td1_loss()
@@ -432,7 +425,7 @@ class TestGradTape:
         cfg = TrainConfig(epochs=1, loss="se", theta=1e-300, max_iters=1)
         grads, fd = _td1_gradients(examples, w, arch, cfg)
         for i in (1, 4):  # the pair (1, 2) and the bias of layer 2
-            np.testing.assert_array_equal(grads[i], np.zeros(w.params()[i].shape))
+            np.testing.assert_array_equal(grads[i], np.zeros(w.shapes[i]))
             np.testing.assert_array_equal(fd[i], 0.0)
         for i in (0, 2, 3):
             assert np.any(grads[i] != 0.0)
@@ -457,7 +450,7 @@ class TestGradTape:
         forward, w = _td1_loss()
         with GradTape() as tape:
             loss = forward()
-        assert len(tape.gradient(loss, w.params())) == 3
+        assert len(tape.gradient(loss, w.params())) == 1
         with pytest.raises(RuntimeError, match="only once"):
             tape.gradient(loss, w.params())
 
@@ -516,8 +509,7 @@ class TestGradientsAgainstFiniteDifferences:
         # the reverse sweep over 100 unrolled sweeps of a tiny net, its
         # coupling just below critical so that the state is still moving
         arch = fban(2, [1])
-        w = WeightBundle(forward=[Tensor([[0.5], [0.98]])],
-                         biases=[Tensor([0.0, 0.0]), Tensor([0.01])])
+        w = WeightBundle.from_blocks([[[0.5], [0.98]], [0.0, 0.0], [0.01]])
         examples = [Example(target=np.array([0.0, -0.2]), mask=np.array([True, False]))]
         cfg = TrainConfig(epochs=1, loss="se", theta=1e-300, max_iters=100)
         _, reports = td1_forward(examples, w, arch, cfg)
@@ -548,12 +540,12 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(14)
         arch = fban(3, [2])
         w = init_weights(arch, seed=0)
-        W = w.forward[0].data
+        W = w.forward[0]
         terms = ((1, 0, 3, matmul), (0, 1, 2, lambda x, m: matmul(x, m.T)))
         for reader, source, units, term in terms:
             x = rng.normal(size=(4, units))
             g = rng.normal(size=term(x, W).shape)
-            grads = [np.zeros(p.shape) for p in w.params()]
+            grads = w.blocks(np.zeros(w.flat.shape))
             gx = _term_vjp(g, x, w, arch, reader, source, grads, need_input=True)
             fd_x = finite_difference(lambda a: float(np.sum(term(a, W) * g)), x.copy())
             fd_w = finite_difference(lambda a: float(np.sum(term(x, a) * g)), W.copy())

@@ -2,7 +2,6 @@
 
 import inspect
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,16 +67,14 @@ def loss_of(loss_kind, v_tilde, y, act_kind=Tanh()):
 class TestUnclampedVisible:
     def test_zero_everything_gives_zero(self):
         arch = fban(3, [2])
-        w = WeightBundle(forward=[Tensor(np.zeros((3, 2)))],
-                         biases=[Tensor(np.zeros(3)), Tensor(np.zeros(2))])
+        w = WeightBundle.from_blocks([np.zeros((3, 2)), np.zeros(3), np.zeros(2)])
         state = NetState([np.zeros(3), np.zeros(2)])
         np.testing.assert_array_equal(unclamped_visible(state, w, arch),
                                       np.zeros(3))
 
     def test_closed_form_single_weight(self):
         arch = fban(1, [1])
-        w = WeightBundle(forward=[Tensor([[2.0]])],
-                         biases=[Tensor([0.0]), Tensor([0.0])])
+        w = WeightBundle.from_blocks([[[2.0]], [0.0], [0.0]])
         state = NetState([np.array([0.0]), np.array([0.5])])
         got = unclamped_visible(state, w, arch)[0]
         assert abs(got - np.tanh(1.0)) < 1e-15
@@ -85,8 +82,8 @@ class TestUnclampedVisible:
     def test_matches_update_when_nothing_clamped(self):
         rng = np.random.default_rng(0)
         arch = fban(5, [4])
-        w = WeightBundle(forward=[Tensor(rng.normal(scale=0.5, size=(5, 4)))],
-                         biases=[Tensor(rng.normal(size=5)), Tensor(np.zeros(4))])
+        w = WeightBundle.from_blocks([rng.normal(scale=0.5, size=(5, 4)), rng.normal(size=5),
+                                      np.zeros(4)])
         state = NetState([rng.uniform(-0.5, 0.5, 5), rng.uniform(-0.9, 0.9, 4)])
         via_update = update_layer(state, w, arch, 0).activations[0]
         np.testing.assert_allclose(unclamped_visible(state, w, arch), via_update)
@@ -134,9 +131,8 @@ class TestLossDeltaE:
             sizes = [int(s) for s in rng.integers(2, 9, size=depth + 1)]
             arch = fban(sizes[0], sizes[1:])
             w = init_weights(arch, seed=int(rng.integers(1 << 30)))
-            w = WeightBundle(
-                forward=[Tensor(t.data * 20.0) for t in w.forward],
-                biases=[Tensor(rng.normal(scale=0.3, size=t.shape)) for t in w.biases])
+            w = WeightBundle.from_blocks([t * 20.0 for t in w.forward]
+                                         + [rng.normal(scale=0.3, size=t.shape) for t in w.biases])
             hidden = [rng.uniform(-0.9, 0.9, size=(s,)) for s in sizes[1:]]
             y = rng.uniform(-0.9, 0.9, size=sizes[0])
             state = NetState([np.zeros(sizes[0])] + hidden)
@@ -304,9 +300,10 @@ class TestLossGradient:
         return step
 
     def test_a_bar_step_makes_no_more_c_calls_from_cban(self):
-        # 304 at three sweeps when this bound was set, 381 while a
-        # PairTerms looked up which pair terms to hold, 456 while layer
-        # states were tensors (under an earlier bound of 532), 543 before
+        # 300 at three sweeps when this bound was set, 304 while the weights
+        # were one Tensor per block, 381 while a PairTerms looked up which
+        # pair terms to hold, 456 while layer states were tensors (under
+        # an earlier bound of 532), 543 before
         # _loss called the unchecked kernels and np.add made the activation
         # sum's buffer. The count sees builtins, numpy functions such as
         # np.asarray and array methods called from cban's lines, but no
@@ -315,12 +312,13 @@ class TestLossGradient:
         # ufuncs. A change that adds calls it sees has to raise the bound
         # on purpose.
         _, calls = cban_c_calls(self._bar_step())
-        assert calls <= 304
+        assert calls <= 300
 
     def test_a_bar_step_makes_no_more_numpy_calls_from_cban(self):
         # every call through the name np in tensor, dynamics and training,
-        # ufuncs included: 131 when this bound was set, 141 while layer
-        # states were tensors, 148 before the tape kept only the TD(1) op.
+        # ufuncs included: 129 when this bound was set, 131 while the
+        # weights were one Tensor per block, 141 while layer states were
+        # tensors, 148 before the tape kept only the TD(1) op.
         # A change that adds numpy calls to the bar path has to raise the
         # bound on purpose.
         import cban.dynamics
@@ -329,7 +327,7 @@ class TestLossGradient:
 
         step = self._bar_step()
         _, calls = numpy_calls(step, (cban.tensor, cban.dynamics, cban.training))
-        assert calls <= 131
+        assert calls <= 129
 
 
 def _loss_reference(loss_kind, act_kind, v, y, barrier_y):
@@ -457,8 +455,7 @@ class TestTd1Forward:
     def test_zero_loss_when_already_producing_targets(self):
         # zero weights and zero targets: the net emits the target at every sweep
         arch = fban(3, [2])
-        w = WeightBundle(forward=[Tensor(np.zeros((3, 2)))],
-                         biases=[Tensor(np.zeros(3)), Tensor(np.zeros(2))])
+        w = WeightBundle.from_blocks([np.zeros((3, 2)), np.zeros(3), np.zeros(2)])
         from cban.data import Example
 
         examples = [Example(target=np.zeros(3),
@@ -473,8 +470,7 @@ class TestTd1Forward:
         # a theta no state change falls below runs every item out of sweeps
         rng = np.random.default_rng(7)
         arch = fban(6, [6])
-        w = WeightBundle(forward=[Tensor(rng.normal(scale=1.5, size=(6, 6)))],
-                         biases=[Tensor(np.zeros(6)), Tensor(np.zeros(6))])
+        w = WeightBundle.from_blocks([rng.normal(scale=1.5, size=(6, 6)), np.zeros(6), np.zeros(6)])
         examples = self._examples(rng, 2, 6)
         cfg = tiny_cfg(max_iters=8, theta=1e-300, batch_size=2)
         with GradTape():
@@ -519,24 +515,27 @@ class TestTd1Forward:
         cfg = tiny_cfg(max_iters=3, loss=loss_kind, batch_size=2)
         with GradTape() as tape:
             loss, _ = td1_forward(examples, w, arch, cfg)
-        grads = tape.gradient(loss, w.params())
-        params = w.params()
-        for i in range(len(params)):
-            def scalar(x, i=i):
-                flat = [p.data.copy() for p in params]
-                flat[i] = x
-                w2 = w.with_params([Tensor(a) for a in flat])
-                lv, _ = td1_forward(examples, w2, arch, cfg)
-                return lv.item()
+        (grad,) = tape.gradient(loss, w.params())
 
-            fd = finite_difference(scalar, params[i].data.copy())
-            assert relative_error(grads[i], fd) < 1e-4, f"block {i}"
+        def scalar(x):
+            lv, _ = td1_forward(examples, w.with_params([Tensor(x)]), arch, cfg)
+            return lv.item()
+
+        fd = finite_difference(scalar, w.flat.data.copy())
+        for i, (g, f) in enumerate(zip(w.blocks(grad), w.blocks(fd))):
+            assert relative_error(g, f) < 1e-4, f"block {i}"
 
 
 class TestOptimizerStep:
     def _bundle(self):
-        return WeightBundle(forward=[Tensor([[1.0, 2.0], [3.0, 4.0]])],
-                            biases=[Tensor([0.5, 0.5]), Tensor([0.0, 0.0])])
+        return WeightBundle.from_blocks([[[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], [0.0, 0.0]])
+
+    @staticmethod
+    def _grads(w, g):
+        """[the gradient vector]: g on the matrix, zero on the biases."""
+        grad = np.zeros(w.flat.shape)
+        w.blocks(grad)[0][...] = g
+        return [grad]
 
     def test_zero_gradients_leave_weights(self):
         w = self._bundle()
@@ -547,43 +546,54 @@ class TestOptimizerStep:
             for a, b in zip(w.params(), w2.params()):
                 np.testing.assert_array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("optimizer", ["sgd-l2", "sgd-linf", "adam"])
+    def test_gradients_not_of_the_vector_are_refused(self, optimizer):
+        w = self._bundle()
+        opt = init_opt_state(tiny_cfg(optimizer=optimizer))
+        per_block = [np.zeros((2, 2)), np.zeros(2), np.zeros(2)]
+        for grads in (per_block, [np.zeros(7)], [np.zeros((8, 1))], []):
+            with pytest.raises(ValueError, match=r"one gradient of shape \(8,\)"):
+                optimizer_step(opt, w, grads)
+
+    def test_adam_moments_are_vectors_from_the_first_step(self):
+        w = self._bundle()
+        opt = init_opt_state(tiny_cfg(optimizer="adam"))
+        assert opt.m is None and opt.v is None
+        opt, _ = optimizer_step(opt, w, self._grads(w, np.ones((2, 2))))
+        assert opt.m.shape == opt.v.shape == w.flat.shape
+
     def test_sgd_l2_step_has_unit_direction(self):
         w = self._bundle()
         g = np.array([[3.0, 0.0], [0.0, 4.0]])
-        grads = [g] + [np.zeros_like(p.data) for p in w.params()[1:]]
         opt = init_opt_state(tiny_cfg(optimizer="sgd-l2", lr=0.01))
-        _, w2 = optimizer_step(opt, w, grads)
-        step = w.params()[0].data - w2.params()[0].data
+        _, w2 = optimizer_step(opt, w, self._grads(w, g))
+        step = w.forward[0] - w2.forward[0]
         assert abs(np.linalg.norm(step) - 0.01) < 1e-12
         np.testing.assert_allclose(step, 0.01 * g / 5.0)
 
     def test_sgd_linf_normalizes_by_max(self):
         w = self._bundle()
         g = np.array([[2.0, -8.0], [1.0, 0.0]])
-        grads = [g] + [np.zeros_like(p.data) for p in w.params()[1:]]
         opt = init_opt_state(tiny_cfg(optimizer="sgd-linf", lr=0.1))
-        _, w2 = optimizer_step(opt, w, grads)
-        step = w.params()[0].data - w2.params()[0].data
+        _, w2 = optimizer_step(opt, w, self._grads(w, g))
+        step = w.forward[0] - w2.forward[0]
         assert abs(np.max(np.abs(step)) - 0.1) < 1e-12
 
     def test_adam_first_step_magnitude(self):
         w = self._bundle()
         g = np.array([[0.3, -2.0], [0.001, 5.0]])
-        grads = [g] + [np.zeros_like(p.data) for p in w.params()[1:]]
         opt = init_opt_state(tiny_cfg(optimizer="adam", lr=0.01))
-        _, w2 = optimizer_step(opt, w, grads)
-        step = w.params()[0].data - w2.params()[0].data
+        _, w2 = optimizer_step(opt, w, self._grads(w, g))
+        step = w.forward[0] - w2.forward[0]
         # bias-corrected first step is lr * sign(g) up to eps rounding
         np.testing.assert_allclose(step, 0.01 * np.sign(g), rtol=1e-4)
 
     def test_symmetric_transpose_identity_preserved(self):
         # reverse weights are derived, so symmetry survives any update
         rng = np.random.default_rng(9)
-        from cban.tensor import ConvKernel, conv2d_half, reverse_kernel
+        from cban.tensor import conv2d_half, reverse_kernel
 
-        arch_layers = None  # conv bundle assembled directly
-        k = ConvKernel(Tensor(rng.normal(size=(2, 1, 3, 3))))
-        w = WeightBundle(forward=[k], biases=[Tensor(np.zeros(1)), Tensor(np.zeros(2))])
+        w = WeightBundle.from_blocks([rng.normal(size=(2, 1, 3, 3)), np.zeros(1), np.zeros(2)])
         opt = init_opt_state(tiny_cfg(optimizer="adam", lr=0.05))
         for _ in range(3):
             grads = [rng.normal(size=p.shape) for p in w.params()]
@@ -602,7 +612,7 @@ class TestInitWeights:
         rng_draws = []
         for seed in range(5):
             w = init_weights(arch, seed=seed)
-            rng_draws.append(w.forward[0].data.std())
+            rng_draws.append(w.forward[0].std())
         expected = 0.1 / np.sqrt(0.5 * 25 + 0.5 * 50 + 1)
         assert abs(expected - 0.016116) < 1e-6
         assert abs(np.mean(rng_draws) - expected) < 0.1 * expected
@@ -611,7 +621,7 @@ class TestInitWeights:
         arch = fban(10, [5, 3])
         w = init_weights(arch, seed=0)
         for b in w.biases:
-            np.testing.assert_array_equal(b.data, np.zeros_like(b.data))
+            np.testing.assert_array_equal(b, np.zeros_like(b))
 
     def test_seed_determinism(self):
         arch = fban(8, [6])
@@ -627,20 +637,52 @@ class TestInitWeights:
                                 conv_layer(16, 8, 8)),
                         kernel_sizes=(3,))
         w = init_weights(arch, seed=0, conv_std=0.0001)
-        assert abs(w.forward[0].weights.data.std() - 0.0001) < 5e-5
+        assert abs(w.forward[0].weights.std() - 0.0001) < 5e-5
 
-    def test_blocks_follow_block_shapes_in_params_order(self):
-        from cban.dynamics import ArchSpec, WeightBundle, block_shapes, conv_layer
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_one_vector_holds_the_blocks_of_block_shapes(self, config):
+        from cban.dynamics import block_shapes
+        from cban.tensor import ConvKernel
 
-        for arch in (fban(6, [4, 3]),
-                     ArchSpec(layers=(conv_layer(2, 4, 4, visible=True), conv_layer(3, 4, 4),
-                                      conv_layer(5, 2, 2, pool_before=True)),
-                              kernel_sizes=(3, 1))):
-            w = init_weights(arch, seed=1)
-            assert [p.shape for p in w.params()] == block_shapes(arch)
-            again = WeightBundle.from_params(w.params(), arch.n_layers)
-            assert all(p is q for p, q in zip(again.params(), w.params()))
-            assert [type(b) for b in again.forward] == [type(b) for b in w.forward]
+        arch = load_run_config(CONFIGS / config, check_paths=False).arch
+        w = init_weights(arch, 0)
+        assert w.shapes == tuple(block_shapes(arch))
+        (flat,) = w.params()
+        assert flat is w.flat and w.flat.shape == (sum(map(np.prod, w.shapes)),)
+        blocks = [k.weights if isinstance(k, ConvKernel) else k for k in w.forward] + w.biases
+        assert [b.shape for b in blocks] == block_shapes(arch)
+        assert all(np.shares_memory(b, w.flat.data) for b in blocks)
+        for view, block in zip(w.blocks(w.flat.data), blocks, strict=True):
+            assert view.__array_interface__ == block.__array_interface__
+        rng = np.random.default_rng(0)
+        shape = arch.visible_shape
+        examples = [Example(target=rng.uniform(-0.9, 0.9, size=shape),
+                            mask=rng.random(shape) < 0.5)]
+        with GradTape() as tape:
+            loss, _ = td1_forward(examples, w, arch, tiny_cfg(max_iters=1, batch_size=1))
+        grads = tape.gradient(loss, w.params())
+        assert len(grads) == 1 and grads[0].shape == w.flat.shape
+
+    def test_with_params_wraps_the_vector_it_is_given(self):
+        from cban.dynamics import ArchSpec, conv_layer
+
+        arch = ArchSpec(layers=(conv_layer(2, 4, 4, visible=True), conv_layer(3, 4, 4),
+                                conv_layer(5, 2, 2, pool_before=True)),
+                        kernel_sizes=(3, 1))
+        w = init_weights(arch, seed=1)
+        again = w.with_params(w.params())
+        assert again.flat is w.flat and again.shapes == w.shapes
+        assert [type(b) for b in again.forward] == [type(b) for b in w.forward]
+        with pytest.raises(ValueError, match=rf"shape \({w.flat.shape[0]},\)"):
+            w.with_params([Tensor(np.zeros(w.flat.shape[0] - 1))])
+
+    @pytest.mark.parametrize("blocks", [
+        [np.zeros((3, 2)), np.zeros(3)],  # no bias for the upper layer
+        [np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(2)],  # a 2-d bias
+    ])
+    def test_a_list_that_is_not_a_nets_blocks_is_refused(self, blocks):
+        with pytest.raises(ValueError, match="L-1 forward blocks, then L 1-d biases"):
+            WeightBundle.from_blocks(blocks)
 
 
 class TestTrain:
@@ -723,10 +765,8 @@ _STATE_NETS = {
 @pytest.mark.parametrize("net", list(_STATE_NETS))
 class TestLayerStatesAreArrays:
     """Layer states are plain float64 ndarrays. settle and td1_forward make
-    no Tensor but the recorded loss and reverse_kernel's views of the
-    forward kernels, and settle, td1_forward and complete write none of
-    their inputs. The counts are per whole batch, on one shard; on two
-    shards each shard takes its own kernel views."""
+    no Tensor but the recorded loss, on one shard or two, and settle,
+    td1_forward and complete write none of their inputs."""
 
     @pytest.fixture(autouse=True)
     def one_worker(self, monkeypatch):
@@ -746,54 +786,21 @@ class TestLayerStatesAreArrays:
                               batch=batch)
         return arch, w, examples, start, tiny_cfg(max_iters=3, batch_size=batch)
 
-    @pytest.fixture
-    def kernel_views(self, monkeypatch):
-        count = [0]
-        lock = threading.Lock()
-        real = cban.dynamics.reverse_kernel
-
-        def counting(k):
-            with lock:
-                count[0] += 1
-            return real(k)
-
-        monkeypatch.setattr(cban.dynamics, "reverse_kernel", counting)
-        return count
-
-    def test_only_the_loss_and_kernel_views_are_tensors(self, net, evidence, kernel_views):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_the_loss_is_a_tensor(self, net, evidence, workers, monkeypatch):
+        # two workers split a conv net's batch into two shards
+        monkeypatch.setattr(cban.dynamics, "_workers", workers)
         arch, w, examples, start, cfg = self._setup(net, evidence)
         (state, _), made = tensors_made(
             lambda: settle(start, w, arch, theta=1e-300, max_iters=3))
         assert all(type(x) is np.ndarray and x.dtype == np.float64
                    for x in state.activations)
-        assert made == kernel_views[0]
-        assert (kernel_views[0] > 0) == (net == "conv")
-        kernel_views[0] = 0
+        assert made == 0
         with GradTape() as tape:
             (loss, _), made = tensors_made(lambda: td1_forward(examples, w, arch, cfg))
-        assert made == 1 + kernel_views[0]
+        assert made == 1
         _, made = tensors_made(lambda: tape.gradient(loss, w.params()))
         assert made == 0
-
-    def test_on_two_shards_each_shard_makes_its_kernel_views(self, net, evidence,
-                                                             kernel_views, monkeypatch):
-        arch, w, examples, start, cfg = self._setup(net, evidence)
-        views = []
-        for workers in (1, 2):
-            monkeypatch.setattr(cban.dynamics, "_workers", workers)
-            kernel_views[0] = 0
-            _, made = tensors_made(lambda: settle(start, w, arch, theta=1e-300, max_iters=3))
-            assert made == kernel_views[0]
-            settle_views = kernel_views[0]
-            kernel_views[0] = 0
-            with GradTape() as tape:
-                (loss, _), made = tensors_made(lambda: td1_forward(examples, w, arch, cfg))
-            assert made == 1 + kernel_views[0]
-            _, made = tensors_made(lambda: tape.gradient(loss, w.params()))
-            assert made == 0
-            views.append((settle_views, kernel_views[0]))
-        shards = 2 if net == "conv" else 1
-        assert views[1] == (shards * views[0][0], shards * views[0][1])
 
     def test_inputs_are_left_unwritten(self, net, evidence):
         arch, w, examples, start, cfg = self._setup(net, evidence)
