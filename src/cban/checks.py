@@ -157,8 +157,8 @@ def check_gradients(seed=0, per_loss=20, max_sweeps=5, step=1e-5, tol=1e-4):
     Each loss kind gets per_loss trials on random one-hidden-layer fc nets
     and _CONV_PER_LOSS trials on a tiny pooled conv net. Each then gets one
     more pooled conv trial per _CONV_VARIANTS entry, so that every branch
-    of a layer update's backward (training._slope_times and the clamp of
-    _td1_backward) is differentiated.
+    of a layer update's backward (each activation kind's slope and the
+    clamp of training._td1_backward) is differentiated.
     """
     rng = np.random.default_rng(seed)
     failures = []

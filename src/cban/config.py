@@ -15,7 +15,7 @@ exist, unless check_paths is false.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from inspect import signature
 from pathlib import Path
 
@@ -55,6 +55,8 @@ class RunConfig:
 
 
 def arch_to_dict(arch):
+    _, kinds = _KINDS["Activation"]
+    name = next(n for n, make in kinds.items() if type(arch.activation) is make)
     layers = []
     for spec in arch.layers:
         if spec.kind == "fc":
@@ -68,8 +70,7 @@ def arch_to_dict(arch):
     return {
         "layers": layers,
         "kernel_sizes": list(arch.kernel_sizes),
-        "activation": ({"kind": "tanh"} if isinstance(arch.activation, Tanh)
-                       else {"kind": "leaky_sigmoid", "alpha": arch.activation.alpha}),
+        "activation": {"kind": name, **asdict(arch.activation)},
         "evidence": arch.evidence,
     }
 

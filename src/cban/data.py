@@ -3,8 +3,8 @@ the dataset a run's data spec names (build_dataset).
 
 Masks follow one convention everywhere: boolean arrays with True marking
 observed (evidence) positions and False marking positions the network must
-fill in. Targets live in [-0.999, 0.999] so they stay strictly inside the
-tanh range.
+fill in. Targets live in [-TARGET_BOUND, TARGET_BOUND] (imageio) so they
+stay strictly inside the tanh range.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imageio import bytes_to_activations, read_image
+from .imageio import TARGET_BOUND, bytes_to_activations, read_image
 
 __all__ = [
     "Example",
@@ -51,8 +51,8 @@ __all__ = [
     "build_dataset",
 ]
 
-ON = 0.999
-OFF = -0.999
+ON = TARGET_BOUND
+OFF = -TARGET_BOUND
 
 
 @dataclass
@@ -252,7 +252,7 @@ _IDX_IMAGE_TYPE = 0x08  # unsigned byte
 
 
 def load_idx(path):
-    """Read an IDX file: 3-d image files scale to [-0.999, 0.999] floats,
+    """Read an IDX file: 3-d image files scale to [-ON, ON] floats,
     1-d label files return integers."""
     with open(path, "rb") as f:
         header = f.read(4)

@@ -47,12 +47,16 @@ package pins BLAS to one thread (see cban), so each shard's GEMMs run on
 its own core. Flat nets, unbatched states and batches of one sweep
 unsharded on the calling thread.
 
-The inverse activation and the barrier are ndarray functions, evaluated
-by both energy() and the TD(1) losses (training._loss). Each is a
-public function that checks its input's domain and a private kernel with
-the maths (_inverse_activation, _barrier); a caller that already holds its
-values strictly inside (-1, 1), as the tanh losses do by clipping, calls
-the kernel.
+An activation kind is one class, Tanh or LeakySigmoid, that states its
+maths once. Called on an array or a list of terms, it sums them into one
+fresh buffer (tensor._summed), checked finite, and activates that buffer
+in place. inverse and barrier compute on values already in their domain
+and do not check it; slope reads the activation's slope off an output,
+into a fresh buffer. A bounded kind's outputs lie in (-1, 1), so its
+inverse needs |x| < 1 and its barrier |x| <= 1: the public
+inverse_activation and barrier, which energy() calls, check that first.
+The TD(1) losses (training._loss) clip a bounded kind's values inside
+and call the kind.
 """
 
 from __future__ import annotations
@@ -72,13 +76,12 @@ from .tensor import (
     Tensor,
     _check_finite,
     _first_bad_index,
+    _summed,
     avg_pool2,
     avg_pool2_adjoint,
     conv2d_half,
-    leaky_sigmoid,
     matmul,
     reverse_kernel,
-    tanh,
 )
 
 __all__ = [
@@ -106,9 +109,36 @@ __all__ = [
 ]
 
 
+def _xlogx(t):
+    """t ln t, with 0 ln 0 := 0."""
+    return t * np.log(np.where(t > 0.0, t, 1.0))
+
+
 @dataclass(frozen=True)
 class Tanh:
-    """Hyperbolic tangent activation."""
+    """Hyperbolic tangent activation; bounded, its outputs lie in (-1, 1)."""
+
+    bounded = True
+
+    def __call__(self, z):
+        y = _summed(z)
+        np.tanh(y, out=y)
+        return y
+
+    def inverse(self, x):
+        return np.arctanh(x)
+
+    def barrier(self, x):
+        """0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x) on [-1, 1]."""
+        return 0.5 * _xlogx(1.0 + x) + 0.5 * _xlogx(1.0 - x)
+
+    def slope(self, y):
+        """1 - y^2 in one buffer and with no numpy call: -(y*y) + 1 has the
+        bits of 1 - y*y."""
+        s = y * y
+        s *= -1.0
+        s += 1.0
+        return s
 
 
 @dataclass(frozen=True)
@@ -116,10 +146,34 @@ class LeakySigmoid:
     """Identity on [-1, 1] with slope alpha outside; alpha strictly in (0, 1)."""
 
     alpha: float
+    bounded = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+
+    def __call__(self, z):
+        y = _summed(z)
+        hi, lo = y > 1.0, y < -1.0
+        y[hi] = self.alpha * (y[hi] - 1.0) + 1.0
+        y[lo] = self.alpha * (y[lo] + 1.0) - 1.0
+        return y
+
+    def inverse(self, x):
+        a = self.alpha
+        return np.where(x > 1.0, (x - 1.0) / a + 1.0, np.where(x < -1.0, (x + 1.0) / a - 1.0, x))
+
+    def barrier(self, x):
+        """x^2/2 inside [-1, 1] and a steeper quadratic outside, checked
+        finite: x * x overflows once |x| passes 1e154, long before x does."""
+        a = self.alpha
+        hi = (x * x + (1.0 - a) * (1.0 - 2.0 * x)) / (2.0 * a)
+        lo = (x * x + (1.0 - a) * (1.0 + 2.0 * x)) / (2.0 * a)
+        return _check_finite(np.where(x > 1.0, hi, np.where(x < -1.0, lo, 0.5 * x * x)))
+
+    def slope(self, y):
+        """alpha where |y| > 1, else 1."""
+        return np.where(np.abs(y) > 1.0, self.alpha, 1.0)
 
 
 Activation = Tanh | LeakySigmoid
@@ -127,10 +181,9 @@ Activation = Tanh | LeakySigmoid
 
 def activation(kind, z):
     """Elementwise activation of an array, or of the sum of a list of
-    arrays, as one op over one buffer; returns a fresh array."""
-    if isinstance(kind, Tanh):
-        return tanh(z)
-    return leaky_sigmoid(z, kind.alpha)
+    arrays, as one op over one buffer; returns a fresh array. A sum that is
+    not finite raises ValueError naming its index."""
+    return kind(z)
 
 
 @dataclass(frozen=True)
@@ -358,7 +411,7 @@ class SettleReport:
 def _check_evidence_range(evidence, kind):
     if evidence is None:
         return
-    if isinstance(kind, Tanh):
+    if kind.bounded:
         vals = evidence.values[evidence.mask]
         if vals.size and np.max(np.abs(vals)) >= 1.0:
             raise ValueError("tanh evidence values must satisfy |v| < 1")
@@ -455,64 +508,32 @@ def sweep(state, w, arch):
 
 
 def inverse_activation(kind, x):
-    """Inverse of the activation on an ndarray. tanh demands |x| < 1
-    strictly: a value outside raises DomainError naming its index.
-    Validates, then computes with _inverse_activation."""
+    """Inverse of the activation on an ndarray. A bounded kind demands
+    |x| < 1 strictly: a value outside raises DomainError naming its index."""
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(kind, Tanh):
+    if kind.bounded:
         ok = np.abs(x) < 1.0
         if not ok.all():
             raise DomainError(
                 f"atanh domain violation (|x| >= 1) at index {_first_bad_index(ok)}")
-    return _inverse_activation(kind, x)
-
-
-def _inverse_activation(kind, x):
-    """inverse_activation's maths on a float64 array already in its domain,
-    unchecked."""
-    if isinstance(kind, Tanh):
-        return np.arctanh(x)
-    a = kind.alpha
-    return np.where(x > 1.0, (x - 1.0) / a + 1.0, np.where(x < -1.0, (x + 1.0) / a - 1.0, x))
-
-
-def _xlogx(t):
-    """t ln t, with 0 ln 0 := 0."""
-    return t * np.log(np.where(t > 0.0, t, 1.0))
+    return kind.inverse(x)
 
 
 def barrier(kind, x):
     """Integral of the inverse activation from 0 to x, on an ndarray.
 
-    For tanh this is 0.5*(1+x)ln(1+x) + 0.5*(1-x)ln(1-x) on [-1, 1]; a
-    value with |x| > 1 raises DomainError naming its index. For the leaky
-    sigmoid it is x^2/2 inside [-1, 1] and a steeper quadratic outside; an
-    overflow raises ValueError naming its index, as an op does. The
-    derivative is exactly the inverse activation, which is what makes
-    layer updates minimize the energy. Validates, then computes with
-    _barrier, and checks the leaky sigmoid's result for overflow.
+    A bounded kind's barrier is defined on [-1, 1]: a value with |x| > 1
+    raises DomainError naming its index. The leaky sigmoid's is checked for
+    overflow (LeakySigmoid.barrier). The derivative is exactly the inverse
+    activation, which is what makes layer updates minimize the energy.
     """
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(kind, Tanh):
+    if kind.bounded:
         ok = np.abs(x) <= 1.0
         if not ok.all():
             raise DomainError(
                 f"barrier domain violation (|x| > 1) at index {_first_bad_index(ok)}")
-        return _barrier(kind, x)
-    out = _barrier(kind, x)
-    _check_finite(out)  # x * x overflows once |x| passes 1e154, long before x does
-    return out
-
-
-def _barrier(kind, x):
-    """barrier's maths on a float64 array already in its domain, unchecked:
-    under the leaky sigmoid the result can overflow to infinity."""
-    if isinstance(kind, Tanh):
-        return 0.5 * _xlogx(1.0 + x) + 0.5 * _xlogx(1.0 - x)
-    a = kind.alpha
-    hi = (x * x + (1.0 - a) * (1.0 - 2.0 * x)) / (2.0 * a)
-    lo = (x * x + (1.0 - a) * (1.0 + 2.0 * x)) / (2.0 * a)
-    return np.where(x > 1.0, hi, np.where(x < -1.0, lo, 0.5 * x * x))
+    return kind.barrier(x)
 
 
 def energy(state, w, arch):

@@ -2,7 +2,7 @@
 
 Zero-dependency image files for evidence, completions, and sample grids.
 Pixels map affinely between bytes [0, 255] and activations
-[-0.999, 0.999].
+[-TARGET_BOUND, TARGET_BOUND].
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "TARGET_BOUND",
     "read_pgm",
     "read_ppm",
     "read_image",
@@ -20,15 +21,18 @@ __all__ = [
     "sample_grid",
 ]
 
-_SPAN = 1.998  # activation range covered by the byte range
+# the largest magnitude of a target or pixel value: strictly inside tanh's
+# range, so the inverse activation and barrier of every target are finite
+TARGET_BOUND = 0.999
+_SPAN = 2 * TARGET_BOUND  # activation range covered by the byte range
 
 
 def bytes_to_activations(raw):
-    return np.asarray(raw, dtype=np.float64) / 255.0 * _SPAN - 0.999
+    return np.asarray(raw, dtype=np.float64) / 255.0 * _SPAN - TARGET_BOUND
 
 
 def activations_to_bytes(x):
-    b = np.rint((np.asarray(x, dtype=np.float64) + 0.999) / _SPAN * 255.0)
+    b = np.rint((np.asarray(x, dtype=np.float64) + TARGET_BOUND) / _SPAN * 255.0)
     return np.clip(b, 0, 255).astype(np.uint8)
 
 

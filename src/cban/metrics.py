@@ -8,6 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import decode_label
+from .imageio import TARGET_BOUND
 
 __all__ = [
     "psnr",
@@ -138,8 +139,10 @@ class MetricReport:
     ssim: MetricSummary
 
 
-def metric_report(outputs, targets, peak=1.998):
-    """PSNR and SSIM summaries over paired (output, target) images."""
+def metric_report(outputs, targets):
+    """PSNR and SSIM summaries over paired (output, target) images, with
+    the target range, 2 * TARGET_BOUND, as their peak."""
+    peak = 2 * TARGET_BOUND
     psnrs = [psnr(o, t, peak) for o, t in zip(outputs, targets)]
     ssims = [ssim(o, t, peak) for o, t in zip(outputs, targets)]
     return MetricReport(psnr=summarize(psnrs), ssim=summarize(ssims))

@@ -1,15 +1,15 @@
 """The float64 ops of a layer update, the Tensor that holds the weights'
 vector and the recorded loss, and the tape that records the TD(1) loss.
 
-The ops: matmul; the activations tanh and leaky_sigmoid; conv2d_half and
-its reversed kernel (reverse_kernel); avg_pool2 and its transpose,
-avg_pool2_adjoint. They compute forward only. The one gradient the
-package takes, of the TD(1) loss, is an explicit reverse sweep
-(training._td1_backward) over the numpy kernels below, and a GradTape is
-the recorder of that loss: training.td1_forward records it as the tape's
-one op, whose one parent is the weights' vector, and GradTape.gradient
-runs the sweep. Inverse activations and barriers are ndarray functions in
-dynamics.
+The ops: matmul; conv2d_half and its reversed kernel (reverse_kernel);
+avg_pool2 and its transpose, avg_pool2_adjoint. They compute forward
+only. An activation's input is the sum of its terms (_summed); the
+activation kinds, each with its inverse, barrier and slope, are classes in
+dynamics (Tanh, LeakySigmoid). The one gradient the package takes, of the
+TD(1) loss, is an explicit reverse sweep (training._td1_backward) over the
+numpy kernels below, and a GradTape is the recorder of that loss:
+training.td1_forward records it as the tape's one op, whose one parent is
+the weights' vector, and GradTape.gradient runs the sweep.
 
 Convolution (forward, input gradient, weight gradient) is one matrix
 product per map plus kh*kw shifted copies or adds. The shift is applied to
@@ -30,12 +30,10 @@ inputs rejects NaN/Inf in its result, so a numerical blow-up surfaces at
 the op that made it: matmul, conv2d_half and avg_pool2. The check reads
 each value once (through min and max). The other ops skip it:
 - reverse_kernel, a view of its kernel;
-- avg_pool2_adjoint, which spreads a quarter of each value;
-- tanh and leaky_sigmoid, whose output is finite wherever their input
-  is. They take an array or a list of terms, sum it into one fresh
-  buffer, check that sum, and activate it in place: a layer update is one
-  op over one buffer, and a sum that overflows fails at this op even
-  where tanh would saturate it.
+- avg_pool2_adjoint, which spreads a quarter of each value.
+_summed checks the sum it makes, before an activation kind activates it in
+place: a layer update is one op over one buffer, and a sum that overflows
+fails there even where tanh would saturate it.
 
 A Tensor is a float64 array checked finite when it is made: a net's
 weights, one vector (dynamics.WeightBundle.flat), and the recorded loss.
@@ -59,8 +57,6 @@ __all__ = [
     "ConvKernel",
     "GradTape",
     "matmul",
-    "tanh",
-    "leaky_sigmoid",
     "conv2d_half",
     "reverse_kernel",
     "avg_pool2",
@@ -149,26 +145,6 @@ def _summed(a):
         else:
             z = np.add(z, d, order="C")
     return _check_finite(z)
-
-
-def tanh(a):
-    """tanh of an array, or of the sum of a list of terms (see _summed),
-    computed in place: one buffer and one op."""
-    y = _summed(a)
-    np.tanh(y, out=y)
-    return y
-
-
-def leaky_sigmoid(a, alpha):
-    """Identity on [-1, 1], slope alpha outside, continuous at +/-1.
-
-    Takes an array or a list of terms, as tanh does.
-    """
-    y = _summed(a)
-    hi, lo = y > 1.0, y < -1.0
-    y[hi] = alpha * (y[hi] - 1.0) + 1.0
-    y[lo] = alpha * (y[lo] + 1.0) - 1.0
-    return y
 
 
 class ConvKernel:

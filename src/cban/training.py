@@ -13,13 +13,13 @@ to each unit's term. Each unit's ΔE term, f_inv(v~)(v~ - y) + B(y) -
 B(v~), is a Bregman divergence of the barrier B, and B' = f_inv, so its
 gradient in v~ is f_inv'(v~)(v~ - y).
 
-Under tanh, f_inv and B need their input strictly inside (-1, 1). The
-targets are clipped to +/-0.999 (_batch_evidence), and their barrier is
-evaluated once per step by dynamics.barrier, which checks the domain.
-_loss clips v~ to +/-_TANH_CLIP, which guarantees it, so there it calls
-the unchecked kernels (_inverse_activation, _barrier). Under the leaky
-sigmoid nothing is clipped, and _loss calls the public functions, whose
-barrier checks its result for overflow.
+Under a bounded kind (tanh), f_inv and B need their input strictly inside
+(-1, 1). The targets are clipped to +/-TARGET_BOUND (_batch_evidence),
+and their barrier is evaluated once per step by dynamics.barrier, which
+checks the domain. _loss clips v~ to +/-_TANH_CLIP, which guarantees it,
+and calls the kind's own inverse and barrier, which check nothing. Under
+the leaky sigmoid nothing is clipped, and its barrier checks its result
+for overflow.
 
 The TD(1) gradient is back-propagation through time written out for a
 symmetric bipartite stack (Werbos 1990); it is the only gradient the
@@ -65,21 +65,18 @@ from .dynamics import (
     EvidenceConstraint,
     NetState,
     SettleReport,
-    Tanh,
     WeightBundle,
     _Lockstep,
     _ShardRun,
-    _barrier,
-    _inverse_activation,
     _layer_terms,
     activation,
     barrier,
     block_shapes,
     initial_state,
-    inverse_activation,
     settle,
     update_layer,  # noqa: F401  (bench/tests/test_spans.py wraps this binding)
 )
+from .imageio import TARGET_BOUND
 
 __all__ = [
     "LOSS_KINDS",
@@ -98,7 +95,7 @@ __all__ = [
 LOSS_KINDS = ("se", "delta_e", "delta_e_plus")
 OPTIMIZERS = ("sgd-l2", "sgd-linf", "adam")
 
-# keeps the inverse activation finite when tanh saturates
+# keeps the inverse activation finite when a bounded kind saturates
 _TANH_CLIP = 1.0 - 1e-6
 
 # adam's moment decay rates and denominator guard
@@ -197,17 +194,17 @@ def _loss(loss_kind, act_kind, v, y, barrier_y):
     closed.
 
     Returns (loss per item, vjp), where vjp maps a cotangent per item to
-    the cotangent of v: f_inv'(v) * (v - y) per unit, that is (v - y) /
-    (1 - v^2) under tanh, zero where the clip holds v, and (v - y) / alpha
-    where |v| > 1 under the leaky sigmoid, else v - y; under
-    "delta_e_plus" times the sigmoid of the item's gap. "se" gives g*d +
-    g*d for d = v - y. barrier_y is barrier(act_kind, y); "se" does not
-    read it, and a caller whose targets stay fixed evaluates it once.
+    the cotangent of v: f_inv'(v) * (v - y) per unit, that is (v - y)
+    divided by the activation's slope read off v (act_kind.slope), and
+    zero where the clip holds v; under "delta_e_plus" times the sigmoid of
+    the item's gap. "se" gives g*d + g*d for d = v - y. barrier_y is
+    barrier(act_kind, y); "se" does not read it, and a caller whose
+    targets stay fixed evaluates it once.
 
-    Under tanh the clip puts v strictly inside (-1, 1), so the unchecked
-    kernels run (see the module docstring); it is np.maximum then
-    np.minimum, np.clip's bits for the finite v an activation op hands
-    over. Under the leaky sigmoid the checking public functions run.
+    Under a bounded kind the clip puts v strictly inside (-1, 1), so the
+    kind's unchecked inverse and barrier run (see the module docstring);
+    it is np.maximum then np.minimum, np.clip's bits for the finite v an
+    activation op hands over.
     """
     units = tuple(range(1, v.ndim))
     per_unit = (-1,) + (1,) * len(units)  # an item's cotangent over its units
@@ -219,45 +216,32 @@ def _loss(loss_kind, act_kind, v, y, barrier_y):
             return gd + gd
 
         return (d * d).sum(axis=units), vjp
-    tanh = isinstance(act_kind, Tanh)
-    if tanh:
+    bounded = act_kind.bounded
+    if bounded:
         inside = (v > -_TANH_CLIP) & (v < _TANH_CLIP)
         v = np.minimum(np.maximum(v, -_TANH_CLIP), _TANH_CLIP)
-        f_inv, barrier_v = _inverse_activation(act_kind, v), _barrier(act_kind, v)
-    else:
-        f_inv, barrier_v = inverse_activation(act_kind, v), barrier(act_kind, v)
     d = v - y
-    gap = (f_inv * d + barrier_y - barrier_v).sum(axis=units)
+    gap = (act_kind.inverse(v) * d + barrier_y - act_kind.barrier(v)).sum(axis=units)
     plus = loss_kind == "delta_e_plus"
 
     def vjp(c):
         if plus:
             c = c * _sigmoid(gap)
-        if tanh:
-            slope_d = np.where(inside, d / (1.0 - v * v), 0.0)
-        else:
-            slope_d = np.where(np.abs(v) > 1.0, d / act_kind.alpha, d)
+        slope_d = d / act_kind.slope(v)
+        if bounded:
+            slope_d = np.where(inside, slope_d, 0.0)
         return c.reshape(per_unit) * slope_d
 
     return (_softplus(gap) if plus else gap), vjp
 
 
-def _slope_times(kind, y, g):
-    """g times the activation's slope, read off its output y: 1 - y^2 under
-    tanh; under the leaky sigmoid alpha where |y| > 1, else 1."""
-    if isinstance(kind, Tanh):
-        s = y * y
-        np.subtract(1.0, s, out=s)
-        return np.multiply(g, s, out=s)
-    return g * np.where(np.abs(y) > 1.0, kind.alpha, 1.0)
-
-
 def _batch_evidence(examples, arch):
     """The batch's targets, stacked in the visible shape and clipped once to
-    +/-0.999, and its evidence: the masks, and the targets where observed."""
+    +/-TARGET_BOUND, and its evidence: the masks, and the targets where
+    observed."""
     vis_shape = arch.visible_shape
     targets = np.clip(np.stack([e.target.reshape(vis_shape) for e in examples]),
-                      -0.999, 0.999)
+                      -TARGET_BOUND, TARGET_BOUND)
     masks = np.stack([e.mask.reshape(vis_shape) for e in examples])
     values = np.where(masks, targets, 0.0)
     return targets, EvidenceConstraint(mask=masks, values=values)
@@ -296,7 +280,8 @@ class _TD1Run(_ShardRun):
         v_tilde = unclamped_visible(state, self.w, self.arch, [self.visible_term(state)])
         loss_vec, loss_vjp = _loss(self.cfg.loss, kind, v_tilde, self.targets, self.barrier_y)
         _check_finite(loss_vec)
-        loss_gz = _slope_times(kind, v_tilde, loss_vjp(self.active * self.item_weight))
+        loss_gz = kind.slope(v_tilde)
+        loss_gz *= loss_vjp(self.active * self.item_weight)
         self.records.append((0, None, loss_gz, [(self.current[1], True)]))
         self.loss_vec = loss_vec
 
@@ -432,7 +417,8 @@ def _td1_backward(records, w, arch, evidence):
                 continue
             if l == 0 and clamped is not None:
                 g = np.where(clamped, 0.0, g)
-            gz = _slope_times(kind, out, g)
+            gz = kind.slope(out)
+            gz *= g
         bias_grads[l] += gz.sum(axis=(0,) + tuple(range(2, gz.ndim)))
         for src, first in reads:
             acc = g_term.pop((l, src), None)

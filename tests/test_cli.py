@@ -51,6 +51,9 @@ class TestConfigRoundTrips:
         for arch in archs:
             again = arch_from_dict(arch_to_dict(arch))
             assert again == arch
+        # the written activation, keys in order, as checkpoints store it
+        written = [list(arch_to_dict(a)["activation"].items()) for a in (archs[0], archs[-1])]
+        assert written == [[("kind", "tanh")], [("kind", "leaky_sigmoid"), ("alpha", 0.2)]]
 
     def test_mask_round_trip(self):
         cases = [

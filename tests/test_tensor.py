@@ -27,13 +27,10 @@ from cban.tensor import (
     avg_pool2,
     avg_pool2_adjoint,
     conv2d_half,
-    leaky_sigmoid,
     matmul,
     reverse_kernel,
-    tanh,
 )
-from cban.training import (LOSS_KINDS, TrainConfig, _slope_times, _term_vjp, init_weights,
-                           td1_forward)
+from cban.training import LOSS_KINDS, TrainConfig, _term_vjp, init_weights, td1_forward
 from helpers import finite_difference, relative_error
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -340,7 +337,7 @@ def test_every_public_op_is_used_outside_tensor():
 
 class TestElementwiseOps:
     def test_leaky_sigmoid_values(self):
-        out = leaky_sigmoid(np.array([1.0, -1.0, 2.0, -3.0]), alpha=0.2)
+        out = LeakySigmoid(0.2)(np.array([1.0, -1.0, 2.0, -3.0]))
         np.testing.assert_allclose(out, [1.0, -1.0, 1.2, -1.4], atol=1e-15)
 
 
@@ -558,10 +555,10 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(16)
         x = rng.uniform(-3.0, 3.0, size=(7,))
         x = x[np.abs(np.abs(x) - 1.0) > 1e-2]  # keep clear of the kinks
-        y = leaky_sigmoid(x, 0.2)
-        got = _slope_times(LeakySigmoid(0.2), y, x) + y
-        fd = finite_difference(lambda a: float(np.sum(leaky_sigmoid(a, 0.2) * a)),
-                               x.copy())
+        kind = LeakySigmoid(0.2)
+        y = kind(x)
+        got = kind.slope(y) * x + y
+        fd = finite_difference(lambda a: float(np.sum(kind(a) * a)), x.copy())
         assert relative_error(got, fd) < 1e-6
 
     def test_where(self):
@@ -600,9 +597,8 @@ class TestGradientsAgainstFiniteDifferences:
 
 
 class TestFusedActivation:
-    """tanh and leaky_sigmoid of a list of terms: one op over one buffer."""
+    """An activation kind called on a list of terms: one op over one buffer."""
 
-    ACTS = {"tanh": tanh, "leaky": lambda z: leaky_sigmoid(z, 0.3)}
     KINDS = {"tanh": Tanh(), "leaky": LeakySigmoid(0.3)}
 
     @staticmethod
@@ -612,52 +608,52 @@ class TestFusedActivation:
         return [rng.normal(scale=scale, size=shape), rng.normal(scale=scale, size=shape),
                 rng.normal(scale=scale, size=(3, 1, 1)), rng.normal(scale=scale, size=shape)]
 
-    @pytest.mark.parametrize("act", list(ACTS))
+    @pytest.mark.parametrize("act", list(KINDS))
     def test_same_values_as_the_chain_of_ops(self, act):
-        f = self.ACTS[act]
+        f = self.KINDS[act]
         a, b, bias, ev = self._terms(np.random.default_rng(40), 1.0)
         fused = f([a, b, bias, ev])
         assert fused.tobytes() == f(((a + b) + bias) + ev).tobytes()
 
-    @pytest.mark.parametrize("act", list(ACTS))
+    @pytest.mark.parametrize("act", list(KINDS))
     def test_gradient_against_finite_differences(self, act):
-        # the slope the reverse sweep reads off the output (training._slope_times)
-        f, kind = self.ACTS[act], self.KINDS[act]
+        # the slope the reverse sweep reads off the output
+        kind = self.KINDS[act]
         rng = np.random.default_rng(42)
         terms = self._terms(rng, 0.7)
         z = ((terms[0] + terms[1]) + terms[2]) + terms[3]
         assert np.min(np.abs(np.abs(z) - 1.0)) > 1e-3  # clear of the leaky kinks
         weights = rng.normal(size=z.shape)
-        got = _slope_times(kind, f(terms), weights)
-        fd = finite_difference(lambda a: float(np.sum(f(a) * weights)), z.copy())
+        got = kind.slope(kind(terms)) * weights
+        fd = finite_difference(lambda a: float(np.sum(kind(a) * weights)), z.copy())
         assert relative_error(got, fd) < 1e-6
 
-    @pytest.mark.parametrize("act", list(ACTS))
+    @pytest.mark.parametrize("act", list(KINDS))
     def test_a_sum_that_overflows_fails_at_this_op(self, act):
         # tanh would saturate inf to 1.0: the sum is checked before activation
         big = np.array([0.0, 1e308])
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=r"non-finite value at index \(1,\)"):
-                self.ACTS[act]([big, big])
+                self.KINDS[act]([big, big])
 
-    @pytest.mark.parametrize("act", list(ACTS))
+    @pytest.mark.parametrize("act", list(KINDS))
     def test_a_nan_term_fails_at_this_op(self, act):
         with pytest.raises(ValueError, match=r"non-finite value at index \(0, 2\)"):
-            self.ACTS[act]([np.zeros((2, 3)), np.array([[0.0, 0.0, np.nan]] * 2)])
+            self.KINDS[act]([np.zeros((2, 3)), np.array([[0.0, 0.0, np.nan]] * 2)])
 
-    @pytest.mark.parametrize("act", list(ACTS))
+    @pytest.mark.parametrize("act", list(KINDS))
     def test_inputs_are_not_written(self, act):
         rng = np.random.default_rng(44)
         arrays = self._terms(rng, 2.0)
         terms = [a.copy() for a in arrays]
-        self.ACTS[act](terms)
-        self.ACTS[act](terms[0])
+        self.KINDS[act](terms)
+        self.KINDS[act](terms[0])
         for t, a in zip(terms, arrays):
             np.testing.assert_array_equal(t, a)
 
-    @pytest.mark.parametrize("act", list(ACTS))
+    @pytest.mark.parametrize("act", list(KINDS))
     def test_a_later_larger_term_widens_the_sum(self, act):
-        f = self.ACTS[act]
+        f = self.KINDS[act]
         rng = np.random.default_rng(45)
         a, b = rng.normal(size=(3, 1, 1)), rng.normal(size=(1, 4, 1))
         c = rng.normal(size=(2, 3, 4, 4))
@@ -666,12 +662,12 @@ class TestFusedActivation:
         assert fused.tobytes() == f((a + b) + c).tobytes()
 
     def test_two_scalar_terms(self):
-        out = tanh([np.array(0.25), np.array(0.5)])
+        out = Tanh()([np.array(0.25), np.array(0.5)])
         assert out.shape == () and out == np.tanh(0.75)
 
     def test_one_term_broadcast_to_a_shape(self):
         # a read-only view, as a layer update's lone bias term is
-        out = tanh([np.broadcast_to(np.array([0.5, -0.25]), (3, 2))])
+        out = Tanh()([np.broadcast_to(np.array([0.5, -0.25]), (3, 2))])
         np.testing.assert_array_equal(out, np.tanh(np.tile([0.5, -0.25], (3, 1))))
 
 
@@ -700,13 +696,13 @@ class TestFinitenessPasses:
         avg_pool2_adjoint(x)
         assert passes[0] == 0
 
-    @pytest.mark.parametrize("act", list(TestFusedActivation.ACTS))
+    @pytest.mark.parametrize("act", list(TestFusedActivation.KINDS))
     def test_an_activation_checks_its_sum_once(self, act, passes):
         a = np.ones((2, 3))
         passes[0] = 0
-        TestFusedActivation.ACTS[act](a)
+        TestFusedActivation.KINDS[act](a)
         assert passes[0] == 1
-        TestFusedActivation.ACTS[act]([a, a, np.zeros(3)])
+        TestFusedActivation.KINDS[act]([a, a, np.zeros(3)])
         assert passes[0] == 2
 
     def test_other_ops_and_construction_keep_it(self, passes):

@@ -24,7 +24,6 @@ from cban.dynamics import (
     fban,
     initial_state,
     inverse_activation,
-    norm_1inf,
     settle,
     update_layer,
 )
@@ -251,36 +250,45 @@ class TestLossGradient:
 
     def test_a_bar_sweep_makes_at_most_5_ops(self, monkeypatch):
         # counts the calls of cban.tensor's public ops through the package's
-        # bindings to them: 5 per sweep, two maps and three activations, when
-        # this bound was set; 6 per sweep, with the clamp's select, when the
-        # ops still made tensors. What the tape records is
+        # bindings to them, and the calls of the activation kinds: 5 per
+        # sweep, two maps and three activations, when this bound was set; 6
+        # per sweep, with the clamp's select, when the ops still made
+        # tensors. What the tape records is
         # test_records_one_tape_op_whose_parents_are_the_weights's concern
         import cban.tensor
 
-        count = [0]
+        count = [0, 0]  # ops, and of them activations
+
+        def counted(op, activation=False):
+            def counting(*args, **kwargs):
+                count[0] += 1
+                count[1] += activation
+                return op(*args, **kwargs)
+
+            return counting
+
         for name in cban.tensor.__all__:
             op = getattr(cban.tensor, name)
             if not inspect.isfunction(op):
                 continue  # a class
-
-            def counting(*args, op=op, **kwargs):
-                count[0] += 1
-                return op(*args, **kwargs)
-
             for module in [m for n, m in sys.modules.items() if n.startswith("cban.")]:
                 if getattr(module, name, None) is op:
-                    monkeypatch.setattr(module, name, counting)
+                    monkeypatch.setattr(module, name, counted(op))
+        for kind in (Tanh, LeakySigmoid):
+            monkeypatch.setattr(kind, "__call__", counted(kind.__call__, activation=True))
         cfg = load_run_config(CONFIGS / "bar.json")
         w = init_weights(cfg.arch, seed=0)
         examples = BarTask().epoch_examples(np.random.default_rng(0))
         ops = []
         for sweeps in (2, 3):
-            count[0] = 0
+            count[:] = [0, 0]
             with GradTape():
                 td1_forward(examples, w, cfg.arch,
                             replace(cfg.train, max_iters=sweeps, theta=1e-300))
-            ops.append(count[0])
-        assert ops[1] - ops[0] <= 5
+            ops.append(list(count))
+        assert ops[1][0] - ops[0][0] <= 5
+        # the count sees the three activations: layer 1, v~ and the visible layer
+        assert ops[1][1] - ops[0][1] == 3
 
     @staticmethod
     def _bar_step():
@@ -300,25 +308,27 @@ class TestLossGradient:
         return step
 
     def test_a_bar_step_makes_no_more_c_calls_from_cban(self):
-        # 300 at three sweeps when this bound was set, 304 while the weights
-        # were one Tensor per block, 381 while a PairTerms looked up which
-        # pair terms to hold, 456 while layer states were tensors (under
-        # an earlier bound of 532), 543 before
-        # _loss called the unchecked kernels and np.add made the activation
-        # sum's buffer. The count sees builtins, numpy functions such as
+        # 271 at three sweeps when this bound was set, 300 while the
+        # activations' maths sat in functions that tested the kind with
+        # isinstance, 304 while the weights were one Tensor per block, 381
+        # while a PairTerms looked up which pair terms to hold, 456 while
+        # layer states were tensors (under an earlier bound of 532), 543
+        # before _loss called the unchecked kernels and np.add made the
+        # activation sum's buffer. The count sees builtins, numpy functions such as
         # np.asarray and array methods called from cban's lines, but no
         # ufunc call or arithmetic operator (see helpers.cban_c_calls);
         # test_a_bar_step_makes_no_more_numpy_calls_from_cban counts those
         # ufuncs. A change that adds calls it sees has to raise the bound
         # on purpose.
         _, calls = cban_c_calls(self._bar_step())
-        assert calls <= 300
+        assert calls <= 271
 
     def test_a_bar_step_makes_no_more_numpy_calls_from_cban(self):
         # every call through the name np in tensor, dynamics and training,
-        # ufuncs included: 129 when this bound was set, 131 while the
-        # weights were one Tensor per block, 141 while layer states were
-        # tensors, 148 before the tape kept only the TD(1) op.
+        # ufuncs included: 113 when this bound was set, 129 while tanh's
+        # slope was np.subtract and np.multiply, 131 while the weights were
+        # one Tensor per block, 141 while layer states were tensors, 148
+        # before the tape kept only the TD(1) op.
         # A change that adds numpy calls to the bar path has to raise the
         # bound on purpose.
         import cban.dynamics
@@ -327,7 +337,7 @@ class TestLossGradient:
 
         step = self._bar_step()
         _, calls = numpy_calls(step, (cban.tensor, cban.dynamics, cban.training))
-        assert calls <= 129
+        assert calls <= 113
 
 
 def _loss_reference(loss_kind, act_kind, v, y, barrier_y):
@@ -365,8 +375,9 @@ def _loss_reference(loss_kind, act_kind, v, y, barrier_y):
 
 
 class TestLossKernelPath:
-    """Under tanh, _loss clips v~ and calls the unchecked kernels; the
-    values and vjp are the bytes of the checked functions'."""
+    """Under tanh, _loss clips v~ and calls the kind's unchecked inverse
+    and barrier; the values and vjp are the bytes of the checked
+    functions'."""
 
     KINDS = {"tanh": Tanh(), "leaky": LeakySigmoid(0.2)}
     C = np.array([0.7, -1.3, 0.4])
