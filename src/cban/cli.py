@@ -171,6 +171,9 @@ def _load_evidence(args, arch):
     if path.suffix == ".npz":
         with np.load(path) as z:
             values, mask = z["values"], z["mask"].astype(bool)
+        if mask.shape != values.shape:
+            raise ValueError(f"evidence mask has shape {mask.shape}, its values have "
+                             f"shape {values.shape}")
     else:
         img = bytes_to_activations(read_image(path))
         spec = _mask_from_args(args)

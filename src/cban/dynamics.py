@@ -75,7 +75,9 @@ from .tensor import (
     DomainError,
     Tensor,
     _check_finite,
+    _conv_weight_grad_np,
     _first_bad_index,
+    _pool2_np,
     _summed,
     avg_pool2,
     avg_pool2_adjoint,
@@ -445,6 +447,20 @@ def _down_map(x, w, arch, pair):
         return matmul(x, block.T)
     y = conv2d_half(x, reverse_kernel(block))
     return avg_pool2_adjoint(y) if arch.layers[pair + 1].pool_before else y
+
+
+def _up_weight_grad(lower, upper, w, arch, pair):
+    """The gradient of <upper, _up_map(lower)> with respect to the pair's
+    forward block, for batched lower and upper: lower.T @ upper for a
+    matrix, and for a kernel the conv's weight gradient at the lower side,
+    pooled first on a pooled pair. As _down_map is _up_map's adjoint, it is
+    also the gradient of <lower, _down_map(upper)>."""
+    block = w.forward[pair]
+    if not isinstance(block, ConvKernel):
+        return lower.T @ upper
+    if arch.layers[pair + 1].pool_before:
+        lower = _pool2_np(lower)
+    return _conv_weight_grad_np(lower, upper, *block.shape[2:])
 
 
 def _bias_term(b, spec):

@@ -6,16 +6,18 @@ avg_pool2 and its transpose, avg_pool2_adjoint. They compute forward
 only. An activation's input is the sum of its terms (_summed); the
 activation kinds, each with its inverse, barrier and slope, are classes in
 dynamics (Tanh, LeakySigmoid). The one gradient the package takes, of the
-TD(1) loss, is an explicit reverse sweep (training._td1_backward) over the
-numpy kernels below, and a GradTape is the recorder of that loss:
-training.td1_forward records it as the tape's one op, whose one parent is
-the weights' vector, and GradTape.gradient runs the sweep.
+TD(1) loss, is an explicit reverse sweep (training._td1_backward): a pair
+term's input cotangent is the pair's other map, made of these same ops,
+and its weight gradient is the conv weight-gradient kernel below or a
+matrix product (dynamics._up_weight_grad). A GradTape is the recorder of
+that loss: training.td1_forward records it as the tape's one op, whose one
+parent is the weights' vector, and GradTape.gradient runs the sweep.
 
-Convolution (forward, input gradient, weight gradient) is one matrix
-product per map plus kh*kw shifted copies or adds. The shift is applied to
-whichever side of the map has fewer channels: im2col of the input when the
-map has more output than input channels, otherwise the product first and a
-shift-add of its kh*kw output blocks. For q output and r input channels,
+Convolution and its weight gradient are each one matrix product plus
+kh*kw shifted copies or adds. The shift is applied to whichever side of
+the map has fewer channels: im2col of the input when the map has more
+output than input channels, otherwise the product first and a shift-add
+of its kh*kw output blocks. For q output and r input channels,
 the expanded buffer (the im2col, or the product's kh*kw blocks) holds
 kh*kw*min(q, r)*N*H*W floats. The GEMM's N*H*W columns are padded with
 zeros to a multiple of 8 (_COLUMN_BLOCK), so an item's values do not depend
@@ -41,8 +43,10 @@ A weight block is an ndarray view of that vector, and a ConvKernel wraps
 one. The downward weights of a symmetric net hold no data of their own:
 the down map reads the forward matrix's transpose, and reverse_kernel
 returns a strided view of the forward kernel, so deriving them copies
-nothing. The conv input gradient flips its kernel as a view too, and each
-GEMM copies its operand into layout.
+nothing; each GEMM copies its operands into layout. The conv input
+gradient is conv2d_half with the reversed kernel, so it lays out its
+cotangent for its own GEMM, and the weight gradient lays out the same
+cotangent again for its own: no layout is shared between the two.
 """
 
 from __future__ import annotations
@@ -180,11 +184,6 @@ class ConvKernel:
         return f"ConvKernel(shape={self.shape})"
 
 
-def _flip_kernel_np(w):
-    """The reversed kernel as a strided view of w: no copy is made."""
-    return w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-
-
 def reverse_kernel(k):
     """Swap channel axes and reverse both spatial axes; an involution.
 
@@ -193,7 +192,7 @@ def reverse_kernel(k):
     symmetric connectivity is realized without storing reverse weights.
     The result is a strided view of the kernel: nothing is copied.
     """
-    return ConvKernel(_flip_kernel_np(k.weights))
+    return ConvKernel(k.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
 def _taps(ka, kb, H, W):
@@ -262,21 +261,17 @@ def _im2col(x, ka, kb):
     return cols.reshape(ka * kb * c, -1)
 
 
-def _conv_half_np(x, w, x_laid=None):
+def _conv_half_np(x, w):
     # x: (n, r, H, W), w: (q, r, ka, kb) -> (n, q, H, W), zero padding (k-1)/2.
     # One GEMM; the k^2 shifted copies expand whichever side has fewer channels.
     # The reshape copies w into the GEMM's layout, so w may be a strided view.
-    # x_laid, if given, is x already laid out for the GEMM: the im2col of x
-    # when q > r, else its channels-first copy.
     n, r, h, wd = x.shape
     q, _, ka, kb = w.shape
     cols = n * h * wd  # the columns past these are padding
     if q > r:
-        laid = _im2col(x, ka, kb) if x_laid is None else x_laid
-        out = w.transpose(0, 2, 3, 1).reshape(q, ka * kb * r) @ laid
+        out = w.transpose(0, 2, 3, 1).reshape(q, ka * kb * r) @ _im2col(x, ka, kb)
         return np.ascontiguousarray(out[:, :cols].reshape(q, n, h, wd).transpose(1, 0, 2, 3))
-    xc = _channels_first(x) if x_laid is None else x_laid
-    y = w.transpose(2, 3, 0, 1).reshape(ka * kb * q, r) @ xc
+    y = w.transpose(2, 3, 0, 1).reshape(ka * kb * q, r) @ _channels_first(x)
     y = y[:, :cols].reshape(ka * kb, q, n, h, wd).transpose(0, 2, 1, 3, 4)
     out = np.zeros((n, q, h, wd))
     for t, dst, src in _taps(ka, kb, h, wd):
@@ -284,37 +279,16 @@ def _conv_half_np(x, w, x_laid=None):
     return out
 
 
-def _conv_weight_grad_np(x, g, ka, kb, g_laid=None):
+def _conv_weight_grad_np(x, g, ka, kb):
     # d<g, conv(x, w)>/dw, shape (q, r, ka, kb), by the same rule as the forward.
-    # g_laid, if given, is the channels-first copy of g when q > r, else its im2col.
     q, r = g.shape[1], x.shape[1]
     if q > r:
-        gc = _channels_first(g) if g_laid is None else g_laid
-        m = gc @ _im2col(x, ka, kb).T
+        m = _channels_first(g) @ _im2col(x, ka, kb).T
         return m.reshape(q, ka, kb, r).transpose(0, 3, 1, 2)
     # shifting g by -offset pairs it with x exactly as shifting x by +offset
     # pairs it with g, so the taps of im2col(g) come out in reverse order
-    gcols = _im2col(g, ka, kb) if g_laid is None else g_laid
-    m = gcols @ _channels_first(x).T
+    m = _im2col(g, ka, kb) @ _channels_first(x).T
     return m.reshape(ka, kb, q, r)[::-1, ::-1].transpose(2, 3, 0, 1)
-
-
-def _conv_vjp_np(x, w, g):
-    """(input gradient, weight gradient) of a batched map at cotangent g.
-
-    The input gradient is the map with the reversed kernel, a strided view
-    that its GEMM copies into layout. When q != r, both GEMMs read g in the
-    same layout (channels-first when q > r, the im2col when q < r), so it
-    is built once.
-    """
-    q, r, ka, kb = w.shape
-    g_laid = None
-    if q > r:
-        g_laid = _channels_first(g)
-    elif q < r:
-        g_laid = _im2col(g, ka, kb)
-    gx = _conv_half_np(g, _flip_kernel_np(w), g_laid)
-    return gx, _conv_weight_grad_np(x, g, ka, kb, g_laid)
 
 
 def conv2d_half(x, k):
@@ -330,9 +304,10 @@ def conv2d_half(x, k):
     multiplies the (q, kh*kw*r) weights into it; q <= r multiplies the
     (kh*kw*q, r) weights into x first and shift-adds the kh*kw output
     blocks. The expanded buffer therefore holds kh*kw*min(q, r)*N*H*W
-    floats. Its input and weight gradients (_conv_vjp_np) follow the same
-    rule; the input gradient is the convolution of the output gradient with
-    the reversed kernel, so it swaps the roles of q and r.
+    floats. Its input gradient is this map with the reversed kernel
+    (reverse_kernel) at the output gradient, which swaps the roles of q and
+    r; its weight gradient (_conv_weight_grad_np) follows the same rule.
+    Each builds its own layout of the output gradient: none is shared.
     """
     if x.ndim not in (3, 4):
         raise ValueError(f"conv input must be (c, H, W) or (batch, c, H, W), got {x.shape}")
@@ -348,18 +323,6 @@ def conv2d_half(x, k):
 def _pool2_np(d):
     return 0.25 * ((d[..., 0::2, 0::2] + d[..., 0::2, 1::2])
                    + (d[..., 1::2, 0::2] + d[..., 1::2, 1::2]))
-
-
-def _spread2_np(g):
-    # a quarter of each value over its 2x2 block: the transpose of _pool2_np
-    *lead, h, w = g.shape
-    quarter = 0.25 * g
-    out = np.empty((*lead, 2 * h, 2 * w))
-    out[..., 0::2, 0::2] = quarter
-    out[..., 0::2, 1::2] = quarter
-    out[..., 1::2, 0::2] = quarter
-    out[..., 1::2, 1::2] = quarter
-    return out
 
 
 def avg_pool2(x):
@@ -380,7 +343,14 @@ def avg_pool2_adjoint(x):
     """
     if x.ndim not in (3, 4):
         raise ValueError(f"adjoint input must be (c, h, w) or (batch, c, h, w), got {x.shape}")
-    return _spread2_np(x)
+    *lead, h, w = x.shape
+    quarter = 0.25 * x
+    out = np.empty((*lead, 2 * h, 2 * w))
+    out[..., 0::2, 0::2] = quarter
+    out[..., 0::2, 1::2] = quarter
+    out[..., 1::2, 0::2] = quarter
+    out[..., 1::2, 1::2] = quarter
+    return out
 
 
 def _record(output, parents, backward):

@@ -38,9 +38,13 @@ vector (dynamics.WeightBundle.flat), and whose backward walks each
 shard's records back into one gradient vector, the shards in parallel,
 and sums the vectors (_td1_backward): each layer's preactivation
 cotangent is its output's cotangent times the activation's slope, zero on
-clamped units, and each pair term's summed cotangent goes once through the
-adjoint of the map that made it (_term_vjp), which for a symmetric pair is
-the other direction's map, together with the pair's weight gradient.
+clamped units, and each pair term's summed cotangent goes once back
+through its pair (_term_vjp). A symmetric pair's down map is the adjoint of
+its up map, so an up term's cotangent goes through the pair's
+dynamics._down_map and a down term's through its dynamics._up_map, and
+both terms' weight gradients are dynamics._up_weight_grad, with the two
+sides swapped for a down term. How a pair maps (matrix transpose, kernel
+reversal, pooling and its transpose) is stated in dynamics alone.
 """
 
 from __future__ import annotations
@@ -49,18 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import (
-    ConvKernel,
-    GradTape,
-    Tensor,
-    _check_finite,
-    _conv_vjp_np,
-    _conv_weight_grad_np,
-    _flip_kernel_np,
-    _pool2_np,
-    _record,
-    _spread2_np,
-)
+from .tensor import GradTape, Tensor, _check_finite, _record
 from .dynamics import (
     EvidenceConstraint,
     NetState,
@@ -68,7 +61,10 @@ from .dynamics import (
     WeightBundle,
     _Lockstep,
     _ShardRun,
+    _down_map,
     _layer_terms,
+    _up_map,
+    _up_weight_grad,
     activation,
     barrier,
     block_shapes,
@@ -395,9 +391,12 @@ def _td1_backward(records, w, arch, evidence):
     slope is its preactivation cotangent; v~ brings its own. That
     cotangent adds into the layer's bias gradient and into each term the
     op read. At a term's first reader its summed cotangent goes through
-    _term_vjp once, which adds the weight gradient in place and hands the
-    source record its share. A record whose output fed no loss, such as
-    the last sweep's downward updates, gets no cotangent and is skipped.
+    _term_vjp once, which adds the pair's weight gradient in place
+    (dynamics._up_weight_grad) and hands the source record its share, the
+    cotangent mapped by the pair's other map: dynamics._down_map for an up
+    term, dynamics._up_map for a down term. A record whose output fed no
+    loss, such as the last sweep's downward updates, gets no cotangent and
+    is skipped.
     Every gradient adds into its block's view of one zero vector.
     """
     grad = np.zeros(w.flat.shape)
@@ -445,35 +444,18 @@ def _term_vjp(g, x, w, arch, reader, source, grads, need_input):
 
     Adds the pair's weight gradient in place into grads[pair], its view of
     the gradient vector, and returns the cotangent of x, or None unless
-    need_input. An up term (source below)
-    is matmul(x, W), or the conv of x, pooled first on a pooled pair; a
-    down term is its adjoint, matmul(x, W.T), or the conv of x with the
-    reversed kernel, spread by pooling's transpose. The conv backward is
-    _conv_vjp_np, the input and weight gradients of conv2d_half's map.
+    need_input. An up term (source below) is _up_map(x) and a down term
+    _down_map(x), and each map is the other's adjoint. So the weight
+    gradient is _up_weight_grad at (x, g) for an up term and at (g, x) for
+    a down term, and the cotangent of x is _down_map(g) for an up term and
+    _up_map(g) for a down term.
     """
     pair = min(reader, source)
-    block = w.forward[pair]
     up = source < reader
-    if not isinstance(block, ConvKernel):
-        grads[pair] += x.T @ g if up else g.T @ x
-        if not need_input:
-            return None
-        return g @ block.T if up else g @ block
-    wd = block.weights
-    pooled = arch.layers[pair + 1].pool_before
-    if up:
-        if pooled:
-            x = _pool2_np(x)
-    else:
-        wd = _flip_kernel_np(wd)
-        if pooled:
-            g = _pool2_np(g)
-    if need_input:
-        gx, gw = _conv_vjp_np(x, wd, g)
-    else:
-        gx, gw = None, _conv_weight_grad_np(x, g, wd.shape[2], wd.shape[3])
-    grads[pair] += gw if up else _flip_kernel_np(gw)
-    return _spread2_np(gx) if gx is not None and up and pooled else gx
+    grads[pair] += _up_weight_grad(*((x, g) if up else (g, x)), w, arch, pair)
+    if not need_input:
+        return None
+    return (_down_map if up else _up_map)(g, w, arch, pair)
 
 
 @dataclass

@@ -965,6 +965,18 @@ class TestCmdComplete:
         assert code == 2
         assert "visible layer" in capsys.readouterr().err
 
+    def test_mask_shape_mismatch_exits_2(self, tmp_path, capsys):
+        ckpt = self._trained_ckpt(tmp_path)
+        np.savez(tmp_path / "bad.npz", values=np.zeros((5, 5)),
+                 mask=np.ones(24, dtype=bool))
+        code = main(["complete", "--ckpt", str(ckpt), "--input",
+                     str(tmp_path / "bad.npz"), "--outdir", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "(24,)" in err and "(5, 5)" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("hidden, blocks", [
         # a 4 -> 3 net whose weight block is stored transposed
         ([3], [np.zeros((3, 4)), np.zeros(4), np.zeros(3)]),

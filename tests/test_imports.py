@@ -1,4 +1,5 @@
-"""Every module-level import of the package and its tests is read.
+"""Every module-level import of the package and its tests is read, and
+training binds none of tensor's pair-map kernels.
 
 No linter ships with the project, so this is its unused-import check. A
 name an import binds at module level must be read somewhere in the module
@@ -10,6 +11,10 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import cban.dynamics
+import cban.tensor
+import cban.training
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for folder in (ROOT / "src" / "cban", ROOT / "tests")
@@ -63,3 +68,19 @@ def test_the_scan_sees_what_it_must():
         "    import sys",
     ])
     assert unused_imports(source) == [(2, "json"), (4, "b")]
+
+
+def pair_map_bindings(module):
+    """The names module binds to ConvKernel or to a _conv*, _pool*, _spread*
+    or _flip* object of cban.tensor."""
+    barred = {id(v) for n, v in vars(cban.tensor).items()
+              if n == "ConvKernel" or n.startswith(("_conv", "_pool", "_spread", "_flip"))}
+    return sorted(n for n, v in vars(module).items() if id(v) in barred)
+
+
+def test_training_binds_no_pair_map_of_tensor():
+    # how a pair maps (matrix transpose, kernel reversal, pooling and its
+    # transpose) is stated in dynamics alone, and the TD(1) backward takes
+    # each pair term back through dynamics' maps
+    assert pair_map_bindings(cban.training) == []
+    assert {"ConvKernel", "_pool2_np"} <= set(pair_map_bindings(cban.dynamics))

@@ -13,17 +13,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 import cban.dynamics
 import cban.tensor
 from cban.data import Example
-from cban.dynamics import LeakySigmoid, Tanh, WeightBundle, fban
+from cban.dynamics import ArchSpec, LeakySigmoid, Tanh, WeightBundle, conv_layer, fban
 from cban.tensor import (
     ConvKernel,
     GradTape,
     Tensor,
     _conv_half_np,
-    _conv_vjp_np,
     _conv_weight_grad_np,
-    _flip_kernel_np,
-    _pool2_np,
-    _spread2_np,
     avg_pool2,
     avg_pool2_adjoint,
     conv2d_half,
@@ -34,6 +30,11 @@ from cban.training import LOSS_KINDS, TrainConfig, _term_vjp, init_weights, td1_
 from helpers import finite_difference, relative_error
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def reversed_kernel(w):
+    """The reversed kernel of an ndarray kernel, through reverse_kernel."""
+    return reverse_kernel(ConvKernel(w)).weights
 
 
 def loop_conv(x, w):
@@ -174,10 +175,10 @@ class TestConv2dHalf:
         np.testing.assert_allclose(out.reshape(n, q, 2, 3), loop_conv(x, w),
                                    rtol=0, atol=1e-12)
         _, ref_gx, ref_gw = einsum_conv_maps(x, w, g)
-        gx, gw = _conv_vjp_np(x, w, g)
+        gx = _conv_half_np(g, reversed_kernel(w))
         np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
-        for got in (gw, _conv_weight_grad_np(x, g, 7, 7)):
-            np.testing.assert_allclose(got, ref_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_conv_weight_grad_np(x, g, 7, 7), ref_gw,
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("r,q,H,W,k", config_pair_shapes())
     def test_config_shapes_match_einsum(self, r, q, H, W, k):
@@ -186,9 +187,9 @@ class TestConv2dHalf:
         w = rng.normal(size=(q, r, k, k))
         g = rng.normal(size=(1, q, H, W))
         out = conv2d_half(x, ConvKernel(w))
-        gx, gw = _conv_vjp_np(x, w, g)
+        gx = _conv_half_np(g, reversed_kernel(w))
         ref, ref_gx, ref_gw = einsum_conv_maps(x, w, g)
-        for new, want in ((out, ref), (gx, ref_gx), (gw, ref_gw),
+        for new, want in ((out, ref), (gx, ref_gx),
                           (_conv_weight_grad_np(x, g, k, k), ref_gw)):
             assert relative_error(new, want) < 1e-12
 
@@ -453,15 +454,17 @@ class TestGradTape:
 
 
 def _conv_gradcheck(x, w, loss, cotangent, tol=1e-6):
-    """_conv_vjp_np's and _conv_weight_grad_np's gradients of loss(map(x, w))
-    against central differences, for a batched x; cotangent(y) is dloss/dy."""
+    """The gradients of loss(map(x, w)) against central differences, for a
+    batched x: the input gradient is the map with the reversed kernel at the
+    output gradient, the weight gradient _conv_weight_grad_np's;
+    cotangent(y) is dloss/dy."""
     g = cotangent(_conv_half_np(x, w))
-    gx, gw = _conv_vjp_np(x, w, g)
+    gx = _conv_half_np(g, reversed_kernel(w))
+    gw = _conv_weight_grad_np(x, g, w.shape[2], w.shape[3])
     fd_x = finite_difference(lambda a: loss(_conv_half_np(a, w)), x.copy())
     fd_w = finite_difference(lambda a: loss(_conv_half_np(x, a)), w.copy())
     assert relative_error(gx, fd_x) < tol
-    for got in (gw, _conv_weight_grad_np(x, g, w.shape[2], w.shape[3])):
-        assert relative_error(got, fd_w) < tol
+    assert relative_error(gw, fd_w) < tol
 
 
 def _squares(y):
@@ -491,16 +494,18 @@ class TestGradientsAgainstFiniteDifferences:
         _conv_gradcheck(x, w, _squares, lambda y: 2.0 * y)
 
     def test_reverse_kernel_composition(self):
-        # the down map's weight gradient, as training._term_vjp takes it:
-        # the reversed kernel's gradient, reversed back
+        # the down map's weight gradient: the reversed kernel's gradient,
+        # reversed back, and as dynamics._up_weight_grad takes it, the up
+        # map's weight gradient with the input and the cotangent swapped
         rng = np.random.default_rng(12)
         x = rng.normal(size=(1, 3, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
-        down = _conv_half_np(x, _flip_kernel_np(w))
-        _, gw = _conv_vjp_np(x, _flip_kernel_np(w), 2.0 * down)
-        fd = finite_difference(lambda a: _squares(_conv_half_np(x, _flip_kernel_np(a))),
+        g = 2.0 * _conv_half_np(x, reversed_kernel(w))
+        fd = finite_difference(lambda a: _squares(_conv_half_np(x, reversed_kernel(a))),
                                w.copy())
-        assert relative_error(_flip_kernel_np(gw), fd) < 1e-6
+        gw = _conv_weight_grad_np(x, g, 3, 3)
+        assert relative_error(reversed_kernel(gw), fd) < 1e-6
+        assert relative_error(_conv_weight_grad_np(g, x, 3, 3), fd) < 1e-6
 
     def test_unrolled_loop_100_sweeps_differentiable(self):
         # the reverse sweep over 100 unrolled sweeps of a tiny net, its
@@ -520,35 +525,56 @@ class TestGradientsAgainstFiniteDifferences:
         # and through a chain d<c, S(P(x))>/dx = S(P(c))
         rng = np.random.default_rng(13)
         for chain, shape, backward in (
-                (avg_pool2, (2, 4, 4), _spread2_np),
-                (avg_pool2_adjoint, (2, 2, 2), _pool2_np),
+                (avg_pool2, (2, 4, 4), avg_pool2_adjoint),
+                (avg_pool2_adjoint, (2, 2, 2), avg_pool2),
                 (lambda a: avg_pool2_adjoint(avg_pool2(a)), (2, 4, 4),
-                 lambda c: _spread2_np(_pool2_np(c))),
+                 lambda c: avg_pool2_adjoint(avg_pool2(c))),
                 (lambda a: avg_pool2(avg_pool2_adjoint(a)), (2, 2, 2),
-                 lambda c: _pool2_np(_spread2_np(c)))):
+                 lambda c: avg_pool2(avg_pool2_adjoint(c)))):
             x = rng.normal(size=shape)
             c = rng.normal(size=chain(x).shape)
             fd = finite_difference(lambda a: float(np.sum(chain(a) * c)), x)
             assert relative_error(backward(c), fd) < 1e-6
 
     def test_matmul_and_transpose(self):
-        # an fc pair's up term matmul(x, W) and down term matmul(x, W.T),
-        # differentiated by training._term_vjp
+        # each pair's up term and down term, differentiated by
+        # training._term_vjp, in the input and the forward block: an fc
+        # pair's matmul(x, W) and matmul(x, W.T), and conv pairs, unpooled
+        # and pooled, with channels rising and falling, whose up term is
+        # the conv of x (pooled first) and whose down term is the conv of x
+        # with the reversed kernel (spread by pooling's transpose)
         rng = np.random.default_rng(14)
-        arch = fban(3, [2])
-        w = init_weights(arch, seed=0)
-        W = w.forward[0]
-        terms = ((1, 0, 3, matmul), (0, 1, 2, lambda x, m: matmul(x, m.T)))
-        for reader, source, units, term in terms:
-            x = rng.normal(size=(4, units))
-            g = rng.normal(size=term(x, W).shape)
-            grads = w.blocks(np.zeros(w.flat.shape))
-            gx = _term_vjp(g, x, w, arch, reader, source, grads, need_input=True)
-            fd_x = finite_difference(lambda a: float(np.sum(term(a, W) * g)), x.copy())
-            fd_w = finite_difference(lambda a: float(np.sum(term(x, a) * g)), W.copy())
-            assert relative_error(gx, fd_x) < 1e-6
-            assert relative_error(grads[0], fd_w) < 1e-6
-            assert not any(np.any(b) for b in grads[1:])
+
+        def conv_pair(lo, hi, pooled):
+            top = conv_layer(hi, *((2, 2) if pooled else (4, 4)), pool_before=pooled)
+            arch = ArchSpec(layers=(conv_layer(lo, 4, 4, visible=True), top),
+                            kernel_sizes=(3,))
+
+            def up(x, a):
+                return conv2d_half(avg_pool2(x) if pooled else x, ConvKernel(a))
+
+            def down(x, a):
+                y = conv2d_half(x, reverse_kernel(ConvKernel(a)))
+                return avg_pool2_adjoint(y) if pooled else y
+
+            return arch, up, down
+
+        pairs = [(fban(3, [2]), matmul, lambda x, a: matmul(x, a.T))]
+        pairs += [conv_pair(lo, hi, pooled)
+                  for pooled in (False, True) for lo, hi in ((2, 3), (3, 2))]
+        for arch, up, down in pairs:
+            w = init_weights(arch, seed=0, conv_std=0.3)
+            W = w.blocks(w.flat.data)[0]
+            for reader, source, term in ((1, 0, up), (0, 1, down)):
+                x = rng.normal(size=(2,) + arch.layers[source].shape)
+                g = rng.normal(size=term(x, W).shape)
+                grads = w.blocks(np.zeros(w.flat.shape))
+                gx = _term_vjp(g, x, w, arch, reader, source, grads, need_input=True)
+                fd_x = finite_difference(lambda a: float(np.sum(term(a, W) * g)), x.copy())
+                fd_w = finite_difference(lambda a: float(np.sum(term(x, a) * g)), W.copy())
+                assert relative_error(gx, fd_x) < 1e-6
+                assert relative_error(grads[0], fd_w) < 1e-6
+                assert not any(np.any(b) for b in grads[1:])
 
     def test_leaky_sigmoid_gradient(self):
         # d/dx sum(f(x) * x) = f'(x) x + f(x), f' read off f's output
