@@ -61,7 +61,8 @@ class Checkpoint:
     rng_state: dict | None
 
 
-_OPT_KEYS = ("kind", "lr", "step")  # loading ignores older files' adam beta1/beta2/eps
+# the JSON types of the optimizer's keys; loading ignores older files' adam beta1/beta2/eps
+_OPT_TYPES = {"kind": (str,), "lr": (float, int), "step": (int,)}
 
 
 def save_checkpoint(path, ckpt):
@@ -69,7 +70,7 @@ def save_checkpoint(path, ckpt):
     opt = ckpt.opt_state
     opt_meta = None
     if opt is not None:
-        opt_meta = {k: getattr(opt, k) for k in _OPT_KEYS}
+        opt_meta = {k: getattr(opt, k) for k in _OPT_TYPES}
         opt_meta["has_moments"] = opt.m is not None
         if opt.m is not None:
             vectors += [opt.m, opt.v]
@@ -118,8 +119,11 @@ def load_checkpoint(path):
         except ValueError as e:  # not JSON, or not UTF-8
             raise CheckpointError(f"{path}: metadata is not JSON, the file is torn "
                                   f"or corrupt ({e})") from e
-        arch = arch_from_dict(meta["arch"])
-        shapes, expected = [tuple(s) for s in meta["blocks"]], block_shapes(arch)
+        if type(meta) is not dict:
+            raise CheckpointError(f"{path}: metadata is not a JSON object")
+        arch = arch_from_dict(_field(meta, "arch", (dict,)))
+        shapes = [tuple(s) if type(s) is list else s for s in _field(meta, "blocks", (list,))]
+        expected = block_shapes(arch)
         if shapes != expected:
             raise CheckpointError(f"block manifest {shapes} does not match the "
                                   f"architecture's blocks {expected}")
@@ -134,16 +138,27 @@ def load_checkpoint(path):
             return np.frombuffer(raw, dtype=np.float32).astype(np.float64)
 
         flat = read_vector("parameters")
-        opt_meta = meta.get("optimizer")
+        opt_meta = _field(meta, "optimizer", (dict, type(None)))
         opt = None
         if opt_meta is not None:
-            opt = OptState(**{k: opt_meta[k] for k in _OPT_KEYS})
-            if opt_meta["has_moments"]:
+            opt = OptState(**{k: _field(opt_meta, k, kinds, "optimizer.")
+                              for k, kinds in _OPT_TYPES.items()})
+            if _field(opt_meta, "has_moments", (bool,), "optimizer."):
                 opt.m, opt.v = read_vector("first moment"), read_vector("second moment")
     if "crc32" in meta and meta["crc32"] != crc:
         raise CheckpointError(f"{path}: body does not match its checksum, the file "
                               "is torn or corrupt")
     weights = WeightBundle(Tensor(flat), shapes)
     return Checkpoint(arch=arch, weights=weights, opt_state=opt,
-                      epoch=int(meta["epoch"]), rng_state=meta.get("rng_state"))
+                      epoch=_field(meta, "epoch", (int,)),
+                      rng_state=_field(meta, "rng_state", (dict, type(None))))
+
+
+def _field(meta, key, kinds, where=""):
+    """meta[key], refused unless its JSON type is one of kinds; a key that
+    may be None may be missing."""
+    value = meta.get(key)
+    if type(value) not in kinds:
+        raise CheckpointError(f"metadata '{where}{key}' is {value!r}, not {kinds[0].__name__}")
+    return value
 

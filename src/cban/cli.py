@@ -164,7 +164,7 @@ def _load_evidence(args, arch):
     Outputs render in the shape the evidence came in; flat evidence takes
     the visible layer's shape.
     """
-    from .data import channel_mask
+    from .data import channel_mask, check_visible_shape
     from .imageio import bytes_to_activations, read_image
 
     path = Path(args.input)
@@ -181,11 +181,8 @@ def _load_evidence(args, arch):
             raise ValueError("image input needs --mask to say what is observed")
         mask = channel_mask(spec, img, np.random.default_rng(args.seed))
         values = np.where(mask, img, 0.0)
+    check_visible_shape("evidence", values.shape, arch)
     vis = arch.visible_shape
-    if int(np.prod(values.shape)) != int(np.prod(vis)):
-        raise ValueError(
-            f"evidence has {values.size} units, the network's visible layer has "
-            f"{int(np.prod(vis))}")
     shape = values.shape if values.ndim > 1 else vis
     return values.reshape(vis), mask.reshape(vis), shape
 

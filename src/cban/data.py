@@ -49,6 +49,7 @@ __all__ = [
     "SupervisedData",
     "CompletionData",
     "build_dataset",
+    "check_visible_shape",
 ]
 
 ON = TARGET_BOUND
@@ -551,8 +552,16 @@ def build_dataset(arch, data, mask, limit=0):
             dataset = ImageFolderCompletion(images, mask)
             states = set(map(np.shape, images))
     for shape in states:
-        if int(np.prod(shape)) != int(np.prod(vis)):
-            raise ValueError(
-                f"the images give visible states of shape {shape}; "
-                f"the network's visible layer has shape {vis}")
+        check_visible_shape("the images give visible states", shape, arch)
     return dataset
+
+
+def check_visible_shape(what, shape, arch):
+    """Refuse `what`, visible states of this shape, unless arch's visible
+    layer takes them: on a conv layer a state's (channels, height, width),
+    a 2-d state as one channel, must be the layer's shape; on an fc layer,
+    and for a flat state, the unit count must be the layer's."""
+    vis, shape = arch.visible_shape, tuple(shape)
+    laid_out = arch.layers[0].kind == "conv" and len(shape) > 1
+    if np.prod(shape) != np.prod(vis) or laid_out and (1,) * (3 - len(shape)) + shape != vis:
+        raise ValueError(f"{what} of shape {shape}; the network's visible layer has shape {vis}")

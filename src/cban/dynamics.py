@@ -53,8 +53,9 @@ fresh buffer (tensor._summed), checked finite, and activates that buffer
 in place. inverse and barrier compute on values already in their domain
 and do not check it; slope reads the activation's slope off an output,
 into a fresh buffer. A bounded kind's outputs lie in (-1, 1), so its
-inverse needs |x| < 1 and its barrier |x| <= 1: the public
-inverse_activation and barrier, which energy() calls, check that first.
+inverse needs |x| < 1 and its barrier |x| <= 1. The public barrier,
+which energy() calls, checks that first, and so does the public
+inverse_activation, which the package itself never calls.
 The TD(1) losses (training._loss) clip a bounded kind's values inside
 and call the kind.
 """
@@ -718,9 +719,9 @@ class _ShardRun:
     (see _update), or None; zero marks the layers still at an all-zero
     start. A sweep runs the upward half 1..L-1, then the hook
     after_up(state), then the downward half L-2..0, and after every update
-    the hook updated(l, state, reads). Both hooks do nothing here;
-    td1_forward's runner computes v~ and the loss in the first and records
-    each update in the second.
+    the hook updated(l, state). Both hooks do nothing here; td1_forward's
+    runner computes v~ and the loss in the first and records each update
+    in the second.
     """
 
     def __init__(self, state, w, arch):
@@ -763,8 +764,7 @@ class _ShardRun:
         upward updates hold none yet and map that down term from the start
         state. An interior layer then holds the term it mapped, for its
         next update. The visible layer reads a term visible_term held
-        instead of mapping it. reads lists, per term read, (source layer,
-        whether it was mapped for this update).
+        instead of mapping it.
         """
         held = self.held
         kept, held[l] = held[l], None
@@ -776,14 +776,13 @@ class _ShardRun:
         self.zero[l] = False
         if 0 < l < self.top:
             held[l] = below if upward else above
-        self.updated(l, state, [(s, s != reused) for s, t in ((l - 1, below), (l + 1, above))
-                                if t is not None])
+        self.updated(l, state)
         return state
 
     def after_up(self, state):
         pass
 
-    def updated(self, l, state, reads):
+    def updated(self, l, state):
         pass
 
     def sweep(self):

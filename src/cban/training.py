@@ -23,28 +23,20 @@ for overflow.
 
 The TD(1) gradient is back-propagation through time written out for a
 symmetric bipartite stack (Werbos 1990); it is the only gradient the
-package takes. td1_forward sweeps through settle's lockstep runner
-(dynamics._Lockstep) and settle's shard runner (dynamics._ShardRun), and
-so through its held pair terms and update_layer, with a hook after the
-upward half that computes v~ by unclamped_visible and the loss. It keeps
-per activation op its output, the plain ndarray the update made, and
-where each pair term it read came from, but no term arrays; whether the
-op is a term's first reader is whether the runner mapped the term for it
-or reused a held one. A batch of a conv net runs on row shards in
-lockstep, each shard with its own records; a flat net's batch is one
-shard. The loss is the one Tensor it makes. It records the loss on the
-active GradTape as the tape's one op, whose one parent is the weights'
-vector (dynamics.WeightBundle.flat), and whose backward walks each
-shard's records back into one gradient vector, the shards in parallel,
-and sums the vectors (_td1_backward): each layer's preactivation
-cotangent is its output's cotangent times the activation's slope, zero on
-clamped units, and each pair term's summed cotangent goes once back
-through its pair (_term_vjp). A symmetric pair's down map is the adjoint of
-its up map, so an up term's cotangent goes through the pair's
-dynamics._down_map and a down term's through its dynamics._up_map, and
-both terms' weight gradients are dynamics._up_weight_grad, with the two
-sides swapped for a down term. How a pair maps (matrix transpose, kernel
-reversal, pooling and its transpose) is stated in dynamics alone.
+package takes. td1_forward sweeps through settle's runners
+(dynamics._Lockstep, dynamics._ShardRun) with a hook after the upward
+half that computes v~ by unclamped_visible and the loss. It keeps per
+activation op its output and the records of the neighbor values it read,
+but no term arrays, and which terms the runner reused shows nowhere in
+them. The loss is the one op it records on the active GradTape, with the
+weights' vector (dynamics.WeightBundle.flat) as its one parent; its
+backward, _td1_backward, walks the records back. A symmetric pair's down
+map is the adjoint of its up map, so an up term's cotangent goes through
+the pair's dynamics._down_map and a down term's through its
+dynamics._up_map, and both terms' weight gradients are
+dynamics._up_weight_grad, with the two sides swapped for a down term. How
+a pair maps (matrix transpose, kernel reversal, pooling and its
+transpose) is stated in dynamics alone.
 """
 
 from __future__ import annotations
@@ -266,9 +258,9 @@ class _TD1Run(_ShardRun):
                         for l, (x, zero) in enumerate(zip(state.activations, self.zero))]
         self.current = list(range(arch.n_layers))  # the record of each layer's value
 
-    def updated(self, l, state, reads):
+    def updated(self, l, state):
         self.records.append((l, state.activations[l], None,
-                             [(self.current[s], mapped) for s, mapped in reads]))
+                             [self.current[s] for s in (l - 1, l + 1) if 0 <= s <= self.top]))
         self.current[l] = len(self.records) - 1
 
     def after_up(self, state):
@@ -278,7 +270,7 @@ class _TD1Run(_ShardRun):
         _check_finite(loss_vec)
         loss_gz = kind.slope(v_tilde)
         loss_gz *= loss_vjp(self.active * self.item_weight)
-        self.records.append((0, None, loss_gz, [(self.current[1], True)]))
+        self.records.append((0, None, loss_gz, [self.current[1]]))
         self.loss_vec = loss_vec
 
     def sweep(self, active):
@@ -311,37 +303,32 @@ def td1_forward(examples, w, arch, cfg):
     over items of summed per-sweep losses, as a Tensor, reports).
 
     The sweeps run through settle's lockstep runner (dynamics._Lockstep):
-    a batch of a conv net sweeps on row shards in lockstep, each with its
-    own runner, state and records, and after every sweep the shards'
-    per-item losses and changes are joined in row order, so the loss,
-    t_star and the traces are those of one unsharded run, byte for byte.
-    A shard's runner is settle's (dynamics._ShardRun) with v~ and the loss
-    computed after the upward half, so the sweeps hold one pair term per
-    layer as in settle: each map is computed once per change of its source
-    layer and skipped while that layer is at its zero start, and v~ maps
-    one more down term, 2L-1 maps per sweep from the first, 7 on a 4-layer
-    net. On a 2-layer net the top does not change between v~ and the
-    visible update, which reuses v~'s down term and leaves 2.
+    a batch of a conv net sweeps on row shards, each with its own runner,
+    state and records, and after every sweep the shards' per-item losses
+    and changes are joined in row order, so the loss, t_star and the
+    traces are those of one unsharded run, byte for byte. A shard's runner
+    is settle's (dynamics._ShardRun) with v~ and the loss computed after
+    the upward half, so it maps one more down term per sweep than settle:
+    2L-1 maps, 7 on a 4-layer net. On a 2-layer net the visible update
+    reuses v~'s down term, which leaves 2.
 
     The loss is recorded on the active GradTape, if there is one, as its
     one op, whose one parent is w.flat and whose backward runs
-    _td1_backward over each shard's records, the shards in parallel as
-    their sweeps ran, and sums their gradients in shard order. The loss
-    bookkeeping is plain numpy: each sweep's np.sum of its losses on active
-    items, added to the running total, which is scaled by 1/n at the end.
-    The targets' barrier, which the energy losses read, is evaluated once.
-    The forward keeps one record per layer's start state and per
-    activation op, (layer, output, loss cotangent, reads):
-    - a start state is a constant: reads is None, and an all-zero one
-      keeps no output, since the terms it feeds add exactly zero and are
-      left out of every reads;
+    _td1_backward over each shard's records, the shards in parallel, and
+    sums their gradients in shard order. The loss bookkeeping is plain
+    numpy: each sweep's np.sum of its losses on active items, added to the
+    running total, which is scaled by 1/n at the end. The targets' barrier,
+    which the energy losses read, is evaluated once. The forward keeps one
+    record per start state and per activation op, (layer, output, loss
+    cotangent, sources):
+    - a start state has no sources, and an all-zero one keeps no output,
+      since the terms it feeds add exactly zero;
     - a layer update keeps its output;
     - v~ keeps no output but its preactivation cotangent, which the loss
       fixes in the forward: the loss's vjp at the item weights (1/n on
       items still active) times the activation's slope;
-    - reads lists, per pair term the op read, (index of the record its
-      source value came from, whether the runner mapped the term for this
-      op, which makes it the term's first reader, or reused a held one).
+    - sources are the indices of the neighbors' records current at the
+      op: the values its pair terms were mapped from.
     """
     n = len(examples)
     if n == 0:
@@ -389,14 +376,16 @@ def _td1_backward(records, w, arch, evidence):
     Each record is dropped once the walk has passed it. A layer update's
     output cotangent, zeroed on clamped units, times the activation's
     slope is its preactivation cotangent; v~ brings its own. That
-    cotangent adds into the layer's bias gradient and into each term the
-    op read. At a term's first reader its summed cotangent goes through
-    _term_vjp once, which adds the pair's weight gradient in place
-    (dynamics._up_weight_grad) and hands the source record its share, the
+    cotangent adds into the layer's bias gradient and into the pending
+    cotangent of each term the op read, one per source record and reader
+    layer. When the walk reaches a source record, each of its pending
+    terms goes through _term_vjp once, which adds the pair's weight
+    gradient in place (dynamics._up_weight_grad) and hands the record the
     cotangent mapped by the pair's other map: dynamics._down_map for an up
-    term, dynamics._up_map for a down term. A record whose output fed no
-    loss, such as the last sweep's downward updates, gets no cotangent and
-    is skipped.
+    term, dynamics._up_map for a down term. A start state takes the weight
+    gradient only, and an all-zero start, which keeps no output, feeds no
+    term. A record whose output fed no loss, such as the last sweep's
+    downward updates, gets no cotangent and is skipped.
     Every gradient adds into its block's view of one zero vector.
     """
     grad = np.zeros(w.flat.shape)
@@ -404,14 +393,19 @@ def _td1_backward(records, w, arch, evidence):
     bias_grads = grads[len(w.forward):]
     clamped = evidence.mask if arch.evidence == "clamp" else None
     kind = arch.activation
-    n_layers = arch.n_layers
-    g_out = {}  # record -> cotangent of its output
-    g_term = {}  # (reader, source record) -> summed cotangent of that term
-    for i in range(len(records) - 1, n_layers - 1, -1):
-        l, out, gz, reads = records[i]
+    # record i's terms' summed cotangents, into the layer below at 2i, above at 2i + 1
+    pending = [None] * (2 * len(records))
+    for i in range(len(records) - 1, -1, -1):
+        l, out, gz, sources = records[i]
         records[i] = None
+        g = None  # stays None at a start state, which gets no cotangent
+        for side in (0, 1):
+            g_t, pending[2 * i + side] = pending[2 * i + side], None
+            if g_t is not None:
+                gx = _term_vjp(g_t, out, w, arch, l - 1 + 2 * side, l, grads,
+                               need_input=sources is not None)
+                g = gx if g is None else g + gx
         if gz is None:
-            g = g_out.pop(i, None)
             if g is None:
                 continue
             if l == 0 and clamped is not None:
@@ -419,36 +413,21 @@ def _td1_backward(records, w, arch, evidence):
             gz = kind.slope(out)
             gz *= g
         bias_grads[l] += gz.sum(axis=(0,) + tuple(range(2, gz.ndim)))
-        for src, first in reads:
-            acc = g_term.pop((l, src), None)
-            g_t = gz if acc is None else acc + gz
-            if not first:
-                g_term[(l, src)] = g_t
-                continue
+        for src in sources:
             source, x = records[src][:2]
-            constant = src < n_layers  # a start state gets no cotangent
-            gx = _term_vjp(g_t, x, w, arch, l, source, grads, need_input=not constant)
-            if constant:
-                continue
-            acc = g_out.get(src)
-            if acc is None:
-                g_out[src] = gx
-            else:
-                acc += gx
+            if x is not None:  # an all-zero start feeds no term
+                slot = 2 * src + (l > source)
+                pending[slot] = gz if pending[slot] is None else pending[slot] + gz
     return grad
 
 
 def _term_vjp(g, x, w, arch, reader, source, grads, need_input):
     """The backward map of the pair term (reader, source) at its summed
-    cotangent g, with x the source activations the term was made from.
+    cotangent g, with x the source activations the term was mapped from.
 
     Adds the pair's weight gradient in place into grads[pair], its view of
-    the gradient vector, and returns the cotangent of x, or None unless
-    need_input. An up term (source below) is _up_map(x) and a down term
-    _down_map(x), and each map is the other's adjoint. So the weight
-    gradient is _up_weight_grad at (x, g) for an up term and at (g, x) for
-    a down term, and the cotangent of x is _down_map(g) for an up term and
-    _up_map(g) for a down term.
+    the gradient vector, and returns the cotangent of x by the pair's other
+    map (see the module docstring), or None unless need_input.
     """
     pair = min(reader, source)
     up = source < reader

@@ -315,14 +315,46 @@ class TestCheckpointInPlace:
             load_checkpoint(path)
 
 
-def rewrite_metadata(src, dst, edit):
-    """Copy checkpoint src to dst with edit(metadata) applied."""
+def replace_metadata(src, dst, new):
+    """Copy checkpoint src to dst with its metadata replaced by new(metadata)."""
     raw = Path(src).read_bytes()
     (n,) = struct.unpack("<I", raw[12:16])
-    meta = json.loads(raw[16:16 + n])
-    edit(meta)
-    payload = json.dumps(meta, sort_keys=True).encode()
+    payload = json.dumps(new(json.loads(raw[16:16 + n])), sort_keys=True).encode()
     Path(dst).write_bytes(raw[:12] + struct.pack("<I", len(payload)) + payload + raw[16 + n:])
+
+
+def rewrite_metadata(src, dst, edit):
+    """Copy checkpoint src to dst with edit(metadata) applied."""
+    def new(meta):
+        edit(meta)
+        return meta
+
+    replace_metadata(src, dst, new)
+
+
+# metadata the loader cannot read, and what its error names
+MALFORMED_METADATA = {
+    "blocks-not-a-list": (lambda meta: {**meta, "blocks": 5}, "'blocks'"),
+    "metadata-a-list": (lambda meta: [meta], "not a JSON object"),
+    "epoch-null": (lambda meta: {**meta, "epoch": None}, "'epoch'"),
+    "optimizer-a-string": (lambda meta: {**meta, "optimizer": "x"}, "'optimizer'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_METADATA))
+def test_malformed_checkpoint_metadata_exits_2(tmp_path, capsys, case):
+    new, named = MALFORMED_METADATA[case]
+    save_checkpoint(tmp_path / "good.ckpt", make_checkpoint())
+    replace_metadata(tmp_path / "good.ckpt", tmp_path / "bad.ckpt", new)
+    with pytest.raises(CheckpointError, match=named):
+        load_checkpoint(tmp_path / "bad.ckpt")
+    np.savez(tmp_path / "ev.npz", values=np.zeros(6), mask=np.ones(6, dtype=bool))
+    code = main(["complete", "--ckpt", str(tmp_path / "bad.ckpt"), "--input",
+                 str(tmp_path / "ev.npz"), "--outdir", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "x").exists()
 
 
 BAD_SETTLE_OPTIONS = [("--theta", "0"), ("--theta", "nan"), ("--max-iters", "0")]
@@ -1296,6 +1328,68 @@ class TestCmdEval:
             "error: image (8, 8) is smaller than the 11x11 window\n")
         assert calls == []
         assert not (tmp_path / "ev").exists()
+
+
+class TestVisibleLayout:
+    """On a conv visible layer a state must have the layer's (channels,
+    height, width), not only its unit count: 1 x 16 x 12 grayscale images
+    have the 192 units of a (3, 8, 8) layer and are refused."""
+
+    layers = [{"kind": "conv", "channels": 3, "height": 8, "width": 8, "visible": True},
+              {"kind": "conv", "channels": 2, "height": 8, "width": 8}]
+    visible = "the network's visible layer has shape (3, 8, 8)"
+
+    @staticmethod
+    def _gray_image(path):
+        write_pgm(path, np.random.default_rng(0).integers(0, 256, size=(16, 12)).astype(np.uint8))
+
+    def test_train_exits_2(self, tmp_path, capsys):
+        folder = tmp_path / "imgs"
+        folder.mkdir()
+        for i in range(2):
+            self._gray_image(folder / f"{i}.pgm")
+        cfg = {
+            "task": "completion", "seed": 0, "output_dir": str(tmp_path / "o"),
+            "arch": {"layers": self.layers, "kernel_sizes": [3]},
+            "train": {"epochs": 1, "batch_size": 1},
+            "mask": {"kind": "bernoulli", "p": 0.5},
+            "data": {"folder": str(folder)},
+        }
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the images give visible states of shape (1, 16, 12); {self.visible}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_complete_exits_2(self, tmp_path, capsys):
+        arch = arch_from_dict({"layers": self.layers, "kernel_sizes": [3]})
+        save_checkpoint(tmp_path / "c.ckpt", Checkpoint(
+            arch=arch, weights=init_weights(arch, seed=0), opt_state=None, epoch=0,
+            rng_state=None))
+        self._gray_image(tmp_path / "in.pgm")
+        code = main(["complete", "--ckpt", str(tmp_path / "c.ckpt"), "--input",
+                     str(tmp_path / "in.pgm"), "--mask", "bernoulli",
+                     "--outdir", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: evidence of shape (1, 16, 12); {self.visible}\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_a_grayscale_image_fits_a_one_channel_layer(self, tmp_path):
+        # a 2-d state is one channel: a (16, 12) npz fits a (1, 16, 12) layer
+        arch = arch_from_dict({"layers": [
+            {"kind": "conv", "channels": 1, "height": 16, "width": 12, "visible": True},
+            {"kind": "conv", "channels": 2, "height": 16, "width": 12}], "kernel_sizes": [3]})
+        save_checkpoint(tmp_path / "c.ckpt", Checkpoint(
+            arch=arch, weights=init_weights(arch, seed=0), opt_state=None, epoch=0,
+            rng_state=None))
+        mask = np.zeros((16, 12), dtype=bool)
+        mask[:4] = True
+        np.savez(tmp_path / "ev.npz", values=np.where(mask, 0.5, 0.0), mask=mask)
+        code = main(["complete", "--ckpt", str(tmp_path / "c.ckpt"), "--input",
+                     str(tmp_path / "ev.npz"), "--outdir", str(tmp_path / "x")])
+        assert code in (0, 1)
+        assert (tmp_path / "x" / "completed.pgm").exists()
 
 
 class TestUnwritableOutputs:

@@ -9,7 +9,8 @@ and unclamped_visible mapping every term afresh. td1_forward's gradient,
 its reverse sweep, is compared with the gradients a per-op tape took of
 that reference, frozen as test data (helpers.frozen_td1_gradients). The
 runner's held terms are checked after every update against fresh maps of
-the current state.
+the current state. The backward takes each term back once, whatever the
+runner held: its maps are counted too.
 """
 
 import dataclasses
@@ -107,19 +108,19 @@ def _two_workers(monkeypatch):
 
 
 def _count_maps(monkeypatch):
-    """Count the up and down maps of every thread; returns the one-entry
-    list that holds the count."""
-    count = [0]
+    """Count every thread's up and down maps and weight gradients, in
+    dynamics' namespace, where the sweeps call them, and in training's,
+    where the backward does; returns the list [maps, weight gradients]."""
+    count = [0, 0]
     lock = threading.Lock()
-    for name in ("_up_map", "_down_map"):
-        real = getattr(cban.dynamics, name)
+    for module in (cban.dynamics, cban.training):
+        for name, k in (("_up_map", 0), ("_down_map", 0), ("_up_weight_grad", 1)):
+            def counted(*args, real=getattr(module, name), k=k):
+                with lock:
+                    count[k] += 1
+                return real(*args)
 
-        def counted(*args, real=real):
-            with lock:
-                count[0] += 1
-            return real(*args)
-
-        monkeypatch.setattr(cban.dynamics, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return count
 
 
@@ -382,6 +383,53 @@ class TestMapsPerSweep:
         assert maps[0] == 10
 
 
+class _HoldsNothing(cban.training._TD1Run):
+    """td1_forward's runner with no held term: each update maps every term
+    it reads afresh, v~'s term on a 2-layer net included."""
+
+    def _update(self, state, l, upward):
+        self.held[l] = None
+        return super()._update(state, l, upward)
+
+
+@pytest.mark.usefixtures("one_worker")
+class TestBackwardMaps:
+    """The backward takes each pair term back once, however often the
+    forward mapped it: one weight gradient per term read, and one
+    input-cotangent map per term read from a layer update."""
+
+    @staticmethod
+    def _gradient(net, maps):
+        """(loss, gradient, the forward's maps, [maps, weight gradients] of
+        the backward) of a 3-sweep TD(1) step."""
+        arch, w, rng = _net(net, "clamp")
+        maps[:] = [0, 0]
+        with GradTape() as tape:
+            loss, reports = td1_forward(_examples(arch, rng, n=2), w, arch,
+                                        TrainConfig(epochs=1, theta=1e-300, max_iters=3))
+        assert all(r.t_star == 3 and not r.converged for r in reports)
+        forward, maps[:] = maps[0], [0, 0]
+        (grad,) = tape.gradient(loss, w.params())
+        return loss.data, grad, forward, list(maps)
+
+    @pytest.mark.parametrize("net,counts", [("conv4", [15, 16]), ("fc2", [5, 6])])
+    def test_one_gradient_makes_one_map_per_term(self, net, counts, monkeypatch):
+        assert self._gradient(net, _count_maps(monkeypatch))[3] == counts
+
+    @pytest.mark.parametrize("net", ["conv4", "fc2"])
+    def test_a_runner_that_holds_no_term_takes_the_same_backward(self, net, monkeypatch):
+        maps = _count_maps(monkeypatch)
+        loss, grad, forward, counts = self._gradient(net, maps)
+        monkeypatch.setattr(cban.training, "_TD1Run", _HoldsNothing)
+        fresh_loss, fresh_grad, fresh_forward, fresh_counts = self._gradient(net, maps)
+        # 7 and 2 maps per sweep with held terms (TestMapsPerSweep); afresh,
+        # 11 and 3, less the first sweep's 2 maps from conv4's zero starts
+        assert (forward, fresh_forward) == ((21, 31) if net == "conv4" else (6, 9))
+        assert fresh_loss.tobytes() == loss.tobytes()
+        assert fresh_grad.tobytes() == grad.tobytes()
+        assert fresh_counts == counts
+
+
 @pytest.mark.usefixtures("one_worker")
 class TestUpdatesStayTraceable:
     """settle and td1_forward call the public update_layer, 2L-2 times per
@@ -461,7 +509,7 @@ class _SlotChecks(_ShardRun):
         assert (self.held[0] is not None) == (self.top == 1)
         self.upward = False
 
-    def updated(self, l, state, reads):
+    def updated(self, l, state):
         self.last[l] = self.upward
         self.upward = self.upward or l == 0
         x = state.activations
@@ -512,7 +560,7 @@ class TestFinitenessPassesPerUpdate:
         seen = []
 
         class Counted(_ShardRun):
-            def updated(self, l, state, reads):
+            def updated(self, l, state):
                 if l == 1:
                     seen.append(counts["maps"])
                     assert counts["passes"] <= counts["maps"] + 1

@@ -308,10 +308,12 @@ class TestLossGradient:
         return step
 
     def test_a_bar_step_makes_no_more_c_calls_from_cban(self):
-        # 296 at three sweeps since the backward takes each pair term's
-        # input cotangent through the pair's own map (_down_map or _up_map:
-        # its block test and matmul's finiteness check), 271 when this
-        # bound was set, 300 while the
+        # 278 at three sweeps since the backward takes each pair term back
+        # once, when its reverse walk reaches the term's source; 296 while
+        # it did so at the term's first reader, as a flag in the forward's
+        # records said, and took each input cotangent through the pair's
+        # own map (_down_map or _up_map: its block test and matmul's
+        # finiteness check); 271 before that, 300 while the
         # activations' maths sat in functions that tested the kind with
         # isinstance, 304 while the weights were one Tensor per block, 381
         # while a PairTerms looked up which pair terms to hold, 456 while
@@ -324,7 +326,7 @@ class TestLossGradient:
         # ufuncs. A change that adds calls it sees has to raise the bound
         # on purpose.
         _, calls = cban_c_calls(self._bar_step())
-        assert calls <= 296
+        assert calls <= 278
 
     def test_a_bar_step_makes_no_more_numpy_calls_from_cban(self):
         # every call through the name np in tensor, dynamics and training,
